@@ -28,7 +28,6 @@ from .schedule import (
 )
 from .tomo import (
     bell_target,
-    mle_reconstruct,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
 )
@@ -244,14 +243,13 @@ def _stage_report_qubit(outcome, cfg: ExperimentConfig,
     est = monte_carlo_fidelity(table, target, cfg.n_resamples,
                                seed=derive_seed(cfg.seed, stage_index, 1),
                                tol=cfg.tol, max_iter=cfg.max_iter)
-    rho = mle_reconstruct(table, tol=cfg.tol, max_iter=cfg.max_iter).rho
     return {
         "predicted_fidelity": outcome.predicted_fidelity,
         "survival_probability": outcome.survival_probability,
         "fidelity": est.value,
         "sigma": est.sigma,
         "n_resamples": est.n_resamples,
-    }, rho
+    }, est.rho
 
 
 def _stage_report_qudit(outcome, cfg: ExperimentConfig, stage_index: int) -> dict:

@@ -14,15 +14,24 @@ analytically, leaving
     l(T) = sum_s c_s ln q_s - C ln Q,   q_s = tr(T T^dag P_s),
     Q = sum_s N_s q_s,                  C = sum_s c_s,
 
-maximized with an analytic gradient.  The recorded likelihood trace is
-checked to be non-decreasing across accepted steps; a violation means the
-optimizer misbehaved and raises immediately rather than returning a bad fit.
+maximized by scipy L-BFGS-B with an analytic gradient.  Each optimizer
+evaluation unpacks T once and returns the value and gradient together; the
+objective remembers its last point, so the per-step callback reads the
+value already computed at the accepted iterate instead of evaluating it
+again.  The recorded likelihood trace is checked to be non-decreasing
+across accepted steps; a violation means the optimizer misbehaved and
+raises ``LikelihoodDecreasedError`` immediately rather than returning a bad
+fit.  The check is an explicit raise, so it also holds under ``python -O``.
+
+A bootstrap fits the observed table once from the maximally mixed state and
+hands that base fit back with the estimate, so a report needs no second fit
+of the same table.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,6 +42,7 @@ from .qstate import DensityMatrix, ModeKind, ModeLabel, PureState, fidelity, pro
 __all__ = [
     "ReconstructionResult",
     "FidelityEstimate",
+    "LikelihoodDecreasedError",
     "WFidelityData",
     "logical_basis",
     "bell_target",
@@ -83,11 +93,18 @@ class ReconstructionResult:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
+    """Point fidelity and bootstrap spread.
+
+    ``rho`` is the base fit the point value was computed from, for
+    estimators that reconstruct a state; it is not part of the JSON form.
+    """
+
     value: float
     sigma: float
     n_resamples: int
     n_failed: int = 0
     warnings: tuple[str, ...] = ()
+    rho: DensityMatrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -174,70 +191,82 @@ def _pack(t_mat: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unpack(x: np.ndarray, d: int) -> np.ndarray:
-    t_mat = np.zeros((d, d), dtype=complex)
-    t_mat[np.diag_indices(d)] = x[:d]
-    pos = d
-    for i in range(d):
-        for j in range(i):
-            t_mat[i, j] = x[pos] + 1j * x[pos + 1]
-            pos += 2
-    return t_mat
+class LikelihoodDecreasedError(RuntimeError):
+    """An accepted optimizer step lowered the log-likelihood beyond TRACE_RTOL."""
 
 
-def _grad_pack(m_mat: np.ndarray) -> np.ndarray:
-    d = m_mat.shape[0]
-    parts = [2.0 * m_mat.diagonal().real]
-    lower = []
-    for i in range(d):
-        for j in range(i):
-            lower.extend((2.0 * m_mat[i, j].real, 2.0 * m_mat[i, j].imag))
-    if lower:
-        parts.append(np.array(lower))
-    return np.concatenate(parts)
+class _NegLogLikelihood:
+    """-l and its gradient over packed T parameters, memoized on the last x.
+
+    Calling the object returns ``(value, gradient)``.  T is unpacked once
+    per point and the value and gradient share it.  A call at an x
+    array-equal to the previous one returns the stored pair without
+    recomputing, so the optimizer's callback and its first evaluation cost
+    nothing extra.
+    """
+
+    def __init__(self, projectors, observed, exposures):
+        n_settings, d = projectors.shape[:2]
+        self.d = d
+        self.projectors = projectors
+        self.flat_projectors = projectors.reshape(n_settings, d * d)
+        self.observed = observed
+        self.c_total = float(observed.sum())
+        self.s_op = np.tensordot(exposures, projectors, axes=1)
+        self.diag = np.diag_indices(d)
+        self.lower = np.tril_indices(d, -1)   # row-major, the order _pack writes
+        self._last = None                     # (x, value, gradient) of the latest call
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        d = self.d
+        t_mat = np.zeros((d, d), dtype=complex)
+        t_mat[self.diag] = x[:d]
+        t_mat[self.lower] = x[d::2] + 1j * x[d + 1::2]
+        return t_mat
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        if self._last is not None and np.array_equal(x, self._last[0]):
+            return self._last[1], self._last[2]
+        d, observed, s_op = self.d, self.observed, self.s_op
+        t_mat = self.unpack(x)
+        a_mat = t_mat @ t_mat.conj().T
+        q = np.clip(np.einsum("sij,ji->s", self.projectors, a_mat).real, Q_FLOOR, None)
+        big_q = max(float(np.einsum("ij,ji->", s_op, a_mat).real), Q_FLOOR)
+        value = -(float(observed @ np.log(q)) - self.c_total * np.log(big_q))
+        g_mat = ((observed / q) @ self.flat_projectors).reshape(d, d) \
+            - (self.c_total / big_q) * s_op
+        m_mat = g_mat @ t_mat
+        m_lower = m_mat[self.lower]
+        grad = np.empty(d * d)
+        grad[:d] = -(2.0 * m_mat.diagonal().real)
+        grad[d::2] = -(2.0 * m_lower.real)
+        grad[d + 1::2] = -(2.0 * m_lower.imag)
+        self._last = (x.copy(), value, grad)
+        return value, grad
 
 
 def _fit_mle(projectors, observed, exposures, init_rho, tol, max_iter):
     d = projectors.shape[1]
-    c_total = float(observed.sum())
-    s_op = np.tensordot(exposures, projectors, axes=1)
-
-    def split(x):
-        t_mat = _unpack(x, d)
-        a_mat = t_mat @ t_mat.conj().T
-        q = np.einsum("sij,ji->s", projectors, a_mat).real
-        return t_mat, a_mat, q
-
-    def neg_ll(x):
-        _, a_mat, q = split(x)
-        q = np.clip(q, Q_FLOOR, None)
-        big_q = max(float(np.einsum("ij,ji->", s_op, a_mat).real), Q_FLOOR)
-        return -(float(observed @ np.log(q)) - c_total * np.log(big_q))
-
-    def neg_grad(x):
-        t_mat, a_mat, q = split(x)
-        q = np.clip(q, Q_FLOOR, None)
-        big_q = max(float(np.einsum("ij,ji->", s_op, a_mat).real), Q_FLOOR)
-        g_mat = np.tensordot(observed / q, projectors, axes=1) - (c_total / big_q) * s_op
-        return -_grad_pack(g_mat @ t_mat)
-
+    objective = _NegLogLikelihood(projectors, observed, exposures)
     x0 = _pack(_initial_t(init_rho, d))
-    trace = [-neg_ll(x0)]
+    trace = [-objective(x0)[0]]
 
     def record(xk):
-        ll = -neg_ll(xk)
+        # the line search ends on an evaluation at xk, so this is a cache hit
+        ll = -objective(xk)[0]
         prev = trace[-1]
-        assert ll >= prev - TRACE_RTOL * (1.0 + abs(prev)), (
-            f"likelihood decreased across an accepted step: {prev!r} -> {ll!r}")
+        if not ll >= prev - TRACE_RTOL * (1.0 + abs(prev)):   # NaN fails too
+            raise LikelihoodDecreasedError(
+                f"likelihood decreased across an accepted step: {prev!r} -> {ll!r}")
         trace.append(ll)
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", RuntimeWarning)
-        res = minimize(neg_ll, x0, jac=neg_grad, method="L-BFGS-B",
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
                        callback=record,
                        options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12})
 
-    t_mat = _unpack(res.x, d)
+    t_mat = objective.unpack(res.x)
     a_mat = t_mat @ t_mat.conj().T
     a_mat = (a_mat + a_mat.conj().T) / 2.0
     rho = a_mat / np.trace(a_mat).real
@@ -289,7 +318,8 @@ def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: in
     centering on it would break 1-sigma coverage.  Resampled counts are
     treated as raw Poisson draws (they may exceed the recorded herald
     number; the likelihood only cares about rates).  Each refit warm-starts
-    from the base reconstruction.  Failed refits are skipped and counted.
+    from the base reconstruction, which is returned as ``rho`` so callers
+    need not fit the table again.  Failed refits are skipped and counted.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
@@ -300,6 +330,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: in
     basis = logical_basis(int(round(np.sqrt(projectors.shape[1]))))
     if list(target.basis) != list(basis):
         raise ValueError("target must live on the logical reconstruction basis")
+    base = DensityMatrix(basis, base_rho)
 
     values, failed = [], 0
     for r in range(n_resamples):
@@ -308,16 +339,17 @@ def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: in
         try:
             rho, *_ = _fit_mle(projectors, resampled, exposures, base_rho, tol, max_iter)
             values.append(fidelity(DensityMatrix(basis, rho), target))
-        except (ValueError, AssertionError, np.linalg.LinAlgError):
+        except (ValueError, LikelihoodDecreasedError, np.linalg.LinAlgError):
             failed += 1
     if len(values) < 2:
         raise RuntimeError(f"only {len(values)} of {n_resamples} resamples succeeded")
     arr = np.asarray(values)
     return FidelityEstimate(
-        value=fidelity(DensityMatrix(basis, base_rho), target),
+        value=fidelity(base, target),
         sigma=float(arr.std(ddof=1)),
         n_resamples=len(values),
         n_failed=failed,
+        rho=base,
     )
 
 

@@ -22,6 +22,7 @@ from maqmsim.cli import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GRID1 = {"x_origin": 97.0, "x_step": 1.5, "y_origin": 95.5, "y_step": 1.5}
 GRID2 = {"x_origin": 101.1, "x_step": 1.2, "y_origin": 99.0, "y_step": 1.2}
@@ -290,6 +291,19 @@ def test_main_run_writes_report(tmp_path):
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["dimension"] == 2
+
+
+@pytest.mark.parametrize("config_name, golden_name", [
+    ("qubit_default.json", "qubit_report.json"),
+    ("qubit_ideal.json", "qubit_ideal_report.json"),
+    ("qudit_default.json", "qudit_report.json"),
+])
+def test_main_run_matches_golden_report_bytes(tmp_path, config_name, golden_name):
+    # every shipped config at its own seed; a change that moves any report
+    # byte must regenerate these goldens on purpose
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(CONFIG_DIR / config_name), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden_name).read_bytes()
 
 
 def test_main_run_seed_override(tmp_path):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from maqmsim import tomo
+from maqmsim.cli import derive_seed, load_experiment_config
 from maqmsim.detect import (
     CountRow,
     CountsTable,
@@ -15,6 +22,7 @@ from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, PureState, bin_mode, fidelity, state_fidelity, w_state
 from maqmsim.tomo import (
     FidelityEstimate,
+    LikelihoodDecreasedError,
     WFidelityData,
     bell_target,
     linear_inversion,
@@ -26,6 +34,9 @@ from maqmsim.tomo import (
     w_data_from_density,
     w_fidelity,
 )
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = SRC_DIR / "maqmsim" / "configs"
 
 GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
@@ -290,3 +301,238 @@ class TestTransmissionFidelity:
         f21 = state_fidelity(rho2, rho1)
         assert_allclose(f12, f21, rtol=0, atol=1e-8)
         assert f12 >= 0.999
+
+
+# ------------------------------------------------- MLE objective and guards
+
+def loop_unpack(x, d):
+    # reference: the element-by-element unpacking in _pack's order
+    t_mat = np.zeros((d, d), dtype=complex)
+    t_mat[np.diag_indices(d)] = x[:d]
+    pos = d
+    for i in range(d):
+        for j in range(i):
+            t_mat[i, j] = x[pos] + 1j * x[pos + 1]
+            pos += 2
+    return t_mat
+
+
+def loop_grad_pack(m_mat):
+    d = m_mat.shape[0]
+    parts = [2.0 * m_mat.diagonal().real]
+    for i in range(d):
+        for j in range(i):
+            parts.append(np.array([2.0 * m_mat[i, j].real, 2.0 * m_mat[i, j].imag]))
+    return np.concatenate(parts)
+
+
+def reference_objective(projectors, observed, exposures):
+    """The separate value and gradient functions, each unpacking T itself."""
+    d = projectors.shape[1]
+    c_total = float(observed.sum())
+    s_op = np.tensordot(exposures, projectors, axes=1)
+
+    def split(x):
+        t_mat = loop_unpack(x, d)
+        a_mat = t_mat @ t_mat.conj().T
+        q = np.clip(np.einsum("sij,ji->s", projectors, a_mat).real, tomo.Q_FLOOR, None)
+        big_q = max(float(np.einsum("ij,ji->", s_op, a_mat).real), tomo.Q_FLOOR)
+        return t_mat, q, big_q
+
+    def value(x):
+        _, q, big_q = split(x)
+        return -(float(observed @ np.log(q)) - c_total * np.log(big_q))
+
+    def gradient(x):
+        t_mat, q, big_q = split(x)
+        g_mat = np.tensordot(observed / q, projectors, axes=1) - (c_total / big_q) * s_op
+        return -loop_grad_pack(g_mat @ t_mat)
+
+    return value, gradient
+
+
+def sampled_problem(seed=5):
+    table = sample_counts(run_protocol(make_config()), tomography_settings(2),
+                          1000, 0.5, 1e-4, seed=seed)
+    return tomo._aligned_projectors(table, None)
+
+
+def reference_stage2_table():
+    # the transfer stage of the shipped qubit config at seed 821328062
+    cfg = load_experiment_config(str(CONFIG_DIR / "qubit_default.json"), 821328062)
+    table = sample_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(2),
+                          cfg.heralds_per_setting, cfg.eta_det, cfg.dark_rate,
+                          seed=derive_seed(cfg.seed, 2, 0))
+    target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
+    return cfg, table, target
+
+
+class TestMleObjective:
+    def test_unpack_matches_loop_reference(self):
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 4, 9):
+            x = rng.normal(size=d * d)
+            objective = tomo._NegLogLikelihood(np.zeros((1, d, d)), np.zeros(1), np.zeros(1))
+            assert objective.unpack(x).tobytes() == loop_unpack(x, d).tobytes()
+            assert tomo._pack(objective.unpack(x)).tobytes() == x.tobytes()
+
+    def test_fused_value_and_gradient_match_reference_bitwise(self):
+        problem = sampled_problem()
+        value, gradient = reference_objective(*problem)
+        objective = tomo._NegLogLikelihood(*problem)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x = rng.normal(size=16)
+            got_value, got_grad = objective(x)
+            assert got_value == value(x)
+            assert got_grad.tobytes() == gradient(x).tobytes()
+
+    def test_gradient_matches_central_differences(self):
+        problem = sampled_problem()
+        rng = np.random.default_rng(13)
+        step = 1e-6
+        for _ in range(5):
+            x = rng.normal(size=16)
+            grad = tomo._NegLogLikelihood(*problem)(x)[1].copy()
+            numeric = np.empty(16)
+            for k in range(16):
+                e = np.zeros(16)
+                e[k] = step
+                # a fresh objective per point, so no cached value is reused
+                plus = tomo._NegLogLikelihood(*problem)(x + e)[0]
+                minus = tomo._NegLogLikelihood(*problem)(x - e)[0]
+                numeric[k] = (plus - minus) / (2 * step)
+            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_cached_value_equals_fresh_evaluation(self):
+        problem = sampled_problem()
+        objective = tomo._NegLogLikelihood(*problem)
+        rng = np.random.default_rng(14)
+        x, y = rng.normal(size=16), rng.normal(size=16)
+        first = objective(x)
+        assert objective(x.copy())[0] == first[0]
+        objective(y)
+        assert objective(x)[0] == tomo._NegLogLikelihood(*problem)(x)[0] == first[0]
+        # editing the evaluated array in place must not leave a stale value
+        x[0] += 1.0
+        assert objective(x)[0] == tomo._NegLogLikelihood(*problem)(x)[0] != first[0]
+
+    def test_callback_trace_equals_fresh_evaluations(self, monkeypatch):
+        accepted = []
+        real_minimize = tomo.minimize
+
+        def recording_minimize(fun, x0, callback, **kwargs):
+            def wrapped(xk):
+                accepted.append(xk.copy())
+                callback(xk)
+            return real_minimize(fun, x0, callback=wrapped, **kwargs)
+
+        monkeypatch.setattr(tomo, "minimize", recording_minimize)
+        problem = sampled_problem()
+        _, _, nit, _, trace = tomo._fit_mle(*problem, np.eye(4) / 4, 1e-9, 1000)
+        assert len(accepted) == nit == len(trace) - 1 >= 2
+        fresh = [-tomo._NegLogLikelihood(*problem)(x)[0] for x in accepted]
+        assert list(trace[1:]) == fresh
+
+    def test_one_objective_evaluation_per_optimizer_call(self, monkeypatch):
+        # unpack runs once per evaluated point plus once for the final rho
+        unpacks, results = [], []
+        real_unpack, real_minimize = tomo._NegLogLikelihood.unpack, tomo.minimize
+
+        def counting_unpack(self, x):
+            unpacks.append(None)
+            return real_unpack(self, x)
+
+        def recording_minimize(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(tomo._NegLogLikelihood, "unpack", counting_unpack)
+        monkeypatch.setattr(tomo, "minimize", recording_minimize)
+        tomo._fit_mle(*sampled_problem(), np.eye(4) / 4, 1e-9, 1000)
+        assert results[0].nit >= 2
+        assert len(unpacks) == results[0].nfev + 1
+
+    def test_bootstrap_base_fit_is_the_plain_fit(self):
+        out = run_protocol(make_config())
+        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        est = monte_carlo_fidelity(table, bell_target(), n_resamples=3, seed=23)
+        assert est.rho.entries.tobytes() == mle_reconstruct(table).rho.entries.tobytes()
+        assert est.value == fidelity(est.rho, bell_target())
+
+
+def force_decrease(fun, x0, callback, **kwargs):
+    # stand-in optimizer that "accepts" the pure state |00><00|, which a
+    # Bell-like table makes far less likely than the maximally mixed start
+    bad = np.zeros_like(x0)
+    bad[0] = 1.0
+    callback(bad)
+    raise AssertionError("the guard did not fire")
+
+
+def force_nan(fun, x0, callback, **kwargs):
+    callback(np.full_like(x0, np.nan))
+    raise AssertionError("the guard did not fire")
+
+
+OPTIMIZED_GUARD_SCRIPT = """
+import sys
+import numpy as np
+from maqmsim import tomo
+from maqmsim.detect import CountRow, CountsTable, tomography_settings
+
+def force_decrease(fun, x0, callback, **kwargs):
+    bad = np.zeros_like(x0)
+    bad[0] = 1.0
+    callback(bad)
+
+tomo.minimize = force_decrease
+table = CountsTable(tuple(CountRow(s.label, 1000, 250 if s.label[0] == s.label[1] else 0)
+                          for s in tomography_settings(2)))
+try:
+    tomo.mle_reconstruct(table)
+except tomo.LikelihoodDecreasedError:
+    print("raised", sys.flags.optimize)
+"""
+
+
+class TestLikelihoodGuard:
+    @pytest.mark.parametrize("stand_in", [force_decrease, force_nan])
+    def test_forced_decrease_raises_named_error(self, monkeypatch, stand_in):
+        monkeypatch.setattr(tomo, "minimize", stand_in)
+        with pytest.raises(LikelihoodDecreasedError, match="likelihood decreased"):
+            mle_reconstruct(bell_table())
+
+    def test_guard_survives_optimized_mode(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["raised", "1"]
+
+    def test_bootstrap_counts_guard_failures(self, monkeypatch):
+        real_minimize = tomo.minimize
+        calls = []
+
+        def every_other_resample_fails(fun, x0, callback, **kwargs):
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                force_decrease(fun, x0, callback)
+            return real_minimize(fun, x0, callback=callback, **kwargs)
+
+        monkeypatch.setattr(tomo, "minimize", every_other_resample_fails)
+        est = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+        # call 1 is the base fit; resamples are calls 2..7, the even ones fail
+        assert (est.n_resamples, est.n_failed) == (3, 3)
+
+
+@pytest.mark.xfail(strict=True, reason="L-BFGS-B with ftol=tol stops short of the optimum: "
+                   "on this table the default fit sits 1.2e-3 nats low and its fidelity "
+                   "is off by 8.1e-4")
+def test_default_tolerance_fit_reaches_the_optimum():
+    cfg, table, target = reference_stage2_table()
+    default = mle_reconstruct(table, tol=cfg.tol, max_iter=cfg.max_iter)
+    tight = mle_reconstruct(table, tol=1e-16, max_iter=cfg.max_iter)
+    assert default.converged
+    assert abs(fidelity(default.rho, target) - fidelity(tight.rho, target)) <= 1e-5
