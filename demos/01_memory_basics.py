@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Walk through the static memory model: survival, per-cell efficiency,
-crosstalk, and the weak-probe efficiency estimate.
+and the weak-probe efficiency estimate.
 
 Run from the repo root after installing the package:
 
@@ -15,9 +15,7 @@ from maqmsim import (
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    crosstalk_map,
     eit_efficiency_probe,
-    retrieval_record,
     survival,
 )
 
@@ -28,8 +26,7 @@ GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
 def main():
     spec1 = MemorySpec(MemoryId.MAQM1, 5, 6,
                        eta_write=0.01, eta_read=0.2,
-                       tau_mem=65.0, t_larmor=7.8, rf_grid=GRID1,
-                       crosstalk_eps=0.02)
+                       tau_mem=65.0, t_larmor=7.8, rf_grid=GRID1)
     spec2 = MemorySpec(MemoryId.MAQM2, 5, 6,
                        eta_write=0.0, eta_read=0.0,
                        tau_mem=27.8, t_larmor=1.3, rf_grid=GRID2,
@@ -53,15 +50,11 @@ def main():
     print()
     print("Per-cell retrieval, cell (1, 2) of the source memory")
     cell = CellAddress(MemoryId.MAQM1, 1, 2)
-    rec = retrieval_record(spec1, cell, "read", t=15.6)
-    print(f"  eta_read            = {cell_efficiency(spec1, cell, 'read'):.4f}")
-    print(f"  survival(15.6)      = {survival(spec1, 15.6):.6f}")
-    print(f"  retrieval combined  = {rec.survival:.6f}  (product of the two)")
-
-    print()
-    print("Crosstalk around the target cell (eps=0.02, nearest neighbours)")
-    for neighbour, leak in crosstalk_map(spec1, cell):
-        print(f"  ({neighbour.x}, {neighbour.y})  leak={leak:.4f}")
+    eta = cell_efficiency(spec1, cell, "read")
+    surv = survival(spec1, 15.6)
+    print(f"  eta_read            = {eta:.4f}")
+    print(f"  survival(15.6)      = {surv:.6f}")
+    print(f"  retrieval combined  = {eta * surv:.6f}  (product of the two)")
 
     print()
     print("Weak coherent probe of the receiving memory, cell (2, 3)")

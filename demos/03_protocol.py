@@ -97,10 +97,10 @@ def main():
                            for y in range(2) for x in range(2)),
         t1=11.7, tau=3.9, t2=7.8)
     out = run_protocol(qudit, transfer=True)
-    w = project_w(out)
+    f_w = project_w(out)
     print(f"  herald probability  {out.herald_probability:.5f}")
     print(f"  survival            {out.survival_probability:.6f}")
-    print(f"  W fidelity          {w.fidelity:.6f}")
+    print(f"  W fidelity          {f_w:.6f}")
     print("  early bins wait longer in the source memory, late bins wait")
     print("  longer in the target; the imbalance is what pulls F_W below 1")
 

@@ -1,182 +1,37 @@
 """Simulator and schedule compiler for time-bin entanglement transfer
-between multiplexed atomic quantum memories."""
+between multiplexed atomic quantum memories.
+
+The package re-exports the public names of its modules; each module's
+``__all__`` is the one list of what it exports:
+
+* ``memory``: memory grids, per-cell efficiencies, survival, weak probes;
+* ``qstate``: labelled-mode states, density matrices, fidelities;
+* ``protocol``: branch-amplitude bookkeeping of one heralded transfer,
+  the phase ledger, the W projection and herald statistics;
+* ``schedule``: timed RF control schedules and their validation;
+* ``detect``: measurement settings and seeded coincidence counts;
+* ``tomo``: MLE reconstruction and bootstrap fidelities;
+* ``cli``: JSON configs, full pipeline runs, sweeps, the console command.
+"""
 
 __version__ = "0.1.0"
 
-from .memory import (
-    CellAddress,
-    EfficiencyRecord,
-    MemoryId,
-    MemorySpec,
-    ProbeResult,
-    RfGrid,
-    cell_efficiency,
-    crosstalk_map,
-    default_efficiency_map,
-    eit_efficiency_probe,
-    load_memory_spec,
-    memory_spec_from_dict,
-    memory_spec_to_dict,
-    retrieval_record,
-    survival,
-)
-from .qstate import (
-    DensityMatrix,
-    ModeKind,
-    ModeLabel,
-    PureState,
-    atom_mode,
-    bin_mode,
-    fidelity,
-    make_bell_pair,
-    make_qudit_pair,
-    product_basis,
-    signal_mode,
-    state_fidelity,
-    w_state,
-)
-from .protocol import (
-    PhaseLedger,
-    ProtocolConfig,
-    TransferOutcome,
-    WProjection,
-    herald_loop,
-    project_w,
-    run_protocol,
-)
-from .schedule import (
-    Channel,
-    PulseEvent,
-    Tone,
-    Schedule,
-    ScheduleConstraints,
-    Violation,
-    cell_to_rf,
-    compile_schedule,
-    constraints_for_specs,
-    derive_timings,
-    schedule_from_jsonl,
-    schedule_to_jsonl,
-    superposition_rf,
-    validate_schedule,
-)
-from .detect import (
-    CountRow,
-    CountsTable,
-    MeasurementSetting,
-    coincidence_probability,
-    counts_from_csv,
-    counts_to_csv,
-    sample_counts,
-    tomography_settings,
-    w_settings,
-)
-from .tomo import (
-    FidelityEstimate,
-    LikelihoodDecreasedError,
-    ReconstructionResult,
-    WFidelityData,
-    bell_target,
-    linear_inversion,
-    logical_basis,
-    mle_reconstruct,
-    monte_carlo_fidelity,
-    monte_carlo_w_fidelity,
-    w_data_from_counts,
-    w_data_from_density,
-    w_fidelity,
-)
-from .cli import (
-    ConfigError,
-    ExperimentConfig,
-    load_experiment_config,
-    run_experiment,
-    run_sweep,
-)
+from . import cli, detect, memory, protocol, qstate, schedule, tomo
+from .memory import *
+from .qstate import *
+from .protocol import *
+from .schedule import *
+from .detect import *
+from .tomo import *
+from .cli import *
 
 __all__ = [
     "__version__",
-    # memory geometry and efficiency
-    "CellAddress",
-    "EfficiencyRecord",
-    "MemoryId",
-    "MemorySpec",
-    "ProbeResult",
-    "RfGrid",
-    "cell_efficiency",
-    "crosstalk_map",
-    "default_efficiency_map",
-    "eit_efficiency_probe",
-    "load_memory_spec",
-    "memory_spec_from_dict",
-    "memory_spec_to_dict",
-    "retrieval_record",
-    "survival",
-    # states
-    "DensityMatrix",
-    "ModeKind",
-    "ModeLabel",
-    "PureState",
-    "atom_mode",
-    "bin_mode",
-    "fidelity",
-    "make_bell_pair",
-    "make_qudit_pair",
-    "product_basis",
-    "signal_mode",
-    "state_fidelity",
-    "w_state",
-    # protocol
-    "PhaseLedger",
-    "ProtocolConfig",
-    "TransferOutcome",
-    "WProjection",
-    "herald_loop",
-    "project_w",
-    "run_protocol",
-    # schedules
-    "Channel",
-    "PulseEvent",
-    "Tone",
-    "Schedule",
-    "ScheduleConstraints",
-    "Violation",
-    "cell_to_rf",
-    "compile_schedule",
-    "constraints_for_specs",
-    "derive_timings",
-    "schedule_from_jsonl",
-    "schedule_to_jsonl",
-    "superposition_rf",
-    "validate_schedule",
-    # detection
-    "CountRow",
-    "CountsTable",
-    "MeasurementSetting",
-    "coincidence_probability",
-    "counts_from_csv",
-    "counts_to_csv",
-    "sample_counts",
-    "tomography_settings",
-    "w_settings",
-    # estimation
-    "FidelityEstimate",
-    "LikelihoodDecreasedError",
-    "ReconstructionResult",
-    "WFidelityData",
-    "bell_target",
-    "linear_inversion",
-    "logical_basis",
-    "mle_reconstruct",
-    "monte_carlo_fidelity",
-    "monte_carlo_w_fidelity",
-    "w_data_from_counts",
-    "w_data_from_density",
-    "w_fidelity",
-    # batch front-end
-    "ConfigError",
-    "ExperimentConfig",
-    "load_experiment_config",
-    "run_experiment",
-    "run_sweep",
+    *memory.__all__,
+    *qstate.__all__,
+    *protocol.__all__,
+    *schedule.__all__,
+    *detect.__all__,
+    *tomo.__all__,
+    *cli.__all__,
 ]

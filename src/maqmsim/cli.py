@@ -11,6 +11,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -76,6 +77,8 @@ def _number(value, path: str, positive=False, non_negative=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be positive")
     if non_negative and value < 0:
@@ -260,7 +263,7 @@ def _stage_report_qudit(outcome, cfg: ExperimentConfig, stage_index: int) -> dic
     est = monte_carlo_w_fidelity(table, d, cfg.n_resamples,
                                  seed=derive_seed(cfg.seed, stage_index, 1))
     return {
-        "predicted_w_fidelity": project_w(outcome).fidelity,
+        "predicted_w_fidelity": project_w(outcome),
         "survival_probability": outcome.survival_probability,
         "w_fidelity": est.value,
         "sigma": est.sigma,
@@ -372,7 +375,11 @@ def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
         node = node.setdefault(k, {})
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: cannot descend into a non-object")
-    node[keys[-1]] = int(value) if path in _SWEEP_INTEGER else value
+    if path in _SWEEP_INTEGER:
+        if not float(value).is_integer():
+            raise ConfigError(f"{path}: sweep value {value!r} is not an integer")
+        value = int(value)
+    node[keys[-1]] = value
     return doc
 
 

@@ -1,7 +1,7 @@
 """Stochastic measurement layer: projective settings, coincidence counts, CSV.
 
 Coincidences are herald-conditioned: probabilities are computed against the
-unnormalized weighted amplitudes of a protocol run, so branch loss and
+unnormalized branch amplitudes of a protocol run, so branch loss and
 detection efficiency show up as missing counts rather than renormalized
 statistics.  Sampling is binomial per setting on independent substreams, so
 tables are reproducible and independent of evaluation order.
@@ -148,7 +148,7 @@ def coincidence_probability(outcome: TransferOutcome, setting: MeasurementSettin
     a = setting.atom_vector()
     if s.size != d or a.size != d:
         raise ValueError(f"setting vectors must have length {d}")
-    # weighted state is diagonal in the branch pairing: sum_k v_k |s_k>|a_k>
+    # the state is diagonal in the branch pairing: sum_k v_k |s_k>|a_k>
     amp = np.sum(np.conj(s) * np.conj(a) * outcome.branch_amplitudes)
     return float(abs(amp) ** 2 * eta_det)
 

@@ -9,8 +9,7 @@ crossed AODs.  This module owns the per-cell bookkeeping:
 * the storage-time survival model
   ``exp(-(t/tau_mem)^2) * cos^2(pi t / t_larmor)`` -- a Gaussian motional
   envelope modulated by Larmor precession with a full revival every period,
-* the RF frequency grid that maps a cell index to AOD tone frequencies,
-* a nearest-neighbour crosstalk splitting rule.
+* the RF frequency grid that maps a cell index to AOD tone frequencies.
 
 The envelope is a model choice (the underlying experiments quote only a
 memory-time scalar); swap in an exponential by subclassing if needed.
@@ -19,7 +18,6 @@ memory-time scalar); swap in an exponential by subclassing if needed.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +27,11 @@ __all__ = [
     "CellAddress",
     "RfGrid",
     "MemorySpec",
-    "EfficiencyRecord",
     "ProbeResult",
     "survival",
     "cell_efficiency",
-    "retrieval_record",
     "eit_efficiency_probe",
-    "crosstalk_map",
     "default_efficiency_map",
-    "load_memory_spec",
     "memory_spec_from_dict",
     "memory_spec_to_dict",
 ]
@@ -95,7 +89,7 @@ def _as_map(values, n_x: int, n_y: int, name: str) -> np.ndarray:
         if arr.size != n_x * n_y:
             raise ValueError(f"{name}: expected {n_x * n_y} entries, got {arr.size}")
         arr = arr.reshape(n_y, n_x)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError(f"{name}: efficiencies must lie in [0, 1]")
     arr.setflags(write=False)
     return arr
@@ -119,7 +113,6 @@ class MemorySpec:
     t_larmor: float
     rf_grid: RfGrid
     eta_eit: np.ndarray | None = None
-    crosstalk_eps: float = 0.0
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -128,8 +121,6 @@ class MemorySpec:
             raise ValueError("tau_mem must be positive")
         if not self.t_larmor > 0:
             raise ValueError("t_larmor must be positive")
-        if not 0.0 <= self.crosstalk_eps < 0.5:
-            raise ValueError("crosstalk_eps must lie in [0, 0.5)")
         object.__setattr__(self, "eta_write", _as_map(self.eta_write, self.n_x, self.n_y, "eta_write"))
         object.__setattr__(self, "eta_read", _as_map(self.eta_read, self.n_x, self.n_y, "eta_read"))
         if self.eta_eit is not None:
@@ -145,19 +136,6 @@ class MemorySpec:
             raise ValueError(
                 f"cell ({cell.x}, {cell.y}) outside {self.n_x}x{self.n_y} grid of {self.memory.value}"
             )
-
-
-@dataclass(frozen=True)
-class EfficiencyRecord:
-    """Retrieval bookkeeping for one cell: efficiency x survival after t_stored."""
-
-    cell: CellAddress
-    t_stored: float
-    survival: float
-
-    def __post_init__(self):
-        if self.survival > 1.0 or self.survival < 0.0:
-            raise ValueError("survival must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -205,12 +183,6 @@ def cell_efficiency(spec: MemorySpec, cell: CellAddress, stage: str) -> float:
     return float(table[cell.y, cell.x])
 
 
-def retrieval_record(spec: MemorySpec, cell: CellAddress, stage: str, t: float) -> EfficiencyRecord:
-    """Total retrieval probability for a stored excitation: efficiency x survival(t)."""
-    eta = cell_efficiency(spec, cell, stage)
-    return EfficiencyRecord(cell=cell, t_stored=t, survival=eta * survival(spec, t))
-
-
 def eit_efficiency_probe(
     spec: MemorySpec,
     cell: CellAddress,
@@ -243,41 +215,37 @@ def eit_efficiency_probe(
     return ProbeResult(estimate=p_hat, stderr=stderr)
 
 
-def crosstalk_map(spec: MemorySpec, target: CellAddress) -> list[tuple[CellAddress, float]]:
-    """Leakage weights when addressing ``target``: 1-eps on it, eps split over 4-neighbours.
-
-    Weights always sum to 1; neighbours outside the grid receive nothing and
-    the in-grid neighbours absorb their share.
-    """
-    spec.require_cell(target)
-    eps = spec.crosstalk_eps
-    if eps == 0.0:
-        return [(target, 1.0)]
-    neighbours = [
-        CellAddress(target.memory, target.x + dx, target.y + dy)
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-        if 0 <= target.x + dx < spec.n_x and 0 <= target.y + dy < spec.n_y
-    ]
-    out = [(target, 1.0 - eps)]
-    out.extend((nbr, eps / len(neighbours)) for nbr in neighbours)
-    return out
-
-
 def default_efficiency_map(n_x: int, n_y: int, seed: int = 7, low: float = 0.10, high: float = 0.30) -> np.ndarray:
     """Default per-cell efficiency map: uniform draw from [low, high), fixed seed."""
     rng = np.random.default_rng([seed])
     return rng.uniform(low, high, size=(n_y, n_x))
 
 
+_SPEC_FIELDS = {"memory", "n_x", "n_y", "eta_write", "eta_read", "eta_eit",
+                "tau_mem", "t_larmor", "rf_grid"}
+
+
+def _grid_size(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def memory_spec_from_dict(doc: dict) -> MemorySpec:
-    """Build a MemorySpec from a JSON-style dict (maps row-major, length n_x*n_y)."""
+    """Build a MemorySpec from a JSON-style dict (maps row-major, length n_x*n_y).
+
+    Unknown fields are rejected by name rather than ignored.
+    """
+    unknown = sorted(set(doc) - _SPEC_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))}")
     try:
         memory = MemoryId(doc["memory"])
         grid = doc["rf_grid"]
         return MemorySpec(
             memory=memory,
-            n_x=int(doc["n_x"]),
-            n_y=int(doc["n_y"]),
+            n_x=_grid_size(doc["n_x"], "n_x"),
+            n_y=_grid_size(doc["n_y"], "n_y"),
             eta_write=doc["eta_write"],
             eta_read=doc["eta_read"],
             eta_eit=doc.get("eta_eit"),
@@ -289,7 +257,6 @@ def memory_spec_from_dict(doc: dict) -> MemorySpec:
                 y_origin=float(grid["y_origin"]),
                 y_step=float(grid["y_step"]),
             ),
-            crosstalk_eps=float(doc.get("crosstalk_eps", 0.0)),
         )
     except KeyError as exc:
         raise ValueError(f"memory config missing field {exc.args[0]!r}") from None
@@ -311,14 +278,7 @@ def memory_spec_to_dict(spec: MemorySpec) -> dict:
             "y_origin": spec.rf_grid.y_origin,
             "y_step": spec.rf_grid.y_step,
         },
-        "crosstalk_eps": spec.crosstalk_eps,
     }
     if spec.eta_eit is not None:
         doc["eta_eit"] = [float(v) for v in spec.eta_eit.ravel()]
     return doc
-
-
-def load_memory_spec(path) -> MemorySpec:
-    """Load a MemorySpec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return memory_spec_from_dict(json.load(fh))

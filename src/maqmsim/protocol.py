@@ -12,10 +12,13 @@ retrieval order.  Each bin accumulates the read-laser phase alpha_i, and
 storage in the target memory adds the coupling-laser phase -beta_i, so with a
 common laser the two cancel bin by bin and only deliberate drift terms
 survive.  Amplitudes pick up sqrt(efficiency * survival) factors at every
-retrieval and storage step; the unnormalized weighted amplitudes therefore
-carry the full per-branch transmission budget, and its squared norm is the
+retrieval and storage step; the unnormalized branch amplitudes therefore
+carry the full per-branch transmission budget, and their squared norm is the
 probability that the delivered excitation is still alive at verification
 time, conditioned on the herald.
+
+Every state on this path is diagonal in the branch pairing, so the d branch
+amplitudes v_k of sum_k v_k |s_k>|a_k> are the whole state.
 
 Nothing here is stochastic except ``herald_loop``; the rest is exact
 bookkeeping so tests can pin numbers to closed forms.
@@ -23,19 +26,17 @@ bookkeeping so tests can pin numbers to closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .memory import CellAddress, MemorySpec, cell_efficiency, survival
-from .qstate import ModeLabel, PureState, atom_mode, bin_mode, product_basis, signal_mode
 
 __all__ = [
     "PhaseEntry",
     "PhaseLedger",
     "ProtocolConfig",
     "TransferOutcome",
-    "WProjection",
     "PostSelectionError",
     "bin_time",
     "storage_dwell",
@@ -85,17 +86,6 @@ class PhaseLedger:
         if len(drifts) != len(alphas):
             raise ValueError("need one drift entry per bin")
         return PhaseLedger(tuple(PhaseEntry(a, a, d) for a, d in zip(alphas, drifts)))
-
-    @staticmethod
-    def independent(alphas, betas, drifts=None) -> "PhaseLedger":
-        alphas, betas = list(alphas), list(betas)
-        if len(alphas) != len(betas):
-            raise ValueError("alphas and betas must have equal length")
-        if drifts is None:
-            drifts = [0.0] * len(alphas)
-        if len(drifts) != len(alphas):
-            raise ValueError("need one drift entry per bin")
-        return PhaseLedger(tuple(PhaseEntry(a, b, d) for a, b, d in zip(alphas, betas, drifts)))
 
     @staticmethod
     def zeros(n: int) -> "PhaseLedger":
@@ -170,26 +160,21 @@ def storage_dwell(config: ProtocolConfig, i: int) -> float:
 class TransferOutcome:
     """Result of one exact protocol run.
 
-    ``weighted_amplitudes`` is aligned with ``ideal_state.basis`` and is not
-    normalized: its squared norm is the herald-conditioned probability that
-    the branch excitation survives to verification.  ``branch_amplitudes``
-    holds the same numbers in branch order.
+    ``branch_amplitudes[k]`` is the amplitude of the pair (signal mode k,
+    output mode k) and is not normalized: its squared norm is the
+    herald-conditioned probability that the branch excitation survives to
+    verification.
     """
 
     config: ProtocolConfig
     transfer: bool
-    ideal_state: PureState
-    weighted_amplitudes: np.ndarray
-    signal_modes: tuple[ModeLabel, ...]
-    output_modes: tuple[ModeLabel, ...]
     branch_amplitudes: np.ndarray
     herald_probability: float
     predicted_fidelity: float
-    snapshots: tuple[tuple[str, PureState], ...] = field(repr=False, default=())
 
     @property
     def survival_probability(self) -> float:
-        return float(np.sum(np.abs(self.weighted_amplitudes) ** 2))
+        return float(np.sum(np.abs(self.branch_amplitudes) ** 2))
 
 
 def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutcome:
@@ -199,13 +184,10 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
     read out on the same bin schedule and verified directly, with no storage
     leg and no coupling phase.  With it true every bin is stored in the
     paired target cell and the verification happens t2 after the last bin.
+    The predicted fidelity is the overlap of the normalized branch amplitudes
+    with the ideal pair (1/sqrt(d)) sum_k e^{i theta_k} |s_k>|a_k>.
     """
     d = config.dimension
-    signal = tuple(signal_mode(c) for c in config.source_cells)
-    if transfer:
-        output = tuple(atom_mode(c) for c in config.target_cells)
-    else:
-        output = tuple(atom_mode(c) for c in config.source_cells)
 
     # bin_of[k] = the bin that carries branch k
     bin_of = [0] * d
@@ -225,73 +207,31 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
             phase += config.ledger.bin_phase(i)
         branch[k] = np.sqrt(w) * np.exp(1j * phase) / np.sqrt(d)
 
-    ideal = _pair_state(signal, output, config.write_phases)
-    weighted = np.zeros(ideal.dimension, dtype=complex)
-    for k in range(d):
-        weighted[ideal.index_of((signal[k], output[k]))] = branch[k]
-
     norm_sq = float(np.sum(np.abs(branch) ** 2))
     if norm_sq > 0:
-        predicted = float(abs(np.vdot(ideal.amplitudes, weighted)) ** 2 / norm_sq)
+        ideal = np.exp(1j * np.asarray(config.write_phases)) / np.sqrt(d)
+        predicted = float(abs(np.vdot(ideal, branch)) ** 2 / norm_sq)
     else:
         predicted = 0.0
 
     eta_w = [cell_efficiency(config.spec1, c, "write") for c in config.source_cells]
     herald_p = float(np.mean(eta_w))
 
-    snapshots = [("herald", _pair_state(signal, tuple(atom_mode(c) for c in config.source_cells),
-                                        config.write_phases))]
-    if norm_sq > 0:
-        bins = tuple(bin_mode(bin_of[k]) for k in range(d))
-        snapshots.append(("timebin", _normalized_pair(signal, bins, branch)))
-        if transfer:
-            snapshots.append(("stored", PureState(ideal.basis, weighted / np.sqrt(norm_sq))))
-
     return TransferOutcome(
         config=config,
         transfer=transfer,
-        ideal_state=ideal,
-        weighted_amplitudes=weighted,
-        signal_modes=signal,
-        output_modes=output,
         branch_amplitudes=branch,
         herald_probability=herald_p,
         predicted_fidelity=predicted,
-        snapshots=tuple(snapshots),
     )
 
 
-def _pair_state(signal, output, phases) -> PureState:
-    d = len(signal)
-    basis = product_basis(list(signal), list(output))
-    amps = np.zeros(len(basis), dtype=complex)
-    index = {el: i for i, el in enumerate(basis)}
-    for k in range(d):
-        amps[index[(signal[k], output[k])]] = np.exp(1j * phases[k]) / np.sqrt(d)
-    return PureState(basis, amps)
-
-
-def _normalized_pair(signal, partners, branch) -> PureState:
-    basis = product_basis(list(signal), list(partners))
-    amps = np.zeros(len(basis), dtype=complex)
-    index = {el: i for i, el in enumerate(basis)}
-    for k, (s, p) in enumerate(zip(signal, partners)):
-        amps[index[(s, p)]] = branch[k]
-    return PureState(basis, amps / np.linalg.norm(amps))
-
-
-@dataclass(frozen=True)
-class WProjection:
-    state: PureState
-    fidelity: float
-
-
-def project_w(outcome: TransferOutcome) -> WProjection:
-    """Collapse the pair onto a single-excitation state of the output modes.
+def project_w(outcome: TransferOutcome) -> float:
+    """W fidelity of the memory after projecting the signal photon.
 
     Detecting the heralded signal photon in the balanced superposition of its
     d spatial modes leaves the memory in sum_k v_k |k> up to normalization.
-    The reported fidelity is the overlap with the uniform target, so branch
+    The returned fidelity is the overlap with the uniform target, so branch
     loss shows up directly: one dead branch out of four gives 3/4.
     """
     d = outcome.config.dimension
@@ -299,9 +239,7 @@ def project_w(outcome: TransferOutcome) -> WProjection:
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise PostSelectionError("every branch amplitude is zero; nothing to project on")
-    state = PureState([(m,) for m in outcome.output_modes], v / norm)
-    f = float(abs(np.sum(v / norm)) ** 2 / d)
-    return WProjection(state=state, fidelity=f)
+    return float(abs(np.sum(v / norm)) ** 2 / d)
 
 
 def herald_loop(p_signal: float, max_cycles: int, seed: int, runs: int = 1):

@@ -380,17 +380,6 @@ class WFidelityData:
     def dimension(self) -> int:
         return len(self.populations)
 
-    def visibility(self, i: int, j: int) -> float:
-        if not 0 <= i < j < self.dimension:
-            raise ValueError("need 0 <= i < j < dimension")
-        pos = 0
-        for a in range(self.dimension):
-            for b in range(a + 1, self.dimension):
-                if (a, b) == (i, j):
-                    return self.pair_visibilities[pos]
-                pos += 1
-        raise AssertionError("unreachable")
-
 
 def w_fidelity(data: WFidelityData, consistency_tol: float = 0.05) -> FidelityEstimate:
     """F_W from populations and pairwise coherences.

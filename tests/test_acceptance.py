@@ -88,7 +88,7 @@ def test_criterion_1_lossless_transfers_are_exact():
         for transfer in (False, True):
             outcome = run_protocol(config, transfer=transfer)
             assert abs(outcome.predicted_fidelity - 1.0) <= 1e-9
-            assert abs(project_w(outcome).fidelity - 1.0) <= 1e-9
+            assert abs(project_w(outcome) - 1.0) <= 1e-9
 
 
 def closed_form_two_branch(eta1, eta2):

@@ -306,6 +306,15 @@ def test_main_run_matches_golden_report_bytes(tmp_path, config_name, golden_name
     assert out.read_bytes() == (GOLDEN_DIR / golden_name).read_bytes()
 
 
+def test_main_run_matches_d16_golden_report_bytes(tmp_path):
+    # qudit_default widened to a 4 x 4 block of cells (d = 16), where the
+    # branch-amplitude arithmetic differs most from a labelled d^2 basis
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(GOLDEN_DIR / "qudit16_config.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "qudit16_report.json").read_bytes()
+
+
 def test_main_run_seed_override(tmp_path):
     path = write_config(tmp_path, small_doc(seed=3))
     out = tmp_path / "report.json"
@@ -329,6 +338,65 @@ def test_main_config_errors_exit_nonzero(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     assert "protocol.tau" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_unknown_memory_field_exits_two(tmp_path, capsys):
+    # crosstalk_eps was once accepted and had no effect; it is now an error
+    doc = small_doc()
+    doc["memories"]["MAQM1"]["crosstalk_eps"] = 0.02
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: memories.MAQM1: ")
+    assert "'crosstalk_eps'" in err
+
+
+@pytest.mark.parametrize("value", [5.9, 5.0, "5", True])
+def test_grid_size_must_be_an_integer(tmp_path, capsys, value):
+    doc = small_doc()
+    doc["memories"]["MAQM2"]["n_x"] = value
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: memories.MAQM2: n_x must be an integer")
+
+
+@pytest.mark.parametrize("path, value, where", [
+    ("protocol.t1", math.nan, "protocol.t1"),
+    ("protocol.tau", math.nan, "protocol.tau"),
+    ("protocol.t2", math.nan, "protocol.t2"),
+    ("memories.MAQM1.eta_read", math.nan, "memories.MAQM1: eta_read"),
+    ("memories.MAQM2.eta_eit", math.nan, "memories.MAQM2: eta_eit"),
+    ("detection.eta_det", math.nan, "detection.eta_det"),
+    ("detection.dark_rate", math.nan, "detection.dark_rate"),
+    ("protocol.tau", math.inf, "protocol.tau"),
+    ("detection.dark_rate", math.inf, "detection.dark_rate"),
+    ("protocol.drift", -math.inf, "protocol.drift"),
+])
+def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
+    doc = json.loads((CONFIG_DIR / "qubit_default.json").read_text())
+    *parents, key = path.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    config = write_config(tmp_path, doc)    # json writes NaN / Infinity
+    assert main(["run", "--config", config]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {where}")
+
+
+def test_integer_sweep_values_must_be_integral(tmp_path, capsys):
+    path = write_config(tmp_path, small_doc(dimension=4, heralds=500))
+    assert main(["sweep", "--config", path, "--param", "estimation.n_resamples",
+                 "--values", "3,2.7"]) == 2
+    assert ("config error: estimation.n_resamples: sweep value 2.7 is not an integer"
+            in capsys.readouterr().err)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", path, "--param", "estimation.n_resamples",
+                 "--values", "3,3.0", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [r["value"] for r in rows] == [3.0, 3.0]
 
 
 def test_main_compile_valid_schedule(tmp_path):

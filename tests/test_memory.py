@@ -10,12 +10,10 @@ from maqmsim.memory import (
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    crosstalk_map,
     default_efficiency_map,
     eit_efficiency_probe,
     memory_spec_from_dict,
     memory_spec_to_dict,
-    retrieval_record,
     survival,
 )
 
@@ -109,16 +107,6 @@ class TestCellEfficiency:
             spec_with(eta_read=[0.5] * 29)
 
 
-class TestRetrievalRecord:
-    def test_combines_efficiency_and_survival(self):
-        spec = spec_with(eta_read=0.25)
-        cell = CellAddress(MemoryId.MAQM1, 1, 1)
-        rec = retrieval_record(spec, cell, "read", 15.6)
-        assert_allclose(rec.survival, 0.25 * 0.9440274829178357, rtol=0, atol=1e-12)
-        assert rec.cell == cell
-        assert rec.t_stored == 15.6
-
-
 class TestEitProbe:
     def test_ideal_memory_estimates_unity_with_zero_error(self):
         spec = spec_with(eta_eit=1.0, tau_mem=1e18)
@@ -149,30 +137,6 @@ class TestEitProbe:
         assert long.estimate < short.estimate
 
 
-class TestCrosstalk:
-    def test_interior_cell_has_four_neighbours(self):
-        spec = spec_with(crosstalk_eps=0.08)
-        target = CellAddress(MemoryId.MAQM1, 2, 3)
-        entries = crosstalk_map(spec, target)
-        weights = dict(((c.x, c.y), w) for c, w in entries)
-        assert weights[(2, 3)] == pytest.approx(0.92)
-        for xy in [(1, 3), (3, 3), (2, 2), (2, 4)]:
-            assert weights[xy] == pytest.approx(0.08 / 4)
-        assert_allclose(sum(weights.values()), 1.0, rtol=0, atol=1e-12)
-
-    def test_corner_cell_splits_over_two_neighbours(self):
-        spec = spec_with(crosstalk_eps=0.08)
-        entries = crosstalk_map(spec, CellAddress(MemoryId.MAQM1, 0, 0))
-        weights = dict(((c.x, c.y), w) for c, w in entries)
-        assert set(weights) == {(0, 0), (1, 0), (0, 1)}
-        assert weights[(1, 0)] == pytest.approx(0.04)
-        assert_allclose(sum(weights.values()), 1.0, rtol=0, atol=1e-12)
-
-    def test_zero_eps_is_identity(self):
-        entries = crosstalk_map(spec_with(), CellAddress(MemoryId.MAQM1, 2, 2))
-        assert entries == [(CellAddress(MemoryId.MAQM1, 2, 2), 1.0)]
-
-
 class TestRfGrid:
     def test_tone_frequencies(self):
         grid = RfGrid(97.0, 1.5, 95.5, 1.5)
@@ -189,13 +153,12 @@ class TestRfGrid:
 
 class TestSerialization:
     def test_round_trip(self):
-        spec = spec_with(eta_eit=np.linspace(0.1, 0.4, 30).tolist(), crosstalk_eps=0.02)
+        spec = spec_with(eta_eit=np.linspace(0.1, 0.4, 30).tolist())
         doc = memory_spec_to_dict(spec)
         clone = memory_spec_from_dict(doc)
         assert clone.memory == spec.memory
         assert_allclose(clone.eta_eit, spec.eta_eit)
         assert clone.rf_grid == spec.rf_grid
-        assert clone.crosstalk_eps == spec.crosstalk_eps
 
     def test_json_is_plain_data(self):
         doc = memory_spec_to_dict(spec_with())

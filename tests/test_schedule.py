@@ -304,7 +304,7 @@ class TestCrossModuleConsistency:
         )
         a = run_protocol(cfg)
         b = run_protocol(rerun)
-        assert_allclose(a.weighted_amplitudes, b.weighted_amplitudes, rtol=0, atol=1e-9)
+        assert_allclose(a.branch_amplitudes, b.branch_amplitudes, rtol=0, atol=1e-9)
 
 
 class TestSerialization:

@@ -254,7 +254,7 @@ class TestWPipeline:
         out = self.qudit_outcome()
         table = sample_counts(out, w_settings(4), 100_000, 0.8, 0.0, seed=31)
         est = monte_carlo_w_fidelity(table, 4, n_resamples=30, seed=32)
-        exact = project_w(out).fidelity
+        exact = project_w(out)
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
 
     def test_nonuniform_efficiency_lowers_w_fidelity(self):
@@ -265,7 +265,7 @@ class TestWPipeline:
         out = self.qudit_outcome(eta_eit=values)
         table = sample_counts(out, w_settings(4), 200_000, 0.8, 0.0, seed=41)
         est = monte_carlo_w_fidelity(table, 4, n_resamples=30, seed=42)
-        exact = project_w(out).fidelity
+        exact = project_w(out)
         assert exact < 0.95
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
 
