@@ -5,7 +5,7 @@ The package re-exports the public names of its modules; each module's
 ``__all__`` is the one list of what it exports:
 
 * ``memory``: memory grids, per-cell efficiencies, survival, weak probes;
-* ``qstate``: labelled-mode states, density matrices, fidelities;
+* ``qstate``: density matrices and state fidelities;
 * ``protocol``: branch-amplitude bookkeeping of one heralded transfer,
   the phase ledger, the W projection and herald statistics;
 * ``schedule``: timed RF control schedules and their validation;

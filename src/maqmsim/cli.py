@@ -94,6 +94,20 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+def _known(doc: dict, fields: set, path: str) -> None:
+    unknown = sorted(set(doc) - fields)
+    if unknown:
+        raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
+
+
+def _constraint_pair(cons: dict, key: str, default: list) -> tuple[float, float]:
+    values = cons.get(key, default)
+    if not isinstance(values, list) or len(values) != 2:
+        raise ConfigError(f"constraints.{key}: must be a [source, target] pair of numbers")
+    return tuple(_number(v, f"constraints.{key}[{i}]", positive=True)
+                 for i, v in enumerate(values))
+
+
 def _cells(doc, memory: MemoryId, path: str):
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{path}: must be a non-empty list of [x, y] pairs")
@@ -119,10 +133,20 @@ def _memory_spec(doc, name: str, path: str) -> MemorySpec:
         raise ConfigError(f"{path}: {err}") from err
 
 
+_TOP_FIELDS = {"seed", "memories", "protocol", "constraints", "detection", "estimation"}
+_PROTOCOL_FIELDS = {"dimension", "source_cells", "target_cells", "t1", "tau", "t2",
+                    "write_phases", "drift", "retrieval_order"}
+_CONSTRAINT_FIELDS = {"larmor_periods", "memory_times", "aod_switch_time", "min_guard"}
+_DETECTION_FIELDS = {"eta_det", "dark_rate", "heralds_per_setting"}
+_ESTIMATION_FIELDS = {"n_resamples", "tol", "max_iter"}
+
+
 def parse_experiment_config(doc: dict, seed_override: int | None = None,
                             sha256: str = "") -> ExperimentConfig:
+    """Validate a config document; unknown fields are rejected by name."""
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
+    _known(doc, _TOP_FIELDS, "config")
     if seed_override is None and "seed" not in doc:
         raise ConfigError("seed: required field is missing (no implicit entropy)")
     seed = seed_override if seed_override is not None else _integer(doc["seed"], "seed",
@@ -133,10 +157,13 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
         raise ConfigError("memories: must be an object with MAQM1 and MAQM2 entries")
     spec1 = _memory_spec(_need(memories, "MAQM1", "memories"), "MAQM1", "memories.MAQM1")
     spec2 = _memory_spec(_need(memories, "MAQM2", "memories"), "MAQM2", "memories.MAQM2")
+    if spec2.eta_eit is None:
+        raise ConfigError("memories.MAQM2.eta_eit: required on the receiving memory")
 
     proto = _need(doc, "protocol", "config")
     if not isinstance(proto, dict):
         raise ConfigError("protocol: must be an object")
+    _known(proto, _PROTOCOL_FIELDS, "protocol")
     dim = _integer(_need(proto, "dimension", "protocol"), "protocol.dimension", minimum=2)
     source = _cells(_need(proto, "source_cells", "protocol"), MemoryId.MAQM1,
                     "protocol.source_cells")
@@ -181,23 +208,22 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     cons = doc.get("constraints", {})
     if not isinstance(cons, dict):
         raise ConfigError("constraints: must be an object")
-    periods = cons.get("larmor_periods", [spec1.t_larmor, spec2.t_larmor])
-    mem_times = cons.get("memory_times", [spec1.tau_mem, spec2.tau_mem])
-    try:
-        constraints = ScheduleConstraints(
-            larmor_periods=tuple(periods),
-            memory_times=tuple(mem_times),
-            aod_switch_time=_number(cons.get("aod_switch_time", 2.0),
-                                    "constraints.aod_switch_time", positive=True),
-            min_guard=_number(cons.get("min_guard", 0.05),
-                              "constraints.min_guard", positive=True),
-        )
-    except ValueError as err:
-        raise ConfigError(f"constraints: {err}") from err
+    _known(cons, _CONSTRAINT_FIELDS, "constraints")
+    # every field is checked here, so ScheduleConstraints' own checks pass
+    constraints = ScheduleConstraints(
+        larmor_periods=_constraint_pair(cons, "larmor_periods",
+                                        [spec1.t_larmor, spec2.t_larmor]),
+        memory_times=_constraint_pair(cons, "memory_times", [spec1.tau_mem, spec2.tau_mem]),
+        aod_switch_time=_number(cons.get("aod_switch_time", 2.0),
+                                "constraints.aod_switch_time", positive=True),
+        min_guard=_number(cons.get("min_guard", 0.05),
+                          "constraints.min_guard", positive=True),
+    )
 
     det = doc.get("detection", {})
     if not isinstance(det, dict):
         raise ConfigError("detection: must be an object")
+    _known(det, _DETECTION_FIELDS, "detection")
     eta_det = _number(det.get("eta_det", 1.0), "detection.eta_det", positive=True)
     if eta_det > 1.0:
         raise ConfigError("detection.eta_det: must be at most 1")
@@ -208,6 +234,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     est = doc.get("estimation", {})
     if not isinstance(est, dict):
         raise ConfigError("estimation: must be an object")
+    _known(est, _ESTIMATION_FIELDS, "estimation")
     n_res = _integer(est.get("n_resamples", 100), "estimation.n_resamples", minimum=2)
     tol = _number(est.get("tol", 1e-9), "estimation.tol", positive=True)
     max_iter = _integer(est.get("max_iter", 1000), "estimation.max_iter", minimum=1)
@@ -517,14 +544,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
 
     p_run = sub.add_parser("run", help="run the full pipeline and emit a report")
     common(p_run)
-    p_compile = sub.add_parser("compile", help="compile the control schedule")
+    p_run.add_argument("--format", choices=("json", "csv"), default="json")
+    p_compile = sub.add_parser("compile", help="compile the control schedule (JSON Lines)")
     common(p_compile)
     p_sweep = sub.add_parser("sweep", help="rerun the pipeline over parameter values")
     common(p_sweep)
+    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.add_argument("--param", required=True,
                          help="parameter path, e.g. protocol.drift")
     p_sweep.add_argument("--values", required=True,
@@ -534,8 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = "csv" if args.command == "sweep" else "json"
     try:
         if args.command == "run":
             return _cmd_run(args)

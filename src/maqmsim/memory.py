@@ -18,6 +18,7 @@ memory-time scalar); swap in an exponential by subclassing if needed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,6 @@ class CellAddress:
         if self.x < 0 or self.y < 0:
             raise ValueError(f"cell indices must be non-negative, got ({self.x}, {self.y})")
 
-    def sort_key(self) -> tuple:
-        return (self.memory.value, self.x, self.y)
-
 
 @dataclass(frozen=True)
 class RfGrid:
@@ -70,6 +68,9 @@ class RfGrid:
     y_step: float
 
     def __post_init__(self):
+        for name in ("x_origin", "x_step", "y_origin", "y_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"rf_grid.{name} must be a finite number")
         if self.x_step <= 0 or self.y_step <= 0:
             raise ValueError("rf_grid steps must be positive")
 
@@ -117,10 +118,10 @@ class MemorySpec:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("grid sizes must be >= 1")
-        if not self.tau_mem > 0:
-            raise ValueError("tau_mem must be positive")
-        if not self.t_larmor > 0:
-            raise ValueError("t_larmor must be positive")
+        if not 0 < self.tau_mem < math.inf:
+            raise ValueError("tau_mem must be a finite positive number")
+        if not 0 < self.t_larmor < math.inf:
+            raise ValueError("t_larmor must be a finite positive number")
         object.__setattr__(self, "eta_write", _as_map(self.eta_write, self.n_x, self.n_y, "eta_write"))
         object.__setattr__(self, "eta_read", _as_map(self.eta_read, self.n_x, self.n_y, "eta_read"))
         if self.eta_eit is not None:

@@ -1,229 +1,29 @@
-"""Exact finite-dimensional state algebra over labelled optical/atomic modes.
+"""Density matrices and state fidelities as plain complex arrays.
 
-States live on explicitly labelled bases.  A mode label names either a
-memory cell occupied by a photon or spin wave (``signal``, ``atom1``,
-``atom2`` kinds with a :class:`~maqmsim.memory.CellAddress`) or an abstract
-time bin (``timebin`` kind, or any kind with an integer address).  Basis
-elements are tuples of labels, one per subsystem, ordered deterministically
-so that serialization round-trips bit-for-bit.
-
-Global phase is never normalized away; callers that only care about ray
-equality compare |<a|b>|.
+A density matrix is a square array checked to be Hermitian, unit-trace and
+positive semidefinite; a pure target is a complex unit vector of the same
+dimension.  The basis the entries refer to is fixed by the caller (``tomo``
+reconstructs on signal branch x time-bin branch), so two matrices compare
+entry for entry once their dimensions agree.
 """
 
 from __future__ import annotations
 
-import enum
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .memory import CellAddress, MemoryId
+__all__ = ["DensityMatrix", "fidelity", "state_fidelity"]
 
-__all__ = [
-    "ModeKind",
-    "ModeLabel",
-    "PureState",
-    "DensityMatrix",
-    "signal_mode",
-    "atom_mode",
-    "bin_mode",
-    "product_basis",
-    "make_bell_pair",
-    "make_qudit_pair",
-    "w_state",
-    "apply_mode_phase",
-    "overlap",
-    "fidelity",
-    "state_fidelity",
-]
-
-NORM_ATOL = 1e-12       # pure-state normalization
+NORM_ATOL = 1e-12       # pure-target normalization
 HERM_ATOL = 1e-10       # Hermiticity / trace of density matrices
-DERIVED_ATOL = 1e-8     # derived quantities (Uhlmann symmetry etc.)
-
-
-class ModeKind(enum.Enum):
-    SIGNAL = "signal"
-    ATOM1 = "atom1"
-    ATOM2 = "atom2"
-    TIMEBIN = "timebin"
-
-
-_KIND_ORDER = {ModeKind.SIGNAL: 0, ModeKind.ATOM1: 1, ModeKind.ATOM2: 2, ModeKind.TIMEBIN: 3}
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """A single mode: kind plus either a cell address or an integer bin index."""
-
-    kind: ModeKind
-    address: CellAddress | int
-
-    def __post_init__(self):
-        if not isinstance(self.address, (CellAddress, int)):
-            raise TypeError("address must be a CellAddress or an int bin index")
-        if isinstance(self.address, int) and self.address < 0:
-            raise ValueError("bin index must be non-negative")
-
-    def sort_key(self) -> tuple:
-        # lexicographic over (kind, x, y, bin); cell-addressed labels sort
-        # before integer-addressed ones within a kind
-        if isinstance(self.address, CellAddress):
-            a = self.address
-            return (_KIND_ORDER[self.kind], 0, a.x, a.y, a.memory.value)
-        return (_KIND_ORDER[self.kind], 1, self.address, 0, "")
-
-    def to_json_dict(self) -> dict:
-        if isinstance(self.address, CellAddress):
-            return {
-                "kind": self.kind.value,
-                "memory": self.address.memory.value,
-                "x": self.address.x,
-                "y": self.address.y,
-            }
-        return {"kind": self.kind.value, "bin": self.address}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ModeLabel":
-        kind = ModeKind(doc["kind"])
-        if "bin" in doc:
-            return ModeLabel(kind, int(doc["bin"]))
-        return ModeLabel(kind, CellAddress(MemoryId(doc["memory"]), int(doc["x"]), int(doc["y"])))
-
-
-def signal_mode(cell: CellAddress) -> ModeLabel:
-    return ModeLabel(ModeKind.SIGNAL, cell)
-
-
-def atom_mode(cell: CellAddress) -> ModeLabel:
-    """Spin-wave mode of a cell; the kind follows the cell's memory."""
-    kind = ModeKind.ATOM1 if cell.memory is MemoryId.MAQM1 else ModeKind.ATOM2
-    return ModeLabel(kind, cell)
-
-
-def bin_mode(index: int, kind: ModeKind = ModeKind.TIMEBIN) -> ModeLabel:
-    return ModeLabel(kind, index)
-
-
-BasisElement = tuple[ModeLabel, ...]
-
-
-def _element_key(element: BasisElement) -> tuple:
-    return tuple(label.sort_key() for label in element)
-
-
-def _check_element_labels(basis: list[BasisElement]) -> None:
-    """All elements must share arity, and labels within a slot must be distinct."""
-    if not basis:
-        raise ValueError("basis must be non-empty")
-    arity = len(basis[0])
-    if any(len(el) != arity for el in basis):
-        raise ValueError("all basis elements must have the same number of subsystems")
-    for slot in range(arity):
-        seen = {el[slot] for el in basis}
-        other = {el[s] for el in basis for s in range(arity) if s != slot}
-        if seen & other:
-            raise ValueError("mode labels must be pairwise distinct across subsystems")
-
-
-def product_basis(*mode_lists: list[ModeLabel]) -> list[BasisElement]:
-    """Canonical product basis: each factor sorted, row-major combination order."""
-    sorted_lists = []
-    for modes in mode_lists:
-        if len(set(modes)) != len(modes):
-            raise ValueError("duplicate mode labels within one subsystem")
-        sorted_lists.append(sorted(modes, key=lambda m: m.sort_key()))
-    basis: list[BasisElement] = [()]
-    for modes in sorted_lists:
-        basis = [el + (m,) for el in basis for m in modes]
-    _check_element_labels(basis)
-    return basis
-
-
-class PureState:
-    """Normalized complex amplitude vector over a labelled basis.
-
-    Parameters
-    ----------
-    basis : list of basis elements (tuples of ModeLabel)
-    amplitudes : complex array-like, same length as ``basis``
-
-    The basis is stored in canonical sorted order; amplitudes supplied in a
-    different order are permuted accordingly.
-    """
-
-    def __init__(self, basis, amplitudes):
-        basis = [tuple(el) if isinstance(el, (tuple, list)) else (el,) for el in basis]
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or len(basis) != amps.size:
-            raise ValueError("amplitudes must be a vector matching the basis length")
-        if len(set(basis)) != len(basis):
-            raise ValueError("duplicate basis elements")
-        _check_element_labels(basis)
-        order = sorted(range(len(basis)), key=lambda i: _element_key(basis[i]))
-        self.basis: list[BasisElement] = [basis[i] for i in order]
-        self.amplitudes: np.ndarray = amps[order].copy()
-        self.amplitudes.setflags(write=False)
-        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL * max(1.0, norm_sq):
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
-        self._index = {el: i for i, el in enumerate(self.basis)}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def index_of(self, element) -> int:
-        element = tuple(element) if isinstance(element, (tuple, list)) else (element,)
-        return self._index[element]
-
-    def amplitude(self, element) -> complex:
-        return complex(self.amplitudes[self.index_of(element)])
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": [[label.to_json_dict() for label in el] for el in self.basis],
-            "re": [float(a.real) for a in self.amplitudes],
-            "im": [float(a.imag) for a in self.amplitudes],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "PureState":
-        basis = [tuple(ModeLabel.from_json_dict(l) for l in el) for el in doc["basis"]]
-        amps = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-        return PureState(basis, amps)
-
-    @staticmethod
-    def from_json(text: str) -> "PureState":
-        return PureState.from_json_dict(json.loads(text))
-
-    def __repr__(self):
-        return f"PureState(dim={self.dimension})"
 
 
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix over a labelled basis."""
+    """Hermitian, positive semidefinite, unit-trace square matrix."""
 
-    def __init__(self, basis, entries):
-        basis = [tuple(el) if isinstance(el, (tuple, list)) else (el,) for el in basis]
+    def __init__(self, entries):
         mat = np.asarray(entries, dtype=complex)
-        d = len(basis)
-        if mat.shape != (d, d):
-            raise ValueError(f"entries must be {d}x{d} to match the basis")
-        if len(set(basis)) != len(basis):
-            raise ValueError("duplicate basis elements")
-        _check_element_labels(basis)
-        order = sorted(range(d), key=lambda i: _element_key(basis[i]))
-        self.basis: list[BasisElement] = [basis[i] for i in order]
-        mat = mat[np.ix_(order, order)]
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"entries must be a square matrix, got shape {mat.shape}")
         if not np.allclose(mat, mat.conj().T, atol=HERM_ATOL, rtol=0):
             raise ValueError("density matrix must be Hermitian")
         trace = float(np.real(np.trace(mat)))
@@ -237,118 +37,21 @@ class DensityMatrix:
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
-
-    @staticmethod
-    def maximally_mixed(basis) -> "DensityMatrix":
-        d = len(basis)
-        return DensityMatrix(basis, np.eye(d, dtype=complex) / d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": [[label.to_json_dict() for label in el] for el in self.basis],
-            "re": self.entries.real.tolist(),
-            "im": self.entries.imag.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "DensityMatrix":
-        basis = [tuple(ModeLabel.from_json_dict(l) for l in el) for el in doc["basis"]]
-        mat = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-        return DensityMatrix(basis, mat)
-
-    @staticmethod
-    def from_json(text: str) -> "DensityMatrix":
-        return DensityMatrix.from_json_dict(json.loads(text))
+        return self.entries.shape[0]
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dimension})"
 
 
-def _require_same_basis(a_basis, b_basis) -> None:
-    if list(a_basis) != list(b_basis):
-        raise ValueError("bases do not match")
-
-
-def make_bell_pair(
-    photon_modes: list[ModeLabel],
-    atom_modes: list[ModeLabel],
-    relative_phase: float = 0.0,
-) -> PureState:
-    """Two-branch entangled pair (|U>_s|U>_a + e^{i phi} |D>_s|D>_a)/sqrt(2).
-
-    ``photon_modes`` and ``atom_modes`` each name two modes; branch k pairs
-    photon_modes[k] with atom_modes[k], and the relative phase multiplies the
-    second branch.  The returned state lives on the full 4-element product
-    basis (zeros on the cross terms).
-    """
-    if len(photon_modes) != 2 or len(atom_modes) != 2:
-        raise ValueError("a Bell pair takes exactly two photon and two atom modes")
-    return _matched_pair_state(photon_modes, atom_modes, [0.0, relative_phase])
-
-
-def make_qudit_pair(
-    photon_modes: list[ModeLabel],
-    atom_modes: list[ModeLabel],
-    phases: list[float] | None = None,
-) -> PureState:
-    """Four-branch entangled pair (1/2) sum_k e^{i theta_k} |k>_s |k>_a."""
-    if len(photon_modes) != 4 or len(atom_modes) != 4:
-        raise ValueError("a qudit pair takes exactly four photon and four atom modes")
-    if phases is None:
-        phases = [0.0] * 4
-    if len(phases) != 4:
-        raise ValueError("need one phase per branch")
-    return _matched_pair_state(photon_modes, atom_modes, phases)
-
-
-def _matched_pair_state(photon_modes, atom_modes, phases) -> PureState:
-    d = len(photon_modes)
-    if len(set(photon_modes) | set(atom_modes)) != 2 * d:
-        raise ValueError("duplicate mode labels")
-    basis = product_basis(list(photon_modes), list(atom_modes))
-    amps = np.zeros(len(basis), dtype=complex)
-    index = {el: i for i, el in enumerate(basis)}
-    for k in range(d):
-        amps[index[(photon_modes[k], atom_modes[k])]] = np.exp(1j * phases[k]) / np.sqrt(d)
-    return PureState(basis, amps)
-
-
-def w_state(d: int, modes: list[ModeLabel] | None = None) -> PureState:
-    """Uniform single-excitation superposition (1/sqrt(d)) sum_k |k>."""
-    if d < 2:
-        raise ValueError("w_state needs dimension >= 2")
-    if modes is None:
-        modes = [bin_mode(k) for k in range(d)]
-    if len(modes) != d:
-        raise ValueError("need one mode label per dimension")
-    basis = [(m,) for m in modes]
-    return PureState(basis, np.full(d, 1.0 / np.sqrt(d), dtype=complex))
-
-
-def apply_mode_phase(state: PureState, mode: ModeLabel, phase: float) -> PureState:
-    """Multiply amplitudes of every basis element containing ``mode`` by e^{i phase}."""
-    hits = np.array([mode in el for el in state.basis])
-    if not hits.any():
-        raise ValueError(f"mode {mode} not present in the state's basis")
-    amps = state.amplitudes.copy()
-    amps[hits] *= np.exp(1j * phase)
-    return PureState(state.basis, amps)
-
-
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b> on a shared basis."""
-    _require_same_basis(a.basis, b.basis)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(rho: DensityMatrix, target: PureState) -> float:
-    """Overlap <target| rho |target> with the pure target state."""
-    _require_same_basis(rho.basis, target.basis)
-    t = target.amplitudes
+def fidelity(rho: DensityMatrix, target) -> float:
+    """Overlap <target| rho |target> with a pure target given as a unit vector."""
+    t = np.asarray(target, dtype=complex)
+    if t.shape != (rho.dimension,):
+        raise ValueError(f"target must be a vector of length {rho.dimension}, "
+                         f"got shape {t.shape}")
+    norm_sq = float(np.sum(np.abs(t) ** 2))
+    if abs(norm_sq - 1.0) > NORM_ATOL * max(1.0, norm_sq):
+        raise ValueError(f"target not normalized: sum |a|^2 = {norm_sq!r}")
     value = np.vdot(t, rho.entries @ t)
     if abs(value.imag) > HERM_ATOL:
         raise ValueError("fidelity came out complex; density matrix invalid?")
@@ -367,7 +70,8 @@ def state_fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     Symmetric in its arguments to within 1e-8; equals ``fidelity`` when one
     argument is pure.
     """
-    _require_same_basis(rho1.basis, rho2.basis)
+    if rho1.dimension != rho2.dimension:
+        raise ValueError(f"dimensions differ: {rho1.dimension} vs {rho2.dimension}")
     s1 = _psd_sqrt(rho1.entries)
     inner = s1 @ rho2.entries @ s1
     eigs = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)

@@ -37,14 +37,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .detect import CountsTable, MeasurementSetting, tomography_settings
-from .qstate import DensityMatrix, ModeKind, ModeLabel, PureState, fidelity, product_basis
+from .qstate import DensityMatrix, fidelity
 
 __all__ = [
     "ReconstructionResult",
     "FidelityEstimate",
     "LikelihoodDecreasedError",
     "WFidelityData",
-    "logical_basis",
     "bell_target",
     "linear_inversion",
     "mle_reconstruct",
@@ -59,19 +58,16 @@ Q_FLOOR = 1e-14         # keeps logs finite when a projector is exactly dark
 TRACE_RTOL = 1e-9       # likelihood monotonicity slack, relative to |l|
 
 
-def logical_basis(dimension: int = 2):
-    """Shared reconstruction basis: signal branches x time-bin branches."""
-    signal = [ModeLabel(ModeKind.SIGNAL, k) for k in range(dimension)]
-    bins = [ModeLabel(ModeKind.TIMEBIN, k) for k in range(dimension)]
-    return product_basis(signal, bins)
+def bell_target(relative_phase: float = 0.0) -> np.ndarray:
+    """(|00> + e^{i phi} |11>)/sqrt(2) on the logical basis.
 
-
-def bell_target(relative_phase: float = 0.0) -> PureState:
-    """(|00> + e^{i phi} |11>)/sqrt(2) on the logical basis."""
+    The logical basis is ordered signal branch major, time-bin branch minor:
+    index 2 s + b holds |s>_signal |b>_bin.
+    """
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[3] = np.exp(1j * relative_phase) / np.sqrt(2.0)
-    return PureState(logical_basis(2), amps)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ class ReconstructionResult:
     iterations: int
     converged: bool
     likelihood_trace: tuple[float, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho.to_json_dict(),
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 @dataclass(frozen=True)
@@ -293,14 +281,14 @@ def mle_reconstruct(counts: CountsTable, settings=None, init: DensityMatrix | No
         raise ValueError("tol must be positive")
     projectors, observed, exposures = _aligned_projectors(counts, settings)
     d = projectors.shape[1]
-    basis = logical_basis(int(round(np.sqrt(d))))
+    if init is not None and init.dimension != d:
+        raise ValueError(f"init must have the reconstruction dimension {d}, "
+                         f"got {init.dimension}")
     init_mat = init.entries if init is not None else np.eye(d) / d
-    if init is not None and list(init.basis) != list(basis):
-        raise ValueError("init must live on the logical reconstruction basis")
     rho, ll, nit, converged, trace = _fit_mle(projectors, observed, exposures,
                                               np.asarray(init_mat), tol, max_iter)
     return ReconstructionResult(
-        rho=DensityMatrix(basis, rho),
+        rho=DensityMatrix(rho),
         log_likelihood=ll,
         iterations=nit,
         converged=converged,
@@ -308,7 +296,7 @@ def mle_reconstruct(counts: CountsTable, settings=None, init: DensityMatrix | No
     )
 
 
-def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: int,
+def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: int,
                          seed: int, settings=None, tol: float = 1e-9,
                          max_iter: int = 1000) -> FidelityEstimate:
     """Poisson-resample the table, refit each draw, report point and spread.
@@ -327,10 +315,8 @@ def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: in
     base_rho, *_ = _fit_mle(projectors, observed, exposures,
                             np.eye(projectors.shape[1]) / projectors.shape[1],
                             tol, max_iter)
-    basis = logical_basis(int(round(np.sqrt(projectors.shape[1]))))
-    if list(target.basis) != list(basis):
-        raise ValueError("target must live on the logical reconstruction basis")
-    base = DensityMatrix(basis, base_rho)
+    base = DensityMatrix(base_rho)
+    point = fidelity(base, target)   # checks the target before any refit
 
     values, failed = [], 0
     for r in range(n_resamples):
@@ -338,14 +324,14 @@ def monte_carlo_fidelity(counts: CountsTable, target: PureState, n_resamples: in
         resampled = rng.poisson(observed).astype(float)
         try:
             rho, *_ = _fit_mle(projectors, resampled, exposures, base_rho, tol, max_iter)
-            values.append(fidelity(DensityMatrix(basis, rho), target))
+            values.append(fidelity(DensityMatrix(rho), target))
         except (ValueError, LikelihoodDecreasedError, np.linalg.LinAlgError):
             failed += 1
     if len(values) < 2:
         raise RuntimeError(f"only {len(values)} of {n_resamples} resamples succeeded")
     arr = np.asarray(values)
     return FidelityEstimate(
-        value=fidelity(base, target),
+        value=point,
         sigma=float(arr.std(ddof=1)),
         n_resamples=len(values),
         n_failed=failed,

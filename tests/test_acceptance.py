@@ -26,7 +26,7 @@ from maqmsim.protocol import (
 )
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.schedule import cell_to_rf, compile_schedule, schedule_to_jsonl
-from maqmsim.tomo import bell_target, logical_basis, mle_reconstruct, monte_carlo_fidelity
+from maqmsim.tomo import bell_target, mle_reconstruct, monte_carlo_fidelity
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "maqmsim" / "configs"
@@ -151,12 +151,11 @@ def test_criterion_3_tomography_round_trip():
     with criterion(3, 300.0, "tomography recovers random states, monotone fits"):
         rng = np.random.default_rng(0)
         settings = tomography_settings(2)
-        basis = logical_basis(2)
         labels = [s.label for s in settings]
         sampled_fidelities = []
         for _ in range(10):
             truth_arr = conditioned_random_density(4, rng)
-            truth = DensityMatrix(basis, truth_arr)
+            truth = DensityMatrix(truth_arr)
             probs = [setting_probability(truth_arr, s) for s in settings]
 
             exact_rows = tuple(

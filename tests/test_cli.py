@@ -371,6 +371,14 @@ def test_grid_size_must_be_an_integer(tmp_path, capsys, value):
     ("protocol.tau", math.inf, "protocol.tau"),
     ("detection.dark_rate", math.inf, "detection.dark_rate"),
     ("protocol.drift", -math.inf, "protocol.drift"),
+    ("memories.MAQM1.tau_mem", math.nan, "memories.MAQM1: tau_mem"),
+    ("memories.MAQM2.tau_mem", math.inf, "memories.MAQM2: tau_mem"),
+    ("memories.MAQM1.t_larmor", math.nan, "memories.MAQM1: t_larmor"),
+    ("memories.MAQM2.t_larmor", math.inf, "memories.MAQM2: t_larmor"),
+    ("memories.MAQM1.rf_grid.x_origin", math.nan, "memories.MAQM1: rf_grid.x_origin"),
+    ("memories.MAQM1.rf_grid.x_step", math.nan, "memories.MAQM1: rf_grid.x_step"),
+    ("memories.MAQM2.rf_grid.y_origin", -math.inf, "memories.MAQM2: rf_grid.y_origin"),
+    ("memories.MAQM2.rf_grid.y_step", math.inf, "memories.MAQM2: rf_grid.y_step"),
 ])
 def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
     doc = json.loads((CONFIG_DIR / "qubit_default.json").read_text())
@@ -384,6 +392,71 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"config error: {where}")
+
+
+@pytest.mark.parametrize("key", ["larmor_periods", "memory_times"])
+@pytest.mark.parametrize("bad, message", [
+    ([math.nan, 1.3], "[0]: must be a finite number"),
+    ([7.8, math.inf], "[1]: must be a finite number"),
+    (["7.8", 1.3], "[0]: must be a number"),
+    ([7.8, -1.3], "[1]: must be positive"),
+    ([7.8], ": must be a [source, target] pair of numbers"),
+    (7.8, ": must be a [source, target] pair of numbers"),
+])
+def test_constraint_pairs_are_checked(tmp_path, capsys, key, bad, message):
+    # a bad entry must stop at parse time, before the Larmor grid and dwell checks
+    doc = small_doc()
+    doc["constraints"] = {key: bad}
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: constraints.{key}{message}"]
+
+
+def test_constraint_scalar_error_names_its_field_once(tmp_path, capsys):
+    doc = small_doc()
+    doc["constraints"] = {"aod_switch_time": -2.0}
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == ("config error: constraints.aod_switch_time: "
+                                       "must be positive\n")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("constraints", "larmor_tolerance"),
+    ("detection", "heralds_per_settting"),
+    ("protocol", "dimensions"),
+    ("estimation", "n_resample"),
+    (None, "detections"),
+])
+def test_unknown_section_field_exits_two(tmp_path, capsys, section, key):
+    doc = small_doc()
+    node = doc.setdefault(section, {}) if section else doc
+    node[key] = 1
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    where = section or "config"
+    assert capsys.readouterr().err == f"config error: {where}: unknown field(s) '{key}'\n"
+
+
+@pytest.mark.parametrize("drop", [True, False])
+def test_receiving_memory_needs_eta_eit(tmp_path, capsys, drop):
+    doc = small_doc()
+    if drop:
+        del doc["memories"]["MAQM2"]["eta_eit"]
+    else:
+        doc["memories"]["MAQM2"]["eta_eit"] = None
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: memories.MAQM2.eta_eit: ")
+
+
+def test_compile_has_no_format_option(tmp_path, capsys):
+    path = write_config(tmp_path, small_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--config", path, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_integer_sweep_values_must_be_integral(tmp_path, capsys):

@@ -14,7 +14,6 @@ from maqmsim.protocol import (
     run_protocol,
     storage_dwell,
 )
-from maqmsim.qstate import atom_mode, make_bell_pair, signal_mode
 
 
 def closed_form_two_branch(eta_1, eta_2):
@@ -64,11 +63,8 @@ def qubit_config(spec1=None, spec2=None, **kw):
 
 
 def bell_diagonal(relative_phase=0.0):
-    """make_bell_pair's amplitudes on the branch pairs (s_k, a_k) of the qubit cells."""
-    signal = [signal_mode(c) for c in SOURCE_PAIR]
-    atoms = [atom_mode(c) for c in TARGET_PAIR]
-    bell = make_bell_pair(signal, atoms, relative_phase=relative_phase)
-    return np.array([bell.amplitude(pair) for pair in zip(signal, atoms)])
+    """Bell-pair amplitudes on the branch pairs (s_k, a_k): [1, e^{i phi}] / sqrt(2)."""
+    return np.array([1.0, np.exp(1j * relative_phase)]) / np.sqrt(2.0)
 
 
 def read_map(pairs, base=1.0):

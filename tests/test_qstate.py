@@ -2,225 +2,122 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from maqmsim.memory import CellAddress, MemoryId
-from maqmsim.qstate import (
-    DensityMatrix,
-    ModeKind,
-    ModeLabel,
-    PureState,
-    apply_mode_phase,
-    atom_mode,
-    bin_mode,
-    fidelity,
-    make_bell_pair,
-    make_qudit_pair,
-    overlap,
-    product_basis,
-    signal_mode,
-    state_fidelity,
-    w_state,
-)
+from maqmsim import qstate
+from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
+from maqmsim.tomo import bell_target
 
 
-def cell(x, y, memory=MemoryId.MAQM1):
-    return CellAddress(memory, x, y)
+def pure(vector):
+    v = np.asarray(vector, dtype=complex)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
-def two_by_two_modes():
-    photons = [signal_mode(cell(1, 1)), signal_mode(cell(1, 2))]
-    atoms = [atom_mode(cell(1, 1)), atom_mode(cell(1, 2))]
-    return photons, atoms
+def w_vector(d):
+    return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
 
 
-class TestModeLabel:
-    def test_sort_is_deterministic(self):
-        labels = [
-            bin_mode(3),
-            signal_mode(cell(0, 1)),
-            atom_mode(cell(2, 0, MemoryId.MAQM2)),
-            bin_mode(0),
-            signal_mode(cell(0, 0)),
-        ]
-        ordered = sorted(labels, key=lambda m: m.sort_key())
-        assert ordered[0].kind is ModeKind.SIGNAL
-        assert ordered[-1] == bin_mode(3)
-        assert sorted(ordered, key=lambda m: m.sort_key()) == ordered
-
-    def test_atom_kind_follows_memory(self):
-        assert atom_mode(cell(0, 0)).kind is ModeKind.ATOM1
-        assert atom_mode(cell(0, 0, MemoryId.MAQM2)).kind is ModeKind.ATOM2
-
-    def test_negative_bin_rejected(self):
-        with pytest.raises(ValueError):
-            bin_mode(-1)
-
-    def test_json_round_trip(self):
-        for label in [signal_mode(cell(3, 4)), bin_mode(2)]:
-            assert ModeLabel.from_json_dict(label.to_json_dict()) == label
+def test_exports_only_arrays_and_fidelities():
+    assert qstate.__all__ == ["DensityMatrix", "fidelity", "state_fidelity"]
 
 
-class TestPureState:
+class TestPureTarget:
     def test_normalization_enforced(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
-        with pytest.raises(ValueError):
-            PureState(basis, [1.0, 1.0])
-        PureState(basis, [1.0, 0.0])  # fine
+        # a pure target is a unit vector; fidelity checks it on every call
+        rho = pure([1.0, 0.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            fidelity(rho, [1.0, 1.0])
+        assert fidelity(rho, [1.0, 0.0]) == 1.0
 
-    def test_basis_permutation_invariance(self):
-        a, b = bin_mode(0), bin_mode(1)
-        s1 = PureState([(a,), (b,)], [0.6, 0.8])
-        s2 = PureState([(b,), (a,)], [0.8, 0.6])
-        assert_allclose(s1.amplitudes, s2.amplitudes)
-        assert s1.basis == s2.basis
-
-    def test_duplicate_elements_rejected(self):
-        with pytest.raises(ValueError):
-            PureState([(bin_mode(0),), (bin_mode(0),)], [1.0, 0.0])
-
-    def test_amplitude_lookup(self):
-        s = w_state(3)
-        assert_allclose(s.amplitude((bin_mode(1),)), 1 / np.sqrt(3))
-
-    def test_json_round_trip_preserves_phase(self):
-        photons, atoms = two_by_two_modes()
-        s = make_bell_pair(photons, atoms, relative_phase=0.7)
-        clone = PureState.from_json(s.to_json())
-        assert clone.basis == s.basis
-        assert_allclose(clone.amplitudes, s.amplitudes, rtol=0, atol=1e-15)
-
-    def test_json_field_names(self):
-        doc = w_state(2).to_json_dict()
-        assert set(doc) == {"basis", "re", "im"}
+    def test_target_length_must_match(self):
+        rho = pure(w_vector(4))
+        for bad in (w_vector(3), w_vector(5), np.eye(4)[:2] / np.sqrt(2)):
+            with pytest.raises(ValueError, match="length 4"):
+                fidelity(rho, bad)
 
 
 class TestDensityMatrix:
     def test_hermiticity_enforced(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
         bad = np.array([[0.5, 0.1j], [0.1j, 0.5]])
         with pytest.raises(ValueError):
-            DensityMatrix(basis, bad)
+            DensityMatrix(bad)
 
     def test_trace_enforced(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
         with pytest.raises(ValueError):
-            DensityMatrix(basis, np.eye(2))
+            DensityMatrix(np.eye(2))
 
     def test_negative_eigenvalue_rejected(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
         mat = np.array([[1.1, 0.0], [0.0, -0.1]])
         with pytest.raises(ValueError):
-            DensityMatrix(basis, mat)
+            DensityMatrix(mat)
+
+    def test_square_matrix_required(self):
+        for bad in (np.full(4, 0.25), np.full((2, 3), 0.5)):
+            with pytest.raises(ValueError, match="square"):
+                DensityMatrix(bad)
+
+    def test_entries_are_a_read_only_copy(self):
+        mat = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(mat)
+        mat[0, 0] = 1.0
+        assert rho.entries[0, 0] == 0.5
+        assert rho.dimension == 2
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 1.0
 
     def test_pure_projection_round_trip(self):
-        s = w_state(4)
-        rho = s.to_density()
-        assert_allclose(fidelity(rho, s), 1.0, rtol=0, atol=1e-12)
-
-    def test_json_round_trip(self):
-        rho = w_state(3).to_density()
-        clone = DensityMatrix.from_json(rho.to_json())
-        assert_allclose(clone.entries, rho.entries, rtol=0, atol=1e-15)
+        s = w_vector(4)
+        assert_allclose(fidelity(pure(s), s), 1.0, rtol=0, atol=1e-12)
 
 
 class TestEntangledPairs:
     def test_bell_pair_amplitudes(self):
-        photons, atoms = two_by_two_modes()
-        s = make_bell_pair(photons, atoms, relative_phase=np.pi / 3)
-        assert s.dimension == 4
-        a_uu = s.amplitude((photons[0], atoms[0]))
-        a_dd = s.amplitude((photons[1], atoms[1]))
-        assert_allclose(abs(a_uu), 1 / np.sqrt(2))
-        assert_allclose(a_dd / a_uu, np.exp(1j * np.pi / 3))
-        assert s.amplitude((photons[0], atoms[1])) == 0
-        assert s.amplitude((photons[1], atoms[0])) == 0
-
-    def test_qudit_pair_amplitudes(self):
-        photons = [signal_mode(cell(2, 2)), signal_mode(cell(2, 3)),
-                   signal_mode(cell(3, 2)), signal_mode(cell(3, 3))]
-        atoms = [atom_mode(c.address) for c in photons]
-        phases = [0.0, 0.5, 1.0, 1.5]
-        s = make_qudit_pair(photons, atoms, phases)
-        assert s.dimension == 16
-        for k in range(4):
-            amp = s.amplitude((photons[k], atoms[k]))
-            assert_allclose(amp, np.exp(1j * phases[k]) / 2, rtol=0, atol=1e-15)
-
-    def test_mode_reuse_rejected(self):
-        photons, _ = two_by_two_modes()
-        with pytest.raises(ValueError):
-            make_bell_pair(photons, photons)
+        # logical basis index 2 s + b: only |00> and |11> carry amplitude
+        s = bell_target(np.pi / 3)
+        assert s.shape == (4,)
+        assert_allclose(abs(s[0]), 1 / np.sqrt(2))
+        assert_allclose(s[3] / s[0], np.exp(1j * np.pi / 3))
+        assert s[1] == 0
+        assert s[2] == 0
 
 
 class TestWState:
-    def test_uniform_amplitudes(self):
-        for d in (2, 3, 4, 7):
-            s = w_state(d)
-            assert_allclose(s.amplitudes, np.full(d, 1 / np.sqrt(d)), rtol=0, atol=1e-15)
-
-    def test_custom_modes(self):
-        modes = [signal_mode(cell(0, k)) for k in range(3)]
-        s = w_state(3, modes)
-        assert s.basis == [(m,) for m in modes]
-
     def test_one_dead_branch_overlap(self):
         # amplitude vector (1,1,1,0)/sqrt(3) against the uniform d=4 target:
         # |<W|v>|^2 = (3 / (2 sqrt(3)))^2 = 3/4, checked here by brute force
-        target = w_state(4)
+        target = w_vector(4)
         v = np.array([1.0, 1.0, 1.0, 0.0]) / np.sqrt(3.0)
-        brute = abs(np.vdot(target.amplitudes, v)) ** 2
+        brute = abs(np.vdot(target, v)) ** 2
         assert_allclose(brute, 0.75, rtol=0, atol=1e-12)
-        survivor = PureState(target.basis, v)
-        assert_allclose(abs(overlap(target, survivor)) ** 2, 0.75, rtol=0, atol=1e-12)
+        assert_allclose(fidelity(pure(v), target), 0.75, rtol=0, atol=1e-12)
 
 
 class TestPhasesAndOverlaps:
-    def test_apply_mode_phase_targets_matching_elements(self):
-        photons, atoms = two_by_two_modes()
-        s = make_bell_pair(photons, atoms)
-        shifted = apply_mode_phase(s, atoms[1], np.pi)
-        assert_allclose(shifted.amplitude((photons[1], atoms[1])),
-                        -s.amplitude((photons[1], atoms[1])))
-        assert_allclose(shifted.amplitude((photons[0], atoms[0])),
-                        s.amplitude((photons[0], atoms[0])))
-
-    def test_apply_mode_phase_missing_mode(self):
-        with pytest.raises(ValueError):
-            apply_mode_phase(w_state(2), bin_mode(5), 0.1)
-
     def test_overlap_requires_shared_basis(self):
-        with pytest.raises(ValueError):
-            overlap(w_state(2), w_state(3))
-
-    def test_global_phase_kept(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
-        s = PureState(basis, np.array([1.0, 0.0]) * np.exp(1j * 0.3))
-        assert_allclose(s.amplitude((bin_mode(0),)), np.exp(1j * 0.3))
+        # on plain arrays a shared basis means equal dimension
+        with pytest.raises(ValueError, match="dimensions differ"):
+            state_fidelity(pure(w_vector(2)), pure(w_vector(3)))
 
 
 class TestFidelities:
     def test_pure_state_fidelity_matches_overlap(self):
         rng = np.random.default_rng(0)
-        basis = [(bin_mode(k),) for k in range(4)]
         for _ in range(20):
             a = rng.normal(size=4) + 1j * rng.normal(size=4)
             b = rng.normal(size=4) + 1j * rng.normal(size=4)
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
-            sa, sb = PureState(basis, a), PureState(basis, b)
-            assert_allclose(fidelity(sa.to_density(), sb), abs(overlap(sa, sb)) ** 2,
+            assert_allclose(fidelity(pure(a), b), abs(np.vdot(a, b)) ** 2,
                             rtol=0, atol=1e-12)
 
     def test_uhlmann_agrees_on_pure_inputs(self):
-        photons, atoms = two_by_two_modes()
-        s = make_bell_pair(photons, atoms, 0.4)
-        t = make_bell_pair(photons, atoms, 1.1)
-        f_direct = fidelity(s.to_density(), t)
-        f_uhlmann = state_fidelity(s.to_density(), t.to_density())
+        s = bell_target(0.4)
+        t = bell_target(1.1)
+        f_direct = fidelity(pure(s), t)
+        f_uhlmann = state_fidelity(pure(s), pure(t))
         assert_allclose(f_uhlmann, f_direct, rtol=0, atol=1e-8)
 
     def test_uhlmann_symmetric_and_bounded(self):
         rng = np.random.default_rng(1)
-        basis = [(bin_mode(k),) for k in range(3)]
         for _ in range(10):
             a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -228,37 +125,18 @@ class TestFidelities:
             rho2 = b @ b.conj().T
             rho1 /= np.trace(rho1).real
             rho2 /= np.trace(rho2).real
-            d1, d2 = DensityMatrix(basis, rho1), DensityMatrix(basis, rho2)
+            d1, d2 = DensityMatrix(rho1), DensityMatrix(rho2)
             f12 = state_fidelity(d1, d2)
             f21 = state_fidelity(d2, d1)
             assert_allclose(f12, f21, rtol=0, atol=1e-8)
             assert 0.0 <= f12 <= 1.0
 
     def test_uhlmann_identity_on_equal_states(self):
-        rho = DensityMatrix.maximally_mixed([(bin_mode(k),) for k in range(4)])
+        rho = DensityMatrix(np.eye(4) / 4)
         assert_allclose(state_fidelity(rho, rho), 1.0, rtol=0, atol=1e-10)
 
     def test_mixed_with_pure_overlap(self):
-        basis = [(bin_mode(0),), (bin_mode(1),)]
-        rho = DensityMatrix.maximally_mixed(basis)
-        target = PureState(basis, [1.0, 0.0])
+        rho = DensityMatrix(np.eye(2) / 2)
+        target = np.array([1.0, 0.0])
         assert_allclose(fidelity(rho, target), 0.5, rtol=0, atol=1e-12)
-        assert_allclose(state_fidelity(rho, target.to_density()), 0.5, rtol=0, atol=1e-8)
-
-
-class TestProductBasis:
-    def test_row_major_order(self):
-        a = [bin_mode(0), bin_mode(1)]
-        b = [bin_mode(2), bin_mode(3)]
-        basis = product_basis(a, b)
-        assert basis == [
-            (bin_mode(0), bin_mode(2)),
-            (bin_mode(0), bin_mode(3)),
-            (bin_mode(1), bin_mode(2)),
-            (bin_mode(1), bin_mode(3)),
-        ]
-
-    def test_cross_subsystem_collision_rejected(self):
-        a = [bin_mode(0), bin_mode(1)]
-        with pytest.raises(ValueError):
-            product_basis(a, a)
+        assert_allclose(state_fidelity(rho, pure(target)), 0.5, rtol=0, atol=1e-8)

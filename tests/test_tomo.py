@@ -19,14 +19,13 @@ from maqmsim.detect import (
 )
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
-from maqmsim.qstate import DensityMatrix, PureState, bin_mode, fidelity, state_fidelity, w_state
+from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.tomo import (
     FidelityEstimate,
     LikelihoodDecreasedError,
     WFidelityData,
     bell_target,
     linear_inversion,
-    logical_basis,
     mle_reconstruct,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
@@ -76,7 +75,7 @@ def exact_counts(probabilities, labels, heralds=4_000_000):
 def bell_table(heralds=4_000_000):
     settings = tomography_settings(2)
     target = bell_target()
-    rho = np.outer(target.amplitudes, target.amplitudes.conj())
+    rho = np.outer(target, target.conj())
     probs = [setting_probability(rho, s) for s in settings]
     return exact_counts(probs, [s.label for s in settings], heralds)
 
@@ -90,7 +89,7 @@ def ginibre_density(dim, rng):
 class TestLinearInversion:
     def test_exact_bell_probabilities(self):
         target = bell_target()
-        truth = np.outer(target.amplitudes, target.amplitudes.conj())
+        truth = np.outer(target, target.conj())
         mat = linear_inversion(bell_table())
         assert_allclose(mat, truth, rtol=0, atol=1e-10)
 
@@ -103,7 +102,7 @@ class TestLinearInversion:
     def test_detection_efficiency_drops_out(self):
         settings = tomography_settings(2)
         target = bell_target()
-        rho = np.outer(target.amplitudes, target.amplitudes.conj())
+        rho = np.outer(target, target.conj())
         probs = [0.4 * setting_probability(rho, s) for s in settings]
         counts = exact_counts(probs, [s.label for s in settings])
         assert_allclose(linear_inversion(counts), rho, rtol=0, atol=1e-10)
@@ -134,7 +133,7 @@ class TestMleReconstruct:
     def test_mixed_truth_recovered(self):
         rng = np.random.default_rng(3)
         target = bell_target()
-        pure = np.outer(target.amplitudes, target.amplitudes.conj())
+        pure = np.outer(target, target.conj())
         truth = 0.8 * pure + 0.2 * np.eye(4) / 4
         settings = tomography_settings(2)
         probs = [setting_probability(truth, s) for s in settings]
@@ -158,6 +157,12 @@ class TestMleReconstruct:
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
 
+    def test_init_must_match_the_reconstruction_dimension(self):
+        with pytest.raises(ValueError, match="dimension 4"):
+            mle_reconstruct(bell_table(), init=DensityMatrix(np.eye(2) / 2))
+        warm = mle_reconstruct(bell_table(), init=DensityMatrix(np.eye(4) / 4))
+        assert fidelity(warm.rho, bell_target()) >= 0.9999
+
     def test_exhaustion_flags_non_convergence(self):
         out = run_protocol(make_config())
         table = sample_counts(out, tomography_settings(2), 1000, 0.5, 0.0, seed=6)
@@ -168,7 +173,7 @@ class TestMleReconstruct:
         counts = bell_table()
         lin = linear_inversion(counts)
         res = mle_reconstruct(counts)
-        lin_rho = DensityMatrix(logical_basis(2), (lin + lin.conj().T) / 2)
+        lin_rho = DensityMatrix((lin + lin.conj().T) / 2)
         assert state_fidelity(res.rho, lin_rho) >= 1.0 - 1e-6
 
     def test_result_always_physical(self):
@@ -179,11 +184,6 @@ class TestMleReconstruct:
             eigs = np.linalg.eigvalsh(res.rho.entries)
             assert eigs.min() >= -1e-10
             assert_allclose(np.trace(res.rho.entries).real, 1.0, atol=1e-10)
-
-    def test_json_fields(self):
-        res = mle_reconstruct(bell_table())
-        doc = res.to_json_dict()
-        assert set(doc) == {"rho", "log_likelihood", "iterations", "converged"}
 
 
 class TestMonteCarloFidelity:
@@ -208,6 +208,12 @@ class TestMonteCarloFidelity:
         with pytest.raises(ValueError):
             monte_carlo_fidelity(table, bell_target(), n_resamples=1, seed=23)
 
+    def test_target_must_be_a_unit_vector_of_the_reconstruction_dimension(self):
+        table = bell_table()
+        for bad in (np.full(2, np.sqrt(0.5)), np.full(4, 1.0)):
+            with pytest.raises(ValueError):
+                monte_carlo_fidelity(table, bad, n_resamples=2, seed=23)
+
     def test_json_fields(self):
         est = FidelityEstimate(0.9, 0.01, 50)
         assert est.to_json_dict() == {"value": 0.9, "sigma": 0.01, "n_resamples": 50}
@@ -226,10 +232,9 @@ class TestWFidelity:
 
     def test_matches_overlap_oracle_on_random_states(self):
         rng = np.random.default_rng(11)
-        basis = [(bin_mode(k),) for k in range(4)]
-        target = w_state(4)
+        target = np.full(4, 0.5)
         for _ in range(25):
-            rho = DensityMatrix(basis, ginibre_density(4, rng))
+            rho = DensityMatrix(ginibre_density(4, rng))
             est = w_fidelity(w_data_from_density(rho), consistency_tol=1.0)
             assert_allclose(est.value, fidelity(rho, target), rtol=0, atol=1e-12)
 
