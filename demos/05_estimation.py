@@ -20,7 +20,6 @@ from maqmsim import (
     run_protocol,
     sample_counts,
     tomography_settings,
-    w_data_from_counts,
     w_settings,
 )
 
@@ -86,8 +85,9 @@ def main():
     outcome4 = transfer_outcome(dimension=4)
     table4 = sample_counts(outcome4, w_settings(4), heralds_per_setting=20000,
                            eta_det=0.8, dark_rate=1e-4, seed=5)
-    data = w_data_from_counts(table4, dimension=4)
-    print(f"  populations: {np.round(data.populations, 4)}")
+    pops = np.array([r.coincidences for r in table4.rows if r.label.startswith("P")],
+                    dtype=float)
+    print(f"  populations: {np.round(pops / pops.sum(), 4)}")
     est4 = monte_carlo_w_fidelity(table4, dimension=4, n_resamples=100, seed=9)
     print(f"  F_W = {est4.value:.4f} +- {est4.sigma:.4f}"
           f"  warnings: {list(est4.warnings) or 'none'}")

@@ -247,13 +247,18 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     )
 
 
-def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
+def _read_config(path: str) -> tuple[object, bytes]:
+    """The parsed JSON document and its raw bytes; syntax errors name path:line:col."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        doc = json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+
+
+def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
+    doc, raw = _read_config(path)
     sha = hashlib.sha256(raw).hexdigest()
     return parse_experiment_config(doc, seed_override=seed_override, sha256=sha)
 
@@ -438,6 +443,8 @@ _SWEEP_COLUMNS = [
 
 def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> list[dict]:
     """One pipeline run per value; row i runs with seed derived from (seed, i)."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config: top level must be a JSON object")
     if param not in (_SWEEP_NUMERIC | _SWEEP_INTEGER | _SWEEP_VIRTUAL):
         raise ConfigError(f"{param}: not a sweepable parameter "
                           f"(choose from {', '.join(sweepable_paths())})")
@@ -516,12 +523,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.config}:{err.lineno}:{err.colno}: {err.msg}") from err
+    doc, _ = _read_config(args.config)
     values = [float(v) for v in args.values.split(",")] if args.values else []
     rows = run_sweep(doc, args.param, values, base_seed=args.seed)
     if args.format == "json":

@@ -10,6 +10,7 @@ tables are reproducible and independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "CountRow",
     "CountsTable",
     "tomography_settings",
+    "w_labels",
     "w_settings",
     "coincidence_probability",
     "sample_counts",
@@ -72,20 +74,9 @@ class CountRow:
 @dataclass(frozen=True)
 class CountsTable:
     rows: tuple[CountRow, ...]
-    shots_requested: int = 0
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-
-    def row(self, label: str) -> CountRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
 
 
 # single-qubit analyzer kets on the {upper, lower} mode pair
@@ -112,30 +103,37 @@ def tomography_settings(dimension: int = 2) -> tuple[MeasurementSetting, ...]:
     )
 
 
+def w_labels(dimension: int) -> tuple[str, ...]:
+    """Row labels of a W-state table, in ``w_settings`` order.
+
+    ``P{i}`` for each branch i, then ``C{i}{j}+`` and ``C{i}{j}-`` for each
+    pair i < j in lexicographic order: d^2 labels in all.
+    """
+    if dimension < 2:
+        raise ValueError("need at least two branches")
+    pairs = combinations(range(dimension), 2)
+    return (tuple(f"P{i}" for i in range(dimension))
+            + tuple(f"C{i}{j}{tag}" for i, j in pairs for tag in "+-"))
+
+
 def w_settings(dimension: int = 4) -> tuple[MeasurementSetting, ...]:
     """Population plus pairwise-superposition settings for a W-state check.
 
     The signal photon is always analyzed in the balanced superposition of its
     branches; the memory side is projected onto each branch (labels ``Pi``)
-    and onto (|i> +- |j>)/sqrt(2) for every pair (labels ``Cij+``/``Cij-``).
+    and onto (|i> +- |j>)/sqrt(2) for every pair (labels ``Cij+``/``Cij-``),
+    in ``w_labels`` order.
     """
-    if dimension < 2:
-        raise ValueError("need at least two branches")
     d = dimension
     uniform = tuple(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
-    out = []
-    for i in range(d):
-        atom = np.zeros(d, dtype=complex)
-        atom[i] = 1.0
-        out.append(MeasurementSetting(f"P{i}", uniform, tuple(atom)))
-    for i in range(d):
-        for j in range(i + 1, d):
-            for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                atom = np.zeros(d, dtype=complex)
-                atom[i] = 1.0 / np.sqrt(2.0)
-                atom[j] = sign / np.sqrt(2.0)
-                out.append(MeasurementSetting(f"C{i}{j}{tag}", uniform, tuple(atom)))
-    return tuple(out)
+    h = 1.0 / np.sqrt(2.0)
+    atoms = np.zeros((d * d, d), dtype=complex)
+    atoms[range(d), range(d)] = 1.0
+    for row, (i, j) in zip(range(d, d * d, 2), combinations(range(d), 2)):
+        atoms[row:row + 2, i] = h
+        atoms[row:row + 2, j] = (h, -h)
+    return tuple(MeasurementSetting(label, uniform, tuple(atom))
+                 for label, atom in zip(w_labels(d), atoms))
 
 
 def coincidence_probability(outcome: TransferOutcome, setting: MeasurementSetting,
@@ -168,7 +166,7 @@ def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
         rng = np.random.default_rng([seed, i])
         c = int(rng.binomial(heralds_per_setting, p))
         rows.append(CountRow(setting.label, heralds_per_setting, c))
-    return CountsTable(tuple(rows), shots_requested=heralds_per_setting, seed=seed)
+    return CountsTable(tuple(rows))
 
 
 def counts_to_csv(table: CountsTable) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,20 @@ class RfGrid:
         return self.y_origin + self.y_step * index
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _as_map(values, n_x: int, n_y: int, name: str) -> np.ndarray:
-    """Coerce a scalar or row-major flat array into an (n_y, n_x) map in [0,1]."""
+    """Coerce a scalar, a row-major flat list or an array into an (n_y, n_x) map in [0,1]."""
     if np.isscalar(values):
-        arr = np.full((n_y, n_x), float(values))
+        arr = np.full((n_y, n_x), _real(values, name))
     else:
+        if not isinstance(values, np.ndarray):
+            values = [_real(v, f"{name}[{i}]") for i, v in enumerate(values)]
         arr = np.asarray(values, dtype=float)
         if arr.size != n_x * n_y:
             raise ValueError(f"{name}: expected {n_x * n_y} entries, got {arr.size}")
@@ -250,14 +260,10 @@ def memory_spec_from_dict(doc: dict) -> MemorySpec:
             eta_write=doc["eta_write"],
             eta_read=doc["eta_read"],
             eta_eit=doc.get("eta_eit"),
-            tau_mem=float(doc["tau_mem"]),
-            t_larmor=float(doc["t_larmor"]),
-            rf_grid=RfGrid(
-                x_origin=float(grid["x_origin"]),
-                x_step=float(grid["x_step"]),
-                y_origin=float(grid["y_origin"]),
-                y_step=float(grid["y_step"]),
-            ),
+            tau_mem=_real(doc["tau_mem"], "tau_mem"),
+            t_larmor=_real(doc["t_larmor"], "t_larmor"),
+            rf_grid=RfGrid(**{key: _real(grid[key], f"rf_grid.{key}")
+                              for key in ("x_origin", "x_step", "y_origin", "y_step")}),
         )
     except KeyError as exc:
         raise ValueError(f"memory config missing field {exc.args[0]!r}") from None

@@ -51,6 +51,7 @@ COUPLING_DURATION_US = 0.7
 FINAL_DURATION_US = 1.0
 
 FACTOR_RTOL = 1e-10     # relative second-singular-value bound for product patterns
+LARMOR_TOLERANCE = 0.01  # allowed distance from the Larmor grid, in periods
 WEIGHT_NORM_ATOL = 1e-9
 
 
@@ -136,13 +137,12 @@ class ScheduleConstraints:
     memory_times: tuple[float, float]
     aod_switch_time: float = 2.0
     min_guard: float = 0.05
-    larmor_tolerance: float = 0.01
 
     def __post_init__(self):
         object.__setattr__(self, "larmor_periods", tuple(self.larmor_periods))
         object.__setattr__(self, "memory_times", tuple(self.memory_times))
         values = (*self.larmor_periods, *self.memory_times,
-                  self.aod_switch_time, self.min_guard, self.larmor_tolerance)
+                  self.aod_switch_time, self.min_guard)
         if len(self.larmor_periods) != 2 or len(self.memory_times) != 2:
             raise ValueError("larmor_periods and memory_times are (source, target) pairs")
         if any(v <= 0 for v in values):
@@ -306,9 +306,9 @@ def derive_timings(schedule: Schedule) -> tuple[float, float, float]:
     return t1, tau, t2
 
 
-def _off_grid(t: float, period: float, tol: float) -> bool:
+def _off_grid(t: float, period: float) -> bool:
     ratio = t / period
-    return abs(ratio - round(ratio)) > tol
+    return abs(ratio - round(ratio)) > LARMOR_TOLERANCE
 
 
 def validate_schedule(schedule: Schedule,
@@ -323,7 +323,6 @@ def validate_schedule(schedule: Schedule,
     """
     out: list[Violation] = []
     t_l1, t_l2 = constraints.larmor_periods
-    tol = constraints.larmor_tolerance
 
     writes = schedule.on_channel(Channel.WRITE)
     origin = writes[0].t_start_us if writes else 0.0
@@ -332,13 +331,13 @@ def validate_schedule(schedule: Schedule,
 
     if reads:
         t1 = reads[0].t_start_us - origin
-        if _off_grid(t1, t_l1, tol):
+        if _off_grid(t1, t_l1):
             out.append(Violation("error", "larmor_t1",
                                  f"first retrieval at {t1:g} us is off the source "
                                  f"Larmor grid ({t_l1:g} us)"))
         for a, b in zip(reads, reads[1:]):
             gap = b.t_start_us - a.t_start_us
-            if _off_grid(gap, t_l1, tol):
+            if _off_grid(gap, t_l1):
                 out.append(Violation("error", "larmor_tau",
                                      f"bin spacing {gap:g} us is off the source "
                                      f"Larmor grid ({t_l1:g} us)"))
@@ -350,7 +349,7 @@ def validate_schedule(schedule: Schedule,
                                      f"+ read {a.duration_us:g})"))
         if finals:
             t2 = finals[0].t_start_us - reads[-1].t_start_us
-            if _off_grid(t2, t_l2, tol):
+            if _off_grid(t2, t_l2):
                 out.append(Violation("error", "larmor_t2",
                                      f"verification delay {t2:g} us is off the target "
                                      f"Larmor grid ({t_l2:g} us)"))

@@ -26,36 +26,39 @@ fit.  The check is an explicit raise, so it also holds under ``python -O``.
 A bootstrap fits the observed table once from the maximally mixed state and
 hands that base fit back with the estimate, so a report needs no second fit
 of the same table.
+
+W fidelities are read off count vectors in ``w_labels`` order.  Both
+bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
+(seed, r); the W bootstrap evaluates the whole stack in one array expression.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .detect import CountsTable, MeasurementSetting, tomography_settings
+from .detect import CountsTable, MeasurementSetting, tomography_settings, w_labels
 from .qstate import DensityMatrix, fidelity
 
 __all__ = [
     "ReconstructionResult",
     "FidelityEstimate",
     "LikelihoodDecreasedError",
-    "WFidelityData",
     "bell_target",
     "linear_inversion",
     "mle_reconstruct",
     "monte_carlo_fidelity",
     "w_fidelity",
-    "w_data_from_counts",
-    "w_data_from_density",
     "monte_carlo_w_fidelity",
 ]
 
 Q_FLOOR = 1e-14         # keeps logs finite when a projector is exactly dark
 TRACE_RTOL = 1e-9       # likelihood monotonicity slack, relative to |l|
+W_CONSISTENCY_TOL = 0.05  # relative slack on |Re rho_ij| <= sqrt(p_i p_j)
 
 
 def bell_target(relative_phase: float = 0.0) -> np.ndarray:
@@ -100,19 +103,14 @@ class FidelityEstimate:
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError("sigma must be finite and non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "sigma": self.sigma, "n_resamples": self.n_resamples}
-
 
 def _projector(setting: MeasurementSetting) -> np.ndarray:
     ket = np.kron(setting.signal_vector(), setting.atom_vector())
     return np.outer(ket, ket.conj())
 
 
-def _aligned_projectors(counts: CountsTable, settings):
-    if settings is None:
-        settings = tomography_settings(2)
-    table = {s.label: s for s in settings}
+def _aligned_projectors(counts: CountsTable):
+    table = {s.label: s for s in tomography_settings(2)}
     projectors, observed, exposures = [], [], []
     for row in counts.rows:
         if row.label not in table:
@@ -124,7 +122,7 @@ def _aligned_projectors(counts: CountsTable, settings):
             np.asarray(exposures, dtype=float))
 
 
-def linear_inversion(counts: CountsTable, settings=None) -> np.ndarray:
+def linear_inversion(counts: CountsTable) -> np.ndarray:
     """Solve the measurement linear system; the result may be non-physical.
 
     Frequencies are fit to tr(A P_s) over Hermitian A by least squares in a
@@ -132,7 +130,7 @@ def linear_inversion(counts: CountsTable, settings=None) -> np.ndarray:
     only rescales A, so it drops out in the normalization.  Raises when the
     setting set is not informationally complete.
     """
-    projectors, observed, exposures = _aligned_projectors(counts, settings)
+    projectors, observed, exposures = _aligned_projectors(counts)
     if (exposures <= 0).any():
         raise ValueError("every row needs at least one herald")
     d = projectors.shape[1]
@@ -268,7 +266,7 @@ def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
     return np.linalg.cholesky(mat)
 
 
-def mle_reconstruct(counts: CountsTable, settings=None, init: DensityMatrix | None = None,
+def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
                     tol: float = 1e-9, max_iter: int = 1000) -> ReconstructionResult:
     """Maximum-likelihood state fit, physical by construction.
 
@@ -279,7 +277,7 @@ def mle_reconstruct(counts: CountsTable, settings=None, init: DensityMatrix | No
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    projectors, observed, exposures = _aligned_projectors(counts, settings)
+    projectors, observed, exposures = _aligned_projectors(counts)
     d = projectors.shape[1]
     if init is not None and init.dimension != d:
         raise ValueError(f"init must have the reconstruction dimension {d}, "
@@ -296,8 +294,16 @@ def mle_reconstruct(counts: CountsTable, settings=None, init: DensityMatrix | No
     )
 
 
+def _poisson_resamples(observed: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
+    """(n_resamples, n) Poisson draws around ``observed``; row r uses substream (seed, r)."""
+    draws = np.empty((n_resamples, observed.size))
+    for r in range(n_resamples):
+        draws[r] = np.random.default_rng([seed, r]).poisson(observed)
+    return draws
+
+
 def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: int,
-                         seed: int, settings=None, tol: float = 1e-9,
+                         seed: int, tol: float = 1e-9,
                          max_iter: int = 1000) -> FidelityEstimate:
     """Poisson-resample the table, refit each draw, report point and spread.
 
@@ -311,7 +317,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    projectors, observed, exposures = _aligned_projectors(counts, settings)
+    projectors, observed, exposures = _aligned_projectors(counts)
     base_rho, *_ = _fit_mle(projectors, observed, exposures,
                             np.eye(projectors.shape[1]) / projectors.shape[1],
                             tol, max_iter)
@@ -319,9 +325,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     point = fidelity(base, target)   # checks the target before any refit
 
     values, failed = [], 0
-    for r in range(n_resamples):
-        rng = np.random.default_rng([seed, r])
-        resampled = rng.poisson(observed).astype(float)
+    for resampled in _poisson_resamples(observed, n_resamples, seed):
         try:
             rho, *_ = _fit_mle(projectors, resampled, exposures, base_rho, tol, max_iter)
             values.append(fidelity(DensityMatrix(rho), target))
@@ -339,130 +343,85 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     )
 
 
-@dataclass(frozen=True)
-class WFidelityData:
-    """Populations and pairwise Re rho_ij estimates for a W-state check.
+def _w_estimate(counts: np.ndarray, d: int):
+    """Raw F_W, populations, visibilities and population total, last axis.
 
-    ``pair_visibilities`` is ordered lexicographically over pairs (i, j)
-    with i < j.
+    Populations and the visibilities Re rho_ij = (C_ij+ - C_ij-)/(2 total)
+    share one normalization, so a flat background pulls F_W toward 1/d
+    rather than up.  Sums run left to right (``cumsum``), so a stack row
+    gives the bits of the same vector alone.  A zero total gives NaN.
     """
-
-    populations: tuple[float, ...]
-    pair_visibilities: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "populations", tuple(float(p) for p in self.populations))
-        object.__setattr__(self, "pair_visibilities",
-                           tuple(float(v) for v in self.pair_visibilities))
-        d = len(self.populations)
-        if d < 2:
-            raise ValueError("need at least two populations")
-        if any(p < 0 for p in self.populations):
-            raise ValueError("populations must be non-negative")
-        if len(self.pair_visibilities) != d * (d - 1) // 2:
-            raise ValueError("need one visibility per branch pair")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.populations)
+    total = np.cumsum(counts[..., :d], axis=-1)[..., -1:]
+    pairs = counts[..., d:].reshape(*counts.shape[:-1], -1, 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pops = counts[..., :d] / total
+        vis = (pairs[..., 0] - pairs[..., 1]) / (2.0 * total)
+        value = (np.cumsum(pops, axis=-1)[..., -1]
+                 + 2.0 * np.cumsum(vis, axis=-1)[..., -1]) / d
+    return value, pops, vis, total[..., 0]
 
 
-def w_fidelity(data: WFidelityData, consistency_tol: float = 0.05) -> FidelityEstimate:
-    """F_W from populations and pairwise coherences.
+def w_fidelity(counts, dimension: int) -> FidelityEstimate:
+    """F_W = (1/d)(sum_i p_i + 2 sum_{i<j} Re rho_ij) from one count vector.
 
-    F_W = (1/d)(sum_i p_i + 2 sum_{i<j} Re rho_ij); a visibility larger in
-    magnitude than sqrt(p_i p_j)(1 + tol) is physically impossible and gets
-    a warning attached rather than silently entering the average.
+    ``counts`` holds d^2 non-negative counts in ``w_labels(dimension)``
+    order.  A visibility larger in magnitude than sqrt(p_i p_j)(1 + tol) is
+    physically impossible and gets a warning attached rather than silently
+    entering the average; so does a raw estimate outside [0, 1], which is
+    clipped.
     """
-    d = data.dimension
-    total = sum(data.populations)
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"populations must be normalized, got sum {total!r}")
+    d = dimension
+    counts = np.asarray(counts, dtype=float)
+    if d < 2 or counts.shape != (d * d,):
+        raise ValueError(f"need d >= 2 and d^2 counts in w_labels(d) order, "
+                         f"got d = {d} and shape {counts.shape}")
+    if not (counts >= 0).all():
+        raise ValueError("counts must be non-negative")
+    value, pops, vis, total = _w_estimate(counts, d)
+    if not total > 0:
+        raise ValueError("population counts are all zero")
     notes = []
-    pos = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            vis = data.pair_visibilities[pos]
-            bound = np.sqrt(data.populations[i] * data.populations[j])
-            if abs(vis) > bound * (1.0 + consistency_tol) + 1e-12:
-                notes.append(f"visibility ({i},{j}) = {vis:.4g} exceeds the "
-                             f"population bound {bound:.4g}")
-            pos += 1
-    value = (sum(data.populations) + 2.0 * sum(data.pair_visibilities)) / d
+    for (i, j), v in zip(combinations(range(d), 2), vis):
+        bound = np.sqrt(pops[i] * pops[j])
+        if abs(v) > bound * (1.0 + W_CONSISTENCY_TOL) + 1e-12:
+            notes.append(f"visibility ({i},{j}) = {v:.4g} exceeds the "
+                         f"population bound {bound:.4g}")
     if not 0.0 <= value <= 1.0:
         notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
-        value = float(np.clip(value, 0.0, 1.0))
+        value = np.clip(value, 0.0, 1.0)
     return FidelityEstimate(value=float(value), sigma=0.0, n_resamples=0,
                             warnings=tuple(notes))
 
 
-def w_data_from_density(rho: DensityMatrix) -> WFidelityData:
-    """Exact populations and Re rho_ij read off a known density matrix."""
-    d = rho.dimension
-    pops = tuple(float(rho.entries[i, i].real) for i in range(d))
-    vis = tuple(float(rho.entries[i, j].real)
-                for i in range(d) for j in range(i + 1, d))
-    return WFidelityData(pops, vis)
-
-
-def _w_data_from_raw(counts_by_label: dict, dimension: int) -> WFidelityData:
-    pops_raw = [counts_by_label[f"P{i}"] for i in range(dimension)]
-    total = float(sum(pops_raw))
-    if total <= 0:
-        raise ValueError("population counts are all zero")
-    pops = [c / total for c in pops_raw]
-    vis = []
-    for i in range(dimension):
-        for j in range(i + 1, dimension):
-            plus = counts_by_label[f"C{i}{j}+"]
-            minus = counts_by_label[f"C{i}{j}-"]
-            vis.append((plus - minus) / (2.0 * total))
-    return WFidelityData(tuple(pops), tuple(vis))
-
-
-def w_data_from_counts(table: CountsTable, dimension: int = 4) -> WFidelityData:
-    """Estimate W-state data from a counts table produced with ``w_settings``.
-
-    Populations are normalized within the population family, and pair
-    visibilities share that normalization, so a flat background inflates the
-    denominator and pulls the fidelity toward 1/d rather than biasing it up.
-    """
-    heralds = {r.heralds for r in table.rows}
-    if len(heralds) > 1:
-        raise ValueError("rows must share one herald count for a consistent scale")
-    by_label = {r.label: float(r.coincidences) for r in table.rows}
-    missing = [f"P{i}" for i in range(dimension) if f"P{i}" not in by_label]
-    if missing:
-        raise ValueError(f"table lacks population rows: {missing}")
-    return _w_data_from_raw(by_label, dimension)
-
-
 def monte_carlo_w_fidelity(table: CountsTable, dimension: int = 4,
-                           n_resamples: int = 100, seed: int = 0,
-                           consistency_tol: float = 0.05) -> FidelityEstimate:
-    """Poisson-resample the W counts table and spread the fidelity estimate."""
+                           n_resamples: int = 100, seed: int = 0) -> FidelityEstimate:
+    """Poisson-resample the W counts table and spread the fidelity estimate.
+
+    The rows must be the ``w_settings(dimension)`` rows, in order, with one
+    shared herald count.  The point value and its warnings come from
+    ``w_fidelity`` on the observed counts; a resample fails when its
+    population total is zero.
+    """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    base = w_data_from_counts(table, dimension)  # validates labels up front
-    labels = [r.label for r in table.rows]
+    if len({r.heralds for r in table.rows}) > 1:
+        raise ValueError("rows must share one herald count for a consistent scale")
+    labels, expected = tuple(r.label for r in table.rows), w_labels(dimension)
+    if labels != expected:
+        raise ValueError(f"rows must be w_labels({dimension}) in order: missing "
+                         f"{sorted(set(expected) - set(labels))}, "
+                         f"unexpected {sorted(set(labels) - set(expected))}")
     observed = np.array([float(r.coincidences) for r in table.rows])
-    values, failed, notes = [], 0, ()
-    for r in range(n_resamples):
-        rng = np.random.default_rng([seed, r])
-        resampled = dict(zip(labels, rng.poisson(observed).astype(float)))
-        try:
-            est = w_fidelity(_w_data_from_raw(resampled, dimension), consistency_tol)
-            values.append(est.value)
-        except ValueError:
-            failed += 1
-    if len(values) < 2:
-        raise RuntimeError(f"only {len(values)} of {n_resamples} resamples succeeded")
-    arr = np.asarray(values)
-    point = w_fidelity(base, consistency_tol)
+    point = w_fidelity(observed, dimension)
+    values, _, _, total = _w_estimate(_poisson_resamples(observed, n_resamples, seed),
+                                      dimension)
+    values = np.clip(values[total > 0], 0.0, 1.0)
+    if values.size < 2:
+        raise RuntimeError(f"only {values.size} of {n_resamples} resamples succeeded")
     return FidelityEstimate(
         value=point.value,
-        sigma=float(arr.std(ddof=1)),
-        n_resamples=len(values),
-        n_failed=failed,
+        sigma=float(values.std(ddof=1)),
+        n_resamples=int(values.size),
+        n_failed=n_resamples - int(values.size),
         warnings=point.warnings,
     )

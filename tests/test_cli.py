@@ -1,5 +1,6 @@
 """End-to-end checks of config loading, the report pipeline, and subcommands."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -104,11 +105,34 @@ def test_write_phases_length_checked():
         parse_experiment_config(doc)
 
 
-def test_booleans_are_not_numbers():
-    doc = small_doc()
-    doc["protocol"]["t1"] = True
-    with pytest.raises(ConfigError, match=r"protocol\.t1"):
-        parse_experiment_config(doc)
+@pytest.mark.parametrize("path, value, where", [
+    ("protocol.t1", True, "protocol.t1"),
+    ("memories.MAQM1.tau_mem", "65", "memories.MAQM1: tau_mem"),
+    ("memories.MAQM2.tau_mem", True, "memories.MAQM2: tau_mem"),
+    ("memories.MAQM1.t_larmor", "7.8", "memories.MAQM1: t_larmor"),
+    ("memories.MAQM2.rf_grid.x_step", True, "memories.MAQM2: rf_grid.x_step"),
+    ("memories.MAQM1.rf_grid.y_origin", "95.5", "memories.MAQM1: rf_grid.y_origin"),
+    ("memories.MAQM1.eta_read", "0.2", "memories.MAQM1: eta_read"),
+    ("memories.MAQM2.eta_eit", True, "memories.MAQM2: eta_eit"),
+    ("memories.MAQM1.eta_write", [0.01] * 29 + ["0.01"], "memories.MAQM1: eta_write[29]"),
+    ("memories.MAQM2.eta_eit", [0.2] * 3 + [True] + [0.2] * 26, "memories.MAQM2: eta_eit[3]"),
+], ids=["protocol.t1", "tau_mem-string", "tau_mem-bool", "t_larmor-string", "x_step-bool",
+        "y_origin-string", "eta_read-string", "eta_eit-bool", "eta_write-list-string",
+        "eta_eit-list-bool"])
+def test_booleans_are_not_numbers(tmp_path, capsys, path, value, where):
+    # strings and booleans must not be coerced into numbers anywhere in the config
+    doc = copy.deepcopy(small_doc())    # small_doc shares its rf_grid dicts
+    *parents, key = path.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    config = write_config(tmp_path, doc)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "s.jsonl")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: {where}")
+    assert "must be a number" in lines[0]
 
 
 def test_json_syntax_error_is_line_precise(tmp_path):
@@ -116,6 +140,23 @@ def test_json_syntax_error_is_line_precise(tmp_path):
     path.write_text('{\n  "seed": 1,\n  oops\n}\n')
     with pytest.raises(ConfigError, match=r"broken\.json:3:3"):
         load_experiment_config(str(path))
+
+
+def test_sweep_json_syntax_error_is_line_precise(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "seed": 1,\n  oops\n}\n')
+    assert main(["sweep", "--config", str(path), "--param", "protocol.drift",
+                 "--values", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:3:3: ")
+
+
+@pytest.mark.parametrize("text", ["5\n", "[1, 2]\n"])
+def test_sweep_config_must_be_an_object(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--param", "protocol.drift",
+                 "--values", "0.1", "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "config error: config: top level must be a JSON object\n"
 
 
 def test_cell_outside_grid_rejected():

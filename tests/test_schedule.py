@@ -237,6 +237,13 @@ class TestValidation:
         assert "larmor_t1" in codes
         assert not sched.valid
 
+    @pytest.mark.parametrize("offset, flagged", [(0.05, False), (0.1, True)])
+    def test_larmor_tolerance_is_one_percent_of_a_period(self, offset, flagged):
+        # 0.05 us and 0.1 us are 0.64% and 1.28% of the 7.8 us source period
+        cfg = qubit_config(t1=15.6 + offset)
+        sched = compile_schedule(cfg, constraints(cfg))
+        assert ("larmor_t1" in {v.code for v in sched.violations}) == flagged
+
     def test_larmor_misaligned_t2_flagged(self):
         cfg = qubit_config(t2=8.0, spec2=spec2(t_larmor=1.3))
         sched = compile_schedule(cfg, constraints(cfg))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,27 +16,25 @@ from maqmsim.detect import (
     coincidence_probability,
     sample_counts,
     tomography_settings,
+    w_labels,
     w_settings,
 )
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.tomo import (
-    FidelityEstimate,
     LikelihoodDecreasedError,
-    WFidelityData,
     bell_target,
     linear_inversion,
     mle_reconstruct,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
-    w_data_from_counts,
-    w_data_from_density,
     w_fidelity,
 )
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "maqmsim" / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
@@ -214,39 +213,95 @@ class TestMonteCarloFidelity:
             with pytest.raises(ValueError):
                 monte_carlo_fidelity(table, bad, n_resamples=2, seed=23)
 
-    def test_json_fields(self):
-        est = FidelityEstimate(0.9, 0.01, 50)
-        assert est.to_json_dict() == {"value": 0.9, "sigma": 0.01, "n_resamples": 50}
+
+
+def w_counts(rho):
+    """Exact W counts of a density matrix in w_labels order.
+
+    P_i = rho_ii and C_ij+- = (rho_ii + rho_jj +- 2 Re rho_ij)/2.
+    """
+    d = rho.shape[0]
+    pops = [rho[i, i].real for i in range(d)]
+    pairs = [(rho[i, i].real + rho[j, j].real + sign * 2.0 * rho[i, j].real) / 2.0
+             for i in range(d) for j in range(i + 1, d) for sign in (1.0, -1.0)]
+    return np.array(pops + pairs)
+
+
+def w_table(counts, d, heralds=1000):
+    return CountsTable(tuple(CountRow(label, heralds, int(c))
+                             for label, c in zip(w_labels(d), counts)))
 
 
 class TestWFidelity:
     def test_ideal_w_data(self):
-        data = WFidelityData((0.25,) * 4, (0.25,) * 6)
-        est = w_fidelity(data)
+        # P_i = 1, C_ij+ = 2, C_ij- = 0: p_i = 1/4 and Re rho_ij = 1/4
+        est = w_fidelity([1] * 4 + [2, 0] * 6, 4)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.warnings == ()
 
     def test_incoherent_mixture(self):
-        data = WFidelityData((0.25,) * 4, (0.0,) * 6)
-        assert w_fidelity(data).value == pytest.approx(0.25, abs=1e-12)
+        assert w_fidelity([1.0] * 16, 4).value == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_overlap_oracle_on_random_states(self):
         rng = np.random.default_rng(11)
         target = np.full(4, 0.5)
         for _ in range(25):
             rho = DensityMatrix(ginibre_density(4, rng))
-            est = w_fidelity(w_data_from_density(rho), consistency_tol=1.0)
+            est = w_fidelity(w_counts(rho.entries), 4)
             assert_allclose(est.value, fidelity(rho, target), rtol=0, atol=1e-12)
 
-    def test_unnormalized_populations_rejected(self):
-        with pytest.raises(ValueError):
-            w_fidelity(WFidelityData((0.3,) * 4, (0.0,) * 6))
-
     def test_impossible_visibility_warns(self):
-        data = WFidelityData((0.5, 0.5), (0.6,))
-        est = w_fidelity(data)
+        # p = (1/2, 1/2) bounds |Re rho_01| by 1/2; the counts say 0.6
+        est = w_fidelity([50, 50, 120, 0], 2)
         assert est.warnings
         assert "exceeds" in est.warnings[0]
+
+    @pytest.mark.parametrize("counts, message", [
+        ([1.0] * 15, r"d\^2 counts"),
+        ([1.0] * 17, r"d\^2 counts"),
+        ([1.0] * 15 + [-1.0], "non-negative"),
+        ([0.0] * 4 + [1.0] * 12, "all zero"),
+    ], ids=["short", "long", "negative", "no_population"])
+    def test_bad_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            w_fidelity(counts, 4)
+
+
+def reference_w_bootstrap(table, d, n_resamples, seed):
+    """The scalar per-resample loop of the label-dict W estimator, kept as reference."""
+
+    def estimate(by_label):
+        pops_raw = [by_label[f"P{i}"] for i in range(d)]
+        total = float(sum(pops_raw))
+        if total <= 0:
+            raise ValueError("population counts are all zero")
+        pops = [c / total for c in pops_raw]
+        vis, notes = [], []
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = (by_label[f"C{i}{j}+"] - by_label[f"C{i}{j}-"]) / (2.0 * total)
+                bound = np.sqrt(pops[i] * pops[j])
+                if abs(v) > bound * (1.0 + 0.05) + 1e-12:
+                    notes.append(f"visibility ({i},{j}) = {v:.4g} exceeds the "
+                                 f"population bound {bound:.4g}")
+                vis.append(v)
+        value = (sum(pops) + 2.0 * sum(vis)) / d
+        if not 0.0 <= value <= 1.0:
+            notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
+            value = float(np.clip(value, 0.0, 1.0))
+        return value, tuple(notes)
+
+    labels = [r.label for r in table.rows]
+    point, notes = estimate({r.label: float(r.coincidences) for r in table.rows})
+    observed = np.array([float(r.coincidences) for r in table.rows])
+    values, failed = [], 0
+    for r in range(n_resamples):
+        rng = np.random.default_rng([seed, r])
+        try:
+            values.append(estimate(dict(zip(labels, rng.poisson(observed).astype(float))))[0])
+        except ValueError:
+            failed += 1
+    return point, values, failed, notes
 
 
 class TestWPipeline:
@@ -278,20 +333,66 @@ class TestWPipeline:
         out = self.qudit_outcome()
         clean = sample_counts(out, w_settings(4), 200_000, 0.5, 0.0, seed=51)
         dark = sample_counts(out, w_settings(4), 200_000, 0.5, 5e-3, seed=51)
-        f_clean = w_fidelity(w_data_from_counts(clean)).value
-        f_dark = w_fidelity(w_data_from_counts(dark)).value
+        f_clean = w_fidelity([r.coincidences for r in clean.rows], 4).value
+        f_dark = w_fidelity([r.coincidences for r in dark.rows], 4).value
         assert f_dark < f_clean
         assert f_dark > 0.25
 
     def test_mixed_heralds_rejected(self):
-        rows = (CountRow("P0", 100, 1), CountRow("P1", 200, 1))
-        with pytest.raises(ValueError):
-            w_data_from_counts(CountsTable(rows), dimension=2)
+        rows = (CountRow("P0", 100, 1), CountRow("P1", 200, 1),
+                CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
+        with pytest.raises(ValueError, match="herald"):
+            monte_carlo_w_fidelity(CountsTable(rows), 2, n_resamples=2, seed=0)
 
     def test_missing_population_rows_rejected(self):
-        rows = (CountRow("P0", 100, 1),)
-        with pytest.raises(ValueError):
-            w_data_from_counts(CountsTable(rows), dimension=2)
+        rows = (CountRow("P0", 100, 1), CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
+        with pytest.raises(ValueError, match="missing \\['P1'\\]"):
+            monte_carlo_w_fidelity(CountsTable(rows), 2, n_resamples=2, seed=0)
+
+    @pytest.mark.parametrize("drop", ["C01-", "C23+"])
+    def test_missing_pair_row_rejected(self, drop):
+        rows = tuple(r for r in w_table([10] * 16, 4).rows if r.label != drop)
+        with pytest.raises(ValueError, match=f"missing \\['{re.escape(drop)}'\\]"):
+            monte_carlo_w_fidelity(CountsTable(rows), 4, n_resamples=2, seed=0)
+
+    def test_extra_or_reordered_rows_rejected(self):
+        rows = w_table([10] * 4, 2).rows
+        with pytest.raises(ValueError, match="unexpected \\['C02\\+'\\]"):
+            monte_carlo_w_fidelity(CountsTable(rows + (CountRow("C02+", 1000, 1),)), 2,
+                                   n_resamples=2, seed=0)
+        with pytest.raises(ValueError, match="in order"):
+            monte_carlo_w_fidelity(CountsTable(rows[::-1]), 2, n_resamples=2, seed=0)
+
+    def d16_table(self):
+        cfg = load_experiment_config(str(GOLDEN_DIR / "qudit16_config.json"))
+        out = run_protocol(cfg.protocol, transfer=True)
+        return sample_counts(out, w_settings(16), cfg.heralds_per_setting, cfg.eta_det,
+                             cfg.dark_rate, seed=5)
+
+    @pytest.mark.parametrize("case", ["d4", "d16", "near_zero_populations"])
+    def test_matches_scalar_reference_bitwise(self, case):
+        if case == "d4":
+            d, n_res = 4, 50
+            table = sample_counts(self.qudit_outcome(), w_settings(4), 20_000, 0.5, 1e-4, seed=3)
+        elif case == "d16":
+            d, n_res = 16, 20
+            table = self.d16_table()
+        else:
+            # one population count in all: about e^-1 of the resamples have none
+            d, n_res = 4, 60
+            table = w_table([1, 0, 0, 0] + [1, 0, 0, 2, 3, 0, 1, 1, 0, 0, 2, 0], 4)
+        value, values, n_failed, notes = reference_w_bootstrap(table, d, n_res, seed=9)
+        est = monte_carlo_w_fidelity(table, d, n_resamples=n_res, seed=9)
+        assert est.value == value
+        assert est.sigma == float(np.asarray(values).std(ddof=1))
+        assert (est.n_resamples, est.n_failed) == (len(values), n_failed)
+        assert est.warnings == notes
+        # every resample of the stack, not just their spread
+        observed = np.array([float(r.coincidences) for r in table.rows])
+        stacked, *_, total = tomo._w_estimate(tomo._poisson_resamples(observed, n_res, 9), d)
+        assert np.clip(stacked[total > 0], 0.0, 1.0).tobytes() == np.array(values).tobytes()
+        if case == "near_zero_populations":
+            assert n_failed > 0 and notes
 
 
 class TestTransmissionFidelity:
@@ -359,7 +460,7 @@ def reference_objective(projectors, observed, exposures):
 def sampled_problem(seed=5):
     table = sample_counts(run_protocol(make_config()), tomography_settings(2),
                           1000, 0.5, 1e-4, seed=seed)
-    return tomo._aligned_projectors(table, None)
+    return tomo._aligned_projectors(table)
 
 
 def reference_stage2_table():
