@@ -12,7 +12,7 @@ from maqmsim import (
     ProtocolConfig,
     RfGrid,
     bell_target,
-    coincidence_probability,
+    coincidence_probabilities,
     fidelity,
     mle_reconstruct,
     monte_carlo_fidelity,
@@ -58,8 +58,8 @@ def main():
     settings = tomography_settings(2)
     print()
     print("Coincidence probabilities feeding the sampler (first four settings)")
-    for s in settings[:4]:
-        p = coincidence_probability(outcome, s, eta_det=0.8)
+    probabilities = coincidence_probabilities(outcome, settings[:4], eta_det=0.8)
+    for s, p in zip(settings[:4], probabilities):
         print(f"  setting {s.label}: {p:.6f}")
 
     print()

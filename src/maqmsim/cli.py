@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .detect import sample_counts, tomography_settings, w_settings
+from .detect import coincidence_probabilities, sample_counts, tomography_settings, w_settings
 from .memory import CellAddress, MemoryId, MemorySpec, memory_spec_from_dict
 from .protocol import PhaseLedger, ProtocolConfig, project_w, run_protocol
 from .schedule import (
@@ -51,6 +51,10 @@ class ConfigError(ValueError):
     """Config problem with a field-path or line-precise location prefix."""
 
 
+MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
+MAX_HERALDS = 2**63 - 1   # numpy's binomial takes the herald number as a C long
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
@@ -73,7 +77,7 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str, positive=False, non_negative=False) -> float:
+def _number(value, path: str, positive=False, non_negative=False, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number")
     value = float(value)
@@ -83,14 +87,18 @@ def _number(value, path: str, positive=False, non_negative=False) -> float:
         raise ConfigError(f"{path}: must be positive")
     if non_negative and value < 0:
         raise ConfigError(f"{path}: must be non-negative")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be at most {maximum:g}")
     return value
 
 
-def _integer(value, path: str, minimum=None) -> int:
+def _integer(value, path: str, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be at most {maximum}")
     return value
 
 
@@ -169,9 +177,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
                     "protocol.source_cells")
     target = _cells(_need(proto, "target_cells", "protocol"), MemoryId.MAQM2,
                     "protocol.target_cells")
-    t1 = _number(_need(proto, "t1", "protocol"), "protocol.t1", positive=True)
-    tau = _number(_need(proto, "tau", "protocol"), "protocol.tau", positive=True)
-    t2 = _number(_need(proto, "t2", "protocol"), "protocol.t2", non_negative=True)
+    t1 = _number(_need(proto, "t1", "protocol"), "protocol.t1", positive=True,
+                 maximum=MAX_TIME_US)
+    tau = _number(_need(proto, "tau", "protocol"), "protocol.tau", positive=True,
+                  maximum=MAX_TIME_US)
+    t2 = _number(_need(proto, "t2", "protocol"), "protocol.t2", non_negative=True,
+                 maximum=MAX_TIME_US)
 
     phases = proto.get("write_phases", [0.0] * dim)
     if not isinstance(phases, list) or len(phases) != dim:
@@ -224,12 +235,11 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     if not isinstance(det, dict):
         raise ConfigError("detection: must be an object")
     _known(det, _DETECTION_FIELDS, "detection")
-    eta_det = _number(det.get("eta_det", 1.0), "detection.eta_det", positive=True)
-    if eta_det > 1.0:
-        raise ConfigError("detection.eta_det: must be at most 1")
+    eta_det = _number(det.get("eta_det", 1.0), "detection.eta_det", positive=True,
+                      maximum=1.0)
     dark = _number(det.get("dark_rate", 0.0), "detection.dark_rate", non_negative=True)
     heralds = _integer(det.get("heralds_per_setting", 1000),
-                       "detection.heralds_per_setting", minimum=1)
+                       "detection.heralds_per_setting", minimum=1, maximum=MAX_HERALDS)
 
     est = doc.get("estimation", {})
     if not isinstance(est, dict):
@@ -268,9 +278,8 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _stage_report_qubit(outcome, cfg: ExperimentConfig,
+def _stage_report_qubit(outcome, cfg: ExperimentConfig, settings,
                         stage_index: int) -> tuple[dict, DensityMatrix]:
-    settings = tomography_settings(2)
     table = sample_counts(outcome, settings, cfg.heralds_per_setting,
                           cfg.eta_det, cfg.dark_rate,
                           seed=derive_seed(cfg.seed, stage_index, 0))
@@ -287,9 +296,10 @@ def _stage_report_qubit(outcome, cfg: ExperimentConfig,
     }, est.rho
 
 
-def _stage_report_qudit(outcome, cfg: ExperimentConfig, stage_index: int) -> dict:
+def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,
+                        stage_index: int) -> dict:
     d = cfg.protocol.dimension
-    table = sample_counts(outcome, w_settings(d), cfg.heralds_per_setting,
+    table = sample_counts(outcome, settings, cfg.heralds_per_setting,
                           cfg.eta_det, cfg.dark_rate,
                           seed=derive_seed(cfg.seed, stage_index, 0))
     est = monte_carlo_w_fidelity(table, d, cfg.n_resamples,
@@ -304,6 +314,15 @@ def _stage_report_qudit(outcome, cfg: ExperimentConfig, stage_index: int) -> dic
     }
 
 
+def _check_dark_rate(cfg: ExperimentConfig, settings, stages: dict) -> None:
+    """Reject a dark rate that lifts some setting's probability above 1."""
+    for name, outcome in stages.items():
+        peak = float(coincidence_probabilities(outcome, settings, cfg.eta_det).max())
+        if peak + cfg.dark_rate > 1.0:
+            raise ConfigError(f"detection.dark_rate: {cfg.dark_rate!r} plus the largest "
+                              f"{name} coincidence probability {peak:.6g} exceeds 1")
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline: compile, run both stages, measure, estimate.
 
@@ -316,12 +335,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     schedule = compile_schedule(cfg.protocol, cfg.constraints)
     stage1 = run_protocol(cfg.protocol, transfer=False)
     stage2 = run_protocol(cfg.protocol, transfer=True)
+    d = cfg.protocol.dimension
+    settings = tomography_settings(2) if d == 2 else w_settings(d)
+    _check_dark_rate(cfg, settings, {"maqm1_stage": stage1, "maqm2_stage": stage2})
 
     report = {
         "package_version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.sha256,
-        "dimension": cfg.protocol.dimension,
+        "dimension": d,
         "herald_probability": stage1.herald_probability,
         "schedule": {
             "valid": schedule.valid,
@@ -331,15 +353,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             ],
         },
     }
-    if cfg.protocol.dimension == 2:
-        block1, rho1 = _stage_report_qubit(stage1, cfg, 1)
-        block2, rho2 = _stage_report_qubit(stage2, cfg, 2)
+    if d == 2:
+        block1, rho1 = _stage_report_qubit(stage1, cfg, settings, 1)
+        block2, rho2 = _stage_report_qubit(stage2, cfg, settings, 2)
         report["maqm1_stage"] = block1
         report["maqm2_stage"] = block2
         report["transmission_fidelity"] = state_fidelity(rho1, rho2)
     else:
-        report["maqm1_stage"] = _stage_report_qudit(stage1, cfg, 1)
-        report["maqm2_stage"] = _stage_report_qudit(stage2, cfg, 2)
+        report["maqm1_stage"] = _stage_report_qudit(stage1, cfg, settings, 1)
+        report["maqm2_stage"] = _stage_report_qudit(stage2, cfg, settings, 2)
     return report
 
 

@@ -9,6 +9,7 @@ tables are reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +24,7 @@ __all__ = [
     "tomography_settings",
     "w_labels",
     "w_settings",
-    "coincidence_probability",
+    "coincidence_probabilities",
     "sample_counts",
     "counts_to_csv",
     "counts_from_csv",
@@ -93,14 +94,20 @@ def tomography_settings(dimension: int = 2) -> tuple[MeasurementSetting, ...]:
     """The 16-projector two-qubit set, signal letter first in the label.
 
     {U, D, S, R} per side: populations, balanced superposition, and circular
-    analyzers; informationally complete for a two-qubit state.
+    analyzers; informationally complete for a two-qubit state.  The tuple is
+    built once and shared between calls.
     """
     if dimension != 2:
         raise ValueError("tomography settings are defined for dimension 2 only")
-    return tuple(
+    return _tomography_settings()
+
+
+@functools.lru_cache(maxsize=None)
+def _tomography_settings() -> tuple[MeasurementSetting, ...]:
+    return _share(tuple(
         MeasurementSetting(s + a, _KETS[s], _KETS[a])
         for s in _KET_ORDER for a in _KET_ORDER
-    )
+    ))
 
 
 def w_labels(dimension: int) -> tuple[str, ...]:
@@ -122,9 +129,15 @@ def w_settings(dimension: int = 4) -> tuple[MeasurementSetting, ...]:
     The signal photon is always analyzed in the balanced superposition of its
     branches; the memory side is projected onto each branch (labels ``Pi``)
     and onto (|i> +- |j>)/sqrt(2) for every pair (labels ``Cij+``/``Cij-``),
-    in ``w_labels`` order.
+    in ``w_labels`` order.  The tuple is built once per dimension and shared
+    between calls.
     """
-    d = dimension
+    return _w_settings(dimension)
+
+
+@functools.lru_cache(maxsize=None)
+def _w_settings(d: int) -> tuple[MeasurementSetting, ...]:
+    labels = w_labels(d)
     uniform = tuple(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
     h = 1.0 / np.sqrt(2.0)
     atoms = np.zeros((d * d, d), dtype=complex)
@@ -132,23 +145,45 @@ def w_settings(dimension: int = 4) -> tuple[MeasurementSetting, ...]:
     for row, (i, j) in zip(range(d, d * d, 2), combinations(range(d), 2)):
         atoms[row:row + 2, i] = h
         atoms[row:row + 2, j] = (h, -h)
-    return tuple(MeasurementSetting(label, uniform, tuple(atom))
-                 for label, atom in zip(w_labels(d), atoms))
+    return _share(tuple(MeasurementSetting(label, uniform, tuple(atom))
+                        for label, atom in zip(labels, atoms)))
 
 
-def coincidence_probability(outcome: TransferOutcome, setting: MeasurementSetting,
-                            eta_det: float) -> float:
-    """Herald-conditioned probability of a signal/atom coincidence."""
+# stacked vectors of the shared setting tuples, keyed by id; an entry keeps
+# its tuple alive, so no other object can take over the id
+_SHARED_VECTORS: dict[int, tuple] = {}
+
+
+def _share(settings: tuple) -> tuple:
+    _SHARED_VECTORS[id(settings)] = (settings, *_stack(settings, len(settings[0].atom_basis)))
+    return settings
+
+
+def _stack(settings, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) signal and atom vectors of ``settings``."""
+    if any(len(s.signal_basis) != d or len(s.atom_basis) != d for s in settings):
+        raise ValueError(f"setting vectors must have length {d}")
+    shape = (len(settings), d)
+    return (np.array([s.signal_basis for s in settings], dtype=complex).reshape(shape),
+            np.array([s.atom_basis for s in settings], dtype=complex).reshape(shape))
+
+
+def coincidence_probabilities(outcome: TransferOutcome, settings,
+                              eta_det: float) -> np.ndarray:
+    """Herald-conditioned signal/atom coincidence probability of each setting."""
     if not 0.0 < eta_det <= 1.0:
         raise ValueError("eta_det must be in (0, 1]")
     d = outcome.config.dimension
-    s = setting.signal_vector()
-    a = setting.atom_vector()
-    if s.size != d or a.size != d:
-        raise ValueError(f"setting vectors must have length {d}")
+    shared = _SHARED_VECTORS.get(id(settings))
+    if shared and shared[0] is settings and shared[1].shape[1] == d:
+        signal, atom = shared[1:]
+    else:
+        signal, atom = _stack(settings, d)
     # the state is diagonal in the branch pairing: sum_k v_k |s_k>|a_k>
-    amp = np.sum(np.conj(s) * np.conj(a) * outcome.branch_amplitudes)
-    return float(abs(amp) ** 2 * eta_det)
+    amp = np.sum(np.conj(signal) * np.conj(atom) * outcome.branch_amplitudes, axis=1)
+    # |amp|^2 through libm's hypot and pow, as Python's abs and ** compute it;
+    # numpy's SIMD abs and square differ from them in the last bit now and then
+    return np.array([abs(a) ** 2 * eta_det for a in amp.tolist()])
 
 
 def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
@@ -158,9 +193,10 @@ def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
         raise ValueError("heralds_per_setting must be at least 1")
     if dark_rate < 0:
         raise ValueError("dark_rate must be non-negative")
+    probabilities = coincidence_probabilities(outcome, settings, eta_det).tolist()
     rows = []
-    for i, setting in enumerate(settings):
-        p = coincidence_probability(outcome, setting, eta_det) + dark_rate
+    for i, (setting, probability) in enumerate(zip(settings, probabilities)):
+        p = probability + dark_rate
         if p > 1.0:
             raise ValueError(f"setting {setting.label!r}: probability {p!r} exceeds 1")
         rng = np.random.default_rng([seed, i])

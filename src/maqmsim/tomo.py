@@ -14,14 +14,16 @@ analytically, leaving
     l(T) = sum_s c_s ln q_s - C ln Q,   q_s = tr(T T^dag P_s),
     Q = sum_s N_s q_s,                  C = sum_s c_s,
 
-maximized by scipy L-BFGS-B with an analytic gradient.  Each optimizer
-evaluation unpacks T once and returns the value and gradient together; the
-objective remembers its last point, so the per-step callback reads the
-value already computed at the accepted iterate instead of evaluating it
-again.  The recorded likelihood trace is checked to be non-decreasing
-across accepted steps; a violation means the optimizer misbehaved and
-raises ``LikelihoodDecreasedError`` immediately rather than returning a bad
-fit.  The check is an explicit raise, so it also holds under ``python -O``.
+maximized by scipy L-BFGS-B with an analytic gradient.  scipy is imported
+on the first fit, so a process that never fits never loads it.  Each
+optimizer evaluation unpacks T once and returns the value and gradient
+together; the objective remembers its last point, so the per-step callback
+reads the value already computed at the accepted iterate instead of
+evaluating it again.  The recorded likelihood trace is checked to be
+non-decreasing across accepted steps; a violation means the optimizer
+misbehaved and raises ``LikelihoodDecreasedError`` immediately rather than
+returning a bad fit.  The check is an explicit raise, so it also holds
+under ``python -O``.
 
 A bootstrap fits the observed table once from the maximally mixed state and
 hands that base fit back with the estimate, so a report needs no second fit
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detect import CountsTable, MeasurementSetting, tomography_settings, w_labels
 from .qstate import DensityMatrix, fidelity
@@ -229,6 +230,12 @@ class _NegLogLikelihood:
         grad[d + 1::2] = -(2.0 * m_lower.imag)
         self._last = (x.copy(), value, grad)
         return value, grad
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _fit_mle(projectors, observed, exposures, init_rho, tol, max_iter):

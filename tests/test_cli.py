@@ -3,12 +3,17 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maqmsim import cli
 from maqmsim.cli import (
+    MAX_HERALDS,
     ConfigError,
     derive_seed,
     load_experiment_config,
@@ -420,6 +425,9 @@ def test_grid_size_must_be_an_integer(tmp_path, capsys, value):
     ("memories.MAQM1.rf_grid.x_step", math.nan, "memories.MAQM1: rf_grid.x_step"),
     ("memories.MAQM2.rf_grid.y_origin", -math.inf, "memories.MAQM2: rf_grid.y_origin"),
     ("memories.MAQM2.rf_grid.y_step", math.inf, "memories.MAQM2: rf_grid.y_step"),
+    # finite but past MAX_TIME_US: these overflowed in schedule and memory
+    *((f"protocol.{key}", value, f"protocol.{key}: must be at most 1e+06")
+      for key in ("t1", "tau", "t2") for value in (1e200, 1e308)),
 ])
 def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
     doc = json.loads((CONFIG_DIR / "qubit_default.json").read_text())
@@ -429,10 +437,54 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
         node = node[k]
     node[key] = value
     config = write_config(tmp_path, doc)    # json writes NaN / Infinity
-    assert main(["run", "--config", config]) == 2
+    for command in ("run", "compile"):
+        assert main([command, "--config", config]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {where}")
+
+
+@pytest.mark.parametrize("config_name", ["qubit_default.json", "qudit_default.json"])
+@pytest.mark.parametrize("dark_rate", [0.999, 2.5])
+def test_dark_rate_past_one_exits_two_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                      config_name, dark_rate):
+    doc = json.loads((CONFIG_DIR / config_name).read_text())
+    doc["detection"]["dark_rate"] = dark_rate
+    monkeypatch.setattr(cli, "sample_counts", None)   # a draw would raise TypeError
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"config error: {where}")
+    assert lines[0].startswith(f"config error: detection.dark_rate: {dark_rate!r} plus")
+
+
+def test_dark_rate_check_agrees_with_the_sampler(tmp_path, capsys):
+    # at the edge, the check and sample_counts add the same two floats, so a
+    # dark rate either exits 2 up front or runs to the end
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    cfg = parse_experiment_config(doc)
+    peak = max(float(cli.coincidence_probabilities(
+        cli.run_protocol(cfg.protocol, transfer=transfer), cli.w_settings(4), cfg.eta_det).max())
+        for transfer in (False, True))
+    edge = 1.0 - peak
+    for dark_rate in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+        doc["detection"]["dark_rate"] = float(dark_rate)
+        code = main(["run", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == (2 if peak + float(dark_rate) > 1.0 else 0)
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("heralds, code", [
+    (10**19, 2), (MAX_HERALDS + 1, 2), (MAX_HERALDS, 0), (2**62, 0)])
+def test_heralds_per_setting_fits_a_c_long(tmp_path, capsys, heralds, code):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["detection"]["heralds_per_setting"] = heralds
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "report.json")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"config error: detection.heralds_per_setting: "
+                              f"must be at most {MAX_HERALDS}")
 
 
 @pytest.mark.parametrize("key", ["larmor_periods", "memory_times"])
@@ -557,3 +609,38 @@ def test_main_sweep_unknown_param_exits_two(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--param", "protocol.dimension",
                  "--values", "2"]) == 2
     assert "not a sweepable" in capsys.readouterr().err
+
+
+SCIPY_FREE_SCRIPT = r"""
+import json, sys
+import maqmsim.cli
+
+configs, out = sys.argv[1], sys.argv[2]
+steps = [["import", 0, "scipy" in sys.modules]]
+for name, argv in [
+    ("compile", ["compile", "--config", f"{configs}/qudit_default.json"]),
+    ("qudit run", ["run", "--config", f"{configs}/qudit_default.json"]),
+    ("qudit sweep", ["sweep", "--config", f"{configs}/qudit_default.json",
+                     "--param", "protocol.drift", "--values", "0,0.2"]),
+    ("qubit run", ["run", "--config", f"{configs}/qubit_default.json"]),
+]:
+    code = maqmsim.cli.main(argv + ["--out", f"{out}/{len(steps)}.txt"])
+    steps.append([name, code, "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_on_the_first_fit(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parents[1]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT, str(CONFIG_DIR),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        ["import", 0, False],
+        ["compile", 0, False],
+        ["qudit run", 0, False],
+        ["qudit sweep", 0, False],
+        ["qubit run", 0, True],
+    ]
+    assert (tmp_path / "4.txt").read_bytes() == (GOLDEN_DIR / "qubit_report.json").read_bytes()

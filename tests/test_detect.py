@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,15 +9,16 @@ from maqmsim.detect import (
     CountRow,
     CountsTable,
     MeasurementSetting,
-    coincidence_probability,
+    coincidence_probabilities,
     counts_from_csv,
     counts_to_csv,
     sample_counts,
     tomography_settings,
+    w_labels,
     w_settings,
 )
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
-from maqmsim.protocol import ProtocolConfig, run_protocol
+from maqmsim.protocol import PhaseLedger, ProtocolConfig, run_protocol
 
 GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
@@ -80,23 +83,34 @@ class TestSettings:
         for s in settings:
             assert_allclose(s.signal_vector(), np.full(4, 0.5), atol=1e-12)
 
+    @pytest.mark.parametrize("build, dimension", [
+        (tomography_settings, 2), (w_settings, 4), (w_settings, 16)])
+    def test_settings_are_built_once(self, build, dimension):
+        first = build(dimension)
+        assert build(dimension) is first
+        assert first == fresh_settings(dimension)
+
+
+def probability(outcome, setting, eta_det):
+    return float(coincidence_probabilities(outcome, [setting], eta_det)[0])
+
 
 class TestCoincidenceProbability:
     def test_bell_parallel_analyzers(self):
         out = bell_outcome()
         uu = by_label(tomography_settings(2))["UU"]
-        assert_allclose(coincidence_probability(out, uu, 1.0), 0.5, rtol=0, atol=1e-12)
+        assert_allclose(probability(out, uu, 1.0), 0.5, rtol=0, atol=1e-12)
 
     def test_bell_orthogonal_superposition(self):
         out = bell_outcome()
         anti = MeasurementSetting("SA", _kets("S"), tuple(np.array([1.0, -1.0]) / np.sqrt(2)))
-        assert_allclose(coincidence_probability(out, anti, 1.0), 0.0, rtol=0, atol=1e-12)
+        assert_allclose(probability(out, anti, 1.0), 0.0, rtol=0, atol=1e-12)
 
     def test_detection_efficiency_scales_linearly(self):
         out = bell_outcome()
         ss = by_label(tomography_settings(2))["SS"]
-        full = coincidence_probability(out, ss, 1.0)
-        half = coincidence_probability(out, ss, 0.5)
+        full = probability(out, ss, 1.0)
+        half = probability(out, ss, 0.5)
         assert_allclose(half, full / 2.0, rtol=0, atol=1e-15)
 
     def test_family_sum_equals_survival_times_eta(self):
@@ -105,8 +119,8 @@ class TestCoincidenceProbability:
         for eta_read, eta_det in [(1.0, 1.0), (0.4, 1.0), (0.7, 0.33)]:
             out = bell_outcome(eta_read=eta_read)
             settings = by_label(tomography_settings(2))
-            total = sum(coincidence_probability(out, settings[k], eta_det)
-                        for k in ("UU", "UD", "DU", "DD"))
+            total = sum(coincidence_probabilities(
+                out, [settings[k] for k in ("UU", "UD", "DU", "DD")], eta_det))
             assert_allclose(total, out.survival_probability * eta_det, rtol=0, atol=1e-12)
             assert total <= 1.0 + 1e-12
 
@@ -114,25 +128,110 @@ class TestCoincidenceProbability:
         out = run_protocol(make_config(4))
         uu = by_label(tomography_settings(2))["UU"]
         with pytest.raises(ValueError):
-            coincidence_probability(out, uu, 1.0)
+            coincidence_probabilities(out, [uu], 1.0)
+        with pytest.raises(ValueError):
+            coincidence_probabilities(out, tomography_settings(2), 1.0)
+
+    def test_mixed_vector_lengths_rejected(self):
+        out = run_protocol(make_config(4))
+        with pytest.raises(ValueError):
+            coincidence_probabilities(out, [w_settings(4)[0], tomography_settings(2)[0]], 1.0)
 
     def test_bad_eta_rejected(self):
         out = bell_outcome()
         uu = by_label(tomography_settings(2))["UU"]
         for eta in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError):
-                coincidence_probability(out, uu, eta)
+                coincidence_probabilities(out, [uu], eta)
 
     def test_w_population_probabilities(self):
         out = run_protocol(make_config(4))
         settings = by_label(w_settings(4))
         for i in range(4):
-            p = coincidence_probability(out, settings[f"P{i}"], 1.0)
+            p = probability(out, settings[f"P{i}"], 1.0)
             assert_allclose(p, 1.0 / 16.0, rtol=0, atol=1e-12)
-        assert_allclose(coincidence_probability(out, settings["C01+"], 1.0), 1.0 / 8.0,
+        assert_allclose(probability(out, settings["C01+"], 1.0), 1.0 / 8.0,
                         rtol=0, atol=1e-12)
-        assert_allclose(coincidence_probability(out, settings["C01-"], 1.0), 0.0,
+        assert_allclose(probability(out, settings["C01-"], 1.0), 0.0,
                         rtol=0, atol=1e-12)
+
+    def test_empty_settings_give_no_probabilities(self):
+        assert coincidence_probabilities(bell_outcome(), [], 1.0).shape == (0,)
+
+
+def wide_outcome(transfer):
+    """A d = 16 run on a 4 x 4 block of uneven cells with a phase drift."""
+    coords = [(x, y) for y in range(1, 5) for x in range(1, 5)]
+    rng = np.random.default_rng(16)
+    spec1 = MemorySpec(MemoryId.MAQM1, 5, 6, 0.01, rng.uniform(0.1, 0.3, (6, 5)),
+                       65.0, 3.9, GRID1)
+    spec2 = MemorySpec(MemoryId.MAQM2, 5, 6, 0.0, 0.0, 27.8, 1.3, GRID2,
+                       eta_eit=rng.uniform(0.1, 0.3, (6, 5)))
+    config = ProtocolConfig(
+        dimension=16, spec1=spec1, spec2=spec2,
+        source_cells=tuple(CellAddress(MemoryId.MAQM1, x, y) for x, y in coords),
+        target_cells=tuple(CellAddress(MemoryId.MAQM2, x, y) for x, y in coords),
+        t1=11.7, tau=3.9, t2=7.8,
+        ledger=PhaseLedger.common([0.0] * 16, drifts=np.linspace(0.0, 0.3, 16)),
+    )
+    return run_protocol(config, transfer=transfer)
+
+
+def reference_probability(outcome, setting, eta_det):
+    """The per-setting scalar computation the array expression replaced."""
+    s = setting.signal_vector()
+    a = setting.atom_vector()
+    amp = np.sum(np.conj(s) * np.conj(a) * outcome.branch_amplitudes)
+    return float(abs(amp) ** 2 * eta_det)
+
+
+def reference_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
+    rows = []
+    for i, setting in enumerate(settings):
+        p = reference_probability(outcome, setting, eta_det) + dark_rate
+        c = int(np.random.default_rng([seed, i]).binomial(heralds, p))
+        rows.append(CountRow(setting.label, heralds, c))
+    return CountsTable(tuple(rows))
+
+
+class TestArrayExpressionMatchesPerSettingLoop:
+    CASES = [
+        ("tomography", lambda: bell_outcome(eta_read=0.4), lambda: tomography_settings(2)),
+        ("w4", lambda: run_protocol(make_config(4, eta_read=0.6)), lambda: w_settings(4)),
+        ("w16-source", lambda: wide_outcome(False), lambda: w_settings(16)),
+        ("w16-transfer", lambda: wide_outcome(True), lambda: w_settings(16)),
+    ]
+
+    @pytest.mark.parametrize("name, outcome, settings", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("dark_rate", [0.0, 1e-4])
+    def test_bit_identical(self, name, outcome, settings, dark_rate):
+        out, settings = outcome(), settings()
+        for eta_det in (1.0, 0.37):
+            got = coincidence_probabilities(out, settings, eta_det)
+            want = [reference_probability(out, s, eta_det) for s in settings]
+            assert got.tolist() == want
+            # a list of the same settings takes the uncached stacking path
+            assert coincidence_probabilities(out, list(settings), eta_det).tolist() == want
+            table = sample_counts(out, settings, 5000, eta_det, dark_rate, seed=29)
+            assert table == reference_counts(out, settings, 5000, eta_det, dark_rate, 29)
+
+
+def fresh_settings(dimension):
+    """The settings built from scratch, without the shared cache."""
+    if dimension == 2:
+        return tuple(MeasurementSetting(s + a, _kets(s), _kets(a))
+                     for s in "UDSR" for a in "UDSR")
+    d = dimension
+    uniform = np.full(d, 1.0 / np.sqrt(d))
+    h = 1.0 / np.sqrt(2.0)
+    out = [MeasurementSetting(f"P{i}", uniform, np.eye(d)[i]) for i in range(d)]
+    for i, j in combinations(range(d), 2):
+        for tag, sign in (("+", 1.0), ("-", -1.0)):
+            atom = np.zeros(d)
+            atom[i], atom[j] = h, sign * h
+            out.append(MeasurementSetting(f"C{i}{j}{tag}", uniform, atom))
+    assert tuple(s.label for s in out) == w_labels(d)
+    return tuple(out)
 
 
 class TestSampleCounts:
@@ -179,7 +278,7 @@ class TestSampleCounts:
     def test_frequencies_converge_to_probability(self):
         out = bell_outcome()
         ss = by_label(tomography_settings(2))["SS"]
-        p = coincidence_probability(out, ss, 1.0)
+        p = probability(out, ss, 1.0)
         for shots in (1_000, 100_000):
             table = sample_counts(out, [ss], shots, 1.0, 0.0, seed=13)
             freq = table.rows[0].coincidences / shots

@@ -13,7 +13,6 @@ from maqmsim.cli import derive_seed, load_experiment_config
 from maqmsim.detect import (
     CountRow,
     CountsTable,
-    coincidence_probability,
     sample_counts,
     tomography_settings,
     w_labels,
