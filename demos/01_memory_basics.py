@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Walk through the static memory model: survival, per-cell efficiency,
-and the weak-probe efficiency estimate.
+the storage-retrieval budget of the receiving memory and the RF grid.
 
 Run from the repo root after installing the package:
 
@@ -15,7 +15,7 @@ from maqmsim import (
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    eit_efficiency_probe,
+    memory_spec_from_dict,
     survival,
 )
 
@@ -57,20 +57,25 @@ def main():
     print(f"  retrieval combined  = {eta * surv:.6f}  (product of the two)")
 
     print()
-    print("Weak coherent probe of the receiving memory, cell (2, 3)")
+    print("Storage and retrieval in the receiving memory, cell (2, 3)")
     cell2 = CellAddress(MemoryId.MAQM2, 2, 3)
-    truth = cell_efficiency(spec2, cell2, "eit") * survival(spec2, 7.8)
-    for shots in (200, 2000, 20000):
-        probe = eit_efficiency_probe(spec2, cell2, mean_photon_number=0.5,
-                                     shots=shots, seed=11, t_store=7.8)
-        pull = (probe.estimate - truth) / probe.stderr if probe.stderr else 0.0
-        print(f"  shots={shots:6d}  estimate={probe.estimate:.4f}"
-              f" +- {probe.stderr:.4f}  (truth {truth:.4f}, {pull:+.2f} sigma)")
+    for t_store in (0.0, 7.8, 13.0, 26.0):
+        eit = cell_efficiency(spec2, cell2, "eit")
+        print(f"  stored {t_store:5.1f} us: eta_eit x survival ="
+              f" {eit * survival(spec2, t_store):.6f}")
 
     print()
-    print("Estimate converges on the truth as shots grow; rerunning with the")
-    print("same seed reproduces these numbers bit for bit.")
-
+    print("The same source memory read from a config entry (maps row-major)")
+    doc = {"memory": "MAQM1", "n_x": 5, "n_y": 6,
+           "eta_write": 0.01, "eta_read": [0.2] * 29 + [0.1],
+           "tau_mem": 65.0, "t_larmor": 7.8,
+           "rf_grid": {"x_origin": 97.0, "x_step": 1.5,
+                       "y_origin": 95.5, "y_step": 1.5}}
+    spec = memory_spec_from_dict(doc)
+    last = CellAddress(MemoryId.MAQM1, 4, 5)
+    print(f"  cell (4, 5): eta_read = {cell_efficiency(spec, last, 'read'):.2f},"
+          f" AOD tones f_x = {spec.rf_grid.x_freq(4)} MHz,"
+          f" f_y = {spec.rf_grid.y_freq(5)} MHz")
 
 if __name__ == "__main__":
     main()

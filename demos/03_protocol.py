@@ -12,7 +12,6 @@ from maqmsim import (
     CellAddress,
     MemoryId,
     MemorySpec,
-    PhaseLedger,
     ProtocolConfig,
     RfGrid,
     herald_loop,
@@ -74,10 +73,9 @@ def main():
     print("Coupling-laser drift on the second bin (transfer leg only; the")
     print("source-only stage shares one laser, so its net phase cancels)")
     for phi in (0.0, np.pi / 4, np.pi / 2, np.pi):
-        ledger = PhaseLedger.common([0.0, 0.0], drifts=[0.0, phi])
-        out1 = run_protocol(qubit_config(spec1, spec2, ledger=ledger),
+        out1 = run_protocol(qubit_config(spec1, spec2, drifts=(0.0, phi)),
                             transfer=False)
-        out2 = run_protocol(qubit_config(spec1, spec2, ledger=ledger),
+        out2 = run_protocol(qubit_config(spec1, spec2, drifts=(0.0, phi)),
                             transfer=True)
         print(f"  drift {phi:5.3f} rad: source stage {out1.predicted_fidelity:.4f},"
               f" transfer stage {out2.predicted_fidelity:.4f}"

@@ -4,14 +4,14 @@ then break the timing on purpose to show what the validator catches."""
 
 from maqmsim import (
     CellAddress,
+    Channel,
     MemoryId,
     MemorySpec,
     ProtocolConfig,
     RfGrid,
+    ScheduleConstraints,
     cell_to_rf,
     compile_schedule,
-    constraints_for_specs,
-    derive_timings,
     schedule_from_jsonl,
     schedule_to_jsonl,
     superposition_rf,
@@ -54,7 +54,9 @@ def main():
     print(f"  write pattern    x: {tone_text(x_tones)}")
     print(f"                   y: {tone_text(y_tones)}")
 
-    constraints = constraints_for_specs(SPEC1, SPEC2)
+    constraints = ScheduleConstraints(
+        larmor_periods=(SPEC1.t_larmor, SPEC2.t_larmor),
+        memory_times=(SPEC1.tau_mem, SPEC2.tau_mem))
     print()
     print("Compiled two-bin schedule (t1=15.6, tau=7.8, t2=7.8)")
     sched = compile_schedule(config(), constraints)
@@ -64,8 +66,10 @@ def main():
               f"{ev.channel.value:<15} {tone_text(ev.x_tones)}"
               f" | {tone_text(ev.y_tones)}")
     print(f"  valid: {sched.valid}   violations: {len(sched.violations)}")
+    reads = [e.t_start_us for e in sched.on_channel(Channel.READ)]
+    final = sched.on_channel(Channel.COUPLING_FINAL)[0].t_start_us
     print(f"  timings recovered from events: t1, tau, t2 = "
-          f"{derive_timings(sched)}")
+          f"{(reads[0], reads[1] - reads[0], final - reads[-1])}")
 
     print()
     print("Same run with tau=1.0: bins collide with the retune window and")

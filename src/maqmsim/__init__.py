@@ -4,10 +4,10 @@ between multiplexed atomic quantum memories.
 The package re-exports the public names of its modules; each module's
 ``__all__`` is the one list of what it exports:
 
-* ``memory``: memory grids, per-cell efficiencies, survival, weak probes;
+* ``memory``: memory grids, per-cell efficiencies, survival, the config reader;
 * ``qstate``: density matrices and state fidelities;
-* ``protocol``: branch-amplitude bookkeeping of one heralded transfer,
-  the phase ledger, the W projection and herald statistics;
+* ``protocol``: branch-amplitude bookkeeping of one heralded transfer with
+  per-bin drift phases, the W projection and herald statistics;
 * ``schedule``: timed RF control schedules and their validation;
 * ``detect``: measurement settings and seeded coincidence counts;
 * ``tomo``: MLE reconstruction and bootstrap fidelities;

@@ -20,14 +20,16 @@ import numpy as np
 from . import __version__
 from .detect import coincidence_probabilities, sample_counts, tomography_settings, w_settings
 from .memory import CellAddress, MemoryId, MemorySpec, memory_spec_from_dict
-from .protocol import PhaseLedger, ProtocolConfig, project_w, run_protocol
+from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import (
+    PatternError,
     Schedule,
     ScheduleConstraints,
     compile_schedule,
     schedule_to_jsonl,
 )
 from .tomo import (
+    EstimateUndefinedError,
     bell_target,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
@@ -53,6 +55,7 @@ class ConfigError(ValueError):
 
 MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
 MAX_HERALDS = 2**63 - 1   # numpy's binomial takes the herald number as a C long
+MAX_RESAMPLES = 10**5     # the W bootstrap holds an (R, d^2) stack of floats
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,10 @@ def _cells(doc, memory: MemoryId, path: str):
         if (not isinstance(pair, list) or len(pair) != 2
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)):
             raise ConfigError(f"{path}[{i}]: must be an [x, y] integer pair")
-        out.append(CellAddress(memory, pair[0], pair[1]))
+        try:
+            out.append(CellAddress(memory, pair[0], pair[1]))
+        except ValueError as err:
+            raise ConfigError(f"{path}[{i}]: {err}") from err
     return tuple(out)
 
 
@@ -149,20 +155,27 @@ _DETECTION_FIELDS = {"eta_det", "dark_rate", "heralds_per_setting"}
 _ESTIMATION_FIELDS = {"n_resamples", "tol", "max_iter"}
 
 
+def _seed(doc: dict, seed_override) -> int:
+    """The override if given, else the config's seed; either must be a non-negative integer."""
+    if seed_override is None:
+        if "seed" not in doc:
+            raise ConfigError("seed: required field is missing (no implicit entropy)")
+        seed_override = doc["seed"]
+    return _integer(seed_override, "seed", minimum=0)
+
+
 def parse_experiment_config(doc: dict, seed_override: int | None = None,
                             sha256: str = "") -> ExperimentConfig:
     """Validate a config document; unknown fields are rejected by name."""
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
     _known(doc, _TOP_FIELDS, "config")
-    if seed_override is None and "seed" not in doc:
-        raise ConfigError("seed: required field is missing (no implicit entropy)")
-    seed = seed_override if seed_override is not None else _integer(doc["seed"], "seed",
-                                                                   minimum=0)
+    seed = _seed(doc, seed_override)
 
     memories = _need(doc, "memories", "config")
     if not isinstance(memories, dict):
         raise ConfigError("memories: must be an object with MAQM1 and MAQM2 entries")
+    _known(memories, {"MAQM1", "MAQM2"}, "memories")
     spec1 = _memory_spec(_need(memories, "MAQM1", "memories"), "MAQM1", "memories.MAQM1")
     spec2 = _memory_spec(_need(memories, "MAQM2", "memories"), "MAQM2", "memories.MAQM2")
     if spec2.eta_eit is None:
@@ -172,7 +185,9 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     if not isinstance(proto, dict):
         raise ConfigError("protocol: must be an object")
     _known(proto, _PROTOCOL_FIELDS, "protocol")
-    dim = _integer(_need(proto, "dimension", "protocol"), "protocol.dimension", minimum=2)
+    # each branch needs a cell of its own in both memories
+    dim = _integer(_need(proto, "dimension", "protocol"), "protocol.dimension", minimum=2,
+                   maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y))
     source = _cells(_need(proto, "source_cells", "protocol"), MemoryId.MAQM1,
                     "protocol.source_cells")
     target = _cells(_need(proto, "target_cells", "protocol"), MemoryId.MAQM2,
@@ -210,7 +225,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
             source_cells=source, target_cells=target,
             t1=t1, tau=tau, t2=t2,
             write_phases=phases,
-            ledger=PhaseLedger.common([0.0] * dim, drifts=drifts),
+            drifts=tuple(drifts),
             retrieval_order=tuple(order),
         )
     except ValueError as err:
@@ -245,7 +260,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     if not isinstance(est, dict):
         raise ConfigError("estimation: must be an object")
     _known(est, _ESTIMATION_FIELDS, "estimation")
-    n_res = _integer(est.get("n_resamples", 100), "estimation.n_resamples", minimum=2)
+    n_res = _integer(est.get("n_resamples", 100), "estimation.n_resamples", minimum=2,
+                     maximum=MAX_RESAMPLES)
     tol = _number(est.get("tol", 1e-9), "estimation.tol", positive=True)
     max_iter = _integer(est.get("max_iter", 1000), "estimation.max_iter", minimum=1)
 
@@ -298,20 +314,35 @@ def _stage_report_qubit(outcome, cfg: ExperimentConfig, settings,
 
 def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,
                         stage_index: int) -> dict:
-    d = cfg.protocol.dimension
+    """The stage's W block; what cannot be computed is None, with the reason in warnings."""
+    block = {
+        "predicted_w_fidelity": None,
+        "survival_probability": outcome.survival_probability,
+        "w_fidelity": None,
+        "sigma": None,
+        "n_resamples": 0,
+        "warnings": [],
+    }
+    try:
+        block["predicted_w_fidelity"] = project_w(outcome)
+    except PostSelectionError as err:
+        block["warnings"].append(str(err))
+        return block
     table = sample_counts(outcome, settings, cfg.heralds_per_setting,
                           cfg.eta_det, cfg.dark_rate,
                           seed=derive_seed(cfg.seed, stage_index, 0))
-    est = monte_carlo_w_fidelity(table, d, cfg.n_resamples,
-                                 seed=derive_seed(cfg.seed, stage_index, 1))
-    return {
-        "predicted_w_fidelity": project_w(outcome),
-        "survival_probability": outcome.survival_probability,
-        "w_fidelity": est.value,
-        "sigma": est.sigma,
-        "n_resamples": est.n_resamples,
-        "warnings": list(est.warnings),
-    }
+    try:
+        est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, cfg.n_resamples,
+                                     seed=derive_seed(cfg.seed, stage_index, 1))
+    except EstimateUndefinedError as err:
+        if err.point is not None:
+            block.update(w_fidelity=err.point.value, n_resamples=err.point.n_resamples,
+                         warnings=list(err.point.warnings))
+        block["warnings"].append(str(err))
+        return block
+    block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
+                 warnings=list(est.warnings))
+    return block
 
 
 def _check_dark_rate(cfg: ExperimentConfig, settings, stages: dict) -> None:
@@ -323,6 +354,13 @@ def _check_dark_rate(cfg: ExperimentConfig, settings, stages: dict) -> None:
                               f"{name} coincidence probability {peak:.6g} exceeds 1")
 
 
+def _compile(cfg: ExperimentConfig) -> Schedule:
+    try:
+        return compile_schedule(cfg.protocol, cfg.constraints)
+    except PatternError as err:
+        raise ConfigError(f"protocol.{err}") from err
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline: compile, run both stages, measure, estimate.
 
@@ -332,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     transmission fidelity between the two reconstructions; qudit runs get
     W-state fidelities for both stages.
     """
-    schedule = compile_schedule(cfg.protocol, cfg.constraints)
+    schedule = _compile(cfg)
     stage1 = run_protocol(cfg.protocol, transfer=False)
     stage2 = run_protocol(cfg.protocol, transfer=True)
     d = cfg.protocol.dimension
@@ -397,7 +435,7 @@ def report_to_csv(report: dict) -> str:
         value = _round_floats(value)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{key},{value}")
+        lines.append(f"{key},{'' if value is None else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -421,8 +459,6 @@ def sweepable_paths() -> tuple[str, ...]:
 
 def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
     doc = copy.deepcopy(doc)
-    if path in _SWEEP_VIRTUAL:
-        return _apply_ratio(doc, value)
     keys = path.split(".")
     node = doc
     for k in keys[:-1]:
@@ -437,21 +473,20 @@ def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
     return doc
 
 
-def _apply_ratio(doc: dict, ratio: float) -> dict:
-    """Scale the read efficiency of every non-reference branch by ``ratio``."""
-    mem = doc.get("memories", {}).get("MAQM1", {})
-    base = mem.get("eta_read")
+def _apply_ratio(doc: dict, ratio: float, unswept: ExperimentConfig) -> dict:
+    """Scale the read efficiency of every non-reference branch by ``ratio``.
+
+    ``unswept`` is ``doc`` parsed; it supplies the grid and the source cells.
+    """
+    base = doc["memories"]["MAQM1"]["eta_read"]
     if not isinstance(base, (int, float)) or isinstance(base, bool):
         raise ConfigError("memories.MAQM1.eta_read_ratio: requires a scalar eta_read")
-    n_x = mem.get("n_x", 0)
-    n_y = mem.get("n_y", 0)
-    cells = doc.get("protocol", {}).get("source_cells", [])
-    if not cells or not n_x or not n_y:
-        raise ConfigError("memories.MAQM1.eta_read_ratio: config lacks cells to scale")
+    n_x, n_y = unswept.spec1.n_x, unswept.spec1.n_y
     values = [float(base)] * (n_x * n_y)
-    for x, y in cells[1:]:
-        values[y * n_x + x] = float(base) * ratio
-    mem["eta_read"] = values
+    for cell in unswept.protocol.source_cells[1:]:
+        values[cell.y * n_x + cell.x] = float(base) * ratio
+    doc = copy.deepcopy(doc)
+    doc["memories"]["MAQM1"]["eta_read"] = values
     return doc
 
 
@@ -470,13 +505,13 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
     if param not in (_SWEEP_NUMERIC | _SWEEP_INTEGER | _SWEEP_VIRTUAL):
         raise ConfigError(f"{param}: not a sweepable parameter "
                           f"(choose from {', '.join(sweepable_paths())})")
-    if base_seed is None:
-        if "seed" not in doc:
-            raise ConfigError("seed: required field is missing (no implicit entropy)")
-        base_seed = doc["seed"]
+    base_seed = _seed(doc, base_seed)
+    unswept = (parse_experiment_config(doc, seed_override=base_seed)
+               if param in _SWEEP_VIRTUAL else None)
     rows = []
     for i, value in enumerate(values):
-        varied = _apply_sweep_value(doc, param, value)
+        varied = (_apply_ratio(doc, value, unswept) if unswept is not None
+                  else _apply_sweep_value(doc, param, value))
         cfg = parse_experiment_config(varied, seed_override=derive_seed(base_seed, i))
         report = run_experiment(cfg)
         row = {
@@ -537,7 +572,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compile(args) -> int:
     cfg = load_experiment_config(args.config, seed_override=args.seed)
-    schedule = compile_schedule(cfg.protocol, cfg.constraints)
+    schedule = _compile(cfg)
     _emit(schedule_to_jsonl(schedule), args.out)
     for v in schedule.violations:
         print(f"{v.severity}: {v.code}: {v.message}", file=sys.stderr)
@@ -546,7 +581,11 @@ def _cmd_compile(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc, _ = _read_config(args.config)
-    values = [float(v) for v in args.values.split(",")] if args.values else []
+    try:
+        values = [float(v) for v in args.values.split(",")] if args.values else []
+    except ValueError:
+        raise ConfigError(f"--values: {args.values!r} is not a comma-separated "
+                          f"list of numbers") from None
     rows = run_sweep(doc, args.param, values, base_seed=args.seed)
     if args.format == "json":
         text = json.dumps(_round_floats(rows), indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Stochastic measurement layer: projective settings, coincidence counts, CSV.
+"""Stochastic measurement layer: projective settings and coincidence counts.
 
 Coincidences are herald-conditioned: probabilities are computed against the
 unnormalized branch amplitudes of a protocol run, so branch loss and
@@ -26,12 +26,7 @@ __all__ = [
     "w_settings",
     "coincidence_probabilities",
     "sample_counts",
-    "counts_to_csv",
-    "counts_from_csv",
-    "CSV_HEADER",
 ]
-
-CSV_HEADER = "label,heralds,coincidences"
 
 BASIS_NORM_ATOL = 1e-9
 
@@ -202,27 +197,4 @@ def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
         rng = np.random.default_rng([seed, i])
         c = int(rng.binomial(heralds_per_setting, p))
         rows.append(CountRow(setting.label, heralds_per_setting, c))
-    return CountsTable(tuple(rows))
-
-
-def counts_to_csv(table: CountsTable) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(f"{r.label},{r.heralds},{r.coincidences}" for r in table.rows)
-    return "\n".join(lines) + "\n"
-
-
-def counts_from_csv(text: str) -> CountsTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"first line must be the header {CSV_HEADER!r}")
-    rows = []
-    for n, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {n}: expected 3 comma-separated fields")
-        label, heralds, coincidences = parts
-        try:
-            rows.append(CountRow(label, int(heralds), int(coincidences)))
-        except ValueError as err:
-            raise ValueError(f"line {n}: {err}") from err
     return CountsTable(tuple(rows))

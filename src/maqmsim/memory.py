@@ -29,14 +29,13 @@ __all__ = [
     "CellAddress",
     "RfGrid",
     "MemorySpec",
-    "ProbeResult",
     "survival",
     "cell_efficiency",
-    "eit_efficiency_probe",
-    "default_efficiency_map",
     "memory_spec_from_dict",
-    "memory_spec_to_dict",
 ]
+
+
+MAX_CELLS = 10**6   # cells per memory grid
 
 
 class MemoryId(enum.Enum):
@@ -128,6 +127,10 @@ class MemorySpec:
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("grid sizes must be >= 1")
+        if self.n_x * self.n_y > MAX_CELLS:
+            # checked before any map is built: a scalar efficiency fills n_x * n_y floats
+            raise ValueError(f"grid of {self.n_x} x {self.n_y} cells exceeds "
+                             f"MAX_CELLS = {MAX_CELLS}")
         if not 0 < self.tau_mem < math.inf:
             raise ValueError("tau_mem must be a finite positive number")
         if not 0 < self.t_larmor < math.inf:
@@ -147,14 +150,6 @@ class MemorySpec:
             raise ValueError(
                 f"cell ({cell.x}, {cell.y}) outside {self.n_x}x{self.n_y} grid of {self.memory.value}"
             )
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Efficiency estimate with a binomial standard error."""
-
-    estimate: float
-    stderr: float
 
 
 def survival(spec: MemorySpec, t: float) -> float:
@@ -194,46 +189,15 @@ def cell_efficiency(spec: MemorySpec, cell: CellAddress, stage: str) -> float:
     return float(table[cell.y, cell.x])
 
 
-def eit_efficiency_probe(
-    spec: MemorySpec,
-    cell: CellAddress,
-    mean_photon_number: float,
-    shots: int,
-    seed: int,
-    t_store: float = 0.0,
-) -> ProbeResult:
-    """Estimate a cell's storage-retrieval efficiency with a weak coherent probe.
-
-    Each shot sends a pulse with Poisson-distributed photon number (mean
-    ``mean_photon_number``); every photon independently survives storage with
-    probability ``eta_eit(cell) * survival(t_store)``.  The estimate is the
-    detected fraction of the photons actually sent, with a binomial standard
-    error.  Deterministic for a fixed seed.
-    """
-    if mean_photon_number <= 0:
-        raise ValueError("mean_photon_number must be positive")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    q = cell_efficiency(spec, cell, "eit") * survival(spec, t_store)
-    rng = np.random.default_rng([seed])
-    n_in = rng.poisson(mean_photon_number, size=shots)
-    total_in = int(n_in.sum())
-    if total_in == 0:
-        return ProbeResult(estimate=0.0, stderr=0.0)
-    detected = int(rng.binomial(n_in, q).sum())
-    p_hat = detected / total_in
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / total_in))
-    return ProbeResult(estimate=p_hat, stderr=stderr)
-
-
-def default_efficiency_map(n_x: int, n_y: int, seed: int = 7, low: float = 0.10, high: float = 0.30) -> np.ndarray:
-    """Default per-cell efficiency map: uniform draw from [low, high), fixed seed."""
-    rng = np.random.default_rng([seed])
-    return rng.uniform(low, high, size=(n_y, n_x))
-
-
 _SPEC_FIELDS = {"memory", "n_x", "n_y", "eta_write", "eta_read", "eta_eit",
                 "tau_mem", "t_larmor", "rf_grid"}
+_GRID_FIELDS = ("x_origin", "x_step", "y_origin", "y_step")
+
+
+def _reject_unknown(doc: dict, fields, prefix: str = "") -> None:
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"{prefix}unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _grid_size(value, name: str) -> int:
@@ -247,12 +211,13 @@ def memory_spec_from_dict(doc: dict) -> MemorySpec:
 
     Unknown fields are rejected by name rather than ignored.
     """
-    unknown = sorted(set(doc) - _SPEC_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))}")
+    _reject_unknown(doc, _SPEC_FIELDS)
     try:
         memory = MemoryId(doc["memory"])
         grid = doc["rf_grid"]
+        if not isinstance(grid, dict):
+            raise ValueError(f"rf_grid must be an object, got {grid!r}")
+        _reject_unknown(grid, _GRID_FIELDS, "rf_grid: ")
         return MemorySpec(
             memory=memory,
             n_x=_grid_size(doc["n_x"], "n_x"),
@@ -262,30 +227,7 @@ def memory_spec_from_dict(doc: dict) -> MemorySpec:
             eta_eit=doc.get("eta_eit"),
             tau_mem=_real(doc["tau_mem"], "tau_mem"),
             t_larmor=_real(doc["t_larmor"], "t_larmor"),
-            rf_grid=RfGrid(**{key: _real(grid[key], f"rf_grid.{key}")
-                              for key in ("x_origin", "x_step", "y_origin", "y_step")}),
+            rf_grid=RfGrid(**{key: _real(grid[key], f"rf_grid.{key}") for key in _GRID_FIELDS}),
         )
     except KeyError as exc:
         raise ValueError(f"memory config missing field {exc.args[0]!r}") from None
-
-
-def memory_spec_to_dict(spec: MemorySpec) -> dict:
-    """Inverse of memory_spec_from_dict; maps emitted row-major."""
-    doc = {
-        "memory": spec.memory.value,
-        "n_x": spec.n_x,
-        "n_y": spec.n_y,
-        "eta_write": [float(v) for v in spec.eta_write.ravel()],
-        "eta_read": [float(v) for v in spec.eta_read.ravel()],
-        "tau_mem": spec.tau_mem,
-        "t_larmor": spec.t_larmor,
-        "rf_grid": {
-            "x_origin": spec.rf_grid.x_origin,
-            "x_step": spec.rf_grid.x_step,
-            "y_origin": spec.rf_grid.y_origin,
-            "y_step": spec.rf_grid.y_step,
-        },
-    }
-    if spec.eta_eit is not None:
-        doc["eta_eit"] = [float(v) for v in spec.eta_eit.ravel()]
-    return doc

@@ -9,9 +9,10 @@ signal photon's spatial mode and a spin wave,
 Read pulses then convert the spin-wave branches to photons one bin at a time;
 bin i fires at t1 + i*tau and carries branch sigma(i), where sigma is the
 retrieval order.  Each bin accumulates the read-laser phase alpha_i, and
-storage in the target memory adds the coupling-laser phase -beta_i, so with a
-common laser the two cancel bin by bin and only deliberate drift terms
-survive.  Amplitudes pick up sqrt(efficiency * survival) factors at every
+storage in the target memory adds the coupling-laser phase -beta_i.  Read
+and coupling light come from one common laser, so the two cancel bin by bin
+and only the per-bin drift phase survives; the model carries that drift
+alone.  Amplitudes pick up sqrt(efficiency * survival) factors at every
 retrieval and storage step; the unnormalized branch amplitudes therefore
 carry the full per-branch transmission budget, and their squared norm is the
 probability that the delivered excitation is still alive at verification
@@ -33,8 +34,6 @@ import numpy as np
 from .memory import CellAddress, MemorySpec, cell_efficiency, survival
 
 __all__ = [
-    "PhaseEntry",
-    "PhaseLedger",
     "ProtocolConfig",
     "TransferOutcome",
     "PostSelectionError",
@@ -51,55 +50,14 @@ class PostSelectionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhaseEntry:
-    """Laser phases seen by one time bin: read (alpha), coupling (beta), drift."""
-
-    alpha: float
-    beta: float
-    drift: float = 0.0
-
-    def net(self) -> float:
-        return self.alpha - self.beta + self.drift
-
-
-@dataclass(frozen=True)
-class PhaseLedger:
-    """Per-bin record of the phases imprinted during retrieval and storage."""
-
-    entries: tuple[PhaseEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def bin_phase(self, i: int) -> float:
-        return self.entries[i].net()
-
-    @staticmethod
-    def common(alphas, drifts=None) -> "PhaseLedger":
-        """Ledger for a shared read/coupling laser: beta_i = alpha_i exactly."""
-        alphas = list(alphas)
-        if drifts is None:
-            drifts = [0.0] * len(alphas)
-        if len(drifts) != len(alphas):
-            raise ValueError("need one drift entry per bin")
-        return PhaseLedger(tuple(PhaseEntry(a, a, d) for a, d in zip(alphas, drifts)))
-
-    @staticmethod
-    def zeros(n: int) -> "PhaseLedger":
-        return PhaseLedger.common([0.0] * n)
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Everything needed to run one heralded transfer.
 
     ``source_cells`` and ``target_cells`` pair up branch by branch: branch k
     starts in source_cells[k] and, if transferred, ends in target_cells[k].
     ``retrieval_order`` maps bin index to branch index; identity by default.
-    Times are microseconds.
+    ``drifts[i]`` is the net laser phase bin i picks up on the transfer leg;
+    zero by default.  Times are microseconds.
     """
 
     dimension: int
@@ -111,7 +69,7 @@ class ProtocolConfig:
     tau: float
     t2: float
     write_phases: tuple[float, ...] = ()
-    ledger: PhaseLedger | None = None
+    drifts: tuple[float, ...] = ()
     retrieval_order: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -136,10 +94,10 @@ class ProtocolConfig:
         if len(phases) != d:
             raise ValueError("need one write phase per branch")
         object.__setattr__(self, "write_phases", phases)
-        ledger = self.ledger if self.ledger is not None else PhaseLedger.zeros(d)
-        if len(ledger) < d:
-            raise ValueError("phase ledger must cover every bin")
-        object.__setattr__(self, "ledger", ledger)
+        drifts = tuple(self.drifts) if self.drifts else (0.0,) * d
+        if len(drifts) != d:
+            raise ValueError("need one drift phase per bin")
+        object.__setattr__(self, "drifts", drifts)
         order = tuple(self.retrieval_order) if self.retrieval_order else tuple(range(d))
         if sorted(order) != list(range(d)):
             raise ValueError("retrieval_order must be a permutation of the bins")
@@ -204,7 +162,7 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
         if transfer:
             w *= cell_efficiency(config.spec2, config.target_cells[k], "eit")
             w *= survival(config.spec2, storage_dwell(config, i))
-            phase += config.ledger.bin_phase(i)
+            phase += config.drifts[i]
         branch[k] = np.sqrt(w) * np.exp(1j * phase) / np.sqrt(d)
 
     norm_sq = float(np.sum(np.abs(branch) ** 2))

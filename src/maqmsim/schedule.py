@@ -6,7 +6,8 @@ the two AOD axes of the memory it drives.  Compilation never fails on timing
 problems; instead every schedule carries a verdict, a list of violations with
 severities, so a near-miss schedule can still be inspected.  Patterns the
 crossed AODs physically cannot produce (cell weights that do not factor into
-an x tone set times a y tone set) are the one hard error.
+an x tone set times a y tone set) are the one hard error, a ``PatternError``
+that names the cell list.
 
 Timing lives on a 1 ns grid.  The emission format is JSON Lines, one line per
 (event, axis), and parsing an emitted schedule and emitting it again
@@ -31,6 +32,7 @@ __all__ = [
     "Violation",
     "ScheduleConstraints",
     "Schedule",
+    "PatternError",
     "WRITE_DURATION_US",
     "READ_DURATION_US",
     "COUPLING_DURATION_US",
@@ -39,8 +41,6 @@ __all__ = [
     "superposition_rf",
     "compile_schedule",
     "validate_schedule",
-    "derive_timings",
-    "constraints_for_specs",
     "schedule_to_jsonl",
     "schedule_from_jsonl",
 ]
@@ -149,17 +149,6 @@ class ScheduleConstraints:
             raise ValueError("all constraint values must be positive")
 
 
-def constraints_for_specs(spec1: MemorySpec, spec2: MemorySpec,
-                          aod_switch_time: float = 2.0,
-                          min_guard: float = 0.05) -> ScheduleConstraints:
-    return ScheduleConstraints(
-        larmor_periods=(spec1.t_larmor, spec2.t_larmor),
-        memory_times=(spec1.tau_mem, spec2.tau_mem),
-        aod_switch_time=aod_switch_time,
-        min_guard=min_guard,
-    )
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Time-ordered events plus the validation verdict attached at compile time."""
@@ -179,6 +168,10 @@ class Schedule:
 
     def on_channel(self, channel: Channel) -> tuple[PulseEvent, ...]:
         return tuple(e for e in self.events if e.channel is channel)
+
+
+class PatternError(ValueError):
+    """A cell pattern that crossed deflectors cannot produce."""
 
 
 def cell_to_rf(spec: MemorySpec, cell: CellAddress) -> tuple[float, float]:
@@ -223,7 +216,7 @@ def superposition_rf(spec: MemorySpec, cells, weights):
     else:
         svals = np.linalg.svd(grid, compute_uv=False)
         if svals[1] > FACTOR_RTOL * svals[0]:
-            raise ValueError(
+            raise PatternError(
                 "cell weights do not factor into independent x and y tone patterns; "
                 "crossed deflectors cannot produce this superposition"
             )
@@ -244,6 +237,13 @@ def superposition_rf(spec: MemorySpec, cells, weights):
     return x_tones, y_tones
 
 
+def _pattern_tones(spec, cells, weights, field):
+    try:
+        return superposition_rf(spec, cells, weights)
+    except PatternError as err:
+        raise PatternError(f"{field}: {err}") from None
+
+
 def _single_cell_tones(spec, cell):
     fx, fy = cell_to_rf(spec, cell)
     return (Tone(fx, 1.0, 0.0),), (Tone(fy, 1.0, 0.0),)
@@ -260,7 +260,9 @@ def compile_schedule(config: ProtocolConfig,
     the read-side deflectors; the target-side pair moves in the same window.
     A final coupling pulse t2 after the last bin reads the stored
     superposition back out.  The returned schedule carries the verdict from
-    :func:`validate_schedule`; violations never abort compilation.
+    :func:`validate_schedule`; violations never abort compilation.  A
+    source or target pattern that does not factor raises ``PatternError``
+    prefixed with ``source_cells`` or ``target_cells``.
     """
     d = config.dimension
     spec1, spec2 = config.spec1, config.spec2
@@ -268,7 +270,8 @@ def compile_schedule(config: ProtocolConfig,
     write_weights = np.exp(1j * np.asarray(config.write_phases)) / np.sqrt(d)
 
     events = [PulseEvent(0.0, WRITE_DURATION_US, Channel.WRITE,
-                         *superposition_rf(spec1, config.source_cells, write_weights))]
+                         *_pattern_tones(spec1, config.source_cells, write_weights,
+                                         "source_cells"))]
     for i in range(d):
         t_i = _snap(bin_time(config, i))
         src = config.source_cells[order[i]]
@@ -285,25 +288,11 @@ def compile_schedule(config: ProtocolConfig,
     t_final = _snap(bin_time(config, d - 1) + config.t2)
     final_weights = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     events.append(PulseEvent(t_final, FINAL_DURATION_US, Channel.COUPLING_FINAL,
-                             *superposition_rf(spec2, config.target_cells, final_weights)))
+                             *_pattern_tones(spec2, config.target_cells, final_weights,
+                                             "target_cells")))
 
     schedule = Schedule(tuple(events))
     return Schedule(schedule.events, validate_schedule(schedule, constraints))
-
-
-def derive_timings(schedule: Schedule) -> tuple[float, float, float]:
-    """Recover (t1, tau, t2) from a schedule's read and final-readout events."""
-    reads = schedule.on_channel(Channel.READ)
-    finals = schedule.on_channel(Channel.COUPLING_FINAL)
-    if len(reads) < 2 or not finals:
-        raise ValueError("schedule needs at least two read events and a final readout")
-    writes = schedule.on_channel(Channel.WRITE)
-    origin = writes[0].t_start_us if writes else 0.0
-    times = [e.t_start_us for e in reads]
-    t1 = times[0] - origin
-    tau = times[1] - times[0]
-    t2 = finals[0].t_start_us - times[-1]
-    return t1, tau, t2
 
 
 def _off_grid(t: float, period: float) -> bool:

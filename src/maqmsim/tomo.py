@@ -2,9 +2,8 @@
 
 Reconstruction happens on a fixed logical two-qubit basis (signal branch x
 time-bin branch), so states estimated before and after a transfer can be
-compared directly.  Two estimators are provided: plain linear inversion,
-which can return a non-physical matrix, and a maximum-likelihood fit over
-the Cholesky-like parameterization rho = T T^dag / tr(T T^dag), which is
+compared directly.  The estimator is a maximum-likelihood fit over the
+Cholesky-like parameterization rho = T T^dag / tr(T T^dag), which is
 physical by construction.
 
 The likelihood treats each setting's coincidence count as an independent
@@ -32,12 +31,15 @@ of the same table.
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
 (seed, r); the W bootstrap evaluates the whole stack in one array expression.
+A W table with no population count, or one where fewer than two resamples
+succeed, raises ``EstimateUndefinedError``; in the second case it carries
+the point estimate, so a report can keep the value and drop the spread.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -49,8 +51,8 @@ __all__ = [
     "ReconstructionResult",
     "FidelityEstimate",
     "LikelihoodDecreasedError",
+    "EstimateUndefinedError",
     "bell_target",
-    "linear_inversion",
     "mle_reconstruct",
     "monte_carlo_fidelity",
     "w_fidelity",
@@ -121,51 +123,6 @@ def _aligned_projectors(counts: CountsTable):
         exposures.append(row.heralds)
     return (np.array(projectors), np.asarray(observed, dtype=float),
             np.asarray(exposures, dtype=float))
-
-
-def linear_inversion(counts: CountsTable) -> np.ndarray:
-    """Solve the measurement linear system; the result may be non-physical.
-
-    Frequencies are fit to tr(A P_s) over Hermitian A by least squares in a
-    real operator basis, then A is trace-normalized.  Detection efficiency
-    only rescales A, so it drops out in the normalization.  Raises when the
-    setting set is not informationally complete.
-    """
-    projectors, observed, exposures = _aligned_projectors(counts)
-    if (exposures <= 0).any():
-        raise ValueError("every row needs at least one herald")
-    d = projectors.shape[1]
-    ops = _hermitian_basis(d)
-    design = np.array([[np.trace(p @ b).real for b in ops] for p in projectors])
-    rank = np.linalg.matrix_rank(design)
-    if rank < d * d:
-        raise ValueError(f"setting set is not informationally complete "
-                         f"(design rank {rank} < {d * d})")
-    freq = observed / exposures
-    coef, *_ = np.linalg.lstsq(design, freq, rcond=None)
-    mat = np.tensordot(coef, ops, axes=1)
-    trace = np.trace(mat).real
-    if abs(trace) < 1e-12:
-        raise ValueError("reconstructed matrix has vanishing trace")
-    return mat / trace
-
-
-def _hermitian_basis(d: int):
-    ops = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        ops.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[i, j] = s[j, i] = 1.0 / np.sqrt(2.0)
-            ops.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = -1.0j / np.sqrt(2.0)
-            a[j, i] = 1.0j / np.sqrt(2.0)
-            ops.append(a)
-    return ops
 
 
 def _pack(t_mat: np.ndarray) -> np.ndarray:
@@ -350,6 +307,19 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     )
 
 
+class EstimateUndefinedError(ValueError):
+    """A W table defines no fidelity (no population count) or no spread.
+
+    ``point`` is None when the populations are all zero.  When fewer than
+    two resamples succeed it is the observed table's estimate, with the
+    successful and failed resample counts.
+    """
+
+    def __init__(self, message: str, point: FidelityEstimate | None = None):
+        super().__init__(message)
+        self.point = point
+
+
 def _w_estimate(counts: np.ndarray, d: int):
     """Raw F_W, populations, visibilities and population total, last axis.
 
@@ -375,7 +345,7 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
     order.  A visibility larger in magnitude than sqrt(p_i p_j)(1 + tol) is
     physically impossible and gets a warning attached rather than silently
     entering the average; so does a raw estimate outside [0, 1], which is
-    clipped.
+    clipped.  All-zero population counts raise ``EstimateUndefinedError``.
     """
     d = dimension
     counts = np.asarray(counts, dtype=float)
@@ -386,7 +356,7 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
         raise ValueError("counts must be non-negative")
     value, pops, vis, total = _w_estimate(counts, d)
     if not total > 0:
-        raise ValueError("population counts are all zero")
+        raise EstimateUndefinedError("population counts are all zero")
     notes = []
     for (i, j), v in zip(combinations(range(d), 2), vis):
         bound = np.sqrt(pops[i] * pops[j])
@@ -407,7 +377,8 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int = 4,
     The rows must be the ``w_settings(dimension)`` rows, in order, with one
     shared herald count.  The point value and its warnings come from
     ``w_fidelity`` on the observed counts; a resample fails when its
-    population total is zero.
+    population total is zero.  Raises ``EstimateUndefinedError`` when the
+    observed populations are all zero or fewer than two resamples succeed.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
@@ -423,12 +394,9 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int = 4,
     values, _, _, total = _w_estimate(_poisson_resamples(observed, n_resamples, seed),
                                       dimension)
     values = np.clip(values[total > 0], 0.0, 1.0)
+    tally = dict(n_resamples=int(values.size), n_failed=n_resamples - int(values.size))
     if values.size < 2:
-        raise RuntimeError(f"only {values.size} of {n_resamples} resamples succeeded")
-    return FidelityEstimate(
-        value=point.value,
-        sigma=float(values.std(ddof=1)),
-        n_resamples=int(values.size),
-        n_failed=n_resamples - int(values.size),
-        warnings=point.warnings,
-    )
+        raise EstimateUndefinedError(
+            f"only {values.size} of {n_resamples} resamples succeeded",
+            replace(point, **tally))
+    return replace(point, sigma=float(values.std(ddof=1)), **tally)

@@ -18,7 +18,6 @@ from maqmsim.cli import load_experiment_config, run_experiment
 from maqmsim.detect import CountRow, CountsTable, sample_counts, tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import (
-    PhaseLedger,
     ProtocolConfig,
     herald_loop,
     project_w,

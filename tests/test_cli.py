@@ -62,6 +62,12 @@ def small_doc(dimension=2, heralds=2000, dark=0.0, eta_det=1.0, seed=3,
     }
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -521,15 +527,71 @@ def test_constraint_scalar_error_names_its_field_once(tmp_path, capsys):
     ("protocol", "dimensions"),
     ("estimation", "n_resample"),
     (None, "detections"),
+    ("memories", "zz_unknown"),
+    ("memories.MAQM1.rf_grid", "x_extra"),
+    ("memories.MAQM2.rf_grid", "x_extra"),
 ])
 def test_unknown_section_field_exits_two(tmp_path, capsys, section, key):
-    doc = small_doc()
-    node = doc.setdefault(section, {}) if section else doc
+    doc = copy.deepcopy(small_doc())    # small_doc shares its rf_grid dicts
+    node = doc
+    for name in section.split(".") if section else ():
+        node = node.setdefault(name, {})
     node[key] = 1
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
-    where = section or "config"
+    # the memory reader names a field inside the memory after the memory's path
+    where = (section or "config").replace(".rf_grid", ": rf_grid")
     assert capsys.readouterr().err == f"config error: {where}: unknown field(s) '{key}'\n"
+
+
+@pytest.mark.parametrize("grid", [5, [1, 2], "x", None])
+def test_rf_grid_must_be_an_object(tmp_path, capsys, grid):
+    doc = copy.deepcopy(small_doc())
+    doc["memories"]["MAQM1"]["rf_grid"] = grid
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path]) == 2
+    assert capsys.readouterr().err == (f"config error: memories.MAQM1: rf_grid must be "
+                                       f"an object, got {grid!r}\n")
+
+
+def test_grid_cell_count_is_bounded_before_any_map(tmp_path, capsys, monkeypatch):
+    # n_x = n_y = 10**5 with a scalar eta_write would ask np.full for 80 GB
+    def no_map(*args):
+        raise AssertionError("an efficiency map was built")
+
+    monkeypatch.setattr("maqmsim.memory._as_map", no_map)
+    doc = small_doc()
+    doc["memories"]["MAQM1"]["n_x"] = doc["memories"]["MAQM1"]["n_y"] = 10**5
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path]) == 2
+    assert capsys.readouterr().err == ("config error: memories.MAQM1: grid of 100000 x "
+                                       "100000 cells exceeds MAX_CELLS = 1000000\n")
+
+
+QUDIT_BROKEN_FIELDS = [
+    (("protocol", "source_cells", 0), [-1, 2],
+     "protocol.source_cells[0]: cell indices must be non-negative, got (-1, 2)"),
+    (("protocol", "target_cells", 0), [-1, 2],
+     "protocol.target_cells[0]: cell indices must be non-negative, got (-1, 2)"),
+    (("protocol", "dimension"), 10**19, "protocol.dimension: must be at most 30"),
+    (("protocol", "source_cells", 0), [0, 2],
+     "protocol.source_cells: cell weights do not factor"),
+    (("protocol", "target_cells", 0), [0, 2],
+     "protocol.target_cells: cell weights do not factor"),
+    (("estimation", "n_resamples"), 10**19, "estimation.n_resamples: must be at most 100000"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "compile"])
+@pytest.mark.parametrize("where, value, message", QUDIT_BROKEN_FIELDS,
+                         ids=[m.split(":")[0] + f"={v}" for _, v, m in QUDIT_BROKEN_FIELDS])
+def test_parse_time_failures_exit_two(tmp_path, capsys, command, where, value, message):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    _at(doc, where[:-1])[where[-1]] = value
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("drop", [True, False])
@@ -604,6 +666,121 @@ def test_main_sweep_empty_values_header_only(tmp_path):
     assert out.read_text().count("\n") == 1
 
 
+@pytest.mark.parametrize("values", ["1,,2", "a", "0.1,x"])
+def test_main_sweep_values_must_be_numbers(tmp_path, capsys, values):
+    path = write_config(tmp_path, small_doc())
+    assert main(["sweep", "--config", path, "--param", "detection.eta_det",
+                 "--values", values]) == 2
+    assert capsys.readouterr().err == (f"config error: --values: {values!r} is not a "
+                                       f"comma-separated list of numbers\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("seed, message", [
+    ("x", "must be an integer"), (-1, "must be at least 0"), (1.5, "must be an integer"),
+    (None, "must be an integer"), (True, "must be an integer"),
+])
+def test_seed_is_checked_by_run_and_sweep(tmp_path, capsys, command, seed, message):
+    path = write_config(tmp_path, small_doc(seed=seed))
+    extra = ["--param", "detection.eta_det", "--values", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", path, *extra]) == 2
+    assert capsys.readouterr().err == f"config error: seed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_override_exits_two(tmp_path, capsys, command):
+    path = write_config(tmp_path, small_doc())
+    extra = ["--param", "detection.eta_det", "--values", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", path, "--seed", "-1", *extra]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be at least 0\n"
+
+
+@pytest.mark.parametrize("where, value", [
+    (("protocol", "source_cells", 1), [3]),
+    (("protocol", "source_cells", 1), [-1, 1]),
+    (("protocol", "source_cells", 1), ["x", 1]),
+    (("protocol", "source_cells", 1), "x"),
+    (("memories", "MAQM1", "n_x"), 5.0),
+    (("memories", "MAQM1", "n_x"), "5"),
+    (("protocol",), [1, 2]),
+    (("memories", "MAQM1"), [1, 2]),
+    (("memories", "MAQM1", "eta_read"), [0.2] * 30),
+])
+def test_ratio_sweep_on_a_malformed_config_exits_two(tmp_path, capsys, where, value):
+    doc = copy.deepcopy(small_doc())
+    _at(doc, where[:-1])[where[-1]] = value
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", path, "--param", "memories.MAQM1.eta_read_ratio",
+                 "--values", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_heralds_sweep_leaves_failed_rows_blank(tmp_path):
+    # 1 to 8 heralds per setting draw no population count on the shipped qudit config
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIG_DIR / "qudit_default.json"),
+                 "--param", "detection.heralds_per_setting", "--values", "1,2,3,5,8",
+                 "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 5
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["schedule_valid"] == "true"
+        for stage in ("maqm1", "maqm2"):
+            assert cells[f"{stage}_w_fidelity"] == cells[f"{stage}_w_sigma"] == ""
+
+
+@pytest.mark.parametrize("memory, field, value, dead", [
+    ("MAQM1", "eta_read", 0.0, ("maqm1_stage", "maqm2_stage")),
+    ("MAQM2", "eta_eit", 0.0, ("maqm2_stage",)),
+    (None, "t1", 2000.0, ("maqm1_stage", "maqm2_stage")),   # the envelope underflows
+])
+def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, value, dead):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    (doc["memories"][memory] if memory else doc["protocol"])[field] = value
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for name in ("maqm1_stage", "maqm2_stage"):
+        stage = report[name]
+        if name in dead:
+            assert stage == {
+                "predicted_w_fidelity": None, "survival_probability": 0.0,
+                "w_fidelity": None, "sigma": None, "n_resamples": 0,
+                "warnings": ["every branch amplitude is zero; nothing to project on"],
+            }
+        else:
+            assert stage["w_fidelity"] is not None and stage["sigma"] is not None
+    assert main(["run", "--config", path, "--out", str(out), "--format", "csv"]) == 0
+    assert f"{dead[0]}.predicted_w_fidelity,\n" in out.read_text()
+
+
+def test_qudit_stage_without_population_counts_reports_null(tmp_path):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["detection"]["heralds_per_setting"] = 1
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    stage = json.loads(out.read_text())["maqm1_stage"]
+    assert stage["predicted_w_fidelity"] == 0.99542
+    assert (stage["w_fidelity"], stage["sigma"], stage["n_resamples"]) == (None, None, 0)
+    assert stage["warnings"] == ["population counts are all zero"]
+
+
+def test_too_few_resamples_keep_the_point_value(tmp_path):
+    # 20 heralds and 2 resamples: at seed 32 one stage-1 resample has no population count
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["detection"]["heralds_per_setting"] = 20
+    doc["estimation"]["n_resamples"] = 2
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--seed", "32", "--out", str(out)]) == 0
+    stage = json.loads(out.read_text())["maqm1_stage"]
+    assert (stage["w_fidelity"], stage["sigma"], stage["n_resamples"]) == (0.25, None, 1)
+    assert stage["warnings"] == ["only 1 of 2 resamples succeeded"]
+
+
 def test_main_sweep_unknown_param_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, small_doc())
     assert main(["sweep", "--config", path, "--param", "protocol.dimension",
@@ -644,3 +821,68 @@ def test_scipy_loads_only_on_the_first_fit(tmp_path):
         ["qubit run", 0, True],
     ]
     assert (tmp_path / "4.txt").read_bytes() == (GOLDEN_DIR / "qubit_report.json").read_bytes()
+
+
+# ------------------------------------------------------- single-field mutations
+
+MUTANT_VALUES = (-1, 0, 1e308, -1e308, "x", True, None, [], {}, 0.5, 10**19)
+
+
+def _leaf_paths(node, path=()):
+    """Paths of the scalar leaves; a list contributes its first element only."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield from _leaf_paths(node[0], path + (0,))
+    else:
+        yield path
+
+
+def _object_paths(node, path=()):
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from _object_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _object_paths(node[0], path + (0,))
+
+
+def single_field_mutants(doc):
+    """(label, doc) for each leaf set to each mutant value or deleted, and for
+    an unknown key added to each object."""
+    for path in _leaf_paths(doc):
+        for value in MUTANT_VALUES + ("delete",):
+            mutant = copy.deepcopy(doc)
+            if value == "delete":
+                del _at(mutant, path[:-1])[path[-1]]
+            else:
+                _at(mutant, path[:-1])[path[-1]] = value
+            yield f"{path}={value!r}", mutant
+    for path in _object_paths(doc):
+        mutant = copy.deepcopy(doc)
+        _at(mutant, path)["zz_unknown"] = 1
+        yield f"{path}+zz_unknown", mutant
+
+
+def test_single_field_mutations_never_raise(tmp_path, capsys):
+    # every mutant ends in an exit code: 0 ran, 1 invalid schedule, 2 rejected;
+    # an unknown key is always rejected
+    out = str(tmp_path / "out")
+    unknown_accepted = []
+    for name, commands in (
+        ("qubit_default.json", (["compile"],)),
+        ("qudit_default.json", (["compile"], ["run"],
+                                ["sweep", "--param", "protocol.drift", "--values", "0.3"])),
+    ):
+        doc = json.loads((CONFIG_DIR / name).read_text())
+        for label, mutant in single_field_mutants(doc):
+            path = write_config(tmp_path, mutant)
+            for command in commands:
+                code = main([command[0], "--config", path, "--out", out, *command[1:]])
+                assert code in (0, 1, 2), f"{name} {label} {command[0]}: exit {code}"
+                if label.endswith("zz_unknown") and code != 2:
+                    unknown_accepted.append(f"{name} {label} {command[0]}")
+            capsys.readouterr()
+    assert unknown_accepted == []

@@ -5,20 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maqmsim.detect import (
-    CSV_HEADER,
     CountRow,
     CountsTable,
     MeasurementSetting,
     coincidence_probabilities,
-    counts_from_csv,
-    counts_to_csv,
     sample_counts,
     tomography_settings,
     w_labels,
     w_settings,
 )
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
-from maqmsim.protocol import PhaseLedger, ProtocolConfig, run_protocol
+from maqmsim.protocol import ProtocolConfig, run_protocol
 
 GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
@@ -172,7 +169,7 @@ def wide_outcome(transfer):
         source_cells=tuple(CellAddress(MemoryId.MAQM1, x, y) for x, y in coords),
         target_cells=tuple(CellAddress(MemoryId.MAQM2, x, y) for x, y in coords),
         t1=11.7, tau=3.9, t2=7.8,
-        ledger=PhaseLedger.common([0.0] * 16, drifts=np.linspace(0.0, 0.3, 16)),
+        drifts=tuple(np.linspace(0.0, 0.3, 16)),
     )
     return run_protocol(config, transfer=transfer)
 
@@ -265,7 +262,7 @@ class TestSampleCounts:
         settings = tomography_settings(2)
         a = sample_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
         b = sample_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
-        assert counts_to_csv(a) == counts_to_csv(b)
+        assert a == b
 
     def test_rows_independent_of_order(self):
         # substreams are keyed by setting index, not by a shared stream
@@ -284,30 +281,6 @@ class TestSampleCounts:
             freq = table.rows[0].coincidences / shots
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) < 5 * sigma
-
-
-class TestCsv:
-    def test_round_trip(self):
-        out = bell_outcome()
-        table = sample_counts(out, tomography_settings(2), 1000, 0.5, 1e-4, seed=2)
-        text = counts_to_csv(table)
-        clone = counts_from_csv(text)
-        assert clone.rows == table.rows
-        assert counts_to_csv(clone) == text
-
-    def test_header_fixed(self):
-        text = counts_to_csv(CountsTable((CountRow("UU", 10, 5),)))
-        assert text.splitlines()[0] == CSV_HEADER == "label,heralds,coincidences"
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            counts_from_csv("label,shots,hits\nUU,10,5\n")
-
-    def test_bad_row_rejected(self):
-        with pytest.raises(ValueError):
-            counts_from_csv(f"{CSV_HEADER}\nUU,10\n")
-        with pytest.raises(ValueError):
-            counts_from_csv(f"{CSV_HEADER}\nUU,ten,5\n")
 
     def test_count_invariants(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,10 +8,7 @@ from maqmsim.memory import (
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    default_efficiency_map,
-    eit_efficiency_probe,
     memory_spec_from_dict,
-    memory_spec_to_dict,
     survival,
 )
 
@@ -107,36 +102,6 @@ class TestCellEfficiency:
             spec_with(eta_read=[0.5] * 29)
 
 
-class TestEitProbe:
-    def test_ideal_memory_estimates_unity_with_zero_error(self):
-        spec = spec_with(eta_eit=1.0, tau_mem=1e18)
-        cell = CellAddress(MemoryId.MAQM1, 2, 2)
-        res = eit_efficiency_probe(spec, cell, mean_photon_number=0.5, shots=200, seed=11)
-        assert res.estimate == 1.0
-        assert res.stderr == 0.0
-
-    def test_estimate_tracks_true_efficiency(self):
-        spec = spec_with(eta_eit=0.35, tau_mem=1e18)
-        cell = CellAddress(MemoryId.MAQM1, 0, 0)
-        res = eit_efficiency_probe(spec, cell, mean_photon_number=2.0, shots=20000, seed=3)
-        assert abs(res.estimate - 0.35) < 4 * res.stderr
-        assert 0.0 < res.stderr < 0.01
-
-    def test_deterministic_in_seed(self):
-        spec = spec_with(eta_eit=0.5, tau_mem=1e18)
-        cell = CellAddress(MemoryId.MAQM1, 1, 4)
-        a = eit_efficiency_probe(spec, cell, 1.0, 500, seed=42)
-        b = eit_efficiency_probe(spec, cell, 1.0, 500, seed=42)
-        assert a == b
-
-    def test_storage_time_depresses_estimate(self):
-        spec = spec_with(eta_eit=0.8, tau_mem=30.0, t_larmor=1e9)
-        cell = CellAddress(MemoryId.MAQM1, 0, 0)
-        short = eit_efficiency_probe(spec, cell, 3.0, 50000, seed=5, t_store=0.0)
-        long = eit_efficiency_probe(spec, cell, 3.0, 50000, seed=5, t_store=20.0)
-        assert long.estimate < short.estimate
-
-
 class TestRfGrid:
     def test_tone_frequencies(self):
         grid = RfGrid(97.0, 1.5, 95.5, 1.5)
@@ -151,24 +116,22 @@ class TestRfGrid:
         assert_allclose([grid.y_freq(j) for j in range(6)], [99.0, 100.2, 101.4, 102.6, 103.8, 105.0])
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        spec = spec_with(eta_eit=np.linspace(0.1, 0.4, 30).tolist())
-        doc = memory_spec_to_dict(spec)
-        clone = memory_spec_from_dict(doc)
-        assert clone.memory == spec.memory
-        assert_allclose(clone.eta_eit, spec.eta_eit)
-        assert clone.rf_grid == spec.rf_grid
-
-    def test_json_is_plain_data(self):
-        doc = memory_spec_to_dict(spec_with())
-        json.dumps(doc)  # must not raise
-        assert doc["memory"] == "MAQM1"
-        assert doc["n_x"] == 5 and doc["n_y"] == 6
-
-    def test_default_map_within_bounds(self):
-        values = default_efficiency_map(5, 6, seed=7)
-        assert values.shape == (6, 5)
-        assert values.min() >= 0.10 and values.max() <= 0.30
-        again = default_efficiency_map(5, 6, seed=7)
-        assert_allclose(values, again, rtol=0, atol=0)
+class TestSpecFromDict:
+    def test_reads_a_literal_dict(self):
+        doc = {
+            "memory": "MAQM2", "n_x": 2, "n_y": 3,
+            "eta_write": 0.0, "eta_read": 0.5,
+            "eta_eit": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+            "tau_mem": 27.8, "t_larmor": 1.3,
+            "rf_grid": {"x_origin": 101.1, "x_step": 1.2, "y_origin": 99.0, "y_step": 1.2},
+        }
+        spec = memory_spec_from_dict(doc)
+        assert spec.memory is MemoryId.MAQM2
+        assert (spec.n_x, spec.n_y) == (2, 3)
+        assert (spec.tau_mem, spec.t_larmor) == (27.8, 1.3)
+        assert spec.rf_grid == RfGrid(101.1, 1.2, 99.0, 1.2)
+        assert_allclose(spec.eta_write, np.zeros((3, 2)), rtol=0, atol=0)
+        assert_allclose(spec.eta_read, np.full((3, 2), 0.5), rtol=0, atol=0)
+        # row-major: index y * n_x + x
+        assert_allclose(spec.eta_eit, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], rtol=0, atol=0)
+        assert cell_efficiency(spec, CellAddress(MemoryId.MAQM2, 1, 2), "eit") == 0.6

@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import (
-    PhaseEntry,
-    PhaseLedger,
     PostSelectionError,
     ProtocolConfig,
     bin_time,
@@ -178,20 +176,30 @@ class TestSurvivalWeighting:
 
 
 class TestPhases:
-    def test_common_laser_cancels_bin_phases(self):
-        rng = np.random.default_rng(7)
-        alphas = rng.uniform(-np.pi, np.pi, size=2)
-        noisy = run_protocol(qubit_config(ledger=PhaseLedger.common(alphas)))
-        clean = run_protocol(qubit_config(ledger=PhaseLedger.zeros(2)))
-        assert_allclose(noisy.branch_amplitudes, clean.branch_amplitudes,
-                        rtol=0, atol=1e-9)
-
-    def test_independent_lasers_leave_residual_phase(self):
-        ledger = PhaseLedger((PhaseEntry(0.0, 0.0), PhaseEntry(0.3, 0.0)))
-        out = run_protocol(qubit_config(ledger=ledger))
-        clean = run_protocol(qubit_config())
-        assert not np.allclose(out.branch_amplitudes, clean.branch_amplitudes,
-                               atol=1e-3)
+    def test_common_laser_leaves_only_the_bin_drift(self):
+        # read and coupling light share one laser, so alpha_i - beta_i cancels
+        # and bin i multiplies the branch it carries by e^{i drifts[i]},
+        # on the transfer leg only
+        order = (2, 0, 3, 1)
+        coords = [(1, 1), (2, 1), (1, 2), (2, 2)]
+        spec1 = source_spec(eta_read=read_map({(1, 1): 0.3, (2, 1): 0.5, (1, 2): 0.7}),
+                            tau_mem=65.0)
+        spec2 = target_spec(eta_eit=read_map({(2, 1): 0.4, (2, 2): 0.6}), tau_mem=27.8)
+        drifts = tuple(np.random.default_rng(7).uniform(-np.pi, np.pi, size=4))
+        base = dict(dimension=4, spec1=spec1, spec2=spec2,
+                    source_cells=cells(MemoryId.MAQM1, coords),
+                    target_cells=cells(MemoryId.MAQM2, coords),
+                    t1=15.6, tau=7.8, t2=7.8, retrieval_order=order)
+        drifted = ProtocolConfig(**base, drifts=drifts)
+        clean = ProtocolConfig(**base)
+        expected = run_protocol(clean).branch_amplitudes.copy()
+        for i, k in enumerate(order):
+            expected[k] *= np.exp(1j * drifts[i])
+        assert_allclose(run_protocol(drifted).branch_amplitudes, expected,
+                        rtol=0, atol=1e-15)
+        assert_allclose(run_protocol(drifted, transfer=False).branch_amplitudes,
+                        run_protocol(clean, transfer=False).branch_amplitudes,
+                        rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("drift,expected", [
         (0.0, 1.0),
@@ -200,15 +208,13 @@ class TestPhases:
     ])
     def test_drift_fidelity_curve(self, drift, expected):
         # F = cos^2(drift / 2) for a single-bin phase error on a balanced pair
-        ledger = PhaseLedger.common([0.0, 0.0], drifts=[0.0, drift])
-        out = run_protocol(qubit_config(ledger=ledger))
+        out = run_protocol(qubit_config(drifts=(0.0, drift)))
         assert_allclose(out.predicted_fidelity, expected, rtol=0, atol=1e-12)
         brute = abs((1.0 + np.exp(1j * drift)) / 2.0) ** 2
         assert_allclose(expected, brute, rtol=0, atol=1e-12)
 
     def test_drift_ignored_without_transfer(self):
-        ledger = PhaseLedger.common([0.0, 0.0], drifts=[0.0, np.pi])
-        out = run_protocol(qubit_config(ledger=ledger), transfer=False)
+        out = run_protocol(qubit_config(drifts=(0.0, np.pi)), transfer=False)
         assert out.predicted_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -301,9 +307,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             qubit_config(retrieval_order=(0, 0))
 
-    def test_short_ledger(self):
-        with pytest.raises(ValueError):
-            qubit_config(ledger=PhaseLedger.zeros(1))
+    def test_drifts_need_one_entry_per_bin(self):
+        for drifts in ((0.0,), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="one drift phase per bin"):
+                qubit_config(drifts=drifts)
 
     def test_herald_probability_reports_write_efficiency(self):
         # eta_write lives in the same row-major map layout as eta_read

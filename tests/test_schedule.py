@@ -14,8 +14,6 @@ from maqmsim.schedule import (
     Tone,
     cell_to_rf,
     compile_schedule,
-    constraints_for_specs,
-    derive_timings,
     schedule_from_jsonl,
     schedule_to_jsonl,
     superposition_rf,
@@ -69,8 +67,20 @@ def qudit_config(**kw):
     return ProtocolConfig(**args)
 
 
+def spec_constraints(source, target):
+    return ScheduleConstraints(larmor_periods=(source.t_larmor, target.t_larmor),
+                               memory_times=(source.tau_mem, target.tau_mem))
+
+
 def constraints(cfg):
-    return constraints_for_specs(cfg.spec1, cfg.spec2)
+    return spec_constraints(cfg.spec1, cfg.spec2)
+
+
+def timings(sched):
+    """(t1, tau, t2) read back from the read and final-readout events; the write is at 0."""
+    reads = [e.t_start_us for e in sched.on_channel(Channel.READ)]
+    final = sched.on_channel(Channel.COUPLING_FINAL)[0].t_start_us
+    return reads[0], reads[1] - reads[0], final - reads[-1]
 
 
 class TestCellToRf:
@@ -267,7 +277,7 @@ class TestValidation:
             PulseEvent(10.0, 0.7, Channel.COUPLING, tone, tone),
             PulseEvent(10.3, 0.7, Channel.COUPLING, tone, tone),
         )
-        cons = constraints_for_specs(spec1(), spec2())
+        cons = spec_constraints(spec1(), spec2())
         codes = {v.code for v in validate_schedule(Schedule(events), cons)}
         assert "overlap" in codes
 
@@ -277,7 +287,7 @@ class TestValidation:
             PulseEvent(10.0, 0.5, Channel.READ, tone, tone),
             PulseEvent(10.51, 0.5, Channel.READ, tone, tone),
         )
-        cons = constraints_for_specs(spec1(), spec2())
+        cons = spec_constraints(spec1(), spec2())
         codes = {v.code for v in validate_schedule(Schedule(events), cons)}
         assert "guard" in codes
         assert "overlap" not in codes
@@ -287,7 +297,7 @@ class TestCrossModuleConsistency:
     def test_derived_timings_match_config(self):
         cfg = qubit_config()
         sched = compile_schedule(cfg, constraints(cfg))
-        t1, tau, t2 = derive_timings(sched)
+        t1, tau, t2 = timings(sched)
         assert_allclose([t1, tau, t2], [15.6, 7.8, 7.8], rtol=0, atol=1e-9)
 
     def test_schedule_times_reproduce_protocol_survival(self):
@@ -303,7 +313,7 @@ class TestCrossModuleConsistency:
         cfg = qubit_config()
         sched = compile_schedule(cfg, constraints(cfg))
         assert sched.valid
-        t1, tau, t2 = derive_timings(sched)
+        t1, tau, t2 = timings(sched)
         rerun = ProtocolConfig(
             dimension=2, spec1=cfg.spec1, spec2=cfg.spec2,
             source_cells=cfg.source_cells, target_cells=cfg.target_cells,

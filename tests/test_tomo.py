@@ -24,7 +24,6 @@ from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.tomo import (
     LikelihoodDecreasedError,
     bell_target,
-    linear_inversion,
     mle_reconstruct,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
@@ -84,44 +83,6 @@ def ginibre_density(dim, rng):
     return mat / np.trace(mat).real
 
 
-class TestLinearInversion:
-    def test_exact_bell_probabilities(self):
-        target = bell_target()
-        truth = np.outer(target, target.conj())
-        mat = linear_inversion(bell_table())
-        assert_allclose(mat, truth, rtol=0, atol=1e-10)
-
-    def test_exact_mixed_probabilities(self):
-        settings = tomography_settings(2)
-        probs = [0.25] * 16
-        counts = exact_counts(probs, [s.label for s in settings])
-        assert_allclose(linear_inversion(counts), np.eye(4) / 4, rtol=0, atol=1e-10)
-
-    def test_detection_efficiency_drops_out(self):
-        settings = tomography_settings(2)
-        target = bell_target()
-        rho = np.outer(target, target.conj())
-        probs = [0.4 * setting_probability(rho, s) for s in settings]
-        counts = exact_counts(probs, [s.label for s in settings])
-        assert_allclose(linear_inversion(counts), rho, rtol=0, atol=1e-10)
-
-    def test_sampled_counts_give_hermitian_unit_trace(self):
-        out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 2000, 0.8, 0.0, seed=21)
-        mat = linear_inversion(table)
-        assert_allclose(mat, mat.conj().T, atol=1e-12)
-        assert_allclose(np.trace(mat).real, 1.0, atol=1e-12)
-
-    def test_incomplete_settings_rejected(self):
-        rows = [CountRow(lbl, 1000, 250) for lbl in ("UU", "UD", "DU", "DD")]
-        with pytest.raises(ValueError):
-            linear_inversion(CountsTable(tuple(rows)))
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            linear_inversion(CountsTable((CountRow("XX", 10, 1),)))
-
-
 class TestMleReconstruct:
     def test_large_count_consistency(self):
         res = mle_reconstruct(bell_table())
@@ -167,12 +128,15 @@ class TestMleReconstruct:
         res = mle_reconstruct(table, max_iter=1)
         assert not res.converged
 
-    def test_agrees_with_linear_inversion_on_exact_input(self):
-        counts = bell_table()
-        lin = linear_inversion(counts)
-        res = mle_reconstruct(counts)
-        lin_rho = DensityMatrix((lin + lin.conj().T) / 2)
-        assert state_fidelity(res.rho, lin_rho) >= 1.0 - 1e-6
+    def test_agrees_with_the_exact_state_on_exact_input(self):
+        target = bell_target()
+        res = mle_reconstruct(bell_table())
+        exact = DensityMatrix(np.outer(target, target.conj()))
+        assert state_fidelity(res.rho, exact) >= 1.0 - 1e-6
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="no measurement setting named 'XX'"):
+            mle_reconstruct(CountsTable((CountRow("XX", 10, 1),)))
 
     def test_result_always_physical(self):
         out = run_protocol(make_config(eta_read=[0.3] * 30))
@@ -361,6 +325,23 @@ class TestWPipeline:
                                    n_resamples=2, seed=0)
         with pytest.raises(ValueError, match="in order"):
             monte_carlo_w_fidelity(CountsTable(rows[::-1]), 2, n_resamples=2, seed=0)
+
+    @pytest.mark.parametrize("seed, n_ok", [(8, 1), (3, 0)])
+    def test_too_few_resamples_keep_the_point(self, seed, n_ok):
+        # one population count: a resample fails when its Poisson draw is 0
+        counts = [1] + [0] * 15
+        with pytest.raises(tomo.EstimateUndefinedError,
+                           match=f"only {n_ok} of 3 resamples succeeded") as exc:
+            monte_carlo_w_fidelity(w_table(counts, 4), 4, n_resamples=3, seed=seed)
+        point = exc.value.point
+        assert point.value == w_fidelity(counts, 4).value
+        assert (point.n_resamples, point.n_failed) == (n_ok, 3 - n_ok)
+        assert point.warnings == w_fidelity(counts, 4).warnings
+
+    def test_zero_populations_have_no_point(self):
+        with pytest.raises(tomo.EstimateUndefinedError, match="all zero") as exc:
+            monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, n_resamples=3, seed=0)
+        assert exc.value.point is None
 
     def d16_table(self):
         cfg = load_experiment_config(str(GOLDEN_DIR / "qudit16_config.json"))
