@@ -9,7 +9,6 @@ from maqmsim import (
     MemorySpec,
     ProtocolConfig,
     RfGrid,
-    ScheduleConstraints,
     cell_to_rf,
     compile_schedule,
     schedule_from_jsonl,
@@ -54,12 +53,9 @@ def main():
     print(f"  write pattern    x: {tone_text(x_tones)}")
     print(f"                   y: {tone_text(y_tones)}")
 
-    constraints = ScheduleConstraints(
-        larmor_periods=(SPEC1.t_larmor, SPEC2.t_larmor),
-        memory_times=(SPEC1.tau_mem, SPEC2.tau_mem))
     print()
     print("Compiled two-bin schedule (t1=15.6, tau=7.8, t2=7.8)")
-    sched = compile_schedule(config(), constraints)
+    sched = compile_schedule(config())
     print(f"  {'start':>7}  {'dur':>5}  {'channel':<15} x tones | y tones")
     for ev in sched.events:
         print(f"  {ev.t_start_us:7.2f}  {ev.duration_us:5.2f}  "
@@ -74,7 +70,7 @@ def main():
     print()
     print("Same run with tau=1.0: bins collide with the retune window and")
     print("fall off the source Larmor grid")
-    bad = compile_schedule(config(tau=1.0), constraints)
+    bad = compile_schedule(config(tau=1.0))
     print(f"  valid: {bad.valid}")
     for v in bad.violations:
         print(f"  [{v.severity}] {v.code}: {v.message}")

@@ -58,9 +58,9 @@ def main():
     settings = tomography_settings(2)
     print()
     print("Coincidence probabilities feeding the sampler (first four settings)")
-    probabilities = coincidence_probabilities(outcome, settings[:4], eta_det=0.8)
-    for s, p in zip(settings[:4], probabilities):
-        print(f"  setting {s.label}: {p:.6f}")
+    probabilities = coincidence_probabilities(outcome, settings, eta_det=0.8)
+    for label, p in zip(settings.labels[:4], probabilities):
+        print(f"  setting {label}: {p:.6f}")
 
     print()
     print("Counts -> MLE fit -> fidelity, growing the sample")

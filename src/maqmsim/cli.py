@@ -21,13 +21,7 @@ from . import __version__
 from .detect import coincidence_probabilities, sample_counts, tomography_settings, w_settings
 from .memory import CellAddress, MemoryId, MemorySpec, memory_spec_from_dict
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
-from .schedule import (
-    PatternError,
-    Schedule,
-    ScheduleConstraints,
-    compile_schedule,
-    schedule_to_jsonl,
-)
+from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
 from .tomo import (
     EstimateUndefinedError,
     bell_target,
@@ -54,17 +48,17 @@ class ConfigError(ValueError):
 
 
 MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
+MIN_TAU_US = 2 * TIME_GRID_US   # snapped bins two grid steps apart stay distinct
 MAX_HERALDS = 2**63 - 1   # numpy's binomial takes the herald number as a C long
-MAX_RESAMPLES = 10**5     # the W bootstrap holds an (R, d^2) stack of floats
+MAX_DIMENSION = 100       # a qudit run builds d^2 settings of d-vectors
+MAX_RESAMPLES = 10**5     # a qubit run refits the table once per resample
+MAX_BOOTSTRAP_FLOATS = 10**8   # the W bootstrap holds an (R, d^2) stack of floats
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    spec1: MemorySpec
-    spec2: MemorySpec
     protocol: ProtocolConfig
-    constraints: ScheduleConstraints
     eta_det: float
     dark_rate: float
     heralds_per_setting: int
@@ -111,14 +105,6 @@ def _known(doc: dict, fields: set, path: str) -> None:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
 
 
-def _constraint_pair(cons: dict, key: str, default: list) -> tuple[float, float]:
-    values = cons.get(key, default)
-    if not isinstance(values, list) or len(values) != 2:
-        raise ConfigError(f"constraints.{key}: must be a [source, target] pair of numbers")
-    return tuple(_number(v, f"constraints.{key}[{i}]", positive=True)
-                 for i, v in enumerate(values))
-
-
 def _cells(doc, memory: MemoryId, path: str):
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{path}: must be a non-empty list of [x, y] pairs")
@@ -142,15 +128,20 @@ def _memory_spec(doc, name: str, path: str) -> MemorySpec:
     if doc["memory"] != name:
         raise ConfigError(f"{path}.memory: must be {name!r} to match its key")
     try:
-        return memory_spec_from_dict(doc)
+        spec = memory_spec_from_dict(doc)
     except (ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"{path}: {err}") from err
+    # a shorter period is not resolved by the schedule, and pi t / t_larmor
+    # would overflow the survival and Larmor grid checks
+    if spec.t_larmor < TIME_GRID_US:
+        raise ConfigError(f"{path}.t_larmor: must be at least {TIME_GRID_US:g}, "
+                          f"the timing grid")
+    return spec
 
 
-_TOP_FIELDS = {"seed", "memories", "protocol", "constraints", "detection", "estimation"}
+_TOP_FIELDS = {"seed", "memories", "protocol", "detection", "estimation"}
 _PROTOCOL_FIELDS = {"dimension", "source_cells", "target_cells", "t1", "tau", "t2",
                     "write_phases", "drift", "retrieval_order"}
-_CONSTRAINT_FIELDS = {"larmor_periods", "memory_times", "aod_switch_time", "min_guard"}
 _DETECTION_FIELDS = {"eta_det", "dark_rate", "heralds_per_setting"}
 _ESTIMATION_FIELDS = {"n_resamples", "tol", "max_iter"}
 
@@ -187,7 +178,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     _known(proto, _PROTOCOL_FIELDS, "protocol")
     # each branch needs a cell of its own in both memories
     dim = _integer(_need(proto, "dimension", "protocol"), "protocol.dimension", minimum=2,
-                   maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y))
+                   maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y, MAX_DIMENSION))
     source = _cells(_need(proto, "source_cells", "protocol"), MemoryId.MAQM1,
                     "protocol.source_cells")
     target = _cells(_need(proto, "target_cells", "protocol"), MemoryId.MAQM2,
@@ -196,6 +187,9 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
                  maximum=MAX_TIME_US)
     tau = _number(_need(proto, "tau", "protocol"), "protocol.tau", positive=True,
                   maximum=MAX_TIME_US)
+    if tau < MIN_TAU_US:
+        raise ConfigError(f"protocol.tau: must be at least {MIN_TAU_US:g}, two steps of "
+                          f"the {TIME_GRID_US:g} us timing grid")
     t2 = _number(_need(proto, "t2", "protocol"), "protocol.t2", non_negative=True,
                  maximum=MAX_TIME_US)
 
@@ -231,21 +225,6 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     except ValueError as err:
         raise ConfigError(f"protocol: {err}") from err
 
-    cons = doc.get("constraints", {})
-    if not isinstance(cons, dict):
-        raise ConfigError("constraints: must be an object")
-    _known(cons, _CONSTRAINT_FIELDS, "constraints")
-    # every field is checked here, so ScheduleConstraints' own checks pass
-    constraints = ScheduleConstraints(
-        larmor_periods=_constraint_pair(cons, "larmor_periods",
-                                        [spec1.t_larmor, spec2.t_larmor]),
-        memory_times=_constraint_pair(cons, "memory_times", [spec1.tau_mem, spec2.tau_mem]),
-        aod_switch_time=_number(cons.get("aod_switch_time", 2.0),
-                                "constraints.aod_switch_time", positive=True),
-        min_guard=_number(cons.get("min_guard", 0.05),
-                          "constraints.min_guard", positive=True),
-    )
-
     det = doc.get("detection", {})
     if not isinstance(det, dict):
         raise ConfigError("detection: must be an object")
@@ -262,12 +241,15 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     _known(est, _ESTIMATION_FIELDS, "estimation")
     n_res = _integer(est.get("n_resamples", 100), "estimation.n_resamples", minimum=2,
                      maximum=MAX_RESAMPLES)
+    if n_res * dim**2 > MAX_BOOTSTRAP_FLOATS:
+        raise ConfigError(f"estimation.n_resamples: must be at most "
+                          f"{MAX_BOOTSTRAP_FLOATS // dim**2} at dimension {dim}, since the "
+                          f"bootstrap holds n_resamples x dimension**2 floats")
     tol = _number(est.get("tol", 1e-9), "estimation.tol", positive=True)
     max_iter = _integer(est.get("max_iter", 1000), "estimation.max_iter", minimum=1)
 
     return ExperimentConfig(
-        seed=seed, spec1=spec1, spec2=spec2, protocol=protocol,
-        constraints=constraints, eta_det=eta_det, dark_rate=dark,
+        seed=seed, protocol=protocol, eta_det=eta_det, dark_rate=dark,
         heralds_per_setting=heralds, n_resamples=n_res, tol=tol,
         max_iter=max_iter, sha256=sha256,
     )
@@ -356,7 +338,7 @@ def _check_dark_rate(cfg: ExperimentConfig, settings, stages: dict) -> None:
 
 def _compile(cfg: ExperimentConfig) -> Schedule:
     try:
-        return compile_schedule(cfg.protocol, cfg.constraints)
+        return compile_schedule(cfg.protocol)
     except PatternError as err:
         raise ConfigError(f"protocol.{err}") from err
 
@@ -481,7 +463,7 @@ def _apply_ratio(doc: dict, ratio: float, unswept: ExperimentConfig) -> dict:
     base = doc["memories"]["MAQM1"]["eta_read"]
     if not isinstance(base, (int, float)) or isinstance(base, bool):
         raise ConfigError("memories.MAQM1.eta_read_ratio: requires a scalar eta_read")
-    n_x, n_y = unswept.spec1.n_x, unswept.spec1.n_y
+    n_x, n_y = unswept.protocol.spec1.n_x, unswept.protocol.spec1.n_y
     values = [float(base)] * (n_x * n_y)
     for cell in unswept.protocol.source_cells[1:]:
         values[cell.y * n_x + cell.x] = float(base) * ratio

@@ -1,5 +1,10 @@
 """Stochastic measurement layer: projective settings and coincidence counts.
 
+A block of settings is one ``Settings`` value: the row labels plus read-only
+(n, d) arrays of signal and atom analyzer vectors, row i projecting onto
+``signal[i]`` x ``atom[i]``.  ``tomography_settings(2)`` and
+``w_settings(d)`` build their block once and share it between calls.
+
 Coincidences are herald-conditioned: probabilities are computed against the
 unnormalized branch amplitudes of a protocol run, so branch loss and
 detection efficiency show up as missing counts rather than renormalized
@@ -18,7 +23,7 @@ import numpy as np
 from .protocol import TransferOutcome
 
 __all__ = [
-    "MeasurementSetting",
+    "Settings",
     "CountRow",
     "CountsTable",
     "tomography_settings",
@@ -31,27 +36,35 @@ __all__ = [
 BASIS_NORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Product projection: signal analyzer basis x atom analyzer basis."""
+@dataclass(frozen=True, eq=False)
+class Settings:
+    """Product projections, one row each: signal analyzer x atom analyzer.
 
-    label: str
-    signal_basis: tuple
-    atom_basis: tuple
+    ``signal`` and ``atom`` are read-only complex (n, d) copies of the
+    vectors given; every row must be unit-norm.
+    """
+
+    labels: tuple[str, ...]
+    signal: np.ndarray
+    atom: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "signal_basis", tuple(complex(c) for c in self.signal_basis))
-        object.__setattr__(self, "atom_basis", tuple(complex(c) for c in self.atom_basis))
-        for name, vec in (("signal_basis", self.signal_basis), ("atom_basis", self.atom_basis)):
-            norm = np.linalg.norm(vec)
-            if abs(norm - 1.0) > BASIS_NORM_ATOL:
-                raise ValueError(f"{name} must be unit-norm, got |v| = {norm!r}")
-
-    def signal_vector(self) -> np.ndarray:
-        return np.asarray(self.signal_basis, dtype=complex)
-
-    def atom_vector(self) -> np.ndarray:
-        return np.asarray(self.atom_basis, dtype=complex)
+        labels = tuple(self.labels)
+        signal, atom = (np.array(v, dtype=complex) for v in (self.signal, self.atom))
+        if signal.ndim != 2 or signal.shape != atom.shape or len(signal) != len(labels):
+            raise ValueError(f"need one label and equal-length signal and atom vectors per "
+                             f"row, got {len(labels)} labels, {signal.shape} and {atom.shape}")
+        norms = np.linalg.norm(np.stack([signal, atom]), axis=-1)
+        off = np.argwhere(np.abs(norms - 1.0) > BASIS_NORM_ATOL)
+        if off.size:
+            side, row = off[0]
+            raise ValueError(f"setting {labels[row]!r}: {('signal', 'atom')[side]} vector "
+                             f"must be unit-norm, got |v| = {norms[side, row]!r}")
+        signal.setflags(write=False)
+        atom.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "signal", signal)
+        object.__setattr__(self, "atom", atom)
 
 
 @dataclass(frozen=True)
@@ -85,11 +98,11 @@ _KETS = {
 _KET_ORDER = "UDSR"
 
 
-def tomography_settings(dimension: int = 2) -> tuple[MeasurementSetting, ...]:
+def tomography_settings(dimension: int = 2) -> Settings:
     """The 16-projector two-qubit set, signal letter first in the label.
 
     {U, D, S, R} per side: populations, balanced superposition, and circular
-    analyzers; informationally complete for a two-qubit state.  The tuple is
+    analyzers; informationally complete for a two-qubit state.  The block is
     built once and shared between calls.
     """
     if dimension != 2:
@@ -98,11 +111,10 @@ def tomography_settings(dimension: int = 2) -> tuple[MeasurementSetting, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _tomography_settings() -> tuple[MeasurementSetting, ...]:
-    return _share(tuple(
-        MeasurementSetting(s + a, _KETS[s], _KETS[a])
-        for s in _KET_ORDER for a in _KET_ORDER
-    ))
+def _tomography_settings() -> Settings:
+    pairs = [(s, a) for s in _KET_ORDER for a in _KET_ORDER]
+    return Settings(tuple(s + a for s, a in pairs),
+                    [_KETS[s] for s, _ in pairs], [_KETS[a] for _, a in pairs])
 
 
 def w_labels(dimension: int) -> tuple[str, ...]:
@@ -118,70 +130,48 @@ def w_labels(dimension: int) -> tuple[str, ...]:
             + tuple(f"C{i}{j}{tag}" for i, j in pairs for tag in "+-"))
 
 
-def w_settings(dimension: int = 4) -> tuple[MeasurementSetting, ...]:
+def w_settings(dimension: int = 4) -> Settings:
     """Population plus pairwise-superposition settings for a W-state check.
 
     The signal photon is always analyzed in the balanced superposition of its
     branches; the memory side is projected onto each branch (labels ``Pi``)
     and onto (|i> +- |j>)/sqrt(2) for every pair (labels ``Cij+``/``Cij-``),
-    in ``w_labels`` order.  The tuple is built once per dimension and shared
+    in ``w_labels`` order.  The block is built once per dimension and shared
     between calls.
     """
     return _w_settings(dimension)
 
 
 @functools.lru_cache(maxsize=None)
-def _w_settings(d: int) -> tuple[MeasurementSetting, ...]:
+def _w_settings(d: int) -> Settings:
     labels = w_labels(d)
-    uniform = tuple(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
     h = 1.0 / np.sqrt(2.0)
     atoms = np.zeros((d * d, d), dtype=complex)
     atoms[range(d), range(d)] = 1.0
     for row, (i, j) in zip(range(d, d * d, 2), combinations(range(d), 2)):
         atoms[row:row + 2, i] = h
         atoms[row:row + 2, j] = (h, -h)
-    return _share(tuple(MeasurementSetting(label, uniform, tuple(atom))
-                        for label, atom in zip(labels, atoms)))
+    return Settings(labels, np.full((d * d, d), 1.0 / np.sqrt(d)), atoms)
 
 
-# stacked vectors of the shared setting tuples, keyed by id; an entry keeps
-# its tuple alive, so no other object can take over the id
-_SHARED_VECTORS: dict[int, tuple] = {}
-
-
-def _share(settings: tuple) -> tuple:
-    _SHARED_VECTORS[id(settings)] = (settings, *_stack(settings, len(settings[0].atom_basis)))
-    return settings
-
-
-def _stack(settings, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) signal and atom vectors of ``settings``."""
-    if any(len(s.signal_basis) != d or len(s.atom_basis) != d for s in settings):
-        raise ValueError(f"setting vectors must have length {d}")
-    shape = (len(settings), d)
-    return (np.array([s.signal_basis for s in settings], dtype=complex).reshape(shape),
-            np.array([s.atom_basis for s in settings], dtype=complex).reshape(shape))
-
-
-def coincidence_probabilities(outcome: TransferOutcome, settings,
+def coincidence_probabilities(outcome: TransferOutcome, settings: Settings,
                               eta_det: float) -> np.ndarray:
     """Herald-conditioned signal/atom coincidence probability of each setting."""
     if not 0.0 < eta_det <= 1.0:
         raise ValueError("eta_det must be in (0, 1]")
     d = outcome.config.dimension
-    shared = _SHARED_VECTORS.get(id(settings))
-    if shared and shared[0] is settings and shared[1].shape[1] == d:
-        signal, atom = shared[1:]
-    else:
-        signal, atom = _stack(settings, d)
+    if settings.signal.shape[1] != d:
+        raise ValueError(f"setting vectors must have length {d}, "
+                         f"got {settings.signal.shape[1]}")
     # the state is diagonal in the branch pairing: sum_k v_k |s_k>|a_k>
-    amp = np.sum(np.conj(signal) * np.conj(atom) * outcome.branch_amplitudes, axis=1)
+    amp = np.sum(np.conj(settings.signal) * np.conj(settings.atom)
+                 * outcome.branch_amplitudes, axis=1)
     # |amp|^2 through libm's hypot and pow, as Python's abs and ** compute it;
     # numpy's SIMD abs and square differ from them in the last bit now and then
     return np.array([abs(a) ** 2 * eta_det for a in amp.tolist()])
 
 
-def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
+def sample_counts(outcome: TransferOutcome, settings: Settings, heralds_per_setting: int,
                   eta_det: float, dark_rate: float, seed: int) -> CountsTable:
     """Draw one coincidence table; row i uses substream (seed, i)."""
     if heralds_per_setting < 1:
@@ -190,11 +180,11 @@ def sample_counts(outcome: TransferOutcome, settings, heralds_per_setting: int,
         raise ValueError("dark_rate must be non-negative")
     probabilities = coincidence_probabilities(outcome, settings, eta_det).tolist()
     rows = []
-    for i, (setting, probability) in enumerate(zip(settings, probabilities)):
+    for i, (label, probability) in enumerate(zip(settings.labels, probabilities)):
         p = probability + dark_rate
         if p > 1.0:
-            raise ValueError(f"setting {setting.label!r}: probability {p!r} exceeds 1")
+            raise ValueError(f"setting {label!r}: probability {p!r} exceeds 1")
         rng = np.random.default_rng([seed, i])
         c = int(rng.binomial(heralds_per_setting, p))
-        rows.append(CountRow(setting.label, heralds_per_setting, c))
+        rows.append(CountRow(label, heralds_per_setting, c))
     return CountsTable(tuple(rows))

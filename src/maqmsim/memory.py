@@ -168,7 +168,11 @@ def survival(spec: MemorySpec, t: float) -> float:
     """
     if t < 0:
         raise ValueError(f"storage time must be non-negative, got {t}")
-    envelope = np.exp(-((t / spec.tau_mem) ** 2))
+    ratio = t / spec.tau_mem
+    if ratio > 30.0:
+        # exp(-ratio**2) is 0.0 from ratio ~27.3 on; past ~1e154 the square overflows
+        return 0.0
+    envelope = np.exp(-(ratio ** 2))
     modulation = np.cos(np.pi * t / spec.t_larmor) ** 2
     return float(envelope * modulation)
 

@@ -4,14 +4,19 @@ The compiler turns a :class:`~maqmsim.protocol.ProtocolConfig` into a flat
 list of pulse events, one per control action, each carrying the RF tones for
 the two AOD axes of the memory it drives.  Compilation never fails on timing
 problems; instead every schedule carries a verdict, a list of violations with
-severities, so a near-miss schedule can still be inspected.  Patterns the
+severities, so a near-miss schedule can still be inspected.  The limits come
+from the two memories themselves: retrievals must sit on the source memory's
+Larmor grid and the verification delay on the target's, the source dwell is
+measured against the source memory time, and the deflector switch time and
+the per-channel guard are fixed hardware constants.  Patterns the
 crossed AODs physically cannot produce (cell weights that do not factor into
 an x tone set times a y tone set) are the one hard error, a ``PatternError``
 that names the cell list.
 
-Timing lives on a 1 ns grid.  The emission format is JSON Lines, one line per
-(event, axis), and parsing an emitted schedule and emitting it again
-reproduces the bytes exactly.
+Timing lives on a 1 ns grid (``TIME_GRID_US``).  The emission format is JSON
+Lines, one line per (event, axis), and parsing an emitted schedule and
+emitting it again reproduces the bytes exactly, provided the bins are at
+least two grid steps apart (one step lets two bins snap onto one time).
 """
 
 from __future__ import annotations
@@ -30,13 +35,15 @@ __all__ = [
     "Tone",
     "PulseEvent",
     "Violation",
-    "ScheduleConstraints",
     "Schedule",
     "PatternError",
     "WRITE_DURATION_US",
     "READ_DURATION_US",
     "COUPLING_DURATION_US",
     "FINAL_DURATION_US",
+    "AOD_SWITCH_US",
+    "MIN_GUARD_US",
+    "TIME_GRID_US",
     "cell_to_rf",
     "superposition_rf",
     "compile_schedule",
@@ -49,6 +56,10 @@ WRITE_DURATION_US = 0.1
 READ_DURATION_US = 0.5
 COUPLING_DURATION_US = 0.7
 FINAL_DURATION_US = 1.0
+AOD_SWITCH_US = 2.0     # deflector retune time between bins
+MIN_GUARD_US = 0.05     # least spacing between events on one channel
+TIME_GRID_US = 1e-3     # event times are snapped to this grid
+_TICKS_PER_US = 1.0 / TIME_GRID_US    # exactly 1000.0
 
 FACTOR_RTOL = 1e-10     # relative second-singular-value bound for product patterns
 LARMOR_TOLERANCE = 0.01  # allowed distance from the Larmor grid, in periods
@@ -75,8 +86,8 @@ _CHANNEL_RANK = {c: i for i, c in enumerate(Channel)}
 
 
 def _snap(t: float) -> float:
-    # 1 ns timing grid; also scrubs float-sum dust out of emitted times
-    return round(t * 1e3) / 1e3
+    # onto the timing grid; also scrubs float-sum dust out of emitted times
+    return round(t * _TICKS_PER_US) / _TICKS_PER_US
 
 
 @dataclass(frozen=True)
@@ -122,31 +133,6 @@ class Violation:
     def __post_init__(self):
         if self.severity not in ("error", "warning"):
             raise ValueError("severity must be 'error' or 'warning'")
-
-
-@dataclass(frozen=True)
-class ScheduleConstraints:
-    """Hardware limits a schedule is validated against.
-
-    ``larmor_periods`` and ``memory_times`` are (source, target) pairs in
-    microseconds; retrieval times must sit on the source memory's Larmor
-    grid and storage verification on the target's.
-    """
-
-    larmor_periods: tuple[float, float]
-    memory_times: tuple[float, float]
-    aod_switch_time: float = 2.0
-    min_guard: float = 0.05
-
-    def __post_init__(self):
-        object.__setattr__(self, "larmor_periods", tuple(self.larmor_periods))
-        object.__setattr__(self, "memory_times", tuple(self.memory_times))
-        values = (*self.larmor_periods, *self.memory_times,
-                  self.aod_switch_time, self.min_guard)
-        if len(self.larmor_periods) != 2 or len(self.memory_times) != 2:
-            raise ValueError("larmor_periods and memory_times are (source, target) pairs")
-        if any(v <= 0 for v in values):
-            raise ValueError("all constraint values must be positive")
 
 
 @dataclass(frozen=True)
@@ -249,8 +235,7 @@ def _single_cell_tones(spec, cell):
     return (Tone(fx, 1.0, 0.0),), (Tone(fy, 1.0, 0.0),)
 
 
-def compile_schedule(config: ProtocolConfig,
-                     constraints: ScheduleConstraints) -> Schedule:
+def compile_schedule(config: ProtocolConfig) -> Schedule:
     """Compile one heralded write plus readout chain into timed events.
 
     The write pulse fires at t = 0 carrying the source superposition.  Each
@@ -260,9 +245,10 @@ def compile_schedule(config: ProtocolConfig,
     the read-side deflectors; the target-side pair moves in the same window.
     A final coupling pulse t2 after the last bin reads the stored
     superposition back out.  The returned schedule carries the verdict from
-    :func:`validate_schedule`; violations never abort compilation.  A
-    source or target pattern that does not factor raises ``PatternError``
-    prefixed with ``source_cells`` or ``target_cells``.
+    :func:`validate_schedule` against ``config.spec1`` and ``config.spec2``;
+    violations never abort compilation.  A source or target pattern that
+    does not factor raises ``PatternError`` prefixed with ``source_cells``
+    or ``target_cells``.
     """
     d = config.dimension
     spec1, spec2 = config.spec1, config.spec2
@@ -283,7 +269,7 @@ def compile_schedule(config: ProtocolConfig,
         if i + 1 < d:
             nxt = config.source_cells[order[i + 1]]
             events.append(PulseEvent(_snap(t_i + READ_DURATION_US),
-                                     constraints.aod_switch_time, Channel.AOD_RETUNE,
+                                     AOD_SWITCH_US, Channel.AOD_RETUNE,
                                      *_single_cell_tones(spec1, nxt)))
     t_final = _snap(bin_time(config, d - 1) + config.t2)
     final_weights = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
@@ -292,7 +278,7 @@ def compile_schedule(config: ProtocolConfig,
                                              "target_cells")))
 
     schedule = Schedule(tuple(events))
-    return Schedule(schedule.events, validate_schedule(schedule, constraints))
+    return Schedule(schedule.events, validate_schedule(schedule, spec1, spec2))
 
 
 def _off_grid(t: float, period: float) -> bool:
@@ -300,18 +286,20 @@ def _off_grid(t: float, period: float) -> bool:
     return abs(ratio - round(ratio)) > LARMOR_TOLERANCE
 
 
-def validate_schedule(schedule: Schedule,
-                      constraints: ScheduleConstraints) -> tuple[Violation, ...]:
-    """Check a schedule against hardware timing constraints.
+def validate_schedule(schedule: Schedule, source: MemorySpec,
+                      target: MemorySpec) -> tuple[Violation, ...]:
+    """Check a schedule against the two memories and the deflector timing.
 
     Timings are re-derived from the events themselves rather than trusted
     from whatever produced them.  Checks: retrieval times on the source
-    Larmor grid, verification delay on the target grid, inter-bin gaps long
-    enough to retune, source dwell against the memory time (warning past
-    1x, error past 2x), and per-channel overlap and guard spacing.
+    Larmor grid (``source.t_larmor``), verification delay on the target
+    grid (``target.t_larmor``), inter-bin gaps long enough to retune
+    (``AOD_SWITCH_US`` plus the read), source dwell against
+    ``source.tau_mem`` (warning past 1x, error past 2x), and per-channel
+    overlap and ``MIN_GUARD_US`` spacing.
     """
     out: list[Violation] = []
-    t_l1, t_l2 = constraints.larmor_periods
+    t_l1, t_l2 = source.t_larmor, target.t_larmor
 
     writes = schedule.on_channel(Channel.WRITE)
     origin = writes[0].t_start_us if writes else 0.0
@@ -330,11 +318,11 @@ def validate_schedule(schedule: Schedule,
                 out.append(Violation("error", "larmor_tau",
                                      f"bin spacing {gap:g} us is off the source "
                                      f"Larmor grid ({t_l1:g} us)"))
-            floor = constraints.aod_switch_time + a.duration_us
+            floor = AOD_SWITCH_US + a.duration_us
             if gap < floor - 1e-9:
                 out.append(Violation("error", "bin_gap",
                                      f"bin spacing {gap:g} us is below the retune floor "
-                                     f"{floor:g} us (switch {constraints.aod_switch_time:g} "
+                                     f"{floor:g} us (switch {AOD_SWITCH_US:g} "
                                      f"+ read {a.duration_us:g})"))
         if finals:
             t2 = finals[0].t_start_us - reads[-1].t_start_us
@@ -343,7 +331,7 @@ def validate_schedule(schedule: Schedule,
                                      f"verification delay {t2:g} us is off the target "
                                      f"Larmor grid ({t_l2:g} us)"))
         dwell = reads[-1].t_start_us - origin
-        mem1 = constraints.memory_times[0]
+        mem1 = source.tau_mem
         if dwell > 2.0 * mem1:
             out.append(Violation("error", "dwell",
                                  f"last bin dwells {dwell:g} us in the source memory, "
@@ -360,11 +348,11 @@ def validate_schedule(schedule: Schedule,
                 out.append(Violation("error", "overlap",
                                      f"{channel.value} events at {a.t_start_us:g} and "
                                      f"{b.t_start_us:g} us overlap"))
-            elif b.t_start_us < a.t_end_us + constraints.min_guard - 1e-9:
+            elif b.t_start_us < a.t_end_us + MIN_GUARD_US - 1e-9:
                 out.append(Violation("error", "guard",
                                      f"{channel.value} events at {a.t_start_us:g} and "
                                      f"{b.t_start_us:g} us are closer than the "
-                                     f"{constraints.min_guard:g} us guard"))
+                                     f"{MIN_GUARD_US:g} us guard"))
     return tuple(out)
 
 

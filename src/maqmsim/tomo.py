@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .detect import CountsTable, MeasurementSetting, tomography_settings, w_labels
+from .detect import CountsTable, tomography_settings, w_labels
 from .qstate import DensityMatrix, fidelity
 
 __all__ = [
@@ -107,22 +107,21 @@ class FidelityEstimate:
             raise ValueError("sigma must be finite and non-negative")
 
 
-def _projector(setting: MeasurementSetting) -> np.ndarray:
-    ket = np.kron(setting.signal_vector(), setting.atom_vector())
-    return np.outer(ket, ket.conj())
-
-
 def _aligned_projectors(counts: CountsTable):
-    table = {s.label: s for s in tomography_settings(2)}
-    projectors, observed, exposures = [], [], []
+    settings = tomography_settings(2)
+    index = {label: i for i, label in enumerate(settings.labels)}
+    rows = []
     for row in counts.rows:
-        if row.label not in table:
+        if row.label not in index:
             raise ValueError(f"no measurement setting named {row.label!r}")
-        projectors.append(_projector(table[row.label]))
-        observed.append(row.coincidences)
-        exposures.append(row.heralds)
-    return (np.array(projectors), np.asarray(observed, dtype=float),
-            np.asarray(exposures, dtype=float))
+        rows.append(index[row.label])
+    n, d = len(rows), settings.signal.shape[1]
+    # per row: ket = kron(signal, atom) and its projector outer(ket, ket*)
+    kets = (settings.signal[rows, :, None] * settings.atom[rows, None, :]).reshape(n, d * d)
+    projectors = kets[:, :, None] * kets.conj()[:, None, :]
+    observed = np.array([row.coincidences for row in counts.rows], dtype=float)
+    exposures = np.array([row.heralds for row in counts.rows], dtype=float)
+    return projectors, observed, exposures
 
 
 def _pack(t_mat: np.ndarray) -> np.ndarray:

@@ -132,8 +132,8 @@ def conditioned_random_density(dim, rng):
     return 0.7 * mat + 0.3 * np.eye(dim) / dim
 
 
-def setting_probability(rho_entries, setting):
-    ket = np.kron(setting.signal_vector(), setting.atom_vector())
+def setting_probability(rho_entries, signal, atom):
+    ket = np.kron(signal, atom)
     return float(np.real(np.conj(ket) @ rho_entries @ ket))
 
 
@@ -150,12 +150,13 @@ def test_criterion_3_tomography_round_trip():
     with criterion(3, 300.0, "tomography recovers random states, monotone fits"):
         rng = np.random.default_rng(0)
         settings = tomography_settings(2)
-        labels = [s.label for s in settings]
+        labels = settings.labels
         sampled_fidelities = []
         for _ in range(10):
             truth_arr = conditioned_random_density(4, rng)
             truth = DensityMatrix(truth_arr)
-            probs = [setting_probability(truth_arr, s) for s in settings]
+            probs = [setting_probability(truth_arr, s, a)
+                     for s, a in zip(settings.signal, settings.atom)]
 
             exact_rows = tuple(
                 CountRow(lbl, 1_000_000, int(round(p * 1_000_000)))
@@ -200,7 +201,7 @@ def test_criterion_5_schedule_golden_files():
                 ("qubit_default.json", "qubit_schedule.jsonl"),
                 ("qudit_default.json", "qudit_schedule.jsonl")):
             cfg = load_experiment_config(str(CONFIG_DIR / config_name))
-            schedule = compile_schedule(cfg.protocol, cfg.constraints)
+            schedule = compile_schedule(cfg.protocol)
             assert schedule.valid
             produced = schedule_to_jsonl(schedule)
             assert produced == (GOLDEN_DIR / golden_name).read_text()
@@ -211,7 +212,7 @@ def test_criterion_5_schedule_golden_files():
             source_cells=cfg.protocol.source_cells,
             target_cells=cfg.protocol.target_cells,
             t1=15.6, tau=1.0, t2=7.8)
-        schedule = compile_schedule(tight, cfg.constraints)
+        schedule = compile_schedule(tight)
         assert not schedule.valid
         assert any(v.code == "bin_gap" for v in schedule.violations)
 
@@ -220,7 +221,7 @@ def test_criterion_5_schedule_golden_files():
             source_cells=cfg.protocol.source_cells,
             target_cells=cfg.protocol.target_cells,
             t1=16.0, tau=7.8, t2=7.8)
-        schedule = compile_schedule(offgrid, cfg.constraints)
+        schedule = compile_schedule(offgrid)
         assert not schedule.valid
         assert any(v.code == "larmor_t1" for v in schedule.violations)
 

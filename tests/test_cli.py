@@ -26,6 +26,7 @@ from maqmsim.cli import (
     sweep_to_csv,
     sweepable_paths,
 )
+from maqmsim.schedule import schedule_from_jsonl, schedule_to_jsonl
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -175,16 +176,6 @@ def test_cell_outside_grid_rejected():
     doc["protocol"]["source_cells"] = [[1, 1], [9, 9]]
     with pytest.raises(ConfigError, match="protocol"):
         parse_experiment_config(doc)
-
-
-def test_constraint_overrides_take_effect():
-    doc = small_doc()
-    doc["constraints"] = {"aod_switch_time": 9.0}
-    cfg = parse_experiment_config(doc)
-    assert cfg.constraints.aod_switch_time == 9.0
-    # defaults came from the memory specs
-    assert cfg.constraints.larmor_periods == (7.8, 1.3)
-    assert cfg.constraints.memory_times == (65.0, 27.8)
 
 
 # ------------------------------------------------------------------- reports
@@ -493,36 +484,7 @@ def test_heralds_per_setting_fits_a_c_long(tmp_path, capsys, heralds, code):
                               f"must be at most {MAX_HERALDS}")
 
 
-@pytest.mark.parametrize("key", ["larmor_periods", "memory_times"])
-@pytest.mark.parametrize("bad, message", [
-    ([math.nan, 1.3], "[0]: must be a finite number"),
-    ([7.8, math.inf], "[1]: must be a finite number"),
-    (["7.8", 1.3], "[0]: must be a number"),
-    ([7.8, -1.3], "[1]: must be positive"),
-    ([7.8], ": must be a [source, target] pair of numbers"),
-    (7.8, ": must be a [source, target] pair of numbers"),
-])
-def test_constraint_pairs_are_checked(tmp_path, capsys, key, bad, message):
-    # a bad entry must stop at parse time, before the Larmor grid and dwell checks
-    doc = small_doc()
-    doc["constraints"] = {key: bad}
-    path = write_config(tmp_path, doc)
-    assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"config error: constraints.{key}{message}"]
-
-
-def test_constraint_scalar_error_names_its_field_once(tmp_path, capsys):
-    doc = small_doc()
-    doc["constraints"] = {"aod_switch_time": -2.0}
-    path = write_config(tmp_path, doc)
-    assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
-    assert capsys.readouterr().err == ("config error: constraints.aod_switch_time: "
-                                       "must be positive\n")
-
-
 @pytest.mark.parametrize("section, key", [
-    ("constraints", "larmor_tolerance"),
     ("detection", "heralds_per_settting"),
     ("protocol", "dimensions"),
     ("estimation", "n_resample"),
@@ -579,6 +541,12 @@ QUDIT_BROKEN_FIELDS = [
     (("protocol", "target_cells", 0), [0, 2],
      "protocol.target_cells: cell weights do not factor"),
     (("estimation", "n_resamples"), 10**19, "estimation.n_resamples: must be at most 100000"),
+    (("protocol", "tau"), 1e-4, "protocol.tau: must be at least 0.002, two steps of the "
+                                "0.001 us timing grid"),
+    (("protocol", "tau"), 0.001, "protocol.tau: must be at least 0.002"),
+    (("memories", "MAQM1", "t_larmor"), 1e-310,
+     "memories.MAQM1.t_larmor: must be at least 0.001, the timing grid"),
+    (("memories", "MAQM2", "t_larmor"), 0.0009, "memories.MAQM2.t_larmor: must be at least"),
 ]
 
 
@@ -592,6 +560,80 @@ def test_parse_time_failures_exit_two(tmp_path, capsys, command, where, value, m
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_constraints_section_is_an_unknown_field(tmp_path, capsys):
+    # the schedule limits come from the memories; there is nothing to override
+    doc = small_doc()
+    doc["constraints"] = {"aod_switch_time": 9.0}
+    path = write_config(tmp_path, doc)
+    for command in ("run", "compile"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: config: unknown field(s) 'constraints'\n"
+
+
+@pytest.mark.parametrize("t1", [0.0015, 1.0015, 2.0005])
+def test_bins_one_grid_step_apart_are_rejected(tmp_path, capsys, t1):
+    # at tau = 1 ns, bins on a half step of the grid round onto one time, and the
+    # JSONL with two reads at that time does not parse back
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["protocol"].update(t1=t1, tau=0.001)
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("config error: protocol.tau: must be at least")
+
+    doc["protocol"]["tau"] = cli.MIN_TAU_US
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "s.jsonl"
+    assert main(["compile", "--config", path, "--out", str(out)]) == 1   # bin_gap errors
+    text = out.read_text()
+    reads = [json.loads(line)["t_start_us"] for line in text.splitlines()
+             if '"read"' in line and '"x"' in line]
+    assert len(set(reads)) == 4
+    assert schedule_to_jsonl(schedule_from_jsonl(text)) == text
+
+
+def big_grid_doc(side, dimension, n_resamples=6):
+    """small_doc on side x side grids, with the first ``dimension`` cells in row-major order."""
+    doc = copy.deepcopy(small_doc(n_resamples=n_resamples))
+    cells = [[x, y] for y in range(side) for x in range(side)][:dimension]
+    for memory in ("MAQM1", "MAQM2"):
+        doc["memories"][memory].update(n_x=side, n_y=side)
+    doc["protocol"].update(dimension=dimension, source_cells=cells, target_cells=cells,
+                           write_phases=[0.0] * dimension)
+    return doc
+
+
+@pytest.fixture
+def no_pipeline(monkeypatch):
+    # a config that passes the parser must not start a run in these tests
+    def refuse(cfg):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+
+
+@pytest.mark.parametrize("dimension", [cli.MAX_DIMENSION + 1, 120, 10**19])
+def test_dimension_is_bounded(tmp_path, capsys, no_pipeline, dimension):
+    doc = big_grid_doc(11, 121)
+    doc["protocol"]["dimension"] = dimension
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: protocol.dimension: must be at most 100\n")
+
+
+@pytest.mark.parametrize("dimension, n_resamples", [(32, 97_657), (100, 10_001), (100, 10**5)])
+def test_bootstrap_stack_is_bounded(tmp_path, capsys, no_pipeline, dimension, n_resamples):
+    # the W bootstrap holds an (n_resamples, dimension**2) stack of floats
+    doc = big_grid_doc(10, dimension, n_resamples)
+    limit = 10**8 // dimension**2
+    assert parse_experiment_config(big_grid_doc(10, dimension, limit)).n_resamples == limit
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: estimation.n_resamples: must be at most {limit} at dimension "
+        f"{dimension}, since the bootstrap holds n_resamples x dimension**2 floats\n")
 
 
 @pytest.mark.parametrize("drop", [True, False])
@@ -734,6 +776,8 @@ def test_heralds_sweep_leaves_failed_rows_blank(tmp_path):
     ("MAQM1", "eta_read", 0.0, ("maqm1_stage", "maqm2_stage")),
     ("MAQM2", "eta_eit", 0.0, ("maqm2_stage",)),
     (None, "t1", 2000.0, ("maqm1_stage", "maqm2_stage")),   # the envelope underflows
+    # (t / tau_mem)**2 is past the float range; survival cuts off before squaring
+    ("MAQM1", "tau_mem", 1e-160, ("maqm1_stage", "maqm2_stage")),
 ])
 def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, value, dead):
     doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from maqmsim.detect import (
     CountRow,
     CountsTable,
-    MeasurementSetting,
+    Settings,
     coincidence_probabilities,
     sample_counts,
     tomography_settings,
@@ -41,71 +41,90 @@ def bell_outcome(**kw):
     return run_protocol(make_config(2, **kw))
 
 
-def by_label(settings):
-    return {s.label: s for s in settings}
+def rows(settings, *labels):
+    """The named rows of a block, as a block of their own."""
+    index = [settings.labels.index(label) for label in labels]
+    return Settings(labels, settings.signal[index], settings.atom[index])
 
 
 class TestSettings:
     def test_sixteen_settings(self):
         settings = tomography_settings(2)
-        assert len(settings) == 16
-        assert len({s.label for s in settings}) == 16
+        assert len(settings.labels) == 16
+        assert len(set(settings.labels)) == 16
+        assert settings.signal.shape == settings.atom.shape == (16, 2)
 
     def test_all_unit_norm(self):
-        for s in tomography_settings(2):
-            assert_allclose(np.linalg.norm(s.signal_vector()), 1.0, atol=1e-12)
-            assert_allclose(np.linalg.norm(s.atom_vector()), 1.0, atol=1e-12)
+        settings = tomography_settings(2)
+        assert_allclose(np.linalg.norm(settings.signal, axis=1), 1.0, atol=1e-12)
+        assert_allclose(np.linalg.norm(settings.atom, axis=1), 1.0, atol=1e-12)
 
     def test_design_matrix_full_rank(self):
-        rows = []
-        for s in tomography_settings(2):
-            ket = np.kron(s.signal_vector(), s.atom_vector())
-            rows.append(np.outer(ket, ket.conj()).reshape(-1))
-        assert np.linalg.matrix_rank(np.array(rows)) == 16
+        settings = tomography_settings(2)
+        design = []
+        for s, a in zip(settings.signal, settings.atom):
+            ket = np.kron(s, a)
+            design.append(np.outer(ket, ket.conj()).reshape(-1))
+        assert np.linalg.matrix_rank(np.array(design)) == 16
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             tomography_settings(4)
 
     def test_non_unit_basis_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementSetting("bad", (1.0, 1.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="'bad': signal vector must be unit-norm"):
+            Settings(("ok", "bad"), [(1.0, 0.0), (1.0, 1.0)], [(1.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="'bad': atom vector must be unit-norm"):
+            Settings(("bad",), [(1.0, 0.0)], [(0.5, 0.0)])
 
     def test_w_settings_cover_populations_and_pairs(self):
         settings = w_settings(4)
-        labels = [s.label for s in settings]
-        assert len(settings) == 4 + 12
+        labels = list(settings.labels)
+        assert len(labels) == 4 + 12
         assert labels[:4] == ["P0", "P1", "P2", "P3"]
         assert "C01+" in labels and "C23-" in labels
-        for s in settings:
-            assert_allclose(s.signal_vector(), np.full(4, 0.5), atol=1e-12)
+        assert_allclose(settings.signal, np.full((16, 4), 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("build, dimension", [
         (tomography_settings, 2), (w_settings, 4), (w_settings, 16)])
     def test_settings_are_built_once(self, build, dimension):
         first = build(dimension)
         assert build(dimension) is first
-        assert first == fresh_settings(dimension)
+        fresh = fresh_settings(dimension)
+        assert first.labels == fresh.labels
+        assert np.array_equal(first.signal, fresh.signal)
+        assert np.array_equal(first.atom, fresh.atom)
+        # the shared block cannot be edited in place
+        for vectors in (first.signal, first.atom):
+            with pytest.raises(ValueError, match="read-only"):
+                vectors[0, 0] = 0.0
+
+    def test_block_copies_its_input(self):
+        signal = np.array([[1.0, 0.0]], dtype=complex)
+        block = Settings(("UU",), signal, signal)
+        signal[0] = (0.0, 1.0)
+        assert block.signal.tolist() == [[1.0, 0.0]]
+        assert signal.flags.writeable
 
 
-def probability(outcome, setting, eta_det):
-    return float(coincidence_probabilities(outcome, [setting], eta_det)[0])
+def probability(outcome, settings, eta_det):
+    return float(coincidence_probabilities(outcome, settings, eta_det)[0])
 
 
 class TestCoincidenceProbability:
     def test_bell_parallel_analyzers(self):
         out = bell_outcome()
-        uu = by_label(tomography_settings(2))["UU"]
+        uu = rows(tomography_settings(2), "UU")
         assert_allclose(probability(out, uu, 1.0), 0.5, rtol=0, atol=1e-12)
 
     def test_bell_orthogonal_superposition(self):
         out = bell_outcome()
-        anti = MeasurementSetting("SA", _kets("S"), tuple(np.array([1.0, -1.0]) / np.sqrt(2)))
+        anti = Settings(("SA",), [_kets("S")], [np.array([1.0, -1.0]) / np.sqrt(2)])
         assert_allclose(probability(out, anti, 1.0), 0.0, rtol=0, atol=1e-12)
 
     def test_detection_efficiency_scales_linearly(self):
         out = bell_outcome()
-        ss = by_label(tomography_settings(2))["SS"]
+        ss = rows(tomography_settings(2), "SS")
         full = probability(out, ss, 1.0)
         half = probability(out, ss, 0.5)
         assert_allclose(half, full / 2.0, rtol=0, atol=1e-15)
@@ -115,45 +134,48 @@ class TestCoincidenceProbability:
         # conditioned detection probability is the weighted norm
         for eta_read, eta_det in [(1.0, 1.0), (0.4, 1.0), (0.7, 0.33)]:
             out = bell_outcome(eta_read=eta_read)
-            settings = by_label(tomography_settings(2))
-            total = sum(coincidence_probabilities(
-                out, [settings[k] for k in ("UU", "UD", "DU", "DD")], eta_det))
+            family = rows(tomography_settings(2), "UU", "UD", "DU", "DD")
+            total = sum(coincidence_probabilities(out, family, eta_det))
             assert_allclose(total, out.survival_probability * eta_det, rtol=0, atol=1e-12)
             assert total <= 1.0 + 1e-12
 
     def test_dimension_mismatch_rejected(self):
         out = run_protocol(make_config(4))
-        uu = by_label(tomography_settings(2))["UU"]
-        with pytest.raises(ValueError):
-            coincidence_probabilities(out, [uu], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 4"):
+            coincidence_probabilities(out, rows(tomography_settings(2), "UU"), 1.0)
+        with pytest.raises(ValueError, match="length 4"):
             coincidence_probabilities(out, tomography_settings(2), 1.0)
 
     def test_mixed_vector_lengths_rejected(self):
-        out = run_protocol(make_config(4))
+        w, t = w_settings(4), tomography_settings(2)
         with pytest.raises(ValueError):
-            coincidence_probabilities(out, [w_settings(4)[0], tomography_settings(2)[0]], 1.0)
+            Settings(("P0", "UU"), [w.signal[0], t.signal[0]], [w.atom[0], t.atom[0]])
+        with pytest.raises(ValueError, match="equal-length signal and atom vectors"):
+            Settings(("P0",), w.signal[:1], t.atom[:1])
+        with pytest.raises(ValueError, match="2 labels"):
+            Settings(("P0", "P1"), w.signal[:1], w.atom[:1])
 
     def test_bad_eta_rejected(self):
         out = bell_outcome()
-        uu = by_label(tomography_settings(2))["UU"]
+        uu = rows(tomography_settings(2), "UU")
         for eta in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError):
                 coincidence_probabilities(out, [uu], eta)
 
     def test_w_population_probabilities(self):
         out = run_protocol(make_config(4))
-        settings = by_label(w_settings(4))
+        settings = w_settings(4)
         for i in range(4):
-            p = probability(out, settings[f"P{i}"], 1.0)
+            p = probability(out, rows(settings, f"P{i}"), 1.0)
             assert_allclose(p, 1.0 / 16.0, rtol=0, atol=1e-12)
-        assert_allclose(probability(out, settings["C01+"], 1.0), 1.0 / 8.0,
+        assert_allclose(probability(out, rows(settings, "C01+"), 1.0), 1.0 / 8.0,
                         rtol=0, atol=1e-12)
-        assert_allclose(probability(out, settings["C01-"], 1.0), 0.0,
+        assert_allclose(probability(out, rows(settings, "C01-"), 1.0), 0.0,
                         rtol=0, atol=1e-12)
 
     def test_empty_settings_give_no_probabilities(self):
-        assert coincidence_probabilities(bell_outcome(), [], 1.0).shape == (0,)
+        empty = Settings((), np.empty((0, 2)), np.empty((0, 2)))
+        assert coincidence_probabilities(bell_outcome(), empty, 1.0).shape == (0,)
 
 
 def wide_outcome(transfer):
@@ -174,21 +196,19 @@ def wide_outcome(transfer):
     return run_protocol(config, transfer=transfer)
 
 
-def reference_probability(outcome, setting, eta_det):
+def reference_probability(outcome, s, a, eta_det):
     """The per-setting scalar computation the array expression replaced."""
-    s = setting.signal_vector()
-    a = setting.atom_vector()
     amp = np.sum(np.conj(s) * np.conj(a) * outcome.branch_amplitudes)
     return float(abs(amp) ** 2 * eta_det)
 
 
 def reference_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
-    rows = []
-    for i, setting in enumerate(settings):
-        p = reference_probability(outcome, setting, eta_det) + dark_rate
+    out = []
+    for i, (label, s, a) in enumerate(zip(settings.labels, settings.signal, settings.atom)):
+        p = reference_probability(outcome, s, a, eta_det) + dark_rate
         c = int(np.random.default_rng([seed, i]).binomial(heralds, p))
-        rows.append(CountRow(setting.label, heralds, c))
-    return CountsTable(tuple(rows))
+        out.append(CountRow(label, heralds, c))
+    return CountsTable(tuple(out))
 
 
 class TestArrayExpressionMatchesPerSettingLoop:
@@ -205,10 +225,9 @@ class TestArrayExpressionMatchesPerSettingLoop:
         out, settings = outcome(), settings()
         for eta_det in (1.0, 0.37):
             got = coincidence_probabilities(out, settings, eta_det)
-            want = [reference_probability(out, s, eta_det) for s in settings]
+            want = [reference_probability(out, s, a, eta_det)
+                    for s, a in zip(settings.signal, settings.atom)]
             assert got.tolist() == want
-            # a list of the same settings takes the uncached stacking path
-            assert coincidence_probabilities(out, list(settings), eta_det).tolist() == want
             table = sample_counts(out, settings, 5000, eta_det, dark_rate, seed=29)
             assert table == reference_counts(out, settings, 5000, eta_det, dark_rate, 29)
 
@@ -216,45 +235,47 @@ class TestArrayExpressionMatchesPerSettingLoop:
 def fresh_settings(dimension):
     """The settings built from scratch, without the shared cache."""
     if dimension == 2:
-        return tuple(MeasurementSetting(s + a, _kets(s), _kets(a))
-                     for s in "UDSR" for a in "UDSR")
+        pairs = [(s, a) for s in "UDSR" for a in "UDSR"]
+        return Settings(tuple(s + a for s, a in pairs),
+                        [_kets(s) for s, _ in pairs], [_kets(a) for _, a in pairs])
     d = dimension
-    uniform = np.full(d, 1.0 / np.sqrt(d))
     h = 1.0 / np.sqrt(2.0)
-    out = [MeasurementSetting(f"P{i}", uniform, np.eye(d)[i]) for i in range(d)]
+    labels = [f"P{i}" for i in range(d)]
+    atoms = list(np.eye(d))
     for i, j in combinations(range(d), 2):
         for tag, sign in (("+", 1.0), ("-", -1.0)):
             atom = np.zeros(d)
             atom[i], atom[j] = h, sign * h
-            out.append(MeasurementSetting(f"C{i}{j}{tag}", uniform, atom))
-    assert tuple(s.label for s in out) == w_labels(d)
-    return tuple(out)
+            labels.append(f"C{i}{j}{tag}")
+            atoms.append(atom)
+    assert tuple(labels) == w_labels(d)
+    return Settings(labels, np.full((d * d, d), 1.0 / np.sqrt(d)), atoms)
 
 
 class TestSampleCounts:
     def test_certain_event_saturates(self):
         out = bell_outcome()
-        uu = by_label(tomography_settings(2))["UU"]
-        table = sample_counts(out, [uu], 500, eta_det=1.0, dark_rate=0.5, seed=1)
+        uu = rows(tomography_settings(2), "UU")
+        table = sample_counts(out, uu, 500, eta_det=1.0, dark_rate=0.5, seed=1)
         assert table.rows[0].coincidences == 500
 
     def test_impossible_probability_rejected(self):
         out = bell_outcome()
-        uu = by_label(tomography_settings(2))["UU"]
+        uu = rows(tomography_settings(2), "UU")
         with pytest.raises(ValueError):
-            sample_counts(out, [uu], 100, eta_det=1.0, dark_rate=0.6, seed=1)
+            sample_counts(out, uu, 100, eta_det=1.0, dark_rate=0.6, seed=1)
 
     def test_binomial_moments(self):
         out = bell_outcome()
-        uu = by_label(tomography_settings(2))["UU"]
-        table = sample_counts(out, [uu], 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
+        uu = rows(tomography_settings(2), "UU")
+        table = sample_counts(out, uu, 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
         c = table.rows[0].coincidences
         assert abs(c - 5000) < 5 * 50  # 5 sigma, sigma = sqrt(n p (1-p)) = 50
 
     def test_zero_probability_gives_zero_counts(self):
         out = bell_outcome()
-        ud = by_label(tomography_settings(2))["UD"]
-        table = sample_counts(out, [ud], 1000, eta_det=1.0, dark_rate=0.0, seed=3)
+        ud = rows(tomography_settings(2), "UD")
+        table = sample_counts(out, ud, 1000, eta_det=1.0, dark_rate=0.0, seed=3)
         assert table.rows[0].coincidences == 0
 
     def test_seed_reproducibility(self):
@@ -267,17 +288,18 @@ class TestSampleCounts:
     def test_rows_independent_of_order(self):
         # substreams are keyed by setting index, not by a shared stream
         out = bell_outcome()
-        settings = list(tomography_settings(2))
+        settings = tomography_settings(2)
         full = sample_counts(out, settings, 1000, 0.5, 0.0, seed=11)
-        prefix = sample_counts(out, settings[:4], 1000, 0.5, 0.0, seed=11)
+        prefix = sample_counts(out, rows(settings, *settings.labels[:4]), 1000, 0.5, 0.0,
+                               seed=11)
         assert full.rows[:4] == prefix.rows
 
     def test_frequencies_converge_to_probability(self):
         out = bell_outcome()
-        ss = by_label(tomography_settings(2))["SS"]
+        ss = rows(tomography_settings(2), "SS")
         p = probability(out, ss, 1.0)
         for shots in (1_000, 100_000):
-            table = sample_counts(out, [ss], shots, 1.0, 0.0, seed=13)
+            table = sample_counts(out, ss, shots, 1.0, 0.0, seed=13)
             freq = table.rows[0].coincidences / shots
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) < 5 * sigma

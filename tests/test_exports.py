@@ -1,0 +1,30 @@
+"""The public surface: each module's ``__all__`` and the package re-export."""
+
+import pytest
+
+import maqmsim
+from maqmsim import cli, detect, memory, protocol, qstate, schedule, tomo
+
+MODULES = [memory, qstate, protocol, schedule, detect, tomo, cli]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def test_module_exports_resolve_once(module):
+    names = module.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        obj = getattr(module, name)
+        # functions and classes are exported by the module that defines them
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+        assert getattr(maqmsim, name) is obj
+
+
+def test_package_exports_the_module_lists():
+    expected = ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert maqmsim.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+@pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting"])
+def test_second_copies_are_gone(name):
+    assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))

@@ -1,0 +1,146 @@
+"""Invariants checked on generated inputs.
+
+Each property draws a modest, fixed sequence of examples (``derandomize``),
+so the suite stays deterministic and fast.
+"""
+
+import copy
+import dataclasses
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from maqmsim import cli
+from maqmsim.cli import parse_experiment_config
+from maqmsim.detect import Settings, coincidence_probabilities
+from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
+from maqmsim.protocol import ProtocolConfig, bin_time, run_protocol, storage_dwell
+from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
+QUDIT = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
+GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
+HALF_STEP = TIME_GRID_US / 2
+# the longest storage a run reaches: d - 1 bins plus t2, each at most MAX_TIME_US
+LONGEST_RUN_US = cli.MAX_TIME_US * cli.MAX_DIMENSION
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def times(low, exclude_low=False):
+    """Times in [low, MAX_TIME_US]: any float, or a multiple of half a grid step,
+    where snapping to the grid meets its ties."""
+    k_low = max(1, math.ceil(low / HALF_STEP))
+    return st.one_of(
+        st.floats(low, cli.MAX_TIME_US, exclude_min=exclude_low),
+        st.integers(k_low, 4000).map(lambda k: k * HALF_STEP),
+        st.integers(k_low, int(cli.MAX_TIME_US / HALF_STEP)).map(lambda k: k * HALF_STEP),
+    )
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3, 4]), t1=times(0.0, exclude_low=True),
+       tau=times(cli.MIN_TAU_US), t2=times(0.0), data=st.data())
+def test_compiled_schedules_round_trip_byte_for_byte(d, t1, tau, t2, data):
+    phases = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    cells = [[1, y] for y in range(d)]   # one column, so any write phases factor
+    doc = copy.deepcopy(QUDIT)
+    doc["protocol"] = {"dimension": d, "source_cells": cells, "target_cells": cells,
+                       "t1": t1, "tau": tau, "t2": t2, "write_phases": phases}
+    text = schedule_to_jsonl(compile_schedule(parse_experiment_config(doc).protocol))
+    assert schedule_to_jsonl(schedule_from_jsonl(text)) == text
+
+
+@PROPERTY
+@given(tau_mem=st.floats(0.0, 1e308, exclude_min=True),
+       t_larmor=st.floats(TIME_GRID_US, 1e308),
+       t=st.floats(0.0, LONGEST_RUN_US))
+def test_survival_is_a_probability(tau_mem, t_larmor, t):
+    # t_larmor >= TIME_GRID_US is the bound the config reader sets
+    spec = MemorySpec(MemoryId.MAQM1, 5, 6, 0.01, 0.2, tau_mem, t_larmor, GRID1)
+    assert 0.0 <= survival(spec, t) <= 1.0
+
+
+def qubit_config(eta_read, eta_eit, tau_mem, t_larmor, t1, tau, t2, phases, drifts):
+    coords = [(1, 1), (1, 2)]
+    read, eit = np.full((6, 5), 0.5), np.full((6, 5), 0.5)
+    for (x, y), r, e in zip(coords, eta_read, eta_eit):
+        read[y, x], eit[y, x] = r, e
+    return ProtocolConfig(
+        dimension=2,
+        spec1=MemorySpec(MemoryId.MAQM1, 5, 6, 0.01, read, tau_mem[0], t_larmor[0], GRID1),
+        spec2=MemorySpec(MemoryId.MAQM2, 5, 6, 0.0, 0.0, tau_mem[1], t_larmor[1], GRID2,
+                         eta_eit=eit),
+        source_cells=tuple(CellAddress(MemoryId.MAQM1, x, y) for x, y in coords),
+        target_cells=tuple(CellAddress(MemoryId.MAQM2, x, y) for x, y in coords),
+        t1=t1, tau=tau, t2=t2, write_phases=phases, drifts=drifts)
+
+
+def pairs(elements):
+    return st.tuples(elements, elements)
+
+
+@PROPERTY
+@given(eta_read=pairs(st.floats(0.0, 1.0)), eta_eit=pairs(st.floats(0.0, 1.0)),
+       tau_mem=pairs(st.floats(1.0, 1e3)), t_larmor=pairs(st.floats(0.5, 20.0)),
+       t1=st.floats(0.01, 100.0), tau=st.floats(0.01, 100.0), t2=st.floats(0.0, 100.0),
+       phases=pairs(st.floats(-10.0, 10.0)), drifts=pairs(st.floats(-10.0, 10.0)),
+       transfer=st.booleans())
+def test_qubit_predicted_fidelity_closed_form(eta_read, eta_eit, tau_mem, t_larmor,
+                                              t1, tau, t2, phases, drifts, transfer):
+    cfg = qubit_config(eta_read, eta_eit, tau_mem, t_larmor, t1, tau, t2, phases, drifts)
+    weights = []
+    for k in range(2):
+        w = eta_read[k] * survival(cfg.spec1, bin_time(cfg, k))
+        if transfer:
+            w *= eta_eit[k] * survival(cfg.spec2, storage_dwell(cfg, k))
+        weights.append(w)
+    a0, a1 = np.sqrt(weights)
+    assume(a0 * a0 + a1 * a1 > 1e-100)
+    delta = drifts[1] - drifts[0] if transfer else 0.0
+    want = (a0**2 + a1**2 + 2 * a0 * a1 * math.cos(delta)) / (2 * (a0**2 + a1**2))
+    got = run_protocol(cfg, transfer=transfer).predicted_fidelity
+    assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12)
+
+
+def unit_rows(n, d):
+    """(n, d) complex arrays with unit-norm rows."""
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=2 * d * n, max_size=2 * d * n)
+
+    def build(values):
+        rows = np.array(values).view(complex).reshape(n, d)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        assume(np.all(norms > 1e-3))
+        return rows / norms
+
+    return parts.map(build)
+
+
+@PROPERTY
+@given(d=st.integers(2, 5), n=st.integers(0, 8), eta_det=st.floats(0.0, 1.0, exclude_min=True),
+       data=st.data())
+def test_coincidence_probabilities_match_a_per_row_projection(d, n, eta_det, data):
+    signal, atom = data.draw(unit_rows(n, d)), data.draw(unit_rows(n, d))
+    amplitudes = data.draw(unit_rows(1, d))[0] * data.draw(st.floats(0.0, 1.0))
+    block = Settings(tuple(f"row{i}" for i in range(n)), signal, atom)
+    cells = tuple(CellAddress(MemoryId.MAQM1, x, 0) for x in range(d))
+    config = ProtocolConfig(
+        dimension=d,
+        spec1=MemorySpec(MemoryId.MAQM1, 5, 1, 0.01, 1.0, 65.0, 3.9, GRID1),
+        spec2=MemorySpec(MemoryId.MAQM2, 5, 1, 0.0, 0.0, 27.8, 1.3, GRID2, eta_eit=1.0),
+        source_cells=cells,
+        target_cells=tuple(dataclasses.replace(c, memory=MemoryId.MAQM2) for c in cells),
+        t1=11.7, tau=3.9, t2=7.8)
+    outcome = dataclasses.replace(run_protocol(config), branch_amplitudes=amplitudes)
+    # the state sum_k v_k |k>|k> as a d^2 vector, projected row by row
+    psi = np.zeros(d * d, dtype=complex)
+    psi[np.arange(d) * (d + 1)] = amplitudes
+    want = [abs(np.vdot(np.kron(s, a), psi)) ** 2 * eta_det for s, a in zip(signal, atom)]
+    got = coincidence_probabilities(outcome, block, eta_det)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

@@ -10,7 +10,6 @@ from maqmsim.schedule import (
     Channel,
     PulseEvent,
     Schedule,
-    ScheduleConstraints,
     Tone,
     cell_to_rf,
     compile_schedule,
@@ -65,15 +64,6 @@ def qudit_config(**kw):
     )
     args.update(kw)
     return ProtocolConfig(**args)
-
-
-def spec_constraints(source, target):
-    return ScheduleConstraints(larmor_periods=(source.t_larmor, target.t_larmor),
-                               memory_times=(source.tau_mem, target.tau_mem))
-
-
-def constraints(cfg):
-    return spec_constraints(cfg.spec1, cfg.spec2)
 
 
 def timings(sched):
@@ -165,7 +155,7 @@ class TestSuperpositionRf:
 
 class TestCompileQubit:
     def test_bin_and_final_times(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         assert sched.valid
         reads = sched.on_channel(Channel.READ)
         assert [e.t_start_us for e in reads] == [15.6, 23.4]
@@ -173,7 +163,7 @@ class TestCompileQubit:
         assert [e.t_start_us for e in final] == [31.2]
 
     def test_pulse_durations(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         durations = {e.channel: e.duration_us for e in sched.events}
         assert durations[Channel.WRITE] == 0.1
         assert durations[Channel.READ] == 0.5
@@ -182,7 +172,7 @@ class TestCompileQubit:
         assert durations[Channel.AOD_RETUNE] == 2.0
 
     def test_retune_carries_next_cell(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         retunes = sched.on_channel(Channel.AOD_RETUNE)
         assert len(retunes) == 1
         assert retunes[0].t_start_us == pytest.approx(16.1)
@@ -191,58 +181,58 @@ class TestCompileQubit:
         assert retunes[0].y_tones[0].f_mhz == 98.5
 
     def test_coupling_co_starts_with_read(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         reads = sched.on_channel(Channel.READ)
         couplings = sched.on_channel(Channel.COUPLING)
         assert [e.t_start_us for e in reads] == [e.t_start_us for e in couplings]
 
     def test_write_superposition_tones(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         write = sched.on_channel(Channel.WRITE)[0]
         assert write.t_start_us == 0.0
         assert [t.f_mhz for t in write.x_tones] == [98.5]
         assert_allclose([t.amp for t in write.y_tones], [0.7071067811865476] * 2)
 
     def test_events_sorted(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         times = [e.t_start_us for e in sched.events]
         assert times == sorted(times)
 
 
 class TestCompileQudit:
     def test_bin_times(self):
-        sched = compile_schedule(qudit_config(), constraints(qudit_config()))
+        sched = compile_schedule(qudit_config())
         assert sched.valid
         reads = sched.on_channel(Channel.READ)
         assert_allclose([e.t_start_us for e in reads], [11.7, 15.6, 19.5, 23.4])
         assert sched.on_channel(Channel.COUPLING_FINAL)[0].t_start_us == 31.2
 
     def test_three_retunes(self):
-        sched = compile_schedule(qudit_config(), constraints(qudit_config()))
+        sched = compile_schedule(qudit_config())
         retunes = sched.on_channel(Channel.AOD_RETUNE)
         assert_allclose([e.t_start_us for e in retunes], [12.2, 16.1, 20.0])
 
     def test_non_product_write_pattern_rejected(self):
         cfg = qudit_config(write_phases=(0.0, 0.0, 0.0, np.pi))
         with pytest.raises(ValueError):
-            compile_schedule(cfg, constraints(cfg))
+            compile_schedule(cfg)
 
 
 class TestValidation:
     def test_paper_timing_is_clean(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         assert sched.violations == ()
 
     def test_short_bin_spacing_flagged(self):
         cfg = qubit_config(tau=1.0, spec1=spec1(t_larmor=0.5))
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         codes = {v.code for v in sched.violations if v.severity == "error"}
         assert "bin_gap" in codes
         assert not sched.valid
 
     def test_larmor_misaligned_t1_flagged(self):
         cfg = qubit_config(t1=16.0)
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         codes = {v.code for v in sched.violations}
         assert "larmor_t1" in codes
         assert not sched.valid
@@ -251,23 +241,23 @@ class TestValidation:
     def test_larmor_tolerance_is_one_percent_of_a_period(self, offset, flagged):
         # 0.05 us and 0.1 us are 0.64% and 1.28% of the 7.8 us source period
         cfg = qubit_config(t1=15.6 + offset)
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         assert ("larmor_t1" in {v.code for v in sched.violations}) == flagged
 
     def test_larmor_misaligned_t2_flagged(self):
         cfg = qubit_config(t2=8.0, spec2=spec2(t_larmor=1.3))
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         assert "larmor_t2" in {v.code for v in sched.violations}
 
     def test_long_dwell_warns_then_errors(self):
         cfg = qubit_config(spec1=spec1(tau_mem=20.0))
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         dwell = [v for v in sched.violations if v.code == "dwell"]
         assert dwell and dwell[0].severity == "warning"
         assert sched.valid  # warnings do not invalidate
 
         cfg = qubit_config(spec1=spec1(tau_mem=10.0))
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         dwell = [v for v in sched.violations if v.code == "dwell"]
         assert dwell and dwell[0].severity == "error"
 
@@ -277,8 +267,7 @@ class TestValidation:
             PulseEvent(10.0, 0.7, Channel.COUPLING, tone, tone),
             PulseEvent(10.3, 0.7, Channel.COUPLING, tone, tone),
         )
-        cons = spec_constraints(spec1(), spec2())
-        codes = {v.code for v in validate_schedule(Schedule(events), cons)}
+        codes = {v.code for v in validate_schedule(Schedule(events), spec1(), spec2())}
         assert "overlap" in codes
 
     def test_guard_spacing_flagged(self):
@@ -287,8 +276,7 @@ class TestValidation:
             PulseEvent(10.0, 0.5, Channel.READ, tone, tone),
             PulseEvent(10.51, 0.5, Channel.READ, tone, tone),
         )
-        cons = spec_constraints(spec1(), spec2())
-        codes = {v.code for v in validate_schedule(Schedule(events), cons)}
+        codes = {v.code for v in validate_schedule(Schedule(events), spec1(), spec2())}
         assert "guard" in codes
         assert "overlap" not in codes
 
@@ -296,13 +284,13 @@ class TestValidation:
 class TestCrossModuleConsistency:
     def test_derived_timings_match_config(self):
         cfg = qubit_config()
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         t1, tau, t2 = timings(sched)
         assert_allclose([t1, tau, t2], [15.6, 7.8, 7.8], rtol=0, atol=1e-9)
 
     def test_schedule_times_reproduce_protocol_survival(self):
         cfg = qudit_config()
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         reads = sched.on_channel(Channel.READ)
         for i, event in enumerate(reads):
             s_direct = survival(cfg.spec1, bin_time(cfg, i))
@@ -311,7 +299,7 @@ class TestCrossModuleConsistency:
 
     def test_valid_schedule_runs_cleanly(self):
         cfg = qubit_config()
-        sched = compile_schedule(cfg, constraints(cfg))
+        sched = compile_schedule(cfg)
         assert sched.valid
         t1, tau, t2 = timings(sched)
         rerun = ProtocolConfig(
@@ -327,13 +315,13 @@ class TestCrossModuleConsistency:
 class TestSerialization:
     def test_round_trip_is_byte_identical(self):
         for cfg in (qubit_config(), qudit_config()):
-            sched = compile_schedule(cfg, constraints(cfg))
+            sched = compile_schedule(cfg)
             text = schedule_to_jsonl(sched)
             again = schedule_to_jsonl(schedule_from_jsonl(text))
             assert again == text
 
     def test_line_fields(self):
-        sched = compile_schedule(qubit_config(), constraints(qubit_config()))
+        sched = compile_schedule(qubit_config())
         lines = schedule_to_jsonl(sched).splitlines()
         assert len(lines) == 14  # write 2, 2x(read+coupling) 8, retune 2, final 2
         first = json.loads(lines[0])
@@ -343,8 +331,8 @@ class TestSerialization:
         assert axes == ["x", "y"] * 7
 
     def test_compile_deterministic(self):
-        a = schedule_to_jsonl(compile_schedule(qubit_config(), constraints(qubit_config())))
-        b = schedule_to_jsonl(compile_schedule(qubit_config(), constraints(qubit_config())))
+        a = schedule_to_jsonl(compile_schedule(qubit_config()))
+        b = schedule_to_jsonl(compile_schedule(qubit_config()))
         assert a == b
 
     def test_parse_rejects_garbage(self):

@@ -54,9 +54,9 @@ def make_config(dimension=2, eta_read=1.0, eta_eit=1.0):
     )
 
 
-def setting_probability(rho_entries, setting):
+def setting_probability(rho_entries, signal, atom):
     # independent restatement of the projection rule
-    ket = np.kron(setting.signal_vector(), setting.atom_vector())
+    ket = np.kron(signal, atom)
     return float(np.real(np.conj(ket) @ rho_entries @ ket))
 
 
@@ -73,8 +73,8 @@ def bell_table(heralds=4_000_000):
     settings = tomography_settings(2)
     target = bell_target()
     rho = np.outer(target, target.conj())
-    probs = [setting_probability(rho, s) for s in settings]
-    return exact_counts(probs, [s.label for s in settings], heralds)
+    probs = [setting_probability(rho, s, a) for s, a in zip(settings.signal, settings.atom)]
+    return exact_counts(probs, settings.labels, heralds)
 
 
 def ginibre_density(dim, rng):
@@ -95,10 +95,10 @@ class TestMleReconstruct:
         pure = np.outer(target, target.conj())
         truth = 0.8 * pure + 0.2 * np.eye(4) / 4
         settings = tomography_settings(2)
-        probs = [setting_probability(truth, s) for s in settings]
+        probs = [setting_probability(truth, s, a) for s, a in zip(settings.signal, settings.atom)]
         counts = CountsTable(tuple(
-            CountRow(s.label, 10_000_000, int(round(p * 10_000_000)))
-            for s, p in zip(settings, probs)))
+            CountRow(label, 10_000_000, int(round(p * 10_000_000)))
+            for label, p in zip(settings.labels, probs)))
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, truth, rtol=0, atol=2e-3)
 
@@ -112,7 +112,7 @@ class TestMleReconstruct:
 
     def test_all_zero_counts_returns_init(self):
         settings = tomography_settings(2)
-        counts = CountsTable(tuple(CountRow(s.label, 1000, 0) for s in settings))
+        counts = CountsTable(tuple(CountRow(label, 1000, 0) for label in settings.labels))
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
 
@@ -573,8 +573,8 @@ def force_decrease(fun, x0, callback, **kwargs):
     callback(bad)
 
 tomo.minimize = force_decrease
-table = CountsTable(tuple(CountRow(s.label, 1000, 250 if s.label[0] == s.label[1] else 0)
-                          for s in tomography_settings(2)))
+table = CountsTable(tuple(CountRow(label, 1000, 250 if label[0] == label[1] else 0)
+                          for label in tomography_settings(2).labels))
 try:
     tomo.mle_reconstruct(table)
 except tomo.LikelihoodDecreasedError:
