@@ -13,20 +13,27 @@ analytically, leaving
     l(T) = sum_s c_s ln q_s - C ln Q,   q_s = tr(T T^dag P_s),
     Q = sum_s N_s q_s,                  C = sum_s c_s,
 
-maximized by scipy L-BFGS-B with an analytic gradient.  scipy is imported
-on the first fit, so a process that never fits never loads it.  Each
-optimizer evaluation unpacks T once and returns the value and gradient
-together; the objective remembers its last point, so the per-step callback
-reads the value already computed at the accepted iterate instead of
-evaluating it again.  The recorded likelihood trace is checked to be
-non-decreasing across accepted steps; a violation means the optimizer
-misbehaved and raises ``LikelihoodDecreasedError`` immediately rather than
-returning a bad fit.  The check is an explicit raise, so it also holds
-under ``python -O``.
+maximized by L-BFGS-B with an analytic gradient.  ``_fit_stack`` fits k
+count vectors at once: each row runs its own workspace of scipy's
+reverse-communication kernel ``setulb`` under the rules of scipy's
+``minimize(..., method="L-BFGS-B")`` loop, and on each pass every row that
+asked for a value and gradient is evaluated in one stacked call.  A row
+therefore takes the iterates a fit of its table alone takes, bit for bit.
+Unpacking T, T T^dag, the normalization Q, the logs and the gradient
+products run on the whole stack; the projector traces q_s, the dot
+c . ln q and sum_s (c_s / q_s) P_s run row by row, because their stacked
+forms sum in another order and move the last bits.  scipy is imported on
+the first fit, so a process that never fits never loads it.  The value of
+each accepted step is the row's last evaluation; the likelihood trace is
+checked to be non-decreasing across accepted steps, and a row that fails
+the check stops with ``LikelihoodDecreasedError`` (an explicit check, so it
+also holds under ``python -O``).  A single fit raises it; a bootstrap
+counts the row as failed.
 
 A bootstrap fits the observed table once from the maximally mixed state and
 hands that base fit back with the estimate, so a report needs no second fit
-of the same table.
+of the same table.  Its resamples, warm-started from the base fit, are
+fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
@@ -41,6 +48,7 @@ from __future__ import annotations
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +70,7 @@ __all__ = [
 Q_FLOOR = 1e-14         # keeps logs finite when a projector is exactly dark
 TRACE_RTOL = 1e-9       # likelihood monotonicity slack, relative to |l|
 W_CONSISTENCY_TOL = 0.05  # relative slack on |Re rho_ij| <= sqrt(p_i p_j)
+MAX_STACK_ROWS = 1024   # resamples fitted in one stack: ~13 KB of L-BFGS-B state each
 
 
 def bell_target(relative_phase: float = 0.0) -> np.ndarray:
@@ -138,14 +147,14 @@ class LikelihoodDecreasedError(RuntimeError):
     """An accepted optimizer step lowered the log-likelihood beyond TRACE_RTOL."""
 
 
-class _NegLogLikelihood:
-    """-l and its gradient over packed T parameters, memoized on the last x.
+class _NegLogLikelihoods:
+    """-l and its gradient over packed T parameters, for rows of count vectors.
 
-    Calling the object returns ``(value, gradient)``.  T is unpacked once
-    per point and the value and gradient share it.  A call at an x
-    array-equal to the previous one returns the stored pair without
-    recomputing, so the optimizer's callback and its first evaluation cost
-    nothing extra.
+    ``objective(x, rows)`` evaluates count row ``rows[i]`` at ``x[i]`` and
+    returns ``(values, gradients)``.  The rows share the projectors and the
+    exposures.  Each row's numbers are the bits a one-row evaluation gives:
+    the steps whose stacked form sums in another order (the projector traces
+    q_s, the dot c . ln q and sum_s (c_s / q_s) P_s) run row by row.
     """
 
     def __init__(self, projectors, observed, exposures):
@@ -154,73 +163,152 @@ class _NegLogLikelihood:
         self.projectors = projectors
         self.flat_projectors = projectors.reshape(n_settings, d * d)
         self.observed = observed
-        self.c_total = float(observed.sum())
+        self.c_total = np.array([float(row.sum()) for row in observed])
         self.s_op = np.tensordot(exposures, projectors, axes=1)
         self.diag = np.diag_indices(d)
         self.lower = np.tril_indices(d, -1)   # row-major, the order _pack writes
-        self._last = None                     # (x, value, gradient) of the latest call
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
+        """(m, d^2) packed parameters -> (m, d, d) lower-triangular T."""
         d = self.d
-        t_mat = np.zeros((d, d), dtype=complex)
-        t_mat[self.diag] = x[:d]
-        t_mat[self.lower] = x[d::2] + 1j * x[d + 1::2]
+        t_mat = np.zeros((x.shape[0], d, d), dtype=complex)
+        t_mat[:, self.diag[0], self.diag[1]] = x[:, :d]
+        t_mat[:, self.lower[0], self.lower[1]] = x[:, d::2] + 1j * x[:, d + 1::2]
         return t_mat
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self._last is not None and np.array_equal(x, self._last[0]):
-            return self._last[1], self._last[2]
-        d, observed, s_op = self.d, self.observed, self.s_op
+    def __call__(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        d, projectors, s_op = self.d, self.projectors, self.s_op
+        observed, c_total = self.observed[rows], self.c_total[rows]
+        m = len(rows)
         t_mat = self.unpack(x)
-        a_mat = t_mat @ t_mat.conj().T
-        q = np.clip(np.einsum("sij,ji->s", self.projectors, a_mat).real, Q_FLOOR, None)
-        big_q = max(float(np.einsum("ij,ji->", s_op, a_mat).real), Q_FLOOR)
-        value = -(float(observed @ np.log(q)) - self.c_total * np.log(big_q))
-        g_mat = ((observed / q) @ self.flat_projectors).reshape(d, d) \
-            - (self.c_total / big_q) * s_op
+        a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
+        q = np.empty(observed.shape)
+        for i in range(m):
+            q[i] = np.einsum("sij,ji->s", projectors, a_mat[i]).real
+        q = np.clip(q, Q_FLOOR, None)
+        big_q = np.maximum(np.einsum("ij,rji->r", s_op, a_mat).real, Q_FLOOR)
+        log_q, ratio = np.log(q), observed / q
+        dots = np.empty(m)
+        g_mat = np.empty((m, d * d), dtype=complex)
+        for i in range(m):
+            dots[i] = observed[i] @ log_q[i]
+            g_mat[i] = ratio[i] @ self.flat_projectors
+        values = -(dots - c_total * np.log(big_q))
+        g_mat = g_mat.reshape(m, d, d) - (c_total / big_q)[:, None, None] * s_op
         m_mat = g_mat @ t_mat
-        m_lower = m_mat[self.lower]
-        grad = np.empty(d * d)
-        grad[:d] = -(2.0 * m_mat.diagonal().real)
-        grad[d::2] = -(2.0 * m_lower.real)
-        grad[d + 1::2] = -(2.0 * m_lower.imag)
-        self._last = (x.copy(), value, grad)
-        return value, grad
+        m_lower = m_mat[:, self.lower[0], self.lower[1]]
+        grads = np.empty((m, d * d))
+        grads[:, :d] = -(2.0 * m_mat[:, self.diag[0], self.diag[1]].real)
+        grads[:, d::2] = -(2.0 * m_lower.real)
+        grads[:, d + 1::2] = -(2.0 * m_lower.imag)
+        return values, grads
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+# L-BFGS-B settings (scipy's defaults for m, maxls and maxfun; the fit's gtol)
+# and the task codes setulb writes
+_LBFGS_M = 10
+_LBFGS_MAXLS = 20
+_LBFGS_MAXFUN = 15000
+_LBFGS_PGTOL = 1e-12
+_NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 
 
-def _fit_mle(projectors, observed, exposures, init_rho, tol, max_iter):
-    d = projectors.shape[1]
-    objective = _NegLogLikelihood(projectors, observed, exposures)
-    x0 = _pack(_initial_t(init_rho, d))
-    trace = [-objective(x0)[0]]
+class _StackFit(NamedTuple):
+    """Row r of every field is the fit of count row r."""
 
-    def record(xk):
-        # the line search ends on an evaluation at xk, so this is a cache hit
-        ll = -objective(xk)[0]
-        prev = trace[-1]
-        if not ll >= prev - TRACE_RTOL * (1.0 + abs(prev)):   # NaN fails too
-            raise LikelihoodDecreasedError(
-                f"likelihood decreased across an accepted step: {prev!r} -> {ll!r}")
-        trace.append(ll)
+    rho: np.ndarray                     # (k, d, d)
+    log_likelihood: np.ndarray          # (k,)
+    iterations: np.ndarray              # (k,)
+    converged: np.ndarray               # (k,)
+    traces: tuple[tuple[float, ...], ...]
+    errors: tuple[LikelihoodDecreasedError | None, ...]
+
+
+def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _StackFit:
+    """L-BFGS-B on each row of ``observed`` (k, S), all rows in lockstep.
+
+    The loop is scipy's ``_minimize_lbfgsb`` (one iteration per NEW_X, the
+    max_iter and maxfun stops, ``converged`` only on CONVERGENCE) with its
+    function memo, run for every row at once.  A row whose accepted step
+    lowers the likelihood stops with its error stored; the others go on.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    k, d = observed.shape[0], projectors.shape[1]
+    n, m = d * d, _LBFGS_M
+    objective = _NegLogLikelihoods(projectors, observed, exposures)
+    x = np.tile(_pack(_initial_t(init_rho, d)), (k, 1))
+    g = np.zeros((k, n))
+    no_bounds, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)
+    wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((k, 3 * n), dtype=np.int32)
+    task, ln_task = np.zeros((k, 2), dtype=np.int32), np.zeros((k, 2), dtype=np.int32)
+    lsave, isave = np.zeros((k, 4), dtype=np.int32), np.zeros((k, 44), dtype=np.int32)
+    dsave = np.zeros((k, 29))
+    factr = tol / np.finfo(float).eps
+    iterations, evaluations = np.zeros(k, dtype=int), np.ones(k, dtype=int)
+    errors = [None] * k
+    # setulb's arguments before and after f, per row; the arrays are row views
+    head = [(m, x[r], no_bounds, no_bounds, nbd) for r in range(k)]
+    tail = [(g[r], factr, _LBFGS_PGTOL, wa[r], iwa[r], task[r], lsave[r], isave[r],
+             dsave[r], _LBFGS_MAXLS, ln_task[r]) for r in range(k)]
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", RuntimeWarning)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       callback=record,
-                       options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12})
+        # scipy's function memo: x0 is evaluated before the first setulb
+        # call, and a request at a row's last evaluated point reuses it
+        seen_x = x.copy()
+        seen_f, seen_g = objective(seen_x, np.arange(k))
+        f = seen_f.copy()
+        traces = [[-v] for v in seen_f]
+        active = list(range(k))
+        while active:
+            wanted = []
+            for r in active:
+                while True:
+                    setulb(*head[r], f[r], *tail[r])
+                    if task[r, 0] == _FG:
+                        wanted.append(r)
+                        break
+                    if task[r, 0] != _NEW_X:
+                        break
+                    iterations[r] += 1
+                    # the line search ends on an evaluation at the accepted x
+                    ll, prev = -f[r], traces[r][-1]
+                    if not ll >= prev - TRACE_RTOL * (1.0 + abs(prev)):   # NaN fails too
+                        errors[r] = LikelihoodDecreasedError(
+                            f"likelihood decreased across an accepted step: "
+                            f"{prev!r} -> {ll!r}")
+                        break
+                    traces[r].append(ll)
+                    if iterations[r] >= max_iter:
+                        task[r] = (_STOP, 504)
+                    elif evaluations[r] > _LBFGS_MAXFUN:
+                        task[r] = (_STOP, 502)
+            active, rows = wanted, np.array(wanted, dtype=int)
+            fresh = rows[(x[rows] != seen_x[rows]).any(axis=1)]
+            if len(fresh):
+                seen_x[fresh] = x[fresh]
+                seen_f[fresh], seen_g[fresh] = objective(x[fresh], fresh)
+                evaluations[fresh] += 1
+            f[rows], g[rows] = seen_f[rows], seen_g[rows]
 
-    t_mat = objective.unpack(res.x)
-    a_mat = t_mat @ t_mat.conj().T
-    a_mat = (a_mat + a_mat.conj().T) / 2.0
-    rho = a_mat / np.trace(a_mat).real
-    converged = bool(res.success)
-    return rho, float(-res.fun), int(res.nit), converged, tuple(trace)
+        t_mat = objective.unpack(x)
+        a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
+        a_mat = (a_mat + a_mat.conj().transpose(0, 2, 1)) / 2.0
+        rho = a_mat / np.trace(a_mat, axis1=1, axis2=2).real[:, None, None]
+    return _StackFit(rho=rho, log_likelihood=-f, iterations=iterations,
+                     converged=task[:, 0] == _CONVERGENCE,
+                     traces=tuple(tuple(t) for t in traces), errors=tuple(errors))
+
+
+def _fit_one(projectors, observed, exposures, init_rho, tol, max_iter):
+    """One count vector through ``_fit_stack``; a likelihood decrease raises."""
+    fit = _fit_stack(projectors, observed[None, :], exposures, init_rho, tol, max_iter)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    return (fit.rho[0], float(fit.log_likelihood[0]), int(fit.iterations[0]),
+            bool(fit.converged[0]), fit.traces[0])
 
 
 def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
@@ -246,7 +334,7 @@ def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
         raise ValueError(f"init must have the reconstruction dimension {d}, "
                          f"got {init.dimension}")
     init_mat = init.entries if init is not None else np.eye(d) / d
-    rho, ll, nit, converged, trace = _fit_mle(projectors, observed, exposures,
+    rho, ll, nit, converged, trace = _fit_one(projectors, observed, exposures,
                                               np.asarray(init_mat), tol, max_iter)
     return ReconstructionResult(
         rho=DensityMatrix(rho),
@@ -281,19 +369,23 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
     projectors, observed, exposures = _aligned_projectors(counts)
-    base_rho, *_ = _fit_mle(projectors, observed, exposures,
+    base_rho, *_ = _fit_one(projectors, observed, exposures,
                             np.eye(projectors.shape[1]) / projectors.shape[1],
                             tol, max_iter)
     base = DensityMatrix(base_rho)
     point = fidelity(base, target)   # checks the target before any refit
 
-    values, failed = [], 0
-    for resampled in _poisson_resamples(observed, n_resamples, seed):
-        try:
-            rho, *_ = _fit_mle(projectors, resampled, exposures, base_rho, tol, max_iter)
-            values.append(fidelity(DensityMatrix(rho), target))
-        except (ValueError, LikelihoodDecreasedError, np.linalg.LinAlgError):
-            failed += 1
+    resamples, values = _poisson_resamples(observed, n_resamples, seed), []
+    for start in range(0, n_resamples, MAX_STACK_ROWS):
+        fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
+                          exposures, base_rho, tol, max_iter)
+        for rho, error in zip(fits.rho, fits.errors):
+            if error is not None:
+                continue
+            try:
+                values.append(fidelity(DensityMatrix(rho), target))
+            except (ValueError, np.linalg.LinAlgError):
+                pass
     if len(values) < 2:
         raise RuntimeError(f"only {len(values)} of {n_resamples} resamples succeeded")
     arr = np.asarray(values)
@@ -301,7 +393,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
         value=point,
         sigma=float(arr.std(ddof=1)),
         n_resamples=len(values),
-        n_failed=failed,
+        n_failed=n_resamples - len(values),
         rho=base,
     )
 

@@ -867,6 +867,17 @@ def test_scipy_loads_only_on_the_first_fit(tmp_path):
     assert (tmp_path / "4.txt").read_bytes() == (GOLDEN_DIR / "qubit_report.json").read_bytes()
 
 
+def test_python_m_maqmsim_runs_the_console_command():
+    # the package's __main__, so no "found in sys.modules" RuntimeWarning
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parents[1]))
+    done = subprocess.run([sys.executable, "-m", "maqmsim", "run", "--config",
+                           str(CONFIG_DIR / "qudit_default.json")],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert done.stdout == (GOLDEN_DIR / "qudit_report.json").read_bytes()
+
+
 # ------------------------------------------------------- single-field mutations
 
 MUTANT_VALUES = (-1, 0, 1e308, -1e308, "x", True, None, [], {}, 0.5, 10**19)

@@ -14,9 +14,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maqmsim import cli
+from maqmsim import cli, tomo
 from maqmsim.cli import parse_experiment_config
-from maqmsim.detect import Settings, coincidence_probabilities
+from maqmsim.detect import CountRow, CountsTable, Settings, coincidence_probabilities, \
+    tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
 from maqmsim.protocol import ProtocolConfig, bin_time, run_protocol, storage_dwell
 from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
@@ -144,3 +145,33 @@ def test_coincidence_probabilities_match_a_per_row_projection(d, n, eta_det, dat
     got = coincidence_probabilities(outcome, block, eta_det)
     assert got.shape == (n,)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def tomography_rows(k):
+    """k count vectors over the 16 tomography settings, some with dark settings."""
+    counts = st.one_of(st.integers(0, 20), st.integers(0, 100_000))
+    return st.lists(st.lists(counts, min_size=16, max_size=16), min_size=k, max_size=k)
+
+
+@PROPERTY
+@given(k=st.integers(1, 4), heralds=st.integers(1, 10**6), data=st.data())
+def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data):
+    # the rows are count vectors as a bootstrap draws them, free of the herald cap
+    table = CountsTable(tuple(CountRow(label, heralds, 0)
+                              for label in tomography_settings(2).labels))
+    projectors, _, exposures = tomo._aligned_projectors(table)
+    observed = np.array(data.draw(tomography_rows(k)), dtype=float)
+    init = np.eye(4) / 4
+    stack = tomo._fit_stack(projectors, observed, exposures, init, 1e-9, 1000)
+    for r in range(k):
+        alone = tomo._fit_stack(projectors, observed[r:r + 1], exposures, init, 1e-9, 1000)
+        assert stack.rho[r].tobytes() == alone.rho[0].tobytes()
+        assert stack.log_likelihood[r] == alone.log_likelihood[0]
+        assert stack.iterations[r] == alone.iterations[0]
+        assert stack.converged[r] == alone.converged[0]
+        assert stack.traces[r] == alone.traces[0]
+        assert (stack.errors[r] is None) == (alone.errors[0] is None)
+        rho = stack.rho[r]
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12

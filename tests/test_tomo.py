@@ -164,6 +164,15 @@ class TestMonteCarloFidelity:
         b = monte_carlo_fidelity(table, bell_target(), n_resamples=5, seed=23)
         assert a == b
 
+    def test_stack_blocks_give_the_same_estimate(self, monkeypatch):
+        out = run_protocol(make_config())
+        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        whole = monte_carlo_fidelity(table, bell_target(), n_resamples=10, seed=23)
+        monkeypatch.setattr(tomo, "MAX_STACK_ROWS", 4)
+        blocks = monte_carlo_fidelity(table, bell_target(), n_resamples=10, seed=23)
+        assert (blocks.value, blocks.sigma, blocks.n_resamples) == \
+            (whole.value, whole.sigma, whole.n_resamples) == (whole.value, whole.sigma, 10)
+
     def test_too_few_resamples_rejected(self):
         out = run_protocol(make_config())
         table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
@@ -437,9 +446,9 @@ def reference_objective(projectors, observed, exposures):
     return value, gradient
 
 
-def sampled_problem(seed=5):
+def sampled_problem(seed=5, heralds=1000):
     table = sample_counts(run_protocol(make_config()), tomography_settings(2),
-                          1000, 0.5, 1e-4, seed=seed)
+                          heralds, 0.5, 1e-4, seed=seed)
     return tomo._aligned_projectors(table)
 
 
@@ -453,91 +462,140 @@ def reference_stage2_table():
     return cfg, table, target
 
 
+def stacked_problem(n_rows=6, seed=5):
+    # one sampled table plus Poisson resamples of it, as a bootstrap stacks them
+    projectors, observed, exposures = sampled_problem(seed)
+    stack = np.vstack([observed[None], tomo._poisson_resamples(observed, n_rows - 1, seed)])
+    return projectors, stack, exposures
+
+
+def scipy_reference_fit(projectors, observed, exposures, init_rho, tol, max_iter):
+    """The serial fit through scipy's public L-BFGS-B, with the reference objective."""
+    from scipy.optimize import minimize
+
+    d = projectors.shape[1]
+    value, gradient = reference_objective(projectors, observed, exposures)
+    x0 = tomo._pack(tomo._initial_t(init_rho, d))
+    trace = [-value(x0)]
+    res = minimize(lambda x: (value(x), gradient(x)), x0, jac=True, method="L-BFGS-B",
+                   callback=lambda xk: trace.append(-value(xk)),
+                   options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12})
+    t_mat = loop_unpack(res.x, d)
+    a_mat = t_mat @ t_mat.conj().T
+    a_mat = (a_mat + a_mat.conj().T) / 2.0
+    return (a_mat / np.trace(a_mat).real, float(-res.fun), int(res.nit),
+            bool(res.success), tuple(trace))
+
+
+class SetulbSpy:
+    """Wraps scipy's setulb; maps each call to its stack row and records tasks.
+
+    A ``_fit_stack`` call starts every row in row order before any other
+    call, so a run of starts opens a new fit (counted in ``fits``) and the
+    row of a call is the position of its x buffer among those starts.
+    ``act(row, *args)`` may stand in for the real setulb by returning True.
+    """
+
+    def __init__(self, monkeypatch, act=None):
+        from scipy.optimize import _lbfgsb
+        self.real, self.act = _lbfgsb.setulb, act
+        self.fits, self.starts, self.starting = 0, [], False
+        self.fg, self.accepted = {}, {}
+        monkeypatch.setattr(_lbfgsb, "setulb", self)
+
+    def __call__(self, *args):
+        x, task = args[1], args[11]
+        key = x.ctypes.data
+        starting = task[0] == 0
+        if starting and not self.starting:
+            self.fits += 1
+            self.starts.clear()
+        self.starting = starting
+        if starting:
+            self.starts.append(key)
+        row = self.starts.index(key)
+        if self.act is None or not self.act(row, *args):
+            self.real(*args)
+        if task[0] == tomo._FG:
+            self.fg[row] = self.fg.get(row, 0) + 1
+        elif task[0] == tomo._NEW_X:
+            self.accepted.setdefault(row, []).append(x.copy())
+
+
 class TestMleObjective:
     def test_unpack_matches_loop_reference(self):
         rng = np.random.default_rng(11)
         for d in (1, 2, 3, 4, 9):
-            x = rng.normal(size=d * d)
-            objective = tomo._NegLogLikelihood(np.zeros((1, d, d)), np.zeros(1), np.zeros(1))
-            assert objective.unpack(x).tobytes() == loop_unpack(x, d).tobytes()
-            assert tomo._pack(objective.unpack(x)).tobytes() == x.tobytes()
+            x = rng.normal(size=(3, d * d))
+            objective = tomo._NegLogLikelihoods(np.zeros((1, d, d)), np.zeros((1, 1)), np.zeros(1))
+            t_mat = objective.unpack(x)
+            for row, t_row in zip(x, t_mat):
+                assert t_row.tobytes() == loop_unpack(row, d).tobytes()
+                assert tomo._pack(t_row).tobytes() == row.tobytes()
 
     def test_fused_value_and_gradient_match_reference_bitwise(self):
-        problem = sampled_problem()
-        value, gradient = reference_objective(*problem)
-        objective = tomo._NegLogLikelihood(*problem)
+        # row by row inside a stack, for the whole stack and for a subset
+        projectors, stack, exposures = stacked_problem()
+        objective = tomo._NegLogLikelihoods(projectors, stack, exposures)
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            x = rng.normal(size=16)
-            got_value, got_grad = objective(x)
-            assert got_value == value(x)
-            assert got_grad.tobytes() == gradient(x).tobytes()
+        for rows in (np.arange(len(stack)), np.array([4, 1, 3])):
+            for _ in range(10):
+                x = rng.normal(size=(len(rows), 16))
+                values, grads = objective(x, rows)
+                for i, r in enumerate(rows):
+                    value, gradient = reference_objective(projectors, stack[r], exposures)
+                    assert values[i] == value(x[i])
+                    assert grads[i].tobytes() == gradient(x[i]).tobytes()
 
     def test_gradient_matches_central_differences(self):
-        problem = sampled_problem()
+        projectors, stack, exposures = stacked_problem(n_rows=3)
+        objective = tomo._NegLogLikelihoods(projectors, stack, exposures)
+        rows = np.arange(3)
         rng = np.random.default_rng(13)
         step = 1e-6
         for _ in range(5):
-            x = rng.normal(size=16)
-            grad = tomo._NegLogLikelihood(*problem)(x)[1].copy()
-            numeric = np.empty(16)
+            x = rng.normal(size=(3, 16))
+            grads = objective(x, rows)[1]
+            numeric = np.empty((3, 16))
             for k in range(16):
                 e = np.zeros(16)
                 e[k] = step
-                # a fresh objective per point, so no cached value is reused
-                plus = tomo._NegLogLikelihood(*problem)(x + e)[0]
-                minus = tomo._NegLogLikelihood(*problem)(x - e)[0]
-                numeric[k] = (plus - minus) / (2 * step)
-            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+                numeric[:, k] = (objective(x + e, rows)[0]
+                                 - objective(x - e, rows)[0]) / (2 * step)
+            for grad, num in zip(grads, numeric):
+                assert np.linalg.norm(grad - num) <= 1e-6 * np.linalg.norm(grad)
 
-    def test_cached_value_equals_fresh_evaluation(self):
-        problem = sampled_problem()
-        objective = tomo._NegLogLikelihood(*problem)
-        rng = np.random.default_rng(14)
-        x, y = rng.normal(size=16), rng.normal(size=16)
-        first = objective(x)
-        assert objective(x.copy())[0] == first[0]
-        objective(y)
-        assert objective(x)[0] == tomo._NegLogLikelihood(*problem)(x)[0] == first[0]
-        # editing the evaluated array in place must not leave a stale value
-        x[0] += 1.0
-        assert objective(x)[0] == tomo._NegLogLikelihood(*problem)(x)[0] != first[0]
-
-    def test_callback_trace_equals_fresh_evaluations(self, monkeypatch):
-        accepted = []
-        real_minimize = tomo.minimize
-
-        def recording_minimize(fun, x0, callback, **kwargs):
-            def wrapped(xk):
-                accepted.append(xk.copy())
-                callback(xk)
-            return real_minimize(fun, x0, callback=wrapped, **kwargs)
-
-        monkeypatch.setattr(tomo, "minimize", recording_minimize)
-        problem = sampled_problem()
-        _, _, nit, _, trace = tomo._fit_mle(*problem, np.eye(4) / 4, 1e-9, 1000)
-        assert len(accepted) == nit == len(trace) - 1 >= 2
-        fresh = [-tomo._NegLogLikelihood(*problem)(x)[0] for x in accepted]
-        assert list(trace[1:]) == fresh
+    def test_trace_equals_fresh_evaluations_at_accepted_iterates(self, monkeypatch):
+        projectors, stack, exposures = stacked_problem(n_rows=4)
+        spy = SetulbSpy(monkeypatch)
+        fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        for r in range(len(stack)):
+            accepted, trace = spy.accepted[r], fit.traces[r]
+            assert len(accepted) == fit.iterations[r] == len(trace) - 1 >= 2
+            fresh = tomo._NegLogLikelihoods(projectors, stack[r:r + 1], exposures)
+            assert list(trace[1:]) == [-fresh(x[None], [0])[0][0] for x in accepted]
+            assert fit.log_likelihood[r] == trace[-1]
 
     def test_one_objective_evaluation_per_optimizer_call(self, monkeypatch):
-        # unpack runs once per evaluated point plus once for the final rho
-        unpacks, results = [], []
-        real_unpack, real_minimize = tomo._NegLogLikelihood.unpack, tomo.minimize
+        # the first call evaluates every row at x0, which answers each row's
+        # first request; after that, one stacked call per pass serves every
+        # row that asked for f and g, each row once
+        calls = []
+        real_call = tomo._NegLogLikelihoods.__call__
 
-        def counting_unpack(self, x):
-            unpacks.append(None)
-            return real_unpack(self, x)
+        def recording_call(self, x, rows):
+            calls.append(list(rows))
+            return real_call(self, x, rows)
 
-        def recording_minimize(*args, **kwargs):
-            results.append(real_minimize(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(tomo._NegLogLikelihood, "unpack", counting_unpack)
-        monkeypatch.setattr(tomo, "minimize", recording_minimize)
-        tomo._fit_mle(*sampled_problem(), np.eye(4) / 4, 1e-9, 1000)
-        assert results[0].nit >= 2
-        assert len(unpacks) == results[0].nfev + 1
+        monkeypatch.setattr(tomo._NegLogLikelihoods, "__call__", recording_call)
+        projectors, stack, exposures = stacked_problem()
+        spy = SetulbSpy(monkeypatch)
+        tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        assert calls[0] == list(range(len(stack)))
+        assert all(len(set(rows)) == len(rows) for rows in calls)
+        assert sum(map(len, calls)) == sum(spy.fg.values())
+        assert len(calls) == max(spy.fg.values())
+        assert min(spy.fg.values()) < max(spy.fg.values())   # rows finish apart
 
     def test_bootstrap_base_fit_is_the_plain_fit(self):
         out = run_protocol(make_config())
@@ -547,32 +605,94 @@ class TestMleObjective:
         assert est.value == fidelity(est.rho, bell_target())
 
 
-def force_decrease(fun, x0, callback, **kwargs):
-    # stand-in optimizer that "accepts" the pure state |00><00|, which a
-    # Bell-like table makes far less likely than the maximally mixed start
-    bad = np.zeros_like(x0)
-    bad[0] = 1.0
-    callback(bad)
-    raise AssertionError("the guard did not fire")
+class TestAgainstScipyMinimize:
+    # at 2 heralds per setting some fits end on the projected-gradient test
+    @pytest.mark.parametrize("seed, heralds", [(5, 1000), (6, 1000), (7, 1000), (8, 1000),
+                                               (9, 1000), (11, 2)])
+    def test_stack_matches_serial_public_fits(self, seed, heralds):
+        # a scipy whose setulb or _minimize_lbfgsb loop differs fails here
+        projectors, observed, exposures = sampled_problem(seed, heralds)
+        base = scipy_reference_fit(projectors, observed, exposures, np.eye(4) / 4, 1e-9, 1000)
+        stack = tomo._poisson_resamples(observed, 20, seed)
+        fits = [(tomo._fit_stack(projectors, observed[None], exposures, np.eye(4) / 4,
+                                 1e-9, 1000), 0, base)]
+        fit = tomo._fit_stack(projectors, stack, exposures, base[0], 1e-9, 1000)
+        fits += [(fit, r, scipy_reference_fit(projectors, stack[r], exposures, base[0],
+                                              1e-9, 1000)) for r in range(20)]
+        for got, r, (rho, ll, nit, converged, trace) in fits:
+            assert got.errors[r] is None
+            assert got.rho[r].tobytes() == rho.tobytes()
+            assert got.log_likelihood[r] == ll
+            assert got.iterations[r] == nit
+            assert bool(got.converged[r]) == converged
+            assert got.traces[r] == trace
+
+    def test_exhausted_rows_match_too(self):
+        projectors, stack, exposures = stacked_problem()
+        fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 3)
+        for r in range(len(stack)):
+            rho, ll, nit, converged, trace = scipy_reference_fit(
+                projectors, stack[r], exposures, np.eye(4) / 4, 1e-9, 3)
+            assert (fit.rho[r].tobytes(), fit.log_likelihood[r], fit.iterations[r],
+                    bool(fit.converged[r]), fit.traces[r]) == (rho.tobytes(), ll, nit,
+                                                               converged, trace)
+            assert nit == 3 and not converged
+
+    @pytest.mark.parametrize("task, converged", [(tomo._CONVERGENCE, True), (6, False),
+                                                 (7, False), (8, False)])
+    def test_converged_only_on_the_convergence_task(self, monkeypatch, task, converged):
+        # scipy's success flag: warning (6), error (7) and abnormal (8) ends are failures
+        def end_with_task(row, m, x, *args):
+            args[9][0] = tomo._FG if args[9][0] == 0 else task
+            return True
+
+        SetulbSpy(monkeypatch, act=end_with_task)
+        projectors, stack, exposures = stacked_problem(n_rows=2)
+        fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        assert fit.converged.tolist() == [converged, converged]
+        assert fit.errors == (None, None)
 
 
-def force_nan(fun, x0, callback, **kwargs):
-    callback(np.full_like(x0, np.nan))
-    raise AssertionError("the guard did not fire")
+def force_decrease(row, m, x, *args):
+    # stand-in setulb: "accepts" the pure state |00><00|, which a Bell-like
+    # table makes far less likely than the maximally mixed start
+    task = args[9]
+    if task[0] == 0:
+        x[:] = 0.0
+        x[0] = 1.0
+        task[0] = tomo._FG
+    else:
+        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
+    return True
+
+
+def force_nan(row, m, x, *args):
+    task = args[9]
+    if task[0] == 0:
+        x[:] = np.nan
+        task[0] = tomo._FG
+    else:
+        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
+    return True
 
 
 OPTIMIZED_GUARD_SCRIPT = """
 import sys
 import numpy as np
+from scipy.optimize import _lbfgsb
 from maqmsim import tomo
 from maqmsim.detect import CountRow, CountsTable, tomography_settings
 
-def force_decrease(fun, x0, callback, **kwargs):
-    bad = np.zeros_like(x0)
-    bad[0] = 1.0
-    callback(bad)
+def force_decrease(m, x, *args):
+    task = args[9]
+    if task[0] == 0:
+        x[:] = 0.0
+        x[0] = 1.0
+        task[0] = tomo._FG
+    else:
+        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
 
-tomo.minimize = force_decrease
+_lbfgsb.setulb = force_decrease
 table = CountsTable(tuple(CountRow(label, 1000, 250 if label[0] == label[1] else 0)
                           for label in tomography_settings(2).labels))
 try:
@@ -585,9 +705,24 @@ except tomo.LikelihoodDecreasedError:
 class TestLikelihoodGuard:
     @pytest.mark.parametrize("stand_in", [force_decrease, force_nan])
     def test_forced_decrease_raises_named_error(self, monkeypatch, stand_in):
-        monkeypatch.setattr(tomo, "minimize", stand_in)
+        SetulbSpy(monkeypatch, act=stand_in)
         with pytest.raises(LikelihoodDecreasedError, match="likelihood decreased"):
             mle_reconstruct(bell_table())
+
+    @pytest.mark.parametrize("stand_in", [force_decrease, force_nan])
+    def test_forced_rows_fail_alone_in_a_stack(self, monkeypatch, stand_in):
+        projectors, stack, exposures = stacked_problem()
+        plain = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        SetulbSpy(monkeypatch, act=lambda row, *args: row in (1, 4) and stand_in(row, *args))
+        fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        for r in range(len(stack)):
+            if r in (1, 4):
+                assert isinstance(fit.errors[r], LikelihoodDecreasedError)
+                assert fit.iterations[r] == 1
+            else:
+                assert fit.errors[r] is None
+                assert fit.rho[r].tobytes() == plain.rho[r].tobytes()
+                assert fit.traces[r] == plain.traces[r]
 
     def test_guard_survives_optimized_mode(self):
         env = dict(os.environ)
@@ -598,18 +733,11 @@ class TestLikelihoodGuard:
         assert done.stdout.split() == ["raised", "1"]
 
     def test_bootstrap_counts_guard_failures(self, monkeypatch):
-        real_minimize = tomo.minimize
-        calls = []
-
-        def every_other_resample_fails(fun, x0, callback, **kwargs):
-            calls.append(None)
-            if len(calls) % 2 == 0:
-                force_decrease(fun, x0, callback)
-            return real_minimize(fun, x0, callback=callback, **kwargs)
-
-        monkeypatch.setattr(tomo, "minimize", every_other_resample_fails)
+        # fit 1 is the base fit; in fit 2, the resample stack, rows 1, 3
+        # and 5 are forced to fail
+        spy = SetulbSpy(monkeypatch)
+        spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
         est = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
-        # call 1 is the base fit; resamples are calls 2..7, the even ones fail
         assert (est.n_resamples, est.n_failed) == (3, 3)
 
 
