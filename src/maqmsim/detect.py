@@ -9,12 +9,16 @@ Coincidences are herald-conditioned: probabilities are computed against the
 unnormalized branch amplitudes of a protocol run, so branch loss and
 detection efficiency show up as missing counts rather than renormalized
 statistics.  Sampling is binomial per setting on independent substreams, so
-tables are reproducible and independent of evaluation order.
+tables are reproducible and independent of evaluation order.  Substream
+(seed, i) is the generator ``np.random.default_rng([seed, i])`` gives, bit
+for bit; ``_substreams`` computes the seed hashes of all rows in one array
+pass, and ``numpy.random`` loads on the first draw.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -173,18 +177,119 @@ def coincidence_probabilities(outcome: TransferOutcome, settings: Settings,
 
 def sample_counts(outcome: TransferOutcome, settings: Settings, heralds_per_setting: int,
                   eta_det: float, dark_rate: float, seed: int) -> CountsTable:
-    """Draw one coincidence table; row i uses substream (seed, i)."""
+    """Draw one coincidence table; row i draws from substream (seed, i)."""
     if heralds_per_setting < 1:
         raise ValueError("heralds_per_setting must be at least 1")
     if dark_rate < 0:
         raise ValueError("dark_rate must be non-negative")
     probabilities = coincidence_probabilities(outcome, settings, eta_det).tolist()
     rows = []
-    for i, (label, probability) in enumerate(zip(settings.labels, probabilities)):
+    for label, probability, rng in zip(settings.labels, probabilities,
+                                       _substreams(seed, len(probabilities))):
         p = probability + dark_rate
         if p > 1.0:
             raise ValueError(f"setting {label!r}: probability {p!r} exceeds 1")
-        rng = np.random.default_rng([seed, i])
         c = int(rng.binomial(heralds_per_setting, p))
         rows.append(CountRow(label, heralds_per_setting, c))
     return CountsTable(tuple(rows))
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_WORDS = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """(calls + 1, 1) uint32: the running hash constant before each call and after the last."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    consts = np.array(out, dtype=np.uint32)[:, None]
+    consts.setflags(write=False)
+    return consts
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on each row of ``values``, row j after j earlier calls."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = _MIX_L * x - _MIX_R * y
+    return values ^ (values >> 16)
+
+
+def _substream_states(seed: int, count: int) -> np.ndarray:
+    """(count, 4) uint64: ``SeedSequence([seed, i]).generate_state(4, np.uint64)``.
+
+    SeedSequence's entropy mixing, run once for all i over (words, count)
+    uint32 arrays, which wrap modulo 2**32 as the C code does.  The entropy
+    is seed's little-endian 32-bit words, then i's one word.  The hash
+    constants do not depend on the entropy, and the calls that mix one
+    source word into several pool words are independent, so each such group
+    runs as one array operation.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = np.zeros((max(len(words) + 1, _POOL_WORDS), count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+    # four hashmix calls per entropy row: the first 4 rows fill the pool and
+    # are each hashed into the 3 other pool words; later rows into all 4
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * len(entropy))
+    pool = _hashmix(entropy[:_POOL_WORDS], consts[:_POOL_WORDS + 1])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        # every other pool word, in order, takes a hash of this one
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
+        k += _POOL_WORDS - 1
+    for word in entropy[_POOL_WORDS:]:
+        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL_WORDS + 1]))
+        k += _POOL_WORDS
+    # generate_state(4, uint64): 8 words cycling over the pool, read in pairs
+    # as little-endian uint64
+    state = _hashmix(np.concatenate([pool, pool]),
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _FixedState:
+    """A seed sequence whose one state is given; PCG64 seeds itself from it.
+
+    ``_substreams`` registers it as a numpy ``ISeedSequence`` on first use,
+    so importing this module does not load ``numpy.random``.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"state is 4 uint64 words, not {n_words} {dtype}")
+        return self.state
+
+
+def _substreams(seed: int, count: int):
+    """The generators ``np.random.default_rng([seed, i])`` for i < count, bit for bit.
+
+    The seed hashes run in one pass (``_substream_states``); PCG64 seeds
+    itself from each state row.  The generators are built as they are taken.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= count <= 2**32:
+        raise ValueError(f"count must be in [0, 2**32], got {count}")
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_FixedState)
+    return (Generator(PCG64(_FixedState(row))) for row in _substream_states(seed, count))

@@ -15,6 +15,7 @@ __all__ = ["DensityMatrix", "fidelity", "state_fidelity"]
 
 NORM_ATOL = 1e-12       # pure-target normalization
 HERM_ATOL = 1e-10       # Hermiticity / trace of density matrices
+PSD_ATOL = 1e-10        # most negative eigenvalue a density matrix may have
 
 
 class DensityMatrix:
@@ -30,7 +31,7 @@ class DensityMatrix:
         if abs(trace - 1.0) > HERM_ATOL:
             raise ValueError(f"density matrix trace must be 1, got {trace!r}")
         eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if eigs.min() < -1e-10:
+        if eigs.min() < -PSD_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()!r}")
         self.entries: np.ndarray = mat.copy()
         self.entries.setflags(write=False)
@@ -56,6 +57,23 @@ def fidelity(rho: DensityMatrix, target) -> float:
     if abs(value.imag) > HERM_ATOL:
         raise ValueError("fidelity came out complex; density matrix invalid?")
     return float(np.clip(value.real, 0.0, 1.0))
+
+
+def _stack_fidelities(mats: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``fidelity(DensityMatrix(m), target)`` for each m of a (k, d, d) stack.
+
+    Matrices that ``DensityMatrix`` or ``fidelity`` would reject are left
+    out; the rest keep their order and the bits of the one-matrix calls.
+    The target is not checked: check it with ``fidelity`` first.
+    """
+    hermitian = (np.abs(mats - mats.conj().transpose(0, 2, 1)) <= HERM_ATOL).all(axis=(1, 2))
+    unit_trace = ~(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0) > HERM_ATOL)
+    mats = mats[hermitian & unit_trace]
+    eigs = np.linalg.eigvalsh((mats + mats.conj().transpose(0, 2, 1)) / 2.0)
+    mats = mats[eigs.min(axis=1) >= -PSD_ATOL]
+    t = np.asarray(target, dtype=complex)
+    values = np.matmul(t.conj(), (mats @ t)[..., None])[..., 0]
+    return np.clip(values.real[~(np.abs(values.imag) > HERM_ATOL)], 0.0, 1.0)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

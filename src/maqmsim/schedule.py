@@ -137,19 +137,28 @@ class Violation:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Time-ordered events plus the validation verdict attached at compile time."""
+    """Time-ordered events plus the validation verdict attached at compile time.
+
+    ``violations`` is None for a schedule no verdict was attached to, such
+    as one parsed back from JSONL; ``validate_schedule`` gives its verdict.
+    """
 
     events: tuple[PulseEvent, ...]
-    violations: tuple[Violation, ...] = ()
+    violations: tuple[Violation, ...] | None = None
 
     def __post_init__(self):
         ordered = sorted(self.events,
                          key=lambda e: (e.t_start_us, _CHANNEL_RANK[e.channel]))
         object.__setattr__(self, "events", tuple(ordered))
-        object.__setattr__(self, "violations", tuple(self.violations))
+        if self.violations is not None:
+            object.__setattr__(self, "violations", tuple(self.violations))
 
     @property
     def valid(self) -> bool:
+        """No error-severity violation; raises ``ValueError`` on an unvalidated schedule."""
+        if self.violations is None:
+            raise ValueError("schedule carries no verdict: "
+                             "validate_schedule(schedule, source, target) gives one")
         return not any(v.severity == "error" for v in self.violations)
 
     def on_channel(self, channel: Channel) -> tuple[PulseEvent, ...]:
@@ -378,7 +387,11 @@ def schedule_to_jsonl(schedule: Schedule) -> str:
 
 
 def schedule_from_jsonl(text: str) -> Schedule:
-    """Parse emitted lines back into a schedule; the verdict is not serialized."""
+    """Parse emitted lines back into an unvalidated schedule (``violations`` None).
+
+    The verdict is not serialized: ``validate_schedule(schedule, source,
+    target)`` gives it from the events and the two memory specs.
+    """
     partial: dict[tuple, dict] = {}
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -37,7 +37,9 @@ fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
-(seed, r); the W bootstrap evaluates the whole stack in one array expression.
+(seed, r) of ``detect._substreams``; the W bootstrap evaluates the whole
+stack in one array expression, and the qubit bootstrap checks and scores
+each fitted stack in one pass.
 A W table with no population count, or one where fewer than two resamples
 succeed, raises ``EstimateUndefinedError``; in the second case it carries
 the point estimate, so a report can keep the value and drop the spread.
@@ -52,8 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detect import CountsTable, tomography_settings, w_labels
-from .qstate import DensityMatrix, fidelity
+from .detect import CountsTable, _substreams, tomography_settings, w_labels
+from .qstate import DensityMatrix, _stack_fidelities, fidelity
 
 __all__ = [
     "ReconstructionResult",
@@ -348,8 +350,8 @@ def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
 def _poisson_resamples(observed: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     """(n_resamples, n) Poisson draws around ``observed``; row r uses substream (seed, r)."""
     draws = np.empty((n_resamples, observed.size))
-    for r in range(n_resamples):
-        draws[r] = np.random.default_rng([seed, r]).poisson(observed)
+    for r, rng in enumerate(_substreams(seed, n_resamples)):
+        draws[r] = rng.poisson(observed)
     return draws
 
 
@@ -375,25 +377,20 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     base = DensityMatrix(base_rho)
     point = fidelity(base, target)   # checks the target before any refit
 
-    resamples, values = _poisson_resamples(observed, n_resamples, seed), []
+    resamples, kept = _poisson_resamples(observed, n_resamples, seed), []
     for start in range(0, n_resamples, MAX_STACK_ROWS):
         fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
                           exposures, base_rho, tol, max_iter)
-        for rho, error in zip(fits.rho, fits.errors):
-            if error is not None:
-                continue
-            try:
-                values.append(fidelity(DensityMatrix(rho), target))
-            except (ValueError, np.linalg.LinAlgError):
-                pass
-    if len(values) < 2:
-        raise RuntimeError(f"only {len(values)} of {n_resamples} resamples succeeded")
-    arr = np.asarray(values)
+        fitted = np.array([error is None for error in fits.errors])
+        kept.append(_stack_fidelities(fits.rho[fitted], target))
+    values = np.concatenate(kept)
+    if values.size < 2:
+        raise RuntimeError(f"only {values.size} of {n_resamples} resamples succeeded")
     return FidelityEstimate(
         value=point,
-        sigma=float(arr.std(ddof=1)),
-        n_resamples=len(values),
-        n_failed=n_resamples - len(values),
+        sigma=float(values.std(ddof=1)),
+        n_resamples=int(values.size),
+        n_failed=n_resamples - int(values.size),
         rho=base,
     )
 

@@ -837,7 +837,8 @@ import json, sys
 import maqmsim.cli
 
 configs, out = sys.argv[1], sys.argv[2]
-steps = [["import", 0, "scipy" in sys.modules]]
+loaded = lambda: ["scipy" in sys.modules, "numpy.random" in sys.modules]
+steps = [["import", 0, *loaded()]]
 for name, argv in [
     ("compile", ["compile", "--config", f"{configs}/qudit_default.json"]),
     ("qudit run", ["run", "--config", f"{configs}/qudit_default.json"]),
@@ -846,7 +847,7 @@ for name, argv in [
     ("qubit run", ["run", "--config", f"{configs}/qubit_default.json"]),
 ]:
     code = maqmsim.cli.main(argv + ["--out", f"{out}/{len(steps)}.txt"])
-    steps.append([name, code, "scipy" in sys.modules])
+    steps.append([name, code, *loaded()])
 print(json.dumps(steps))
 """
 
@@ -857,12 +858,13 @@ def test_scipy_loads_only_on_the_first_fit(tmp_path):
                            str(tmp_path)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+    # [command, exit code, scipy loaded, numpy.random loaded]
     assert json.loads(done.stdout) == [
-        ["import", 0, False],
-        ["compile", 0, False],
-        ["qudit run", 0, False],
-        ["qudit sweep", 0, False],
-        ["qubit run", 0, True],
+        ["import", 0, False, False],
+        ["compile", 0, False, False],
+        ["qudit run", 0, False, True],
+        ["qudit sweep", 0, False, True],
+        ["qubit run", 0, True, True],
     ]
     assert (tmp_path / "4.txt").read_bytes() == (GOLDEN_DIR / "qubit_report.json").read_bytes()
 

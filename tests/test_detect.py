@@ -8,6 +8,8 @@ from maqmsim.detect import (
     CountRow,
     CountsTable,
     Settings,
+    _substream_states,
+    _substreams,
     coincidence_probabilities,
     sample_counts,
     tomography_settings,
@@ -309,6 +311,25 @@ class TestSampleCounts:
             CountRow("UU", 10, 11)
         with pytest.raises(ValueError):
             CountRow("UU", -1, 0)
+
+
+class TestSubstreams:
+    # one to four entropy words before the index word, and past the pool of 4
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1,
+                                      2**70 + 3, 2**100])
+    def test_edge_seeds_give_numpys_streams(self, seed):
+        want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
+                for r in range(500)]
+        assert _substream_states(seed, 500).tolist() == want
+        for r, rng in zip(range(20), _substreams(seed, 500)):
+            want = np.random.default_rng([seed, r])
+            assert rng.binomial(1000, 0.25, size=3).tolist() == \
+                want.binomial(1000, 0.25, size=3).tolist()
+
+    @pytest.mark.parametrize("seed, count", [(-1, 4), (0, 2**32 + 1), (0, -1)])
+    def test_out_of_range_rejected_when_called(self, seed, count):
+        with pytest.raises(ValueError):
+            _substreams(seed, count)
 
 
 def _kets(letter):

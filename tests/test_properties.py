@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maqmsim import cli, tomo
+from maqmsim import cli, detect, tomo
 from maqmsim.cli import parse_experiment_config
 from maqmsim.detect import CountRow, CountsTable, Settings, coincidence_probabilities, \
     tomography_settings
@@ -145,6 +145,28 @@ def test_coincidence_probabilities_match_a_per_row_projection(d, n, eta_det, dat
     got = coincidence_probabilities(outcome, block, eta_det)
     assert got.shape == (n,)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# rates of a bootstrap row: dark, small, and large enough for numpy's PTRS path
+SUBSTREAM_RATES = np.array([0.0, 0.7, 3.0, 45.0, 2500.0])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**256 - 1), count=st.integers(0, 300))
+def test_substreams_are_numpys_seeded_streams(seed, count):
+    states = detect._substream_states(seed, count)
+    assert states.dtype == np.uint64 and states.shape == (count, 4)
+    assert states.tolist() == [
+        np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
+        for r in range(count)]
+    taken = 0
+    for r, rng in enumerate(detect._substreams(seed, count)):
+        want = np.random.default_rng([seed, r])
+        assert rng.binomial(5000, 0.3) == want.binomial(5000, 0.3)
+        assert rng.binomial(40, 0.9) == want.binomial(40, 0.9)
+        assert rng.poisson(SUBSTREAM_RATES).tolist() == want.poisson(SUBSTREAM_RATES).tolist()
+        taken += 1
+    assert taken == count
 
 
 def tomography_rows(k):

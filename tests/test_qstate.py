@@ -140,3 +140,38 @@ class TestFidelities:
         target = np.array([1.0, 0.0])
         assert_allclose(fidelity(rho, target), 0.5, rtol=0, atol=1e-12)
         assert_allclose(state_fidelity(rho, pure(target)), 0.5, rtol=0, atol=1e-8)
+
+
+class TestStackFidelities:
+    @staticmethod
+    def one_by_one(mats, target):
+        """The per-matrix loop the stacked form replaced."""
+        out = []
+        for mat in mats:
+            try:
+                out.append(fidelity(DensityMatrix(mat), target))
+            except (ValueError, np.linalg.LinAlgError):
+                pass
+        return out
+
+    def test_keeps_the_bits_and_skips_what_the_checks_reject(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        mats = a @ a.conj().transpose(0, 2, 1)
+        mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+        mats[3, 0, 1] += 2e-10                              # not Hermitian
+        mats[4, 0, 1] += 5e-11                              # Hermitian within HERM_ATOL
+        mats[7] *= 1.0 + 2e-10                              # trace off
+        mats[9] = np.diag([0.6, 0.5, 0.0, -0.1])            # negative eigenvalue
+        mats[11] = np.diag([0.5, 0.5, 1e-11, -1e-11])       # within PSD_ATOL
+        mats[13, 2, 2] = np.nan
+        mats[17, 1, 3] = mats[17, 3, 1] = np.inf
+        for target in (bell_target(), w_vector(4), np.eye(4)[2]):
+            with np.errstate(invalid="ignore"):     # the NaN and inf rows
+                want = self.one_by_one(mats, target)
+                got = qstate._stack_fidelities(mats, target)
+            assert len(want) == 195
+            assert got.tolist() == want
+
+    def test_empty_stack(self):
+        assert qstate._stack_fidelities(np.zeros((0, 4, 4), complex), bell_target()).size == 0

@@ -320,6 +320,16 @@ class TestSerialization:
             again = schedule_to_jsonl(schedule_from_jsonl(text))
             assert again == text
 
+    def test_parsed_invalid_schedule_no_longer_claims_valid(self):
+        cfg = qubit_config(t1=16.0)
+        sched = compile_schedule(cfg)
+        assert not sched.valid
+        parsed = schedule_from_jsonl(schedule_to_jsonl(sched))
+        assert parsed.violations is None
+        with pytest.raises(ValueError, match="validate_schedule"):
+            parsed.valid
+        assert validate_schedule(parsed, cfg.spec1, cfg.spec2) == sched.violations
+
     def test_line_fields(self):
         sched = compile_schedule(qubit_config())
         lines = schedule_to_jsonl(sched).splitlines()
