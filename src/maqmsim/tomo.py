@@ -19,11 +19,13 @@ reverse-communication kernel ``setulb`` under the rules of scipy's
 ``minimize(..., method="L-BFGS-B")`` loop, and on each pass every row that
 asked for a value and gradient is evaluated in one stacked call.  A row
 therefore takes the iterates a fit of its table alone takes, bit for bit.
-Unpacking T, T T^dag, the normalization Q, the logs and the gradient
-products run on the whole stack; the projector traces q_s, the dot
-c . ln q and sum_s (c_s / q_s) P_s run row by row, because their stacked
-forms sum in another order and move the last bits.  scipy is imported on
-the first fit, so a process that never fits never loads it.  The value of
+Every step of the objective runs on the whole stack and keeps the one-row
+summation order: the projector traces q_s add their terms in a fixed
+nested order, and the dot c . ln q and sum_s (c_s / q_s) P_s are matrix
+products with a unit middle axis, which make the same BLAS call per row as
+a one-row product.  The first fit loads scipy's compiled ``_lbfgsb`` module
+alone, never the ``scipy.optimize`` package, so a process that never fits
+loads no scipy and one that fits skips the package's import.  The value of
 each accepted step is the row's last evaluation; the likelihood trace is
 checked to be non-decreasing across accepted steps, and a row that fails
 the check stops with ``LikelihoodDecreasedError`` (an explicit check, so it
@@ -47,8 +49,12 @@ the point estimate, so a report can keep the value and drop the spread.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import combinations
 from typing import NamedTuple
 
@@ -154,15 +160,18 @@ class _NegLogLikelihoods:
 
     ``objective(x, rows)`` evaluates count row ``rows[i]`` at ``x[i]`` and
     returns ``(values, gradients)``.  The rows share the projectors and the
-    exposures.  Each row's numbers are the bits a one-row evaluation gives:
-    the steps whose stacked form sums in another order (the projector traces
-    q_s, the dot c . ln q and sum_s (c_s / q_s) P_s) run row by row.
+    exposures.  Each row's numbers are the bits a one-row evaluation gives.
+    The projector traces q_s sum, for each (s, i), the j terms left to
+    right and then the i sums in turn, the order of the one-row
+    ``einsum("sij,ji->s")``.  The dot c . ln q and sum_s (c_s / q_s) P_s
+    are matmuls with a unit middle axis, so each row gets the BLAS
+    ddot / zgemv call a 1-D product makes.
     """
 
     def __init__(self, projectors, observed, exposures):
         n_settings, d = projectors.shape[:2]
         self.d = d
-        self.projectors = projectors
+        self.p_real, self.p_imag = projectors.real, projectors.imag
         self.flat_projectors = projectors.reshape(n_settings, d * d)
         self.observed = observed
         self.c_total = np.array([float(row.sum()) for row in observed])
@@ -179,24 +188,24 @@ class _NegLogLikelihoods:
         return t_mat
 
     def __call__(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        d, projectors, s_op = self.d, self.projectors, self.s_op
+        d, s_op = self.d, self.s_op
         observed, c_total = self.observed[rows], self.c_total[rows]
         m = len(rows)
         t_mat = self.unpack(x)
         a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
-        q = np.empty(observed.shape)
-        for i in range(m):
-            q[i] = np.einsum("sij,ji->s", projectors, a_mat[i]).real
+        # q_s = Re sum_ij P_sij A_ji in the order above; cumsum starts from
+        # the first term, not from 0, which can only flip the sign of a zero
+        # sum, and the clip erases that
+        a_t = a_mat.transpose(0, 2, 1)[:, None]
+        terms = self.p_real * a_t.real - self.p_imag * a_t.imag
+        q = np.cumsum(np.cumsum(terms, axis=3)[..., -1], axis=2)[..., -1]
         q = np.clip(q, Q_FLOOR, None)
         big_q = np.maximum(np.einsum("ij,rji->r", s_op, a_mat).real, Q_FLOOR)
         log_q, ratio = np.log(q), observed / q
-        dots = np.empty(m)
-        g_mat = np.empty((m, d * d), dtype=complex)
-        for i in range(m):
-            dots[i] = observed[i] @ log_q[i]
-            g_mat[i] = ratio[i] @ self.flat_projectors
+        dots = (observed[:, None, :] @ log_q[:, :, None])[:, 0, 0]
         values = -(dots - c_total * np.log(big_q))
-        g_mat = g_mat.reshape(m, d, d) - (c_total / big_q)[:, None, None] * s_op
+        g_mat = (ratio.astype(complex)[:, None, :] @ self.flat_projectors).reshape(m, d, d)
+        g_mat = g_mat - (c_total / big_q)[:, None, None] * s_op
         m_mat = g_mat @ t_mat
         m_lower = m_mat[:, self.lower[0], self.lower[1]]
         grads = np.empty((m, d * d))
@@ -213,6 +222,43 @@ _LBFGS_MAXLS = 20
 _LBFGS_MAXFUN = 15000
 _LBFGS_PGTOL = 1e-12
 _NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
+
+
+_KERNEL = "scipy.optimize._lbfgsb"
+
+
+def _lbfgsb_kernel():
+    """scipy's compiled L-BFGS-B module, loaded without ``scipy.optimize``.
+
+    A module already in ``sys.modules`` is returned as it is, so one a user
+    imported, or a stand-in patched onto it, is what the fits call.
+    Otherwise the extension is found in scipy's ``optimize`` directory
+    (``find_spec`` loads no module), registered under its own name and
+    run; ``scipy/optimize/__init__.py`` never executes.  A later import of
+    the ``scipy.optimize`` package reuses the module, and so does importing
+    ``_lbfgsb`` from it by name, though the package gets no ``_lbfgsb``
+    attribute: the import system binds one only when it loads the module.
+    """
+    kernel = sys.modules.get(_KERNEL)
+    if kernel is not None:
+        return kernel
+    scipy_spec = importlib.util.find_spec("scipy")
+    for root in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        finder = FileFinder(os.path.join(root, "optimize"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_KERNEL)
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"the MLE fit needs scipy>=1.15: no compiled {_KERNEL} found")
+    kernel = importlib.util.module_from_spec(spec)
+    sys.modules[_KERNEL] = kernel
+    try:
+        spec.loader.exec_module(kernel)
+    except BaseException:
+        sys.modules.pop(_KERNEL, None)
+        raise
+    return kernel
 
 
 class _StackFit(NamedTuple):
@@ -234,7 +280,7 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     function memo, run for every row at once.  A row whose accepted step
     lowers the likelihood stops with its error stored; the others go on.
     """
-    from scipy.optimize._lbfgsb import setulb
+    setulb = _lbfgsb_kernel().setulb
 
     k, d = observed.shape[0], projectors.shape[1]
     n, m = d * d, _LBFGS_M
@@ -319,6 +365,14 @@ def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
     return np.linalg.cholesky(mat)
 
 
+def _check_stopping(tol, max_iter) -> None:
+    # NaN fails the comparison, and an infinite tol would stop after one step
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
                     tol: float = 1e-9, max_iter: int = 1000) -> ReconstructionResult:
     """Maximum-likelihood state fit, physical by construction.
@@ -328,8 +382,7 @@ def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
     iterate is still returned.  All-zero tables are a flat likelihood, so
     the initial state (maximally mixed by default) comes back unchanged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
     d = projectors.shape[1]
     if init is not None and init.dimension != d:
@@ -370,6 +423,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
+    _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
     base_rho, *_ = _fit_one(projectors, observed, exposures,
                             np.eye(projectors.shape[1]) / projectors.shape[1],

@@ -21,6 +21,7 @@ from maqmsim.detect import CountRow, CountsTable, Settings, coincidence_probabil
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
 from maqmsim.protocol import ProtocolConfig, bin_time, run_protocol, storage_dwell
 from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
+from test_tomo import reference_objective
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
 QUDIT = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
@@ -197,3 +198,35 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data)
         assert np.array_equal(rho, rho.conj().T)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
+    rng = np.random.default_rng(seed)
+    heralds = data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16))
+    table = CountsTable(tuple(CountRow(label, h, 0)
+                              for label, h in zip(tomography_settings(2).labels, heralds)))
+    projectors, _, exposures = tomo._aligned_projectors(table)
+    if data.draw(st.booleans()):
+        # random rank-1 projectors: unlike the tomography settings' sparse,
+        # symmetric ones, their traces round differently in any other sum order
+        kets = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
+        projectors = kets[:, :, None] * kets.conj()[:, None, :]
+    # random lower-triangular T, each row at its own scale
+    x = rng.normal(size=(m, 16)) * 10.0 ** rng.uniform(-4, 3, size=(m, 1))
+    observed = rng.poisson(rng.uniform(0, 1000, size=(m, 1)), size=(m, 16)).astype(float)
+    observed[sorted(data.draw(st.sets(st.integers(0, m - 1))))] = 0.0
+    # T = |00><00| leaves the tomography settings dark to |00> at the Q_FLOOR
+    # clip; a tiny T clips every trace and the normalization too
+    pure, tiny = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    x[pure] = np.eye(1, 16)[0]
+    x[tiny] *= 1e-9
+    rows = data.draw(st.permutations(range(m)).map(lambda p: p[:max(1, m // 2)])
+                     | st.just(list(range(m))))
+    objective = tomo._NegLogLikelihoods(projectors, observed, exposures)
+    values, grads = objective(x[rows], np.array(rows))
+    for i, r in enumerate(rows):
+        value, gradient = reference_objective(projectors, observed[r], exposures)
+        assert values[i].tobytes() == np.float64(value(x[r])).tobytes()
+        assert grads[i].tobytes() == gradient(x[r]).tobytes()

@@ -1,3 +1,6 @@
+import importlib.machinery
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -13,6 +16,7 @@ from maqmsim.cli import derive_seed, load_experiment_config
 from maqmsim.detect import (
     CountRow,
     CountsTable,
+    coincidence_probabilities,
     sample_counts,
     tomography_settings,
     w_labels,
@@ -115,6 +119,19 @@ class TestMleReconstruct:
         counts = CountsTable(tuple(CountRow(label, 1000, 0) for label in settings.labels))
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("estimator", ["mle_reconstruct", "monte_carlo_fidelity"])
+    @pytest.mark.parametrize("name, value", [("tol", float("nan")), ("tol", float("inf")),
+                                             ("tol", 0.0), ("tol", -1e-9),
+                                             ("max_iter", 0), ("max_iter", -1)])
+    def test_bad_stopping_rules_rejected_before_any_fit(self, monkeypatch, estimator,
+                                                         name, value):
+        spy = SetulbSpy(monkeypatch)
+        args = (bell_table(),) if estimator == "mle_reconstruct" else (
+            bell_table(), bell_target(), 4, 0)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            getattr(tomo, estimator)(*args, **{name: value})
+        assert spy.fits == 0
 
     def test_init_must_match_the_reconstruction_dimension(self):
         with pytest.raises(ValueError, match="dimension 4"):
@@ -357,6 +374,29 @@ class TestWPipeline:
         out = run_protocol(cfg.protocol, transfer=True)
         return sample_counts(out, w_settings(16), cfg.heralds_per_setting, cfg.eta_det,
                              cfg.dark_rate, seed=5)
+
+    @pytest.mark.parametrize("config", [CONFIG_DIR / "qudit_default.json",
+                                        GOLDEN_DIR / "qudit16_config.json"], ids=["d4", "d16"])
+    def test_error_bars_calibrated_at_the_shipped_settings(self, config):
+        # stage 2 at the config's heralds, dark rate and resample count; the
+        # truth is the estimate from the exact expected counts
+        cfg = load_experiment_config(str(config))
+        d = cfg.protocol.dimension
+        out, settings = run_protocol(cfg.protocol, transfer=True), w_settings(d)
+        expected = cfg.heralds_per_setting * (
+            coincidence_probabilities(out, settings, cfg.eta_det) + cfg.dark_rate)
+        truth = w_fidelity(expected, d).value
+        errors, covered = [], 0
+        for trial in range(100):
+            table = sample_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
+                                  cfg.dark_rate, seed=trial)
+            est = monte_carlo_w_fidelity(table, d, cfg.n_resamples, seed=10_000 + trial)
+            errors.append(est.value - truth)
+            if abs(est.value - truth) <= est.sigma:
+                covered += 1
+        assert 55 <= covered <= 80, f"covered {covered}/100"
+        bias = float(np.mean(errors)) / float(np.std(errors, ddof=1))
+        assert abs(bias) < 0.3, f"bias {bias:.3f} sd"
 
     @pytest.mark.parametrize("case", ["d4", "d16", "near_zero_populations"])
     def test_matches_scalar_reference_bitwise(self, case):
@@ -739,6 +779,97 @@ class TestLikelihoodGuard:
         spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
         est = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
         assert (est.n_resamples, est.n_failed) == (3, 3)
+
+
+OPTIMIZED_STOPPING_SCRIPT = """
+import sys
+from maqmsim import tomo
+from maqmsim.detect import CountRow, CountsTable, tomography_settings
+
+table = CountsTable(tuple(CountRow(label, 1000, 10) for label in tomography_settings(2).labels))
+for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
+    try:
+        tomo.mle_reconstruct(table, **kwargs)
+    except ValueError:
+        print("rejected", sys.flags.optimize)
+"""
+
+
+def test_stopping_checks_survive_optimized_mode():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_STOPPING_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected", "1"] * 3
+
+
+IMPORT_ORDER_SCRIPT = r"""
+import json, sys
+from maqmsim import tomo
+from maqmsim.detect import CountRow, CountsTable
+
+order, rows = sys.argv[1], json.loads(sys.argv[2])
+table = CountsTable(tuple(CountRow(*row) for row in rows))
+
+def fit():
+    res = tomo.mle_reconstruct(table)
+    return [res.rho.entries.tobytes().hex(), res.log_likelihood, res.iterations,
+            list(res.likelihood_trace)]
+
+steps = {}
+if order == "kernel first":
+    steps["fit"] = fit()
+    steps["package loaded"] = "scipy.optimize" in sys.modules
+    kernel = sys.modules["scipy.optimize._lbfgsb"]
+    from scipy.optimize import _lbfgsb, minimize
+else:
+    from scipy.optimize import _lbfgsb, minimize
+    kernel = _lbfgsb
+    steps["fit"] = fit()
+    steps["package loaded"] = "scipy.optimize" in sys.modules
+steps["one module"] = _lbfgsb is kernel is sys.modules["scipy.optimize._lbfgsb"]
+steps["package works"] = minimize(lambda x: float((x - 1.5) @ (x - 1.5)), [0.0, 0.0],
+                                  method="L-BFGS-B").fun < 1e-12
+calls = []
+real = _lbfgsb.setulb
+_lbfgsb.setulb = lambda *args: calls.append(1) or real(*args)
+steps["stand-in fit"] = fit()
+steps["stand-in called"] = len(calls) > 0
+print(json.dumps(steps))
+"""
+
+
+class TestKernelLoader:
+    def test_either_import_order_fits_with_one_kernel(self):
+        table = bell_table(heralds=2000)
+        rows = json.dumps([[r.label, r.heralds, r.coincidences] for r in table.rows])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        res = mle_reconstruct(table)
+        here = [res.rho.entries.tobytes().hex(), res.log_likelihood, res.iterations,
+                list(res.likelihood_trace)]
+        for order, package_loaded in [("kernel first", False), ("package first", True)]:
+            done = subprocess.run([sys.executable, "-c", IMPORT_ORDER_SCRIPT, order, rows],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout) == {
+                "fit": here, "package loaded": package_loaded, "one module": True,
+                "package works": True, "stand-in fit": here, "stand-in called": True}, order
+
+    @pytest.mark.parametrize("scipy_found", [False, True])
+    def test_missing_kernel_raises_import_error(self, monkeypatch, tmp_path, scipy_found):
+        # no scipy at all, or a scipy whose optimize directory has no extension
+        spec = None
+        if scipy_found:
+            (tmp_path / "optimize").mkdir()
+            spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.delitem(sys.modules, tomo._KERNEL)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=re.escape("scipy>=1.15")):
+            mle_reconstruct(bell_table())
+        assert tomo._KERNEL not in sys.modules
 
 
 @pytest.mark.xfail(strict=True, reason="L-BFGS-B with ftol=tol stops short of the optimum: "
