@@ -278,20 +278,26 @@ def derive_seed(*parts: int) -> int:
 
 def _stage_report_qubit(outcome, cfg: ExperimentConfig, settings,
                         stage_index: int) -> tuple[dict, DensityMatrix]:
+    """The stage's block and base fit; a bootstrap with no spread keeps the
+    fidelity, sets sigma None and adds the reason as the block's ``warnings``."""
     table = sample_counts(outcome, settings, cfg.heralds_per_setting,
                           cfg.eta_det, cfg.dark_rate,
                           seed=derive_seed(cfg.seed, stage_index, 0))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
-    est = monte_carlo_fidelity(table, target, cfg.n_resamples,
-                               seed=derive_seed(cfg.seed, stage_index, 1),
-                               tol=cfg.tol, max_iter=cfg.max_iter)
-    return {
+    block = {
         "predicted_fidelity": outcome.predicted_fidelity,
         "survival_probability": outcome.survival_probability,
-        "fidelity": est.value,
-        "sigma": est.sigma,
-        "n_resamples": est.n_resamples,
-    }, est.rho
+    }
+    try:
+        est = monte_carlo_fidelity(table, target, cfg.n_resamples,
+                                   seed=derive_seed(cfg.seed, stage_index, 1),
+                                   tol=cfg.tol, max_iter=cfg.max_iter)
+    except EstimateUndefinedError as err:
+        block.update(fidelity=err.point.value, sigma=None,
+                     n_resamples=err.point.n_resamples, warnings=[str(err)])
+        return block, err.point.rho
+    block.update(fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples)
+    return block, est.rho
 
 
 def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,

@@ -21,16 +21,18 @@ asked for a value and gradient is evaluated in one stacked call.  A row
 therefore takes the iterates a fit of its table alone takes, bit for bit.
 Every step of the objective runs on the whole stack and keeps the one-row
 summation order: the projector traces q_s add their terms in a fixed
-nested order, and the dot c . ln q and sum_s (c_s / q_s) P_s are matrix
-products with a unit middle axis, which make the same BLAS call per row as
-a one-row product.  The first fit loads scipy's compiled ``_lbfgsb`` module
-alone, never the ``scipy.optimize`` package, so a process that never fits
-loads no scipy and one that fits skips the package's import.  The value of
-each accepted step is the row's last evaluation; the likelihood trace is
-checked to be non-decreasing across accepted steps, and a row that fails
-the check stops with ``LikelihoodDecreasedError`` (an explicit check, so it
-also holds under ``python -O``).  A single fit raises it; a bootstrap
-counts the row as failed.
+nested order, as plain adds of contiguous (row, setting) slabs, and the
+dot c . ln q and sum_s (c_s / q_s) P_s are matrix products with a unit
+middle axis, which make the same BLAS call per row as a one-row product.
+Packed parameters map to T, and the gradient back to them, through one
+index of float slots.  The first fit loads scipy's compiled ``_lbfgsb``
+module alone, never the ``scipy.optimize`` package, so a process that
+never fits loads no scipy and one that fits skips the package's import.
+The value of each accepted step is the row's last evaluation; the
+likelihood trace is checked to be non-decreasing across accepted steps,
+and a row that fails the check stops with ``LikelihoodDecreasedError`` (an
+explicit check, so it also holds under ``python -O``).  A single fit
+raises it; a bootstrap counts the row as failed.
 
 A bootstrap fits the observed table once from the maximally mixed state and
 hands that base fit back with the estimate, so a report needs no second fit
@@ -42,9 +44,10 @@ bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
 (seed, r) of ``detect._substreams``; the W bootstrap evaluates the whole
 stack in one array expression, and the qubit bootstrap checks and scores
 each fitted stack in one pass.
-A W table with no population count, or one where fewer than two resamples
-succeed, raises ``EstimateUndefinedError``; in the second case it carries
-the point estimate, so a report can keep the value and drop the spread.
+A W table with no population count, or a bootstrap of either kind where
+fewer than two resamples succeed, raises ``EstimateUndefinedError``; in
+the second case it carries the point estimate, so a report can keep the
+value and drop the spread.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import os
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import combinations
 from typing import NamedTuple
@@ -163,29 +167,37 @@ class _NegLogLikelihoods:
     exposures.  Each row's numbers are the bits a one-row evaluation gives.
     The projector traces q_s sum, for each (s, i), the j terms left to
     right and then the i sums in turn, the order of the one-row
-    ``einsum("sij,ji->s")``.  The dot c . ln q and sum_s (c_s / q_s) P_s
-    are matmuls with a unit middle axis, so each row gets the BLAS
-    ddot / zgemv call a 1-D product makes.
+    ``einsum("sij,ji->s")``; the terms sit in a (j, i, row, s) array, so
+    each sum is a plain add of contiguous slabs.  The dot c . ln q and
+    sum_s (c_s / q_s) P_s are matmuls with a unit middle axis, so each row
+    gets the BLAS ddot / zgemv call a 1-D product makes.  ``packed[k]`` is
+    the float slot of parameter k in the interleaved (re, im) view of a
+    row of T, so unpacking is one scatter and the gradient one gather.
     """
 
     def __init__(self, projectors, observed, exposures):
         n_settings, d = projectors.shape[:2]
         self.d = d
-        self.p_real, self.p_imag = projectors.real, projectors.imag
+        # P_sij as contiguous (j, i, 1, s) slabs, to meet A_ji as (j, i, row, 1)
+        self.p_real = np.ascontiguousarray(projectors.real.transpose(2, 1, 0)[:, :, None])
+        self.p_imag = np.ascontiguousarray(projectors.imag.transpose(2, 1, 0)[:, :, None])
         self.flat_projectors = projectors.reshape(n_settings, d * d)
         self.observed = observed
         self.c_total = np.array([float(row.sum()) for row in observed])
         self.s_op = np.tensordot(exposures, projectors, axes=1)
-        self.diag = np.diag_indices(d)
-        self.lower = np.tril_indices(d, -1)   # row-major, the order _pack writes
+        # the diagonal, then the strict lower triangle row-major as (re, im):
+        # the order _pack writes
+        lower = np.tril_indices(d, -1)
+        self.packed = np.concatenate([
+            2 * (d + 1) * np.arange(d),
+            (2 * (d * lower[0] + lower[1])[:, None] + [0, 1]).ravel()])
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         """(m, d^2) packed parameters -> (m, d, d) lower-triangular T."""
         d = self.d
-        t_mat = np.zeros((x.shape[0], d, d), dtype=complex)
-        t_mat[:, self.diag[0], self.diag[1]] = x[:, :d]
-        t_mat[:, self.lower[0], self.lower[1]] = x[:, d::2] + 1j * x[:, d + 1::2]
-        return t_mat
+        t_flat = np.zeros((x.shape[0], 2 * d * d))
+        t_flat[:, self.packed] = x
+        return t_flat.view(complex).reshape(-1, d, d)
 
     def __call__(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         d, s_op = self.d, self.s_op
@@ -193,25 +205,19 @@ class _NegLogLikelihoods:
         m = len(rows)
         t_mat = self.unpack(x)
         a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
-        # q_s = Re sum_ij P_sij A_ji in the order above; cumsum starts from
+        # q_s = Re sum_ij P_sij A_ji in the order above; the sums start from
         # the first term, not from 0, which can only flip the sign of a zero
-        # sum, and the clip erases that
-        a_t = a_mat.transpose(0, 2, 1)[:, None]
+        # sum, and the floor erases that
+        a_t = a_mat.transpose(1, 2, 0)[..., None]
         terms = self.p_real * a_t.real - self.p_imag * a_t.imag
-        q = np.cumsum(np.cumsum(terms, axis=3)[..., -1], axis=2)[..., -1]
-        q = np.clip(q, Q_FLOOR, None)
+        q = np.maximum(reduce(np.add, reduce(np.add, terms)), Q_FLOOR)
         big_q = np.maximum(np.einsum("ij,rji->r", s_op, a_mat).real, Q_FLOOR)
         log_q, ratio = np.log(q), observed / q
         dots = (observed[:, None, :] @ log_q[:, :, None])[:, 0, 0]
         values = -(dots - c_total * np.log(big_q))
         g_mat = (ratio.astype(complex)[:, None, :] @ self.flat_projectors).reshape(m, d, d)
         g_mat = g_mat - (c_total / big_q)[:, None, None] * s_op
-        m_mat = g_mat @ t_mat
-        m_lower = m_mat[:, self.lower[0], self.lower[1]]
-        grads = np.empty((m, d * d))
-        grads[:, :d] = -(2.0 * m_mat[:, self.diag[0], self.diag[1]].real)
-        grads[:, d::2] = -(2.0 * m_lower.real)
-        grads[:, d + 1::2] = -(2.0 * m_lower.imag)
+        grads = -(2.0 * (g_mat @ t_mat).reshape(m, d * d).view(float)[:, self.packed])
         return values, grads
 
 
@@ -294,12 +300,12 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     lsave, isave = np.zeros((k, 4), dtype=np.int32), np.zeros((k, 44), dtype=np.int32)
     dsave = np.zeros((k, 29))
     factr = tol / np.finfo(float).eps
-    iterations, evaluations = np.zeros(k, dtype=int), np.ones(k, dtype=int)
+    iterations, evaluations = [0] * k, [1] * k
     errors = [None] * k
-    # setulb's arguments before and after f, per row; the arrays are row views
-    head = [(m, x[r], no_bounds, no_bounds, nbd) for r in range(k)]
-    tail = [(g[r], factr, _LBFGS_PGTOL, wa[r], iwa[r], task[r], lsave[r], isave[r],
-             dsave[r], _LBFGS_MAXLS, ln_task[r]) for r in range(k)]
+    # setulb's arguments per row, f at slot 5; the arrays are row views
+    args = [[m, x[r], no_bounds, no_bounds, nbd, 0.0, g[r], factr, _LBFGS_PGTOL, wa[r],
+             iwa[r], task[r], lsave[r], isave[r], dsave[r], _LBFGS_MAXLS, ln_task[r]]
+            for r in range(k)]
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", RuntimeWarning)
@@ -307,18 +313,21 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
         # call, and a request at a row's last evaluated point reuses it
         seen_x = x.copy()
         seen_f, seen_g = objective(seen_x, np.arange(k))
-        f = seen_f.copy()
-        traces = [[-v] for v in seen_f]
+        f = seen_f.tolist()
+        traces = [[-v] for v in f]
         active = list(range(k))
         while active:
             wanted = []
             for r in active:
+                row_args, row_task = args[r], task[r]
+                row_args[5] = f[r]
                 while True:
-                    setulb(*head[r], f[r], *tail[r])
-                    if task[r, 0] == _FG:
+                    setulb(*row_args)
+                    code = row_task.item(0)
+                    if code == _FG:
                         wanted.append(r)
                         break
-                    if task[r, 0] != _NEW_X:
+                    if code != _NEW_X:
                         break
                     iterations[r] += 1
                     # the line search ends on an evaluation at the accepted x
@@ -330,22 +339,25 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
                         break
                     traces[r].append(ll)
                     if iterations[r] >= max_iter:
-                        task[r] = (_STOP, 504)
+                        row_task[:] = (_STOP, 504)
                     elif evaluations[r] > _LBFGS_MAXFUN:
-                        task[r] = (_STOP, 502)
+                        row_task[:] = (_STOP, 502)
             active, rows = wanted, np.array(wanted, dtype=int)
             fresh = rows[(x[rows] != seen_x[rows]).any(axis=1)]
             if len(fresh):
                 seen_x[fresh] = x[fresh]
                 seen_f[fresh], seen_g[fresh] = objective(x[fresh], fresh)
-                evaluations[fresh] += 1
-            f[rows], g[rows] = seen_f[rows], seen_g[rows]
+                for r in fresh.tolist():
+                    evaluations[r] += 1
+            for r, value in zip(wanted, seen_f[rows].tolist()):
+                f[r] = value
+            g[rows] = seen_g[rows]
 
         t_mat = objective.unpack(x)
         a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
         a_mat = (a_mat + a_mat.conj().transpose(0, 2, 1)) / 2.0
         rho = a_mat / np.trace(a_mat, axis1=1, axis2=2).real[:, None, None]
-    return _StackFit(rho=rho, log_likelihood=-f, iterations=iterations,
+    return _StackFit(rho=rho, log_likelihood=-np.array(f), iterations=np.array(iterations),
                      converged=task[:, 0] == _CONVERGENCE,
                      traces=tuple(tuple(t) for t in traces), errors=tuple(errors))
 
@@ -400,6 +412,19 @@ def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
     )
 
 
+class EstimateUndefinedError(ValueError):
+    """A table defines no fidelity (a W table with no population count) or no spread.
+
+    ``point`` is None when the W populations are all zero.  When fewer than
+    two resamples succeed it is the observed table's estimate, with the
+    successful and failed resample counts.
+    """
+
+    def __init__(self, message: str, point: FidelityEstimate | None = None):
+        super().__init__(message)
+        self.point = point
+
+
 def _poisson_resamples(observed: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
     """(n_resamples, n) Poisson draws around ``observed``; row r uses substream (seed, r)."""
     draws = np.empty((n_resamples, observed.size))
@@ -419,7 +444,9 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     treated as raw Poisson draws (they may exceed the recorded herald
     number; the likelihood only cares about rates).  Each refit warm-starts
     from the base reconstruction, which is returned as ``rho`` so callers
-    need not fit the table again.  Failed refits are skipped and counted.
+    need not fit the table again.  Failed refits are skipped and counted;
+    when fewer than two succeed, ``EstimateUndefinedError`` carries the
+    point estimate with sigma 0.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
@@ -438,28 +465,12 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
         fitted = np.array([error is None for error in fits.errors])
         kept.append(_stack_fidelities(fits.rho[fitted], target))
     values = np.concatenate(kept)
+    estimate = FidelityEstimate(value=point, sigma=0.0, n_resamples=int(values.size),
+                                n_failed=n_resamples - int(values.size), rho=base)
     if values.size < 2:
-        raise RuntimeError(f"only {values.size} of {n_resamples} resamples succeeded")
-    return FidelityEstimate(
-        value=point,
-        sigma=float(values.std(ddof=1)),
-        n_resamples=int(values.size),
-        n_failed=n_resamples - int(values.size),
-        rho=base,
-    )
-
-
-class EstimateUndefinedError(ValueError):
-    """A W table defines no fidelity (no population count) or no spread.
-
-    ``point`` is None when the populations are all zero.  When fewer than
-    two resamples succeed it is the observed table's estimate, with the
-    successful and failed resample counts.
-    """
-
-    def __init__(self, message: str, point: FidelityEstimate | None = None):
-        super().__init__(message)
-        self.point = point
+        raise EstimateUndefinedError(
+            f"only {values.size} of {n_resamples} resamples succeeded", estimate)
+    return replace(estimate, sigma=float(values.std(ddof=1)))
 
 
 def _w_estimate(counts: np.ndarray, d: int):

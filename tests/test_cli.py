@@ -27,6 +27,7 @@ from maqmsim.cli import (
     sweepable_paths,
 )
 from maqmsim.schedule import schedule_from_jsonl, schedule_to_jsonl
+from test_tomo import SetulbSpy, force_decrease
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -823,6 +824,22 @@ def test_too_few_resamples_keep_the_point_value(tmp_path):
     stage = json.loads(out.read_text())["maqm1_stage"]
     assert (stage["w_fidelity"], stage["sigma"], stage["n_resamples"]) == (0.25, None, 1)
     assert stage["warnings"] == ["only 1 of 2 resamples succeeded"]
+
+
+def test_qubit_stage_without_spread_keeps_the_point_value(tmp_path, monkeypatch):
+    # every stage-1 resample fails (fit 2 of the run; fit 1 is the stage-1
+    # base fit); the rest of the report keeps its values
+    path = write_config(tmp_path, small_doc())
+    plain = run_experiment(load_experiment_config(path))
+    spy = SetulbSpy(monkeypatch)
+    spy.act = lambda row, *args: spy.fits == 2 and force_decrease(row, *args)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert spy.fits == 4
+    plain["maqm1_stage"].update(sigma=None, n_resamples=0,
+                                warnings=["only 0 of 6 resamples succeeded"])
+    assert out.read_text() == report_to_json(plain)
+    assert "warnings" not in plain["maqm2_stage"]
 
 
 def test_main_sweep_unknown_param_exits_two(tmp_path, capsys):

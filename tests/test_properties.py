@@ -215,6 +215,10 @@ def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
         projectors = kets[:, :, None] * kets.conj()[:, None, :]
     # random lower-triangular T, each row at its own scale
     x = rng.normal(size=(m, 16)) * 10.0 ** rng.uniform(-4, 3, size=(m, 1))
+    # exact zeros of either sign: a fit from the maximally mixed state starts
+    # with exact zero off-diagonals
+    zeros = rng.random(size=(m, 16)) < data.draw(st.sampled_from([0.0, 0.3, 0.8]))
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
     observed = rng.poisson(rng.uniform(0, 1000, size=(m, 1)), size=(m, 16)).astype(float)
     observed[sorted(data.draw(st.sets(st.integers(0, m - 1))))] = 0.0
     # T = |00><00| leaves the tomography settings dark to |00> at the Q_FLOOR
@@ -230,3 +234,21 @@ def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
         value, gradient = reference_objective(projectors, observed[r], exposures)
         assert values[i].tobytes() == np.float64(value(x[r])).tobytes()
         assert grads[i].tobytes() == gradient(x[r]).tobytes()
+
+
+@PROPERTY
+@given(k=st.integers(1, 4), d=st.integers(1, 6), data=st.data())
+def test_unpack_inverts_pack_bit_for_bit(k, d, data):
+    # any finite parts, signed zeros and infinities included; the diagonal
+    # is real and the upper triangle +0
+    parts = st.floats(allow_nan=False, width=64)
+    lower, diag = np.tril_indices(d, -1), np.diag_indices(d)
+    t_stack = np.zeros((k, d, d), dtype=complex)
+    for t_mat in t_stack:
+        t_mat.real[diag] = data.draw(st.lists(parts, min_size=d, max_size=d))
+        for plane in (t_mat.real, t_mat.imag):
+            plane[lower] = data.draw(st.lists(parts, min_size=d * (d - 1) // 2,
+                                              max_size=d * (d - 1) // 2))
+    x = np.array([tomo._pack(t_mat) for t_mat in t_stack]).reshape(k, d * d)
+    objective = tomo._NegLogLikelihoods(np.zeros((1, d, d)), np.zeros((1, 1)), np.zeros(1))
+    assert objective.unpack(x).tobytes() == t_stack.tobytes()

@@ -26,6 +26,7 @@ from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.tomo import (
+    EstimateUndefinedError,
     LikelihoodDecreasedError,
     bell_target,
     mle_reconstruct,
@@ -779,6 +780,20 @@ class TestLikelihoodGuard:
         spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
         est = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
         assert (est.n_resamples, est.n_failed) == (3, 3)
+
+    @pytest.mark.parametrize("survivors", [0, 1])
+    def test_bootstrap_without_spread_keeps_the_point(self, monkeypatch, survivors):
+        plain = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+        spy = SetulbSpy(monkeypatch)
+        spy.act = lambda row, *args: (spy.fits == 2 and row >= survivors
+                                      and force_decrease(row, *args))
+        with pytest.raises(EstimateUndefinedError,
+                           match=f"^only {survivors} of 6 resamples succeeded$") as caught:
+            monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+        point = caught.value.point
+        assert (point.value, point.sigma, point.n_resamples, point.n_failed) == (
+            plain.value, 0.0, survivors, 6 - survivors)
+        assert point.rho.entries.tobytes() == plain.rho.entries.tobytes()
 
 
 OPTIMIZED_STOPPING_SCRIPT = """
