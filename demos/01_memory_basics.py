@@ -15,7 +15,6 @@ from maqmsim import (
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    memory_spec_from_dict,
     survival,
 )
 
@@ -65,13 +64,10 @@ def main():
               f" {eit * survival(spec2, t_store):.6f}")
 
     print()
-    print("The same source memory read from a config entry (maps row-major)")
-    doc = {"memory": "MAQM1", "n_x": 5, "n_y": 6,
-           "eta_write": 0.01, "eta_read": [0.2] * 29 + [0.1],
-           "tau_mem": 65.0, "t_larmor": 7.8,
-           "rf_grid": {"x_origin": 97.0, "x_step": 1.5,
-                       "y_origin": 95.5, "y_step": 1.5}}
-    spec = memory_spec_from_dict(doc)
+    print("The same source memory with a per-cell read map (maps row-major)")
+    spec = MemorySpec(MemoryId.MAQM1, 5, 6,
+                      eta_write=0.01, eta_read=[0.2] * 29 + [0.1],
+                      tau_mem=65.0, t_larmor=7.8, rf_grid=GRID1)
     last = CellAddress(MemoryId.MAQM1, 4, 5)
     print(f"  cell (4, 5): eta_read = {cell_efficiency(spec, last, 'read'):.2f},"
           f" AOD tones f_x = {spec.rf_grid.x_freq(4)} MHz,"

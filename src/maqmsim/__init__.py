@@ -4,7 +4,7 @@ between multiplexed atomic quantum memories.
 The package re-exports the public names of its modules; each module's
 ``__all__`` is the one list of what it exports:
 
-* ``memory``: memory grids, per-cell efficiencies, survival, the config reader;
+* ``memory``: memory grids, per-cell efficiencies, survival;
 * ``qstate``: density matrices and state fidelities;
 * ``protocol``: branch-amplitude bookkeeping of one heralded transfer with
   per-bin drift phases, the W projection and herald statistics;

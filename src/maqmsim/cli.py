@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .detect import coincidence_probabilities, sample_counts, tomography_settings, w_settings
-from .memory import CellAddress, MemoryId, MemorySpec, memory_spec_from_dict
+from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
 from .tomo import (
@@ -68,10 +68,33 @@ class ExperimentConfig:
     sha256: str
 
 
-def _need(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    return doc[key]
+_REQUIRED = object()
+
+
+class _Object:
+    """One config object, read key by key; a key that is never read is unknown."""
+
+    def __init__(self, doc, path: str):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: must be an object, got {doc!r}" if path
+                              else "config: top level must be a JSON object")
+        self.doc, self.path, self.unread = doc, path, set(doc)
+
+    def at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def read(self, key: str, check=None, default=_REQUIRED, **bounds):
+        """The value at ``key``, else ``default``, through ``check(value, path, **bounds)``."""
+        self.unread.discard(key)
+        if key not in self.doc and default is _REQUIRED:
+            raise ConfigError(f"{self.at(key)}: required field is missing")
+        value = self.doc.get(key, default)
+        return value if check is None else check(value, self.at(key), **bounds)
+
+    def close(self) -> None:
+        if self.unread:
+            raise ConfigError(f"{self.path or 'config'}: unknown field(s) "
+                              f"{', '.join(map(repr, sorted(self.unread)))}")
 
 
 def _number(value, path: str, positive=False, non_negative=False, maximum=None) -> float:
@@ -99,13 +122,20 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _known(doc: dict, fields: set, path: str) -> None:
-    unknown = sorted(set(doc) - fields)
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
+def _numbers(value, path: str, count: int, **bounds) -> list[float]:
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigError(f"{path}: must be a list of {count} numbers")
+    return [_number(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
 
 
-def _cells(doc, memory: MemoryId, path: str):
+def _efficiencies(value, path: str, cells: int):
+    """A map in [0, 1]: one number for every cell, or a row-major list of one per cell."""
+    if isinstance(value, list):    # an array, so that MemorySpec does not check it again
+        return np.array(_numbers(value, path, cells, non_negative=True, maximum=1.0))
+    return _number(value, path, non_negative=True, maximum=1.0)
+
+
+def _cells(doc, path: str, memory: MemoryId):
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{path}: must be a non-empty list of [x, y] pairs")
     out = []
@@ -120,98 +150,81 @@ def _cells(doc, memory: MemoryId, path: str):
     return tuple(out)
 
 
-def _memory_spec(doc, name: str, path: str) -> MemorySpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: must be an object")
-    doc = dict(doc)
-    doc.setdefault("memory", name)
-    if doc["memory"] != name:
-        raise ConfigError(f"{path}.memory: must be {name!r} to match its key")
-    try:
-        spec = memory_spec_from_dict(doc)
-    except (ValueError, KeyError, TypeError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+def _memory_spec(memories: _Object, name: str) -> MemorySpec:
+    entry = memories.read(name, _Object)
+    if entry.read("memory", default=name) != name:
+        raise ConfigError(f"{entry.at('memory')}: must be {name!r} to match its key")
+    n_x = entry.read("n_x", _integer, minimum=1, maximum=MAX_CELLS)
+    n_y = entry.read("n_y", _integer, minimum=1, maximum=MAX_CELLS)
+    eta_write = entry.read("eta_write", _efficiencies, cells=n_x * n_y)
+    eta_read = entry.read("eta_read", _efficiencies, cells=n_x * n_y)
+    # only the receiving memory stores by EIT; the source memory may leave it out
+    eta_eit = (entry.read("eta_eit", _efficiencies, cells=n_x * n_y)
+               if name == "MAQM2" or "eta_eit" in entry.doc else None)
+    tau_mem = entry.read("tau_mem", _number, positive=True)
+    t_larmor = entry.read("t_larmor", _number, positive=True)
     # a shorter period is not resolved by the schedule, and pi t / t_larmor
     # would overflow the survival and Larmor grid checks
-    if spec.t_larmor < TIME_GRID_US:
-        raise ConfigError(f"{path}.t_larmor: must be at least {TIME_GRID_US:g}, "
+    if t_larmor < TIME_GRID_US:
+        raise ConfigError(f"{entry.at('t_larmor')}: must be at least {TIME_GRID_US:g}, "
                           f"the timing grid")
-    return spec
+    grid = entry.read("rf_grid", _Object)
+    rf_grid = RfGrid(grid.read("x_origin", _number), grid.read("x_step", _number, positive=True),
+                     grid.read("y_origin", _number), grid.read("y_step", _number, positive=True))
+    grid.close()
+    entry.close()
+    try:
+        return MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read, tau_mem, t_larmor,
+                          rf_grid, eta_eit)
+    except ValueError as err:
+        raise ConfigError(f"{entry.path}: {err}") from err
 
 
-_TOP_FIELDS = {"seed", "memories", "protocol", "detection", "estimation"}
-_PROTOCOL_FIELDS = {"dimension", "source_cells", "target_cells", "t1", "tau", "t2",
-                    "write_phases", "drift", "retrieval_order"}
-_DETECTION_FIELDS = {"eta_det", "dark_rate", "heralds_per_setting"}
-_ESTIMATION_FIELDS = {"n_resamples", "tol", "max_iter"}
-
-
-def _seed(doc: dict, seed_override) -> int:
-    """The override if given, else the config's seed; either must be a non-negative integer."""
-    if seed_override is None:
-        if "seed" not in doc:
-            raise ConfigError("seed: required field is missing (no implicit entropy)")
-        seed_override = doc["seed"]
-    return _integer(seed_override, "seed", minimum=0)
+def _seed(top: _Object, seed_override) -> int:
+    """The override, else the config's seed (never drawn at random): a non-negative integer."""
+    seed = top.read("seed", default=_REQUIRED if seed_override is None else None)
+    return _integer(seed if seed_override is None else seed_override, "seed", minimum=0)
 
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None,
                             sha256: str = "") -> ExperimentConfig:
-    """Validate a config document; unknown fields are rejected by name."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    _known(doc, _TOP_FIELDS, "config")
-    seed = _seed(doc, seed_override)
+    """Validate a config document; a field the reader never asks for is rejected by name."""
+    top = _Object(doc, "")
+    seed = _seed(top, seed_override)
 
-    memories = _need(doc, "memories", "config")
-    if not isinstance(memories, dict):
-        raise ConfigError("memories: must be an object with MAQM1 and MAQM2 entries")
-    _known(memories, {"MAQM1", "MAQM2"}, "memories")
-    spec1 = _memory_spec(_need(memories, "MAQM1", "memories"), "MAQM1", "memories.MAQM1")
-    spec2 = _memory_spec(_need(memories, "MAQM2", "memories"), "MAQM2", "memories.MAQM2")
-    if spec2.eta_eit is None:
-        raise ConfigError("memories.MAQM2.eta_eit: required on the receiving memory")
+    memories = top.read("memories", _Object)
+    spec1 = _memory_spec(memories, "MAQM1")
+    spec2 = _memory_spec(memories, "MAQM2")
+    memories.close()
 
-    proto = _need(doc, "protocol", "config")
-    if not isinstance(proto, dict):
-        raise ConfigError("protocol: must be an object")
-    _known(proto, _PROTOCOL_FIELDS, "protocol")
+    proto = top.read("protocol", _Object)
     # each branch needs a cell of its own in both memories
-    dim = _integer(_need(proto, "dimension", "protocol"), "protocol.dimension", minimum=2,
-                   maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y, MAX_DIMENSION))
-    source = _cells(_need(proto, "source_cells", "protocol"), MemoryId.MAQM1,
-                    "protocol.source_cells")
-    target = _cells(_need(proto, "target_cells", "protocol"), MemoryId.MAQM2,
-                    "protocol.target_cells")
-    t1 = _number(_need(proto, "t1", "protocol"), "protocol.t1", positive=True,
-                 maximum=MAX_TIME_US)
-    tau = _number(_need(proto, "tau", "protocol"), "protocol.tau", positive=True,
-                  maximum=MAX_TIME_US)
+    dim = proto.read("dimension", _integer, minimum=2,
+                     maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y, MAX_DIMENSION))
+    source = proto.read("source_cells", _cells, memory=MemoryId.MAQM1)
+    target = proto.read("target_cells", _cells, memory=MemoryId.MAQM2)
+    t1 = proto.read("t1", _number, positive=True, maximum=MAX_TIME_US)
+    tau = proto.read("tau", _number, positive=True, maximum=MAX_TIME_US)
     if tau < MIN_TAU_US:
         raise ConfigError(f"protocol.tau: must be at least {MIN_TAU_US:g}, two steps of "
                           f"the {TIME_GRID_US:g} us timing grid")
-    t2 = _number(_need(proto, "t2", "protocol"), "protocol.t2", non_negative=True,
-                 maximum=MAX_TIME_US)
+    t2 = proto.read("t2", _number, non_negative=True, maximum=MAX_TIME_US)
 
-    phases = proto.get("write_phases", [0.0] * dim)
-    if not isinstance(phases, list) or len(phases) != dim:
-        raise ConfigError("protocol.write_phases: need one number per branch")
-    phases = tuple(_number(p, f"protocol.write_phases[{i}]") for i, p in enumerate(phases))
+    phases = tuple(proto.read("write_phases", _numbers, [0.0] * dim, count=dim))
 
-    drift = proto.get("drift", 0.0)
+    drift = proto.read("drift", default=0.0)
     if isinstance(drift, list):
-        if len(drift) != dim:
-            raise ConfigError("protocol.drift: need one entry per bin")
-        drifts = [_number(v, f"protocol.drift[{i}]") for i, v in enumerate(drift)]
+        drifts = _numbers(drift, "protocol.drift", dim)
     else:
         # scalar shorthand: the first bin is the phase reference
         value = _number(drift, "protocol.drift")
         drifts = [0.0] + [value] * (dim - 1)
 
-    order = proto.get("retrieval_order", list(range(dim)))
+    order = proto.read("retrieval_order", default=list(range(dim)))
     if (not isinstance(order, list)
             or any(isinstance(v, bool) or not isinstance(v, int) for v in order)):
         raise ConfigError("protocol.retrieval_order: must be a list of bin indices")
+    proto.close()
 
     try:
         protocol = ProtocolConfig(
@@ -225,28 +238,26 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     except ValueError as err:
         raise ConfigError(f"protocol: {err}") from err
 
-    det = doc.get("detection", {})
-    if not isinstance(det, dict):
-        raise ConfigError("detection: must be an object")
-    _known(det, _DETECTION_FIELDS, "detection")
-    eta_det = _number(det.get("eta_det", 1.0), "detection.eta_det", positive=True,
-                      maximum=1.0)
-    dark = _number(det.get("dark_rate", 0.0), "detection.dark_rate", non_negative=True)
-    heralds = _integer(det.get("heralds_per_setting", 1000),
-                       "detection.heralds_per_setting", minimum=1, maximum=MAX_HERALDS)
+    det = top.read("detection", _Object, {})
+    eta_det = det.read("eta_det", _number, 1.0, positive=True, maximum=1.0)
+    dark = det.read("dark_rate", _number, 0.0, non_negative=True)
+    heralds = det.read("heralds_per_setting", _integer, 1000, minimum=1, maximum=MAX_HERALDS)
+    det.close()
 
-    est = doc.get("estimation", {})
-    if not isinstance(est, dict):
-        raise ConfigError("estimation: must be an object")
-    _known(est, _ESTIMATION_FIELDS, "estimation")
-    n_res = _integer(est.get("n_resamples", 100), "estimation.n_resamples", minimum=2,
-                     maximum=MAX_RESAMPLES)
+    est = top.read("estimation", _Object, {})
+    n_res = est.read("n_resamples", _integer, 100, minimum=2, maximum=MAX_RESAMPLES)
     if n_res * dim**2 > MAX_BOOTSTRAP_FLOATS:
         raise ConfigError(f"estimation.n_resamples: must be at most "
                           f"{MAX_BOOTSTRAP_FLOATS // dim**2} at dimension {dim}, since the "
                           f"bootstrap holds n_resamples x dimension**2 floats")
-    tol = _number(est.get("tol", 1e-9), "estimation.tol", positive=True)
-    max_iter = _integer(est.get("max_iter", 1000), "estimation.max_iter", minimum=1)
+    tol = est.read("tol", _number, 1e-9, positive=True)
+    # the relative-reduction test behind tol cannot fail at tol >= 1, so a fit
+    # would stop after one step and report convergence
+    if tol >= 1.0:
+        raise ConfigError("estimation.tol: must be less than 1")
+    max_iter = est.read("max_iter", _integer, 1000, minimum=1)
+    est.close()
+    top.close()
 
     return ExperimentConfig(
         seed=seed, protocol=protocol, eta_det=eta_det, dark_rate=dark,
@@ -488,12 +499,11 @@ _SWEEP_COLUMNS = [
 
 def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> list[dict]:
     """One pipeline run per value; row i runs with seed derived from (seed, i)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    top = _Object(doc, "")
     if param not in (_SWEEP_NUMERIC | _SWEEP_INTEGER | _SWEEP_VIRTUAL):
         raise ConfigError(f"{param}: not a sweepable parameter "
                           f"(choose from {', '.join(sweepable_paths())})")
-    base_seed = _seed(doc, base_seed)
+    base_seed = _seed(top, base_seed)
     unswept = (parse_experiment_config(doc, seed_override=base_seed)
                if param in _SWEEP_VIRTUAL else None)
     rows = []

@@ -31,7 +31,6 @@ __all__ = [
     "MemorySpec",
     "survival",
     "cell_efficiency",
-    "memory_spec_from_dict",
 ]
 
 
@@ -191,47 +190,3 @@ def cell_efficiency(spec: MemorySpec, cell: CellAddress, stage: str) -> float:
     if table is None:
         raise ValueError(f"{spec.memory.value} has no {stage} efficiency map configured")
     return float(table[cell.y, cell.x])
-
-
-_SPEC_FIELDS = {"memory", "n_x", "n_y", "eta_write", "eta_read", "eta_eit",
-                "tau_mem", "t_larmor", "rf_grid"}
-_GRID_FIELDS = ("x_origin", "x_step", "y_origin", "y_step")
-
-
-def _reject_unknown(doc: dict, fields, prefix: str = "") -> None:
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ValueError(f"{prefix}unknown field(s) {', '.join(map(repr, unknown))}")
-
-
-def _grid_size(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def memory_spec_from_dict(doc: dict) -> MemorySpec:
-    """Build a MemorySpec from a JSON-style dict (maps row-major, length n_x*n_y).
-
-    Unknown fields are rejected by name rather than ignored.
-    """
-    _reject_unknown(doc, _SPEC_FIELDS)
-    try:
-        memory = MemoryId(doc["memory"])
-        grid = doc["rf_grid"]
-        if not isinstance(grid, dict):
-            raise ValueError(f"rf_grid must be an object, got {grid!r}")
-        _reject_unknown(grid, _GRID_FIELDS, "rf_grid: ")
-        return MemorySpec(
-            memory=memory,
-            n_x=_grid_size(doc["n_x"], "n_x"),
-            n_y=_grid_size(doc["n_y"], "n_y"),
-            eta_write=doc["eta_write"],
-            eta_read=doc["eta_read"],
-            eta_eit=doc.get("eta_eit"),
-            tau_mem=_real(doc["tau_mem"], "tau_mem"),
-            t_larmor=_real(doc["t_larmor"], "t_larmor"),
-            rf_grid=RfGrid(**{key: _real(grid[key], f"rf_grid.{key}") for key in _GRID_FIELDS}),
-        )
-    except KeyError as exc:
-        raise ValueError(f"memory config missing field {exc.args[0]!r}") from None

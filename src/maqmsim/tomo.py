@@ -378,9 +378,10 @@ def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
 
 
 def _check_stopping(tol, max_iter) -> None:
-    # NaN fails the comparison, and an infinite tol would stop after one step
-    if not 0.0 < tol < float("inf"):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    # NaN fails the comparison; at tol >= 1 the relative-reduction test cannot
+    # fail, so a fit would stop after one step and report convergence
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be positive and less than 1, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 

@@ -120,15 +120,15 @@ def test_write_phases_length_checked():
 
 @pytest.mark.parametrize("path, value, where", [
     ("protocol.t1", True, "protocol.t1"),
-    ("memories.MAQM1.tau_mem", "65", "memories.MAQM1: tau_mem"),
-    ("memories.MAQM2.tau_mem", True, "memories.MAQM2: tau_mem"),
-    ("memories.MAQM1.t_larmor", "7.8", "memories.MAQM1: t_larmor"),
-    ("memories.MAQM2.rf_grid.x_step", True, "memories.MAQM2: rf_grid.x_step"),
-    ("memories.MAQM1.rf_grid.y_origin", "95.5", "memories.MAQM1: rf_grid.y_origin"),
-    ("memories.MAQM1.eta_read", "0.2", "memories.MAQM1: eta_read"),
-    ("memories.MAQM2.eta_eit", True, "memories.MAQM2: eta_eit"),
-    ("memories.MAQM1.eta_write", [0.01] * 29 + ["0.01"], "memories.MAQM1: eta_write[29]"),
-    ("memories.MAQM2.eta_eit", [0.2] * 3 + [True] + [0.2] * 26, "memories.MAQM2: eta_eit[3]"),
+    ("memories.MAQM1.tau_mem", "65", "memories.MAQM1.tau_mem"),
+    ("memories.MAQM2.tau_mem", True, "memories.MAQM2.tau_mem"),
+    ("memories.MAQM1.t_larmor", "7.8", "memories.MAQM1.t_larmor"),
+    ("memories.MAQM2.rf_grid.x_step", True, "memories.MAQM2.rf_grid.x_step"),
+    ("memories.MAQM1.rf_grid.y_origin", "95.5", "memories.MAQM1.rf_grid.y_origin"),
+    ("memories.MAQM1.eta_read", "0.2", "memories.MAQM1.eta_read"),
+    ("memories.MAQM2.eta_eit", True, "memories.MAQM2.eta_eit"),
+    ("memories.MAQM1.eta_write", [0.01] * 29 + ["0.01"], "memories.MAQM1.eta_write[29]"),
+    ("memories.MAQM2.eta_eit", [0.2] * 3 + [True] + [0.2] * 26, "memories.MAQM2.eta_eit[3]"),
 ], ids=["protocol.t1", "tau_mem-string", "tau_mem-bool", "t_larmor-string", "x_step-bool",
         "y_origin-string", "eta_read-string", "eta_eit-bool", "eta_write-list-string",
         "eta_eit-list-bool"])
@@ -401,28 +401,28 @@ def test_grid_size_must_be_an_integer(tmp_path, capsys, value):
     doc["memories"]["MAQM2"]["n_x"] = value
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("config error: memories.MAQM2: n_x must be an integer")
+    assert capsys.readouterr().err.startswith("config error: memories.MAQM2.n_x: must be an integer")
 
 
 @pytest.mark.parametrize("path, value, where", [
     ("protocol.t1", math.nan, "protocol.t1"),
     ("protocol.tau", math.nan, "protocol.tau"),
     ("protocol.t2", math.nan, "protocol.t2"),
-    ("memories.MAQM1.eta_read", math.nan, "memories.MAQM1: eta_read"),
-    ("memories.MAQM2.eta_eit", math.nan, "memories.MAQM2: eta_eit"),
+    ("memories.MAQM1.eta_read", math.nan, "memories.MAQM1.eta_read"),
+    ("memories.MAQM2.eta_eit", math.nan, "memories.MAQM2.eta_eit"),
     ("detection.eta_det", math.nan, "detection.eta_det"),
     ("detection.dark_rate", math.nan, "detection.dark_rate"),
     ("protocol.tau", math.inf, "protocol.tau"),
     ("detection.dark_rate", math.inf, "detection.dark_rate"),
     ("protocol.drift", -math.inf, "protocol.drift"),
-    ("memories.MAQM1.tau_mem", math.nan, "memories.MAQM1: tau_mem"),
-    ("memories.MAQM2.tau_mem", math.inf, "memories.MAQM2: tau_mem"),
-    ("memories.MAQM1.t_larmor", math.nan, "memories.MAQM1: t_larmor"),
-    ("memories.MAQM2.t_larmor", math.inf, "memories.MAQM2: t_larmor"),
-    ("memories.MAQM1.rf_grid.x_origin", math.nan, "memories.MAQM1: rf_grid.x_origin"),
-    ("memories.MAQM1.rf_grid.x_step", math.nan, "memories.MAQM1: rf_grid.x_step"),
-    ("memories.MAQM2.rf_grid.y_origin", -math.inf, "memories.MAQM2: rf_grid.y_origin"),
-    ("memories.MAQM2.rf_grid.y_step", math.inf, "memories.MAQM2: rf_grid.y_step"),
+    ("memories.MAQM1.tau_mem", math.nan, "memories.MAQM1.tau_mem"),
+    ("memories.MAQM2.tau_mem", math.inf, "memories.MAQM2.tau_mem"),
+    ("memories.MAQM1.t_larmor", math.nan, "memories.MAQM1.t_larmor"),
+    ("memories.MAQM2.t_larmor", math.inf, "memories.MAQM2.t_larmor"),
+    ("memories.MAQM1.rf_grid.x_origin", math.nan, "memories.MAQM1.rf_grid.x_origin"),
+    ("memories.MAQM1.rf_grid.x_step", math.nan, "memories.MAQM1.rf_grid.x_step"),
+    ("memories.MAQM2.rf_grid.y_origin", -math.inf, "memories.MAQM2.rf_grid.y_origin"),
+    ("memories.MAQM2.rf_grid.y_step", math.inf, "memories.MAQM2.rf_grid.y_step"),
     # finite but past MAX_TIME_US: these overflowed in schedule and memory
     *((f"protocol.{key}", value, f"protocol.{key}: must be at most 1e+06")
       for key in ("t1", "tau", "t2") for value in (1e200, 1e308)),
@@ -502,8 +502,7 @@ def test_unknown_section_field_exits_two(tmp_path, capsys, section, key):
     node[key] = 1
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 2
-    # the memory reader names a field inside the memory after the memory's path
-    where = (section or "config").replace(".rf_grid", ": rf_grid")
+    where = section or "config"
     assert capsys.readouterr().err == f"config error: {where}: unknown field(s) '{key}'\n"
 
 
@@ -513,7 +512,7 @@ def test_rf_grid_must_be_an_object(tmp_path, capsys, grid):
     doc["memories"]["MAQM1"]["rf_grid"] = grid
     path = write_config(tmp_path, doc)
     assert main(["compile", "--config", path]) == 2
-    assert capsys.readouterr().err == (f"config error: memories.MAQM1: rf_grid must be "
+    assert capsys.readouterr().err == (f"config error: memories.MAQM1.rf_grid: must be "
                                        f"an object, got {grid!r}\n")
 
 
@@ -548,6 +547,7 @@ QUDIT_BROKEN_FIELDS = [
     (("memories", "MAQM1", "t_larmor"), 1e-310,
      "memories.MAQM1.t_larmor: must be at least 0.001, the timing grid"),
     (("memories", "MAQM2", "t_larmor"), 0.0009, "memories.MAQM2.t_larmor: must be at least"),
+    (("estimation", "tol"), 1.0, "estimation.tol: must be less than 1"),
 ]
 
 
@@ -962,3 +962,41 @@ def test_single_field_mutations_never_raise(tmp_path, capsys):
                     unknown_accepted.append(f"{name} {label} {command[0]}")
             capsys.readouterr()
     assert unknown_accepted == []
+
+
+def _required_fields(doc):
+    """Dotted paths of the fields without a default: every leaf outside detection and
+    estimation, a list counting as one field."""
+    paths = {path[:next((i for i, k in enumerate(path) if isinstance(k, int)), len(path))]
+             for path in _leaf_paths(doc)}
+    return sorted(".".join(p) for p in paths if p[0] not in ("detection", "estimation"))
+
+
+SHIPPED_REQUIRED_FIELDS = [
+    (name, path) for name in ("qubit_default.json", "qudit_default.json")
+    for path in _required_fields(json.loads((CONFIG_DIR / name).read_text()))]
+
+
+@pytest.mark.parametrize("name, path", SHIPPED_REQUIRED_FIELDS)
+def test_deleting_a_required_field_names_its_path(tmp_path, capsys, name, path):
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    *parents, key = path.split(".")
+    del _at(doc, parents)[key]
+    assert main(["compile", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: required field is missing\n"
+
+
+@pytest.mark.parametrize("name", ["qubit_default.json", "qudit_default.json"])
+@pytest.mark.parametrize("path", ["memories.MAQM1.eta_write", "memories.MAQM1.eta_read",
+                                  "memories.MAQM2.eta_write", "memories.MAQM2.eta_read",
+                                  "memories.MAQM2.eta_eit"])
+@pytest.mark.parametrize("value", [None, {}, "x"], ids=["null", "object", "string"])
+def test_efficiency_map_of_the_wrong_type_names_its_path(tmp_path, capsys, name, path, value):
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    *parents, key = path.split(".")
+    _at(doc, parents)[key] = value
+    assert main(["compile", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1

@@ -1,4 +1,8 @@
-"""The public surface: each module's ``__all__`` and the package re-export."""
+"""The public surface: each module's ``__all__`` and the package re-export; and the
+source of those modules."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +32,13 @@ def test_package_exports_the_module_lists():
 @pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
+
+
+def test_no_guard_relies_on_assert():
+    # python -O strips assert statements, so a check written as one vanishes
+    sources = sorted(Path(maqmsim.__file__).parent.glob("*.py"))
+    asserts = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert {Path(m.__file__) for m in MODULES} <= set(sources)
+    assert asserts == []

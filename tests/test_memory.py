@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from maqmsim.cli import parse_experiment_config
 from maqmsim.memory import (
     CellAddress,
     MemoryId,
     MemorySpec,
     RfGrid,
     cell_efficiency,
-    memory_spec_from_dict,
     survival,
 )
 
@@ -125,7 +125,14 @@ class TestSpecFromDict:
             "tau_mem": 27.8, "t_larmor": 1.3,
             "rf_grid": {"x_origin": 101.1, "x_step": 1.2, "y_origin": 99.0, "y_step": 1.2},
         }
-        spec = memory_spec_from_dict(doc)
+        # the memory entry as the config reader sees it, in a minimal qubit config
+        source = {"n_x": 2, "n_y": 3, "eta_write": 0.01, "eta_read": 0.2, "tau_mem": 65.0,
+                  "t_larmor": 7.8, "rf_grid": doc["rf_grid"]}
+        cells = [[1, 1], [1, 2]]
+        config = {"seed": 1, "memories": {"MAQM1": source, "MAQM2": doc},
+                  "protocol": {"dimension": 2, "source_cells": cells, "target_cells": cells,
+                               "t1": 15.6, "tau": 7.8, "t2": 7.8}}
+        spec = parse_experiment_config(config).protocol.spec2
         assert spec.memory is MemoryId.MAQM2
         assert (spec.n_x, spec.n_y) == (2, 3)
         assert (spec.tau_mem, spec.t_larmor) == (27.8, 1.3)

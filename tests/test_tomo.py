@@ -124,6 +124,7 @@ class TestMleReconstruct:
     @pytest.mark.parametrize("estimator", ["mle_reconstruct", "monte_carlo_fidelity"])
     @pytest.mark.parametrize("name, value", [("tol", float("nan")), ("tol", float("inf")),
                                              ("tol", 0.0), ("tol", -1e-9),
+                                             ("tol", 1.0), ("tol", 1e300),
                                              ("max_iter", 0), ("max_iter", -1)])
     def test_bad_stopping_rules_rejected_before_any_fit(self, monkeypatch, estimator,
                                                          name, value):
