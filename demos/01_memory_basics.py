@@ -14,7 +14,6 @@ from maqmsim import (
     MemoryId,
     MemorySpec,
     RfGrid,
-    cell_efficiency,
     survival,
 )
 
@@ -49,7 +48,7 @@ def main():
     print()
     print("Per-cell retrieval, cell (1, 2) of the source memory")
     cell = CellAddress(MemoryId.MAQM1, 1, 2)
-    eta = cell_efficiency(spec1, cell, "read")
+    eta = spec1.eta_read[cell.y, cell.x]   # maps are (n_y, n_x), indexed [y, x]
     surv = survival(spec1, 15.6)
     print(f"  eta_read            = {eta:.4f}")
     print(f"  survival(15.6)      = {surv:.6f}")
@@ -59,7 +58,7 @@ def main():
     print("Storage and retrieval in the receiving memory, cell (2, 3)")
     cell2 = CellAddress(MemoryId.MAQM2, 2, 3)
     for t_store in (0.0, 7.8, 13.0, 26.0):
-        eit = cell_efficiency(spec2, cell2, "eit")
+        eit = spec2.eta_eit[cell2.y, cell2.x]
         print(f"  stored {t_store:5.1f} us: eta_eit x survival ="
               f" {eit * survival(spec2, t_store):.6f}")
 
@@ -69,7 +68,7 @@ def main():
                       eta_write=0.01, eta_read=[0.2] * 29 + [0.1],
                       tau_mem=65.0, t_larmor=7.8, rf_grid=GRID1)
     last = CellAddress(MemoryId.MAQM1, 4, 5)
-    print(f"  cell (4, 5): eta_read = {cell_efficiency(spec, last, 'read'):.2f},"
+    print(f"  cell (4, 5): eta_read = {spec.eta_read[last.y, last.x]:.2f},"
           f" AOD tones f_x = {spec.rf_grid.x_freq(4)} MHz,"
           f" f_y = {spec.rf_grid.y_freq(5)} MHz")
 

@@ -135,7 +135,7 @@ def _efficiencies(value, path: str, cells: int):
     return _number(value, path, non_negative=True, maximum=1.0)
 
 
-def _cells(doc, path: str, memory: MemoryId):
+def _cells(doc, path: str, spec: MemorySpec):
     if not isinstance(doc, list) or not doc:
         raise ConfigError(f"{path}: must be a non-empty list of [x, y] pairs")
     out = []
@@ -144,7 +144,8 @@ def _cells(doc, path: str, memory: MemoryId):
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)):
             raise ConfigError(f"{path}[{i}]: must be an [x, y] integer pair")
         try:
-            out.append(CellAddress(memory, pair[0], pair[1]))
+            out.append(CellAddress(spec.memory, pair[0], pair[1]))
+            spec.require_cell(out[-1])
         except ValueError as err:
             raise ConfigError(f"{path}[{i}]: {err}") from err
     return tuple(out)
@@ -201,8 +202,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     # each branch needs a cell of its own in both memories
     dim = proto.read("dimension", _integer, minimum=2,
                      maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y, MAX_DIMENSION))
-    source = proto.read("source_cells", _cells, memory=MemoryId.MAQM1)
-    target = proto.read("target_cells", _cells, memory=MemoryId.MAQM2)
+    source = proto.read("source_cells", _cells, spec=spec1)
+    target = proto.read("target_cells", _cells, spec=spec2)
     t1 = proto.read("t1", _number, positive=True, maximum=MAX_TIME_US)
     tau = proto.read("tau", _number, positive=True, maximum=MAX_TIME_US)
     if tau < MIN_TAU_US:
@@ -475,17 +476,13 @@ def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
 def _apply_ratio(doc: dict, ratio: float, unswept: ExperimentConfig) -> dict:
     """Scale the read efficiency of every non-reference branch by ``ratio``.
 
-    ``unswept`` is ``doc`` parsed; it supplies the grid and the source cells.
+    ``unswept`` is ``doc`` parsed; it supplies the read map and the source cells.
     """
-    base = doc["memories"]["MAQM1"]["eta_read"]
-    if not isinstance(base, (int, float)) or isinstance(base, bool):
-        raise ConfigError("memories.MAQM1.eta_read_ratio: requires a scalar eta_read")
-    n_x, n_y = unswept.protocol.spec1.n_x, unswept.protocol.spec1.n_y
-    values = [float(base)] * (n_x * n_y)
+    eta_read = unswept.protocol.spec1.eta_read.copy()
     for cell in unswept.protocol.source_cells[1:]:
-        values[cell.y * n_x + cell.x] = float(base) * ratio
+        eta_read[cell.y, cell.x] *= ratio
     doc = copy.deepcopy(doc)
-    doc["memories"]["MAQM1"]["eta_read"] = values
+    doc["memories"]["MAQM1"]["eta_read"] = eta_read.ravel().tolist()
     return doc
 
 

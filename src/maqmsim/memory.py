@@ -30,7 +30,6 @@ __all__ = [
     "RfGrid",
     "MemorySpec",
     "survival",
-    "cell_efficiency",
 ]
 
 
@@ -108,8 +107,8 @@ def _as_map(values, n_x: int, n_y: int, name: str) -> np.ndarray:
 class MemorySpec:
     """Static description of one memory: grid, efficiencies, decay, RF map.
 
-    Efficiency maps are stored as read-only (n_y, n_x) arrays; flat inputs
-    are interpreted row-major (index = y * n_x + x).  ``eta_eit`` is only
+    Efficiency maps are stored as read-only (n_y, n_x) arrays indexed [y, x];
+    flat inputs are row-major (index = y * n_x + x).  ``eta_eit`` is only
     meaningful for the receiving memory and may be None.
     """
 
@@ -139,13 +138,10 @@ class MemorySpec:
         if self.eta_eit is not None:
             object.__setattr__(self, "eta_eit", _as_map(self.eta_eit, self.n_x, self.n_y, "eta_eit"))
 
-    def contains(self, cell: CellAddress) -> bool:
-        return 0 <= cell.x < self.n_x and 0 <= cell.y < self.n_y
-
     def require_cell(self, cell: CellAddress) -> None:
         if cell.memory is not self.memory:
             raise ValueError(f"cell belongs to {cell.memory.value}, spec is {self.memory.value}")
-        if not self.contains(cell):
+        if not (0 <= cell.x < self.n_x and 0 <= cell.y < self.n_y):
             raise ValueError(
                 f"cell ({cell.x}, {cell.y}) outside {self.n_x}x{self.n_y} grid of {self.memory.value}"
             )
@@ -174,19 +170,3 @@ def survival(spec: MemorySpec, t: float) -> float:
     envelope = np.exp(-(ratio ** 2))
     modulation = np.cos(np.pi * t / spec.t_larmor) ** 2
     return float(envelope * modulation)
-
-
-_STAGES = {"read": "eta_read", "eit": "eta_eit", "write": "eta_write"}
-
-
-def cell_efficiency(spec: MemorySpec, cell: CellAddress, stage: str) -> float:
-    """Configured efficiency of ``cell`` for one stage ('write', 'read' or 'eit')."""
-    spec.require_cell(cell)
-    try:
-        attr = _STAGES[stage]
-    except KeyError:
-        raise ValueError(f"unknown stage {stage!r}, expected one of {sorted(_STAGES)}") from None
-    table = getattr(spec, attr)
-    if table is None:
-        raise ValueError(f"{spec.memory.value} has no {stage} efficiency map configured")
-    return float(table[cell.y, cell.x])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import CellAddress, MemorySpec, cell_efficiency, survival
+from .memory import CellAddress, MemorySpec, survival
 
 __all__ = [
     "ProtocolConfig",
@@ -146,22 +146,19 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
     with the ideal pair (1/sqrt(d)) sum_k e^{i theta_k} |s_k>|a_k>.
     """
     d = config.dimension
-
-    # bin_of[k] = the bin that carries branch k
-    bin_of = [0] * d
-    for i, k in enumerate(config.retrieval_order):
-        bin_of[k] = i
+    spec1, spec2 = config.spec1, config.spec2
+    if transfer and spec2.eta_eit is None:
+        raise ValueError(f"{spec2.memory.value} has no eit efficiency map configured")
 
     branch = np.zeros(d, dtype=complex)
-    for k in range(d):
-        i = bin_of[k]
-        t_read = bin_time(config, i)
-        w = cell_efficiency(config.spec1, config.source_cells[k], "read")
-        w *= survival(config.spec1, t_read)
+    for i, k in enumerate(config.retrieval_order):
+        c = config.source_cells[k]
+        w = spec1.eta_read[c.y, c.x] * survival(spec1, bin_time(config, i))
         phase = config.write_phases[k]
         if transfer:
-            w *= cell_efficiency(config.spec2, config.target_cells[k], "eit")
-            w *= survival(config.spec2, storage_dwell(config, i))
+            c = config.target_cells[k]
+            w *= spec2.eta_eit[c.y, c.x]
+            w *= survival(spec2, storage_dwell(config, i))
             phase += config.drifts[i]
         branch[k] = np.sqrt(w) * np.exp(1j * phase) / np.sqrt(d)
 
@@ -172,8 +169,7 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
     else:
         predicted = 0.0
 
-    eta_w = [cell_efficiency(config.spec1, c, "write") for c in config.source_cells]
-    herald_p = float(np.mean(eta_w))
+    herald_p = float(np.mean([spec1.eta_write[c.y, c.x] for c in config.source_cells]))
 
     return TransferOutcome(
         config=config,

@@ -175,8 +175,23 @@ def test_sweep_config_must_be_an_object(tmp_path, capsys, text):
 def test_cell_outside_grid_rejected():
     doc = small_doc()
     doc["protocol"]["source_cells"] = [[1, 1], [9, 9]]
-    with pytest.raises(ConfigError, match="protocol"):
+    with pytest.raises(ConfigError) as err:
         parse_experiment_config(doc)
+    assert str(err.value) == "protocol.source_cells[1]: cell (9, 9) outside 5x6 grid of MAQM1"
+
+
+@pytest.mark.parametrize("field, cells, message", [
+    ("target_cells", [[1, 1], [1, 6]], "target_cells[1]: cell (1, 6) outside 5x6 grid of MAQM2"),
+    ("source_cells", [[10**19, 1], [1, 2]],
+     "source_cells[0]: cell (10000000000000000000, 1) outside 5x6 grid of MAQM1"),
+    ("target_cells", [[1, 1], [1, 10**19]],
+     "target_cells[1]: cell (1, 10000000000000000000) outside 5x6 grid of MAQM2"),
+])
+def test_cell_outside_grid_names_its_field(tmp_path, capsys, field, cells, message):
+    doc = small_doc()
+    doc["protocol"][field] = cells
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: protocol.{message}\n"
 
 
 # ------------------------------------------------------------------- reports
@@ -747,7 +762,7 @@ def test_negative_seed_override_exits_two(tmp_path, capsys, command):
     (("memories", "MAQM1", "n_x"), "5"),
     (("protocol",), [1, 2]),
     (("memories", "MAQM1"), [1, 2]),
-    (("memories", "MAQM1", "eta_read"), [0.2] * 30),
+    (("memories", "MAQM1", "eta_read"), [0.2] * 29),
 ])
 def test_ratio_sweep_on_a_malformed_config_exits_two(tmp_path, capsys, where, value):
     doc = copy.deepcopy(small_doc())
@@ -756,6 +771,26 @@ def test_ratio_sweep_on_a_malformed_config_exits_two(tmp_path, capsys, where, va
     assert main(["sweep", "--config", path, "--param", "memories.MAQM1.eta_read_ratio",
                  "--values", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("name", ["qubit_default", "qudit_default"])
+def test_ratio_sweep_runs_on_the_shipped_configs(tmp_path, name):
+    # both shipped configs give eta_read as a per-cell list
+    config = CONFIG_DIR / f"{name}.json"
+    t1 = json.loads(config.read_text())["protocol"]["t1"]
+    ratio, plain = tmp_path / "ratio.csv", tmp_path / "t1.csv"
+    assert main(["sweep", "--config", str(config), "--param", "memories.MAQM1.eta_read_ratio",
+                 "--values", "1,0.5", "--out", str(ratio)]) == 0
+    assert main(["sweep", "--config", str(config), "--param", "protocol.t1",
+                 "--values", repr(t1), "--out", str(plain)]) == 0
+    header, *rows = ratio.read_text().splitlines()
+    assert len(rows) == 2
+    # a ratio of 1 leaves the config as it is: the row is a plain run at the config's own t1
+    unit = dict(zip(header.split(","), rows[0].split(",")))
+    same = dict(zip(header.split(","), plain.read_text().splitlines()[1].split(",")))
+    assert (unit.pop("param"), unit.pop("value")) == ("memories.MAQM1.eta_read_ratio", "1")
+    assert (same.pop("param"), same.pop("value")) == ("protocol.t1", f"{t1:g}")
+    assert unit == same
 
 
 def test_heralds_sweep_leaves_failed_rows_blank(tmp_path):

@@ -29,7 +29,7 @@ def test_package_exports_the_module_lists():
     assert len(set(expected)) == len(expected)
 
 
-@pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting"])
+@pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
 

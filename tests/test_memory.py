@@ -8,9 +8,9 @@ from maqmsim.memory import (
     MemoryId,
     MemorySpec,
     RfGrid,
-    cell_efficiency,
     survival,
 )
+from maqmsim.protocol import ProtocolConfig, run_protocol
 
 
 def reference_survival(t, tau_mem, t_larmor):
@@ -67,33 +67,40 @@ class TestSurvival:
 class TestCellEfficiency:
     def test_scalar_map_broadcasts(self):
         spec = spec_with(eta_read=0.2)
-        for x in range(5):
-            for y in range(6):
-                cell = CellAddress(MemoryId.MAQM1, x, y)
-                assert cell_efficiency(spec, cell, "read") == 0.2
+        assert spec.eta_read.shape == (6, 5)
+        assert np.all(spec.eta_read == 0.2)
 
     def test_per_cell_map_row_major(self):
         values = np.linspace(0.1, 0.9, 30).tolist()
         spec = spec_with(eta_read=values)
-        # row-major: index = y * n_x + x
-        cell = CellAddress(MemoryId.MAQM1, 3, 2)
-        assert_allclose(cell_efficiency(spec, cell, "read"), values[2 * 5 + 3], rtol=0, atol=0)
+        # row-major: cell (x, y) = (3, 2) is entry y * n_x + x
+        assert spec.eta_read[2, 3] == values[2 * 5 + 3]
 
-    def test_unknown_stage_rejected(self):
+    def test_maps_are_read_only(self):
+        spec = spec_with()
         with pytest.raises(ValueError):
-            cell_efficiency(spec_with(), CellAddress(MemoryId.MAQM1, 0, 0), "teleport")
+            spec.eta_read[0, 0] = 0.5
 
     def test_missing_eit_map_rejected(self):
-        with pytest.raises(ValueError):
-            cell_efficiency(spec_with(), CellAddress(MemoryId.MAQM1, 0, 0), "eit")
+        spec1 = spec_with()
+        spec2 = spec_with(memory=MemoryId.MAQM2)
+        cells1 = [CellAddress(MemoryId.MAQM1, x, 0) for x in range(2)]
+        cells2 = [CellAddress(MemoryId.MAQM2, x, 0) for x in range(2)]
+        config = ProtocolConfig(2, spec1, spec2, cells1, cells2, t1=15.6, tau=7.8, t2=7.8)
+        run_protocol(config, transfer=False)
+        with pytest.raises(ValueError, match="MAQM2 has no eit efficiency map"):
+            run_protocol(config, transfer=True)
 
     def test_wrong_memory_rejected(self):
-        with pytest.raises(ValueError):
-            cell_efficiency(spec_with(), CellAddress(MemoryId.MAQM2, 0, 0), "read")
+        with pytest.raises(ValueError, match="cell belongs to MAQM2, spec is MAQM1"):
+            spec_with().require_cell(CellAddress(MemoryId.MAQM2, 0, 0))
 
     def test_out_of_grid_rejected(self):
-        with pytest.raises(ValueError):
-            cell_efficiency(spec_with(), CellAddress(MemoryId.MAQM1, 5, 0), "read")
+        spec = spec_with()
+        spec.require_cell(CellAddress(MemoryId.MAQM1, 4, 5))
+        for x, y in [(5, 0), (0, 6), (10**19, 1)]:
+            with pytest.raises(ValueError, match=rf"cell \({x}, {y}\) outside 5x6 grid of MAQM1"):
+                spec.require_cell(CellAddress(MemoryId.MAQM1, x, y))
 
     def test_efficiency_values_validated(self):
         with pytest.raises(ValueError):
@@ -141,4 +148,4 @@ class TestSpecFromDict:
         assert_allclose(spec.eta_read, np.full((3, 2), 0.5), rtol=0, atol=0)
         # row-major: index y * n_x + x
         assert_allclose(spec.eta_eit, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], rtol=0, atol=0)
-        assert cell_efficiency(spec, CellAddress(MemoryId.MAQM2, 1, 2), "eit") == 0.6
+        assert spec.eta_eit[2, 1] == 0.6

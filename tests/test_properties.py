@@ -4,10 +4,14 @@ Each property draws a modest, fixed sequence of examples (``derandomize``),
 so the suite stays deterministic and fast.
 """
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +256,63 @@ def test_unpack_inverts_pack_bit_for_bit(k, d, data):
     x = np.array([tomo._pack(t_mat) for t_mat in t_stack]).reshape(k, d * d)
     objective = tomo._NegLogLikelihoods(np.zeros((1, d, d)), np.zeros((1, 1)), np.zeros(1))
     assert objective.unpack(x).tobytes() == t_stack.tobytes()
+
+
+# each sweepable field of the shipped qudit config: its documented range, and
+# the values just past it; drift has no bound but finiteness
+_HUGE = 1e300
+SWEEP_BOUNDS = {
+    "protocol.t1": (st.floats(0.0, cli.MAX_TIME_US, exclude_min=True),
+                    [0.0, np.nextafter(cli.MAX_TIME_US, math.inf)]),
+    "protocol.tau": (st.floats(cli.MIN_TAU_US, cli.MAX_TIME_US),
+                     [np.nextafter(cli.MIN_TAU_US, 0.0), np.nextafter(cli.MAX_TIME_US, math.inf)]),
+    "protocol.t2": (st.floats(0.0, cli.MAX_TIME_US),
+                    [-5e-324, np.nextafter(cli.MAX_TIME_US, math.inf)]),
+    "protocol.drift": (st.floats(-_HUGE, _HUGE), [math.inf, -math.inf, math.nan]),
+    "detection.eta_det": (st.floats(0.0, 1.0, exclude_min=True),
+                          [0.0, np.nextafter(1.0, 2.0)]),
+    # the dark-rate ceiling (the largest coincidence probability) lies inside [0, 1]
+    "detection.dark_rate": (st.floats(0.0, 1.0), [-5e-324, math.inf]),
+    "detection.heralds_per_setting": (st.integers(1, cli.MAX_HERALDS),
+                                      [0, cli.MAX_HERALDS + 1]),
+    # small resample counts keep the property fast
+    "estimation.n_resamples": (st.integers(2, 64), [1, cli.MAX_RESAMPLES + 1]),
+    **{f"memories.{path}": (st.floats(0.0, 1.0), [-5e-324, np.nextafter(1.0, 2.0)])
+       for path in ("MAQM1.eta_read", "MAQM1.eta_write", "MAQM2.eta_eit")},
+    **{f"memories.{m}.tau_mem": (st.floats(0.0, _HUGE, exclude_min=True), [0.0, math.inf])
+       for m in ("MAQM1", "MAQM2")},
+    **{f"memories.{m}.t_larmor": (st.floats(TIME_GRID_US, _HUGE),
+                                  [np.nextafter(TIME_GRID_US, 0.0), math.inf])
+       for m in ("MAQM1", "MAQM2")},
+}
+
+
+def run_once(doc, workdir):
+    config, out, err = Path(workdir, "config.json"), Path(workdir, "report.json"), io.StringIO()
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+    return code, out.read_bytes() if code == 0 else None, err.getvalue()
+
+
+@settings(PROPERTY, max_examples=150)   # 15 fields, each inside and past its bound
+@given(path=st.sampled_from(sorted(SWEEP_BOUNDS)), past=st.booleans(), data=st.data())
+def test_a_sweepable_field_at_or_past_its_bound_runs_or_names_itself(path, past, data):
+    assert set(SWEEP_BOUNDS) == cli._SWEEP_NUMERIC | cli._SWEEP_INTEGER
+    inside, outside = SWEEP_BOUNDS[path]
+    value = data.draw(st.sampled_from(outside) if past else inside)
+    doc = copy.deepcopy(QUDIT)
+    *parents, key = path.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    with tempfile.TemporaryDirectory() as workdir:
+        code, report, err = run_once(doc, workdir)
+        if code == 0:
+            assert not past and err == ""
+            assert run_once(doc, workdir) == (0, report, "")
+        else:
+            assert code == 2
+            assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
