@@ -153,15 +153,12 @@ def _cells(doc, path: str, spec: MemorySpec):
 
 def _memory_spec(memories: _Object, name: str) -> MemorySpec:
     entry = memories.read(name, _Object)
-    if entry.read("memory", default=name) != name:
-        raise ConfigError(f"{entry.at('memory')}: must be {name!r} to match its key")
     n_x = entry.read("n_x", _integer, minimum=1, maximum=MAX_CELLS)
     n_y = entry.read("n_y", _integer, minimum=1, maximum=MAX_CELLS)
     eta_write = entry.read("eta_write", _efficiencies, cells=n_x * n_y)
     eta_read = entry.read("eta_read", _efficiencies, cells=n_x * n_y)
-    # only the receiving memory stores by EIT; the source memory may leave it out
-    eta_eit = (entry.read("eta_eit", _efficiencies, cells=n_x * n_y)
-               if name == "MAQM2" or "eta_eit" in entry.doc else None)
+    # only the receiving memory stores by EIT
+    eta_eit = entry.read("eta_eit", _efficiencies, cells=n_x * n_y) if name == "MAQM2" else None
     tau_mem = entry.read("tau_mem", _number, positive=True)
     t_larmor = entry.read("t_larmor", _number, positive=True)
     # a shorter period is not resolved by the schedule, and pi t / t_larmor
@@ -439,22 +436,21 @@ def report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# sweepable paths: plain entries overwrite the raw config value; the two
-# virtual entries expand a scalar into the structured field they stand for
+# sweepable paths: numeric entries overwrite the raw config value; the
+# virtual entry expands a scalar into the structured field it stands for
 _SWEEP_NUMERIC = {
     "protocol.t1", "protocol.tau", "protocol.t2", "protocol.drift",
-    "detection.eta_det", "detection.dark_rate",
-    "memories.MAQM1.eta_read", "memories.MAQM1.eta_write",
+    "detection.eta_det", "detection.dark_rate", "detection.heralds_per_setting",
+    "estimation.n_resamples", "memories.MAQM1.eta_read", "memories.MAQM1.eta_write",
     "memories.MAQM1.tau_mem", "memories.MAQM1.t_larmor",
     "memories.MAQM2.eta_eit", "memories.MAQM2.tau_mem",
     "memories.MAQM2.t_larmor",
 }
-_SWEEP_INTEGER = {"detection.heralds_per_setting", "estimation.n_resamples"}
 _SWEEP_VIRTUAL = {"memories.MAQM1.eta_read_ratio"}
 
 
 def sweepable_paths() -> tuple[str, ...]:
-    return tuple(sorted(_SWEEP_NUMERIC | _SWEEP_INTEGER | _SWEEP_VIRTUAL))
+    return tuple(sorted(_SWEEP_NUMERIC | _SWEEP_VIRTUAL))
 
 
 def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
@@ -465,11 +461,8 @@ def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
         node = node.setdefault(k, {})
         if not isinstance(node, dict):
             raise ConfigError(f"{path}: cannot descend into a non-object")
-    if path in _SWEEP_INTEGER:
-        if not float(value).is_integer():
-            raise ConfigError(f"{path}: sweep value {value!r} is not an integer")
-        value = int(value)
-    node[keys[-1]] = value
+    # a whole value goes in as an int, so the field's own reader check decides
+    node[keys[-1]] = int(value) if float(value).is_integer() else value
     return doc
 
 
@@ -497,7 +490,7 @@ _SWEEP_COLUMNS = [
 def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> list[dict]:
     """One pipeline run per value; row i runs with seed derived from (seed, i)."""
     top = _Object(doc, "")
-    if param not in (_SWEEP_NUMERIC | _SWEEP_INTEGER | _SWEEP_VIRTUAL):
+    if param not in (_SWEEP_NUMERIC | _SWEEP_VIRTUAL):
         raise ConfigError(f"{param}: not a sweepable parameter "
                           f"(choose from {', '.join(sweepable_paths())})")
     base_seed = _seed(top, base_seed)
@@ -517,17 +510,14 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
             "schedule_valid": report["schedule"]["valid"],
             "herald_probability": report["herald_probability"],
         }
-        if report["dimension"] == 2:
-            row["maqm1_fidelity"] = report["maqm1_stage"]["fidelity"]
-            row["maqm1_sigma"] = report["maqm1_stage"]["sigma"]
-            row["maqm2_fidelity"] = report["maqm2_stage"]["fidelity"]
-            row["maqm2_sigma"] = report["maqm2_stage"]["sigma"]
+        # a qubit block has "fidelity", a W block "w_fidelity"; both have "sigma"
+        w = "" if report["dimension"] == 2 else "w_"
+        for stage in ("maqm1", "maqm2"):
+            block = report[f"{stage}_stage"]
+            row[f"{stage}_{w}fidelity"] = block[f"{w}fidelity"]
+            row[f"{stage}_{w}sigma"] = block["sigma"]
+        if "transmission_fidelity" in report:
             row["transmission_fidelity"] = report["transmission_fidelity"]
-        else:
-            row["maqm1_w_fidelity"] = report["maqm1_stage"]["w_fidelity"]
-            row["maqm1_w_sigma"] = report["maqm1_stage"]["sigma"]
-            row["maqm2_w_fidelity"] = report["maqm2_stage"]["w_fidelity"]
-            row["maqm2_w_sigma"] = report["maqm2_stage"]["sigma"]
         rows.append(row)
     return rows
 

@@ -12,7 +12,7 @@ crossed AODs.  This module owns the per-cell bookkeeping:
 * the RF frequency grid that maps a cell index to AOD tone frequencies.
 
 The envelope is a model choice (the underlying experiments quote only a
-memory-time scalar); swap in an exponential by subclassing if needed.
+memory-time scalar).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,6 @@ class Channel(enum.Enum):
     """
 
     WRITE = "write"
-    CLEAN = "clean"
     READ = "read"
     COUPLING = "coupling"
     AOD_RETUNE = "aod_retune"
@@ -113,9 +113,9 @@ class PulseEvent:
 
     def __post_init__(self):
         if self.t_start_us < 0:
-            raise ValueError("event start must be non-negative")
+            raise ValueError(f"t_start_us must be non-negative, got {self.t_start_us!r}")
         if self.duration_us <= 0:
-            raise ValueError("event duration must be positive")
+            raise ValueError(f"duration_us must be positive, got {self.duration_us!r}")
         object.__setattr__(self, "x_tones", tuple(self.x_tones))
         object.__setattr__(self, "y_tones", tuple(self.y_tones))
 
@@ -209,13 +209,12 @@ def superposition_rf(spec: MemorySpec, cells, weights):
     elif len(ys) == 1:
         u, v = grid[:, 0].copy(), np.ones(1, dtype=complex)
     else:
-        svals = np.linalg.svd(grid, compute_uv=False)
+        umat, svals, vh = np.linalg.svd(grid)
         if svals[1] > FACTOR_RTOL * svals[0]:
             raise PatternError(
                 "cell weights do not factor into independent x and y tone patterns; "
                 "crossed deflectors cannot produce this superposition"
             )
-        umat, svals, vh = np.linalg.svd(grid)
         u = umat[:, 0]
         v = svals[0] * vh[0, :]
 
@@ -386,12 +385,26 @@ def schedule_to_jsonl(schedule: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(doc: dict, key: str, ok, kind: str, path: str = ""):
+    """``doc[key]`` if ``ok`` accepts it; otherwise a ``ValueError`` naming the field."""
+    if not ok(doc.get(key)):
+        raise ValueError(f"{path}{key} must be {kind}, got {doc[key]!r}" if key in doc
+                         else f"missing field {path + key!r}")
+    return doc[key]
+
+
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def schedule_from_jsonl(text: str) -> Schedule:
     """Parse emitted lines back into an unvalidated schedule (``violations`` None).
 
     The verdict is not serialized: ``validate_schedule(schedule, source,
-    target)`` gives it from the events and the two memory specs.
+    target)`` gives it from the events and the two memory specs.  A
+    malformed line raises ``ValueError("line N: ...")`` naming the field.
     """
+    channels = [c.value for c in Channel]
     partial: dict[tuple, dict] = {}
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -401,18 +414,29 @@ def schedule_from_jsonl(text: str) -> Schedule:
         except json.JSONDecodeError as err:
             raise ValueError(f"line {n}: not valid JSON ({err.msg})") from err
         try:
-            key = (doc["t_start_us"], doc["duration_us"], doc["channel"])
-            axis = doc["axis"]
-            tones = tuple(Tone(t["f_mhz"], t["amp"], t["phase_rad"]) for t in doc["tones"])
-        except KeyError as err:
-            raise ValueError(f"line {n}: missing field {err.args[0]!r}") from err
-        if axis not in ("x", "y"):
-            raise ValueError(f"line {n}: axis must be 'x' or 'y'")
+            if not isinstance(doc, dict):
+                raise ValueError(f"must be a JSON object, got {doc!r}")
+            t_start, duration = (_field(doc, k, _finite, "a finite number")
+                                 for k in ("t_start_us", "duration_us"))
+            channel = Channel(_field(doc, "channel", lambda v: v in channels,
+                                     f"one of {channels}"))
+            axis = _field(doc, "axis", lambda v: v in ("x", "y"), "'x' or 'y'")
+            # the emitter leaves out an axis with no tones, so an empty list would not round-trip
+            tone_docs = _field(doc, "tones", lambda v: isinstance(v, list) and len(v) > 0
+                               and all(isinstance(t, dict) for t in v),
+                               "a non-empty list of tone objects")
+            tones = tuple(Tone(*(_field(t, k, _finite, "a finite number", f"tones[{i}].")
+                                 for k in ("f_mhz", "amp", "phase_rad")))
+                          for i, t in enumerate(tone_docs))
+            PulseEvent(t_start, duration, channel, tones, ())   # checked here to name the line
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err}") from err
+        key = (t_start, duration, channel)
         slot = partial.setdefault(key, {"x": (), "y": ()})
         if slot[axis]:
             raise ValueError(f"line {n}: duplicate {axis} axis for event at "
-                             f"t={key[0]!r} on channel {key[2]!r}")
+                             f"t={key[0]!r} on channel {key[2].value!r}")
         slot[axis] = tones
-    events = [PulseEvent(t, dur, Channel(ch), axes["x"], axes["y"])
+    events = [PulseEvent(t, dur, ch, axes["x"], axes["y"])
               for (t, dur, ch), axes in partial.items()]
     return Schedule(tuple(events))

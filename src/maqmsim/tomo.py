@@ -362,13 +362,15 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
                      traces=tuple(tuple(t) for t in traces), errors=tuple(errors))
 
 
-def _fit_one(projectors, observed, exposures, init_rho, tol, max_iter):
-    """One count vector through ``_fit_stack``; a likelihood decrease raises."""
-    fit = _fit_stack(projectors, observed[None, :], exposures, init_rho, tol, max_iter)
+def _fit_one(projectors, observed, exposures, tol, max_iter) -> ReconstructionResult:
+    """One count vector through ``_fit_stack`` from the maximally mixed state;
+    a likelihood decrease raises."""
+    d = projectors.shape[1]
+    fit = _fit_stack(projectors, observed[None, :], exposures, np.eye(d) / d, tol, max_iter)
     if fit.errors[0] is not None:
         raise fit.errors[0]
-    return (fit.rho[0], float(fit.log_likelihood[0]), int(fit.iterations[0]),
-            bool(fit.converged[0]), fit.traces[0])
+    return ReconstructionResult(DensityMatrix(fit.rho[0]), float(fit.log_likelihood[0]),
+                                int(fit.iterations[0]), bool(fit.converged[0]), fit.traces[0])
 
 
 def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
@@ -386,31 +388,17 @@ def _check_stopping(tol, max_iter) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
-def mle_reconstruct(counts: CountsTable, init: DensityMatrix | None = None,
-                    tol: float = 1e-9, max_iter: int = 1000) -> ReconstructionResult:
+def mle_reconstruct(counts: CountsTable, tol: float = 1e-9,
+                    max_iter: int = 1000) -> ReconstructionResult:
     """Maximum-likelihood state fit, physical by construction.
 
     ``converged`` reports whether the relative likelihood change dropped
     below ``tol`` within ``max_iter`` accepted steps; on exhaustion the best
     iterate is still returned.  All-zero tables are a flat likelihood, so
-    the initial state (maximally mixed by default) comes back unchanged.
+    the initial state, the maximally mixed one, comes back unchanged.
     """
     _check_stopping(tol, max_iter)
-    projectors, observed, exposures = _aligned_projectors(counts)
-    d = projectors.shape[1]
-    if init is not None and init.dimension != d:
-        raise ValueError(f"init must have the reconstruction dimension {d}, "
-                         f"got {init.dimension}")
-    init_mat = init.entries if init is not None else np.eye(d) / d
-    rho, ll, nit, converged, trace = _fit_one(projectors, observed, exposures,
-                                              np.asarray(init_mat), tol, max_iter)
-    return ReconstructionResult(
-        rho=DensityMatrix(rho),
-        log_likelihood=ll,
-        iterations=nit,
-        converged=converged,
-        likelihood_trace=trace,
-    )
+    return _fit_one(*_aligned_projectors(counts), tol, max_iter)
 
 
 class EstimateUndefinedError(ValueError):
@@ -453,16 +441,13 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
         raise ValueError("n_resamples must be at least 2")
     _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
-    base_rho, *_ = _fit_one(projectors, observed, exposures,
-                            np.eye(projectors.shape[1]) / projectors.shape[1],
-                            tol, max_iter)
-    base = DensityMatrix(base_rho)
+    base = _fit_one(projectors, observed, exposures, tol, max_iter).rho
     point = fidelity(base, target)   # checks the target before any refit
 
     resamples, kept = _poisson_resamples(observed, n_resamples, seed), []
     for start in range(0, n_resamples, MAX_STACK_ROWS):
         fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
-                          exposures, base_rho, tol, max_iter)
+                          exposures, base.entries, tol, max_iter)
         fitted = np.array([error is None for error in fits.errors])
         kept.append(_stack_fidelities(fits.rho[fitted], target))
     values = np.concatenate(kept)

@@ -664,6 +664,17 @@ def test_receiving_memory_needs_eta_eit(tmp_path, capsys, drop):
     assert capsys.readouterr().err.startswith("config error: memories.MAQM2.eta_eit: ")
 
 
+@pytest.mark.parametrize("name, key", [("MAQM2", "memory"), ("MAQM1", "memory"),
+                                       ("MAQM1", "eta_eit")])
+def test_fields_no_model_reads_are_unknown(tmp_path, capsys, name, key):
+    # the entry's key names the memory, and only the receiving memory stores by EIT
+    doc = small_doc()
+    doc["memories"][name][key] = name if key == "memory" else 0.2
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: memories.{name}: unknown field(s) '{key}'\n"
+
+
 def test_compile_has_no_format_option(tmp_path, capsys):
     path = write_config(tmp_path, small_doc())
     with pytest.raises(SystemExit) as exc:
@@ -672,17 +683,17 @@ def test_compile_has_no_format_option(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_integer_sweep_values_must_be_integral(tmp_path, capsys):
+@pytest.mark.parametrize("param, values", [("estimation.n_resamples", "3,3.0"),
+                                            ("detection.heralds_per_setting", "500,5e2")])
+def test_integer_sweep_values_must_be_integral(tmp_path, capsys, param, values):
     path = write_config(tmp_path, small_doc(dimension=4, heralds=500))
-    assert main(["sweep", "--config", path, "--param", "estimation.n_resamples",
-                 "--values", "3,2.7"]) == 2
-    assert ("config error: estimation.n_resamples: sweep value 2.7 is not an integer"
-            in capsys.readouterr().err)
+    assert main(["sweep", "--config", path, "--param", param, "--values", "3,2.7"]) == 2
+    assert capsys.readouterr().err == f"config error: {param}: must be an integer\n"
     out = tmp_path / "sweep.json"
-    assert main(["sweep", "--config", path, "--param", "estimation.n_resamples",
-                 "--values", "3,3.0", "--format", "json", "--out", str(out)]) == 0
+    assert main(["sweep", "--config", path, "--param", param,
+                 "--values", values, "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
-    assert [r["value"] for r in rows] == [3.0, 3.0]
+    assert [r["value"] for r in rows] == [float(v) for v in values.split(",")]
 
 
 def test_main_compile_valid_schedule(tmp_path):

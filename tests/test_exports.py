@@ -2,6 +2,7 @@
 source of those modules."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,15 @@ def test_package_exports_the_module_lists():
     assert len(set(expected)) == len(expected)
 
 
-@pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency"])
+@pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency",
+                                  "_SWEEP_INTEGER"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
+
+
+def test_settings_nothing_sets_are_gone():
+    assert "CLEAN" not in schedule.Channel.__members__
+    assert "init" not in inspect.signature(tomo.mle_reconstruct).parameters
 
 
 def test_no_guard_relies_on_assert():

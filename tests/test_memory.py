@@ -126,7 +126,7 @@ class TestRfGrid:
 class TestSpecFromDict:
     def test_reads_a_literal_dict(self):
         doc = {
-            "memory": "MAQM2", "n_x": 2, "n_y": 3,
+            "n_x": 2, "n_y": 3,
             "eta_write": 0.0, "eta_read": 0.5,
             "eta_eit": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
             "tau_mem": 27.8, "t_larmor": 1.3,

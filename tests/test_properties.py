@@ -299,7 +299,7 @@ def run_once(doc, workdir):
 @settings(PROPERTY, max_examples=150)   # 15 fields, each inside and past its bound
 @given(path=st.sampled_from(sorted(SWEEP_BOUNDS)), past=st.booleans(), data=st.data())
 def test_a_sweepable_field_at_or_past_its_bound_runs_or_names_itself(path, past, data):
-    assert set(SWEEP_BOUNDS) == cli._SWEEP_NUMERIC | cli._SWEEP_INTEGER
+    assert set(SWEEP_BOUNDS) == cli._SWEEP_NUMERIC
     inside, outside = SWEEP_BOUNDS[path]
     value = data.draw(st.sampled_from(outside) if past else inside)
     doc = copy.deepcopy(QUDIT)
@@ -316,3 +316,81 @@ def test_a_sweepable_field_at_or_past_its_bound_runs_or_names_itself(path, past,
         else:
             assert code == 2
             assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
+
+
+def grid_cells(d):
+    """d distinct [x, y] cells of a 5x6 grid: anywhere, or filling an
+    a x b rectangle (a b = d), the patterns the crossed deflectors factor."""
+    anywhere = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                        min_size=d, max_size=d, unique=True)
+    shapes = [(a, d // a) for a in range(1, 6) if d % a == 0 and d // a <= 6]
+    rectangle = st.sampled_from(shapes).flatmap(lambda shape: st.tuples(
+        st.lists(st.integers(0, 4), min_size=shape[0], max_size=shape[0], unique=True),
+        st.lists(st.integers(0, 5), min_size=shape[1], max_size=shape[1], unique=True),
+    )).flatmap(lambda axes: st.permutations([(x, y) for x in axes[0] for y in axes[1]]))
+    return st.one_of(rectangle, rectangle, anywhere).map(lambda cells: [list(c) for c in cells])
+
+
+def efficiency_maps():
+    """One number for every cell, or a row-major list of one per cell."""
+    values = st.floats(0.2, 1.0) | st.floats(0.0, 1.0)
+    return values | st.lists(values, min_size=30, max_size=30)
+
+
+@st.composite
+def qudit_configs(draw):
+    """Whole qudit config documents with d in 3..6, so no draw runs the MLE."""
+    d = draw(st.integers(3, 6))
+
+    def memory(grid, eit):
+        entry = {"n_x": 5, "n_y": 6, "eta_write": draw(efficiency_maps()),
+                 "eta_read": draw(efficiency_maps()),
+                 "tau_mem": draw(st.floats(10.0, 1e3) | st.floats(0.0, _HUGE, exclude_min=True)),
+                 "t_larmor": draw(st.floats(TIME_GRID_US, 100.0)), "rf_grid": grid}
+        return {**entry, "eta_eit": draw(efficiency_maps())} if eit else entry
+
+    drift = st.floats(-10.0, 10.0) | st.floats(-_HUGE, _HUGE)
+    short = st.floats(cli.MIN_TAU_US, 20.0)    # times a memory survives
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "memories": {"MAQM1": memory(QUDIT["memories"]["MAQM1"]["rf_grid"], False),
+                     "MAQM2": memory(QUDIT["memories"]["MAQM2"]["rf_grid"], True)},
+        "protocol": {"dimension": d, "source_cells": draw(grid_cells(d)),
+                     "target_cells": draw(grid_cells(d)),
+                     "t1": draw(short | times(0.0, exclude_low=True)),
+                     "tau": draw(short | times(cli.MIN_TAU_US)), "t2": draw(short | times(0.0)),
+                     "drift": draw(drift | st.lists(drift, min_size=d, max_size=d))},
+        "detection": {"eta_det": draw(st.floats(0.0, 1.0, exclude_min=True)),
+                      "dark_rate": draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, 1.0)),
+                      "heralds_per_setting": draw(st.integers(1000, 5000)
+                                                   | st.integers(1, 5000))},
+        "estimation": {"n_resamples": draw(st.integers(2, 50))},
+    }
+
+
+def is_field(doc, path: str) -> bool:
+    """Whether a dotted path with [i] indices, as config errors spell it, names a value of doc."""
+    node = doc
+    for part in path.replace("[", ".[").split("."):
+        index = int(part[1:-1]) if part.startswith("[") else None
+        if index is None and isinstance(node, dict) and part in node:
+            node = node[part]
+        elif index is not None and isinstance(node, list) and index < len(node):
+            node = node[index]
+        else:
+            return False
+    return True
+
+
+@PROPERTY
+@given(doc=qudit_configs())
+def test_a_whole_qudit_config_runs_twice_alike_or_names_a_field(doc):
+    with tempfile.TemporaryDirectory() as workdir:
+        code, report, err = run_once(doc, workdir)
+        if code == 0:
+            assert err == ""
+            assert run_once(doc, workdir) == (0, report, "")
+        else:
+            assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, err
+            path = err.removeprefix("config error: ").split(": ", 1)[0]
+            assert is_field(doc, path), err

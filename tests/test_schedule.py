@@ -350,3 +350,34 @@ class TestSerialization:
             schedule_from_jsonl("not json\n")
         with pytest.raises(ValueError):
             schedule_from_jsonl('{"t_start_us": 0.0}\n')
+
+
+# line 2 of the compiled qubit schedule, the write event's y axis
+_TONE = {"f_mhz": 97.0, "amp": 1.0, "phase_rad": 0.0}
+_LINE = {"t_start_us": 0.0, "duration_us": 0.1, "channel": "write", "axis": "y",
+         "tones": [_TONE]}
+
+
+@pytest.mark.parametrize("line, field", [
+    (5, "must be a JSON object"),
+    ({**_LINE, "tones": 3}, "tones "),
+    ({**_LINE, "tones": [[1, 2, 3]]}, "tones "),
+    ({**_LINE, "tones": []}, "tones "),
+    ({**_LINE, "t_start_us": "a"}, "t_start_us "),
+    ({**_LINE, "t_start_us": -1.0}, "t_start_us "),
+    ({**_LINE, "duration_us": float("nan")}, "duration_us "),
+    ({**_LINE, "channel": [1]}, "channel "),
+    ({**_LINE, "channel": "bogus"}, "channel "),
+    ({**_LINE, "channel": "clean"}, "channel "),
+    ({**_LINE, "tones": [{**_TONE, "amp": "1"}]}, r"tones\[0\]\.amp "),
+    ({**_LINE, "tones": [{"f_mhz": 97.0, "phase_rad": 0.0}]},
+     r"missing field 'tones\[0\]\.amp'"),
+], ids=["not-an-object", "tones-number", "tones-list-of-lists", "tones-empty",
+        "t_start-string", "t_start-negative", "duration-nan", "channel-list",
+        "channel-unknown", "channel-clean", "amp-string", "amp-missing"])
+def test_malformed_line_is_named_by_number_and_field(line, field):
+    lines = schedule_to_jsonl(compile_schedule(qubit_config())).splitlines()
+    assert json.loads(lines[1]).keys() == _LINE.keys()
+    lines[1] = json.dumps(line)
+    with pytest.raises(ValueError, match=f"^line 2: {field}"):
+        schedule_from_jsonl("\n".join(lines) + "\n")

@@ -135,12 +135,6 @@ class TestMleReconstruct:
             getattr(tomo, estimator)(*args, **{name: value})
         assert spy.fits == 0
 
-    def test_init_must_match_the_reconstruction_dimension(self):
-        with pytest.raises(ValueError, match="dimension 4"):
-            mle_reconstruct(bell_table(), init=DensityMatrix(np.eye(2) / 2))
-        warm = mle_reconstruct(bell_table(), init=DensityMatrix(np.eye(4) / 4))
-        assert fidelity(warm.rho, bell_target()) >= 0.9999
-
     def test_exhaustion_flags_non_convergence(self):
         out = run_protocol(make_config())
         table = sample_counts(out, tomography_settings(2), 1000, 0.5, 0.0, seed=6)
