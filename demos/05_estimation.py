@@ -19,6 +19,7 @@ from maqmsim import (
     monte_carlo_w_fidelity,
     run_protocol,
     sample_counts,
+    stream_states,
     tomography_settings,
     w_settings,
 )
@@ -62,20 +63,23 @@ def main():
     for label, p in zip(settings.labels[:4], probabilities):
         print(f"  setting {label}: {p:.6f}")
 
+    # every draw has a stream of its own: row i of a table seeded 42 draws
+    # from np.random.default_rng([42, i]), bit for bit
+    table_streams = stream_states(42, np.arange(len(settings.labels)))
     print()
     print("Counts -> MLE fit -> fidelity, growing the sample")
     for heralds in (200, 2000, 20000):
-        table = sample_counts(outcome, settings, heralds_per_setting=heralds,
-                              eta_det=0.8, dark_rate=1e-4, seed=42)
+        table = sample_counts(settings, probabilities, heralds_per_setting=heralds,
+                              dark_rate=1e-4, streams=table_streams)
         fit = mle_reconstruct(table)
         print(f"  {heralds:6d} heralds/setting: F = {fidelity(fit.rho, target):.4f}"
               f"  (converged={fit.converged}, {fit.iterations} iterations)")
 
     print()
     print("Bootstrap error bar at 2000 heralds/setting")
-    table = sample_counts(outcome, settings, heralds_per_setting=2000,
-                          eta_det=0.8, dark_rate=1e-4, seed=42)
-    est = monte_carlo_fidelity(table, target, n_resamples=100, seed=7)
+    table = sample_counts(settings, probabilities, heralds_per_setting=2000,
+                          dark_rate=1e-4, streams=table_streams)
+    est = monte_carlo_fidelity(table, target, streams=stream_states(7, np.arange(100)))
     pull = (est.value - outcome.predicted_fidelity) / est.sigma
     print(f"  F = {est.value:.4f} +- {est.sigma:.4f}"
           f"  ({est.n_resamples} resamples, truth sits {pull:+.2f} sigma away)")
@@ -83,12 +87,12 @@ def main():
     print()
     print("W-state verification of the four-bin transfer")
     outcome4 = transfer_outcome(dimension=4)
-    table4 = sample_counts(outcome4, w_settings(4), heralds_per_setting=20000,
-                           eta_det=0.8, dark_rate=1e-4, seed=5)
-    pops = np.array([r.coincidences for r in table4.rows if r.label.startswith("P")],
-                    dtype=float)
+    probabilities4 = coincidence_probabilities(outcome4, w_settings(4), eta_det=0.8)
+    table4 = sample_counts(w_settings(4), probabilities4, heralds_per_setting=20000,
+                           dark_rate=1e-4, streams=stream_states(5, np.arange(16)))
+    pops = table4.coincidences[:4].astype(float)
     print(f"  populations: {np.round(pops / pops.sum(), 4)}")
-    est4 = monte_carlo_w_fidelity(table4, dimension=4, n_resamples=100, seed=9)
+    est4 = monte_carlo_w_fidelity(table4, dimension=4, streams=stream_states(9, np.arange(100)))
     print(f"  F_W = {est4.value:.4f} +- {est4.sigma:.4f}"
           f"  warnings: {list(est4.warnings) or 'none'}")
 

@@ -1,8 +1,10 @@
 """Batch front-end: config loading, full pipeline runs, sweeps, compilation.
 
 Reports are deterministic: all randomness flows from the config seed through
-named substreams, floats are serialized at 6 significant digits, and the
-report embeds the config hash so every number is traceable to its inputs.
+named substreams (the stream tree is set out in ``detect``), floats are
+serialized at 6 significant digits, and the report embeds the config hash
+so every number is traceable to its inputs.  ``main`` keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .detect import coincidence_probabilities, sample_counts, tomography_settings, w_settings
+from .detect import (
+    coincidence_probabilities,
+    sample_counts,
+    stream_states,
+    tomography_settings,
+    w_settings,
+)
 from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
@@ -281,25 +289,39 @@ def load_experiment_config(path: str, seed_override: int | None = None) -> Exper
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministic integer substream seed from (seed, index, ...) parts."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+    """Deterministic integer substream seed from (seed, index, ...) parts: the
+    first word of ``stream_states(*parts)``."""
+    return int(stream_states(*parts)[0, 0])
 
 
-def _stage_report_qubit(outcome, cfg: ExperimentConfig, settings,
-                        stage_index: int) -> tuple[dict, DensityMatrix]:
+def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
+    """The run's streams: stage 1's table and bootstrap streams, then stage 2's.
+
+    Stage s's table seed is ``derive_seed(seed, s, 0)`` and its bootstrap
+    seed ``derive_seed(seed, s, 1)``; row i of either draws from stream
+    (that seed, i).  The four seeds are hashed in one pass, and all the rows'
+    streams in a second.
+    """
+    seeds = stream_states(cfg.seed, [1, 1, 2, 2], [0, 1, 0, 1])[:, 0]
+    counts = [n_settings, cfg.n_resamples] * 2
+    states = stream_states(np.repeat(seeds, counts),
+                           np.concatenate([np.arange(c) for c in counts]))
+    return np.split(states, np.cumsum(counts)[:-1])
+
+
+def _stage_report_qubit(outcome, probabilities, table_streams, bootstrap_streams,
+                        cfg: ExperimentConfig, settings) -> tuple[dict, DensityMatrix]:
     """The stage's block and base fit; a bootstrap with no spread keeps the
     fidelity, sets sigma None and adds the reason as the block's ``warnings``."""
-    table = sample_counts(outcome, settings, cfg.heralds_per_setting,
-                          cfg.eta_det, cfg.dark_rate,
-                          seed=derive_seed(cfg.seed, stage_index, 0))
+    table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
+                          table_streams)
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
     block = {
         "predicted_fidelity": outcome.predicted_fidelity,
         "survival_probability": outcome.survival_probability,
     }
     try:
-        est = monte_carlo_fidelity(table, target, cfg.n_resamples,
-                                   seed=derive_seed(cfg.seed, stage_index, 1),
+        est = monte_carlo_fidelity(table, target, bootstrap_streams,
                                    tol=cfg.tol, max_iter=cfg.max_iter)
     except EstimateUndefinedError as err:
         block.update(fidelity=err.point.value, sigma=None,
@@ -309,8 +331,8 @@ def _stage_report_qubit(outcome, cfg: ExperimentConfig, settings,
     return block, est.rho
 
 
-def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,
-                        stage_index: int) -> dict:
+def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams,
+                        cfg: ExperimentConfig, settings) -> dict:
     """The stage's W block; what cannot be computed is None, with the reason in warnings."""
     block = {
         "predicted_w_fidelity": None,
@@ -325,12 +347,10 @@ def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,
     except PostSelectionError as err:
         block["warnings"].append(str(err))
         return block
-    table = sample_counts(outcome, settings, cfg.heralds_per_setting,
-                          cfg.eta_det, cfg.dark_rate,
-                          seed=derive_seed(cfg.seed, stage_index, 0))
+    table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
+                          table_streams)
     try:
-        est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, cfg.n_resamples,
-                                     seed=derive_seed(cfg.seed, stage_index, 1))
+        est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, bootstrap_streams)
     except EstimateUndefinedError as err:
         if err.point is not None:
             block.update(w_fidelity=err.point.value, n_resamples=err.point.n_resamples,
@@ -342,10 +362,10 @@ def _stage_report_qudit(outcome, cfg: ExperimentConfig, settings,
     return block
 
 
-def _check_dark_rate(cfg: ExperimentConfig, settings, stages: dict) -> None:
-    """Reject a dark rate that lifts some setting's probability above 1."""
-    for name, outcome in stages.items():
-        peak = float(coincidence_probabilities(outcome, settings, cfg.eta_det).max())
+def _check_dark_rate(cfg: ExperimentConfig, probabilities: dict) -> None:
+    """Reject a dark rate that lifts some setting's probability above 1, per stage name."""
+    for name, stage_probabilities in probabilities.items():
+        peak = float(stage_probabilities.max())
         if peak + cfg.dark_rate > 1.0:
             raise ConfigError(f"detection.dark_rate: {cfg.dark_rate!r} plus the largest "
                               f"{name} coincidence probability {peak:.6g} exceeds 1")
@@ -372,7 +392,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     stage2 = run_protocol(cfg.protocol, transfer=True)
     d = cfg.protocol.dimension
     settings = tomography_settings(2) if d == 2 else w_settings(d)
-    _check_dark_rate(cfg, settings, {"maqm1_stage": stage1, "maqm2_stage": stage2})
+    # both stages are checked before any count is drawn
+    p1, p2 = (coincidence_probabilities(outcome, settings, cfg.eta_det)
+              for outcome in (stage1, stage2))
+    _check_dark_rate(cfg, {"maqm1_stage": p1, "maqm2_stage": p2})
+    table1, bootstrap1, table2, bootstrap2 = _stream_plan(cfg, len(settings.labels))
 
     report = {
         "package_version": __version__,
@@ -389,14 +413,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         },
     }
     if d == 2:
-        block1, rho1 = _stage_report_qubit(stage1, cfg, settings, 1)
-        block2, rho2 = _stage_report_qubit(stage2, cfg, settings, 2)
+        block1, rho1 = _stage_report_qubit(stage1, p1, table1, bootstrap1, cfg, settings)
+        block2, rho2 = _stage_report_qubit(stage2, p2, table2, bootstrap2, cfg, settings)
         report["maqm1_stage"] = block1
         report["maqm2_stage"] = block2
         report["transmission_fidelity"] = state_fidelity(rho1, rho2)
     else:
-        report["maqm1_stage"] = _stage_report_qudit(stage1, cfg, settings, 1)
-        report["maqm2_stage"] = _stage_report_qudit(stage2, cfg, settings, 2)
+        report["maqm1_stage"] = _stage_report_qudit(stage1, p1, table1, bootstrap1, cfg, settings)
+        report["maqm2_stage"] = _stage_report_qudit(stage2, p2, table2, bootstrap2, cfg, settings)
     return report
 
 
@@ -426,13 +450,20 @@ def _flatten(node, prefix=""):
         yield prefix.rstrip("."), node
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{float(f'{value:.6g}'):g}"
+    return str(value)
+
+
 def report_to_csv(report: dict) -> str:
     lines = ["key,value"]
     for key, value in _flatten(report):
-        value = _round_floats(value)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key},{'' if value is None else value}")
+        lines.append(f"{key},{_csv_cell(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -496,11 +527,14 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
     base_seed = _seed(top, base_seed)
     unswept = (parse_experiment_config(doc, seed_override=base_seed)
                if param in _SWEEP_VIRTUAL else None)
+    values = list(values)
+    # point i runs with derive_seed(base_seed, i), every point hashed in one pass
+    seeds = stream_states(base_seed, np.arange(len(values)))[:, 0].tolist()
     rows = []
-    for i, value in enumerate(values):
+    for value, seed in zip(values, seeds):
         varied = (_apply_ratio(doc, value, unswept) if unswept is not None
                   else _apply_sweep_value(doc, param, value))
-        cfg = parse_experiment_config(varied, seed_override=derive_seed(base_seed, i))
+        cfg = parse_experiment_config(varied, seed_override=seed)
         report = run_experiment(cfg)
         row = {
             "param": param,
@@ -520,16 +554,6 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
             row["transmission_fidelity"] = report["transmission_fidelity"]
         rows.append(row)
     return rows
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{float(f'{value:.6g}'):g}"
-    return str(value)
 
 
 def sweep_to_csv(rows: list[dict]) -> str:

@@ -8,17 +8,28 @@ A block of settings is one ``Settings`` value: the row labels plus read-only
 Coincidences are herald-conditioned: probabilities are computed against the
 unnormalized branch amplitudes of a protocol run, so branch loss and
 detection efficiency show up as missing counts rather than renormalized
-statistics.  Sampling is binomial per setting on independent substreams, so
-tables are reproducible and independent of evaluation order.  Substream
-(seed, i) is the generator ``np.random.default_rng([seed, i])`` gives, bit
-for bit; ``_substreams`` computes the seed hashes of all rows in one array
-pass, and ``numpy.random`` loads on the first draw.
+statistics.  A ``CountsTable`` holds label, herald and coincidence columns.
+
+Every random draw comes from a stream: a PCG64 seeded from one row of
+``stream_states(*parts)``, bit for bit the generator
+``np.random.default_rng([*parts])`` gives.  A run's streams form a tree:
+the config seed gives stage s a table seed, the first state word of stream
+(seed, s, 0), and a bootstrap seed, that of (seed, s, 1); table row i draws
+from stream (table seed, i) and resample r from (bootstrap seed, r).  Each
+level of the tree is hashed in one array pass, and a sweep hashes its point
+seeds (seed, i) in one pass too.  Streams are keyed by index, so tables
+are reproducible and independent of evaluation order, and adding a
+consumer never shifts another's draws.  ``numpy.random`` loads on the first
+draw.  Nothing is cached between runs but the settings blocks and label
+tuples, which depend on the dimension alone; ``cli.main`` keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,6 +46,7 @@ __all__ = [
     "w_settings",
     "coincidence_probabilities",
     "sample_counts",
+    "stream_states",
 ]
 
 BASIS_NORM_ATOL = 1e-9
@@ -84,12 +96,72 @@ class CountRow:
             raise ValueError("coincidences cannot exceed heralds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    rows: tuple[CountRow, ...]
+    """A coincidence table as columns: row i is ``labels[i]``, ``heralds[i]``
+    and ``coincidences[i]``.
+
+    The count columns are read-only 1-D copies of what is given, checked
+    all at once by the rules of ``CountRow``; ``rows`` is a sized view of
+    the table as ``CountRow`` values.
+    """
+
+    labels: tuple[str, ...]
+    heralds: np.ndarray
+    coincidences: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+        labels = tuple(self.labels)
+        heralds, coincidences = np.array(self.heralds), np.array(self.coincidences)
+        if heralds.shape != (len(labels),) or coincidences.shape != (len(labels),):
+            raise ValueError(f"need one herald and one coincidence count per label, got "
+                             f"{len(labels)} labels, {heralds.shape} and {coincidences.shape}")
+        if (heralds < 0).any() or (coincidences < 0).any():
+            raise ValueError("counts must be non-negative")
+        if (coincidences > heralds).any():
+            raise ValueError("coincidences cannot exceed heralds")
+        heralds.setflags(write=False)
+        coincidences.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "heralds", heralds)
+        object.__setattr__(self, "coincidences", coincidences)
+
+    @classmethod
+    def from_rows(cls, rows) -> CountsTable:
+        rows = tuple(rows)
+        return cls(tuple(r.label for r in rows), [r.heralds for r in rows],
+                   [r.coincidences for r in rows])
+
+    @property
+    def rows(self) -> _CountRows:
+        return _CountRows(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, CountsTable):
+            return NotImplemented
+        return (self.labels == other.labels and np.array_equal(self.heralds, other.heralds)
+                and np.array_equal(self.coincidences, other.coincidences))
+
+    __hash__ = None
+
+
+class _CountRows(Sequence):
+    """The rows of a ``CountsTable``, each made as it is read."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: CountsTable):
+        self._table = table
+
+    def __len__(self):
+        return len(self._table.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        t = self._table
+        label = t.labels[i]   # raises IndexError past the end
+        return CountRow(label, t.heralds[i].item(), t.coincidences[i].item())
 
 
 # single-qubit analyzer kets on the {upper, lower} mode pair
@@ -125,12 +197,18 @@ def w_labels(dimension: int) -> tuple[str, ...]:
     """Row labels of a W-state table, in ``w_settings`` order.
 
     ``P{i}`` for each branch i, then ``C{i}{j}+`` and ``C{i}{j}-`` for each
-    pair i < j in lexicographic order: d^2 labels in all.
+    pair i < j in lexicographic order: d^2 labels in all.  The tuple is built
+    once per dimension and shared between calls.
     """
     if dimension < 2:
         raise ValueError("need at least two branches")
-    pairs = combinations(range(dimension), 2)
-    return (tuple(f"P{i}" for i in range(dimension))
+    return _w_labels(dimension)
+
+
+@functools.lru_cache(maxsize=None)
+def _w_labels(d: int) -> tuple[str, ...]:
+    pairs = combinations(range(d), 2)
+    return (tuple(f"P{i}" for i in range(d))
             + tuple(f"C{i}{j}{tag}" for i, j in pairs for tag in "+-"))
 
 
@@ -175,23 +253,30 @@ def coincidence_probabilities(outcome: TransferOutcome, settings: Settings,
     return np.array([abs(a) ** 2 * eta_det for a in amp.tolist()])
 
 
-def sample_counts(outcome: TransferOutcome, settings: Settings, heralds_per_setting: int,
-                  eta_det: float, dark_rate: float, seed: int) -> CountsTable:
-    """Draw one coincidence table; row i draws from substream (seed, i)."""
+def sample_counts(settings: Settings, probabilities, heralds_per_setting: int,
+                  dark_rate: float, streams: np.ndarray) -> CountsTable:
+    """Draw one coincidence table: row i is binomial(heralds, probabilities[i] +
+    dark_rate) on the PCG64 seeded from ``streams[i]`` (see ``stream_states``).
+
+    ``probabilities`` are ``coincidence_probabilities`` of ``settings``, one
+    per row.
+    """
     if heralds_per_setting < 1:
         raise ValueError("heralds_per_setting must be at least 1")
     if dark_rate < 0:
         raise ValueError("dark_rate must be non-negative")
-    probabilities = coincidence_probabilities(outcome, settings, eta_det).tolist()
-    rows = []
-    for label, probability, rng in zip(settings.labels, probabilities,
-                                       _substreams(seed, len(probabilities))):
-        p = probability + dark_rate
-        if p > 1.0:
-            raise ValueError(f"setting {label!r}: probability {p!r} exceeds 1")
-        c = int(rng.binomial(heralds_per_setting, p))
-        rows.append(CountRow(label, heralds_per_setting, c))
-    return CountsTable(tuple(rows))
+    n = len(settings.labels)
+    p = np.asarray(probabilities, dtype=float) + dark_rate
+    if p.shape != (n,):
+        raise ValueError(f"need one probability per setting, got {p.shape} for {n} settings")
+    over = np.flatnonzero(p > 1.0)
+    if over.size:
+        i = over[0]
+        raise ValueError(f"setting {settings.labels[i]!r}: probability {p.item(i)!r} exceeds 1")
+    counts = np.empty(n, dtype=np.int64)
+    for i, (p_i, rng) in enumerate(zip(p.tolist(), _generators(streams, n))):
+        counts[i] = rng.binomial(heralds_per_setting, p_i)
+    return CountsTable(settings.labels, np.full(n, heralds_per_setting, dtype=np.int64), counts)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -224,22 +309,81 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return values ^ (values >> 16)
 
 
-def _substream_states(seed: int, count: int) -> np.ndarray:
-    """(count, 4) uint64: ``SeedSequence([seed, i]).generate_state(4, np.uint64)``.
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int: 32 bits each, low first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
 
-    SeedSequence's entropy mixing, run once for all i over (words, count)
-    uint32 arrays, which wrap modulo 2**32 as the C code does.  The entropy
-    is seed's little-endian 32-bit words, then i's one word.  The hash
+
+def _entropy(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, n) uint32 entropy matrix of ``stream_states(*parts)`` and each column's length.
+
+    A column holds its parts' words in turn: every word of an int part, and
+    one word of an array entry below 2**32, else two.  Rows past a column's
+    length, and past the shortest pool of 4, are zero.
+    """
+    if not parts:
+        raise ValueError("need at least one stream part")
+    rows, sizes = [], set()
+    ragged = []   # (row of an array part's high words, the columns that have none)
+    for part in parts:
+        if np.ndim(part) == 0:
+            value = operator.index(part)
+            if value < 0:
+                raise ValueError(f"stream parts must be non-negative, got {value}")
+            rows += _int_words(value)
+            continue
+        array = np.asarray(part)
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            raise ValueError(f"an array stream part must be 1-D integers, got {array.dtype} "
+                             f"of shape {array.shape}")
+        if array.dtype.kind == "i" and array.size and array.min() < 0:
+            raise ValueError(f"stream parts must be non-negative, got {array.min()}")
+        array = array.astype(np.uint64, copy=False)
+        sizes.add(array.size)
+        rows.append(array & _MASK32)
+        wide = array > _MASK32
+        if wide.any():
+            if not wide.all():
+                ragged.append((len(rows), np.flatnonzero(~wide)))
+            rows.append(array >> 32)
+    if len(sizes) > 1:
+        raise ValueError(f"array stream parts must share one length, got {sorted(sizes)}")
+    n = sizes.pop() if sizes else 1
+    entropy = np.zeros((max(len(rows), _POOL_WORDS), n), dtype=np.uint32)
+    for r, row in enumerate(rows):
+        entropy[r] = row
+    lengths = np.full(n, len(rows))
+    # a column without a high word at some row moves its later words up one;
+    # the last such row first, so the earlier ones stay where they are
+    for row, narrow in reversed(ragged):
+        entropy[row:-1, narrow] = entropy[row + 1:, narrow]
+        entropy[-1, narrow] = 0
+        lengths[narrow] -= 1
+    return entropy, lengths
+
+
+def stream_states(*parts) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed states, all in one hash pass.
+
+    Row j is ``np.random.SeedSequence([*parts at j]).generate_state(4,
+    np.uint64)``, so ``PCG64`` seeded from it is the generator
+    ``np.random.default_rng([*parts at j])`` gives, bit for bit.  Each part is
+    a non-negative int, shared by every row, or a 1-D array of integers
+    below 2**64, one per row; the arrays share one length n (1 when there
+    are none).  The first state word is a seed of its own: row j's
+    ``[0]`` is ``SeedSequence(...).generate_state(1, np.uint64)[0]``.
+
+    SeedSequence's entropy mixing runs once for all rows over (words, n)
+    uint32 arrays, which wrap modulo 2**32 as the C code does.  The hash
     constants do not depend on the entropy, and the calls that mix one
     source word into several pool words are independent, so each such group
-    runs as one array operation.
+    runs as one array operation.  An entropy word past the pool of 4 mixes
+    into the streams whose entropy reaches it.
     """
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    entropy = np.zeros((max(len(words) + 1, _POOL_WORDS), count), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+    entropy, lengths = _entropy(parts)
     # four hashmix calls per entropy row: the first 4 rows fill the pool and
     # are each hashed into the 3 other pool words; later rows into all 4
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * len(entropy))
@@ -250,8 +394,10 @@ def _substream_states(seed: int, count: int) -> np.ndarray:
         dst = [i for i in range(_POOL_WORDS) if i != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
         k += _POOL_WORDS - 1
-    for word in entropy[_POOL_WORDS:]:
-        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL_WORDS + 1]))
+    for row in range(_POOL_WORDS, len(entropy)):
+        cols = np.flatnonzero(lengths > row)
+        pool[:, cols] = _mix(pool[:, cols],
+                             _hashmix(entropy[row, cols], consts[k:k + _POOL_WORDS + 1]))
         k += _POOL_WORDS
     # generate_state(4, uint64): 8 words cycling over the pool, read in pairs
     # as little-endian uint64
@@ -260,12 +406,20 @@ def _substream_states(seed: int, count: int) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _FixedState:
-    """A seed sequence whose one state is given; PCG64 seeds itself from it.
-
-    ``_substreams`` registers it as a numpy ``ISeedSequence`` on first use,
+class _SeedSequenceBase:
+    """Registered as a numpy ``ISeedSequence`` by ``_generators`` on first use,
     so importing this module does not load ``numpy.random``.
+
+    PCG64 checks ``isinstance(seed, ISeedSequence)`` for every generator.
+    CPython caches that answer for a subclass of a registered class, but
+    looks a registered class itself up in the registry on every check.
     """
+
+    __slots__ = ()
+
+
+class _FixedState(_SeedSequenceBase):
+    """A seed sequence whose one state is given; PCG64 seeds itself from it."""
 
     __slots__ = ("state",)
 
@@ -278,18 +432,15 @@ class _FixedState:
         return self.state
 
 
-def _substreams(seed: int, count: int):
-    """The generators ``np.random.default_rng([seed, i])`` for i < count, bit for bit.
-
-    The seed hashes run in one pass (``_substream_states``); PCG64 seeds
-    itself from each state row.  The generators are built as they are taken.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if not 0 <= count <= 2**32:
-        raise ValueError(f"count must be in [0, 2**32], got {count}")
+def _generators(streams: np.ndarray, count: int):
+    """One PCG64 generator per row of ``streams``, (count, 4) ``stream_states``,
+    built as they are taken."""
+    streams = np.asarray(streams)
+    if streams.dtype != np.uint64 or streams.shape != (count, 4):
+        raise ValueError(f"need ({count}, 4) uint64 stream states, "
+                         f"got {streams.dtype} of shape {streams.shape}")
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_FixedState)
-    return (Generator(PCG64(_FixedState(row))) for row in _substream_states(seed, count))
+    ISeedSequence.register(_SeedSequenceBase)
+    streams = np.ascontiguousarray(streams)
+    return (Generator(PCG64(_FixedState(row))) for row in streams)

@@ -40,10 +40,11 @@ of the same table.  Its resamples, warm-started from the base fit, are
 fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
-bootstraps draw one (R, n) stack of Poisson resamples, row r from substream
-(seed, r) of ``detect._substreams``; the W bootstrap evaluates the whole
-stack in one array expression, and the qubit bootstrap checks and scores
-each fitted stack in one pass.
+bootstraps read the table's count columns and take their resample streams
+as one (R, 4) array of ``detect.stream_states``; they draw one (R, n) stack
+of Poisson resamples, row r from stream r.  The W bootstrap evaluates the
+whole stack in one array expression, and the qubit bootstrap checks and
+scores each fitted stack in one pass.
 A W table with no population count, or a bootstrap of either kind where
 fewer than two resamples succeed, raises ``EstimateUndefinedError``; in
 the second case it carries the point estimate, so a report can keep the
@@ -59,12 +60,11 @@ import warnings as _warnings
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .detect import CountsTable, _substreams, tomography_settings, w_labels
+from .detect import CountsTable, _generators, tomography_settings, w_labels
 from .qstate import DensityMatrix, _stack_fidelities, fidelity
 
 __all__ = [
@@ -132,17 +132,15 @@ def _aligned_projectors(counts: CountsTable):
     settings = tomography_settings(2)
     index = {label: i for i, label in enumerate(settings.labels)}
     rows = []
-    for row in counts.rows:
-        if row.label not in index:
-            raise ValueError(f"no measurement setting named {row.label!r}")
-        rows.append(index[row.label])
+    for label in counts.labels:
+        if label not in index:
+            raise ValueError(f"no measurement setting named {label!r}")
+        rows.append(index[label])
     n, d = len(rows), settings.signal.shape[1]
     # per row: ket = kron(signal, atom) and its projector outer(ket, ket*)
     kets = (settings.signal[rows, :, None] * settings.atom[rows, None, :]).reshape(n, d * d)
     projectors = kets[:, :, None] * kets.conj()[:, None, :]
-    observed = np.array([row.coincidences for row in counts.rows], dtype=float)
-    exposures = np.array([row.heralds for row in counts.rows], dtype=float)
-    return projectors, observed, exposures
+    return projectors, counts.coincidences.astype(float), counts.heralds.astype(float)
 
 
 def _pack(t_mat: np.ndarray) -> np.ndarray:
@@ -414,17 +412,24 @@ class EstimateUndefinedError(ValueError):
         self.point = point
 
 
-def _poisson_resamples(observed: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
-    """(n_resamples, n) Poisson draws around ``observed``; row r uses substream (seed, r)."""
-    draws = np.empty((n_resamples, observed.size))
-    for r, rng in enumerate(_substreams(seed, n_resamples)):
+def _resample_count(streams) -> int:
+    """The number of resamples ``streams`` asks for: at least 2."""
+    n_resamples = len(streams)
+    if n_resamples < 2:
+        raise ValueError(f"need at least 2 resample streams, got {n_resamples}")
+    return n_resamples
+
+
+def _poisson_resamples(observed: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """(R, n) Poisson draws around ``observed``; row r draws from ``streams[r]``."""
+    draws = np.empty((len(streams), observed.size))
+    for r, rng in enumerate(_generators(streams, len(streams))):
         draws[r] = rng.poisson(observed)
     return draws
 
 
-def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: int,
-                         seed: int, tol: float = 1e-9,
-                         max_iter: int = 1000) -> FidelityEstimate:
+def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.ndarray,
+                         tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
     """Poisson-resample the table, refit each draw, report point and spread.
 
     The point estimate is the base fit's fidelity; the resample mean sits
@@ -435,16 +440,16 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, n_resamples: i
     from the base reconstruction, which is returned as ``rho`` so callers
     need not fit the table again.  Failed refits are skipped and counted;
     when fewer than two succeed, ``EstimateUndefinedError`` carries the
-    point estimate with sigma 0.
+    point estimate with sigma 0.  Resample r draws from ``streams[r]``, one
+    row of an (R, 4) ``detect.stream_states`` array.
     """
-    if n_resamples < 2:
-        raise ValueError("n_resamples must be at least 2")
+    n_resamples = _resample_count(streams)
     _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
     base = _fit_one(projectors, observed, exposures, tol, max_iter).rho
     point = fidelity(base, target)   # checks the target before any refit
 
-    resamples, kept = _poisson_resamples(observed, n_resamples, seed), []
+    resamples, kept = _poisson_resamples(observed, streams), []
     for start in range(0, n_resamples, MAX_STACK_ROWS):
         fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
                           exposures, base.entries, tol, max_iter)
@@ -496,12 +501,12 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
     value, pops, vis, total = _w_estimate(counts, d)
     if not total > 0:
         raise EstimateUndefinedError("population counts are all zero")
-    notes = []
-    for (i, j), v in zip(combinations(range(d), 2), vis):
-        bound = np.sqrt(pops[i] * pops[j])
-        if abs(v) > bound * (1.0 + W_CONSISTENCY_TOL) + 1e-12:
-            notes.append(f"visibility ({i},{j}) = {v:.4g} exceeds the "
-                         f"population bound {bound:.4g}")
+    # pairs i < j in lexicographic order, the order of the visibilities
+    i, j = np.triu_indices(d, 1)
+    bounds = np.sqrt(pops[i] * pops[j])
+    notes = [f"visibility ({i[k]},{j[k]}) = {vis[k]:.4g} exceeds the "
+             f"population bound {bounds[k]:.4g}"
+             for k in np.flatnonzero(np.abs(vis) > bounds * (1.0 + W_CONSISTENCY_TOL) + 1e-12)]
     if not 0.0 <= value <= 1.0:
         notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
         value = np.clip(value, 0.0, 1.0)
@@ -509,29 +514,29 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
                             warnings=tuple(notes))
 
 
-def monte_carlo_w_fidelity(table: CountsTable, dimension: int = 4,
-                           n_resamples: int = 100, seed: int = 0) -> FidelityEstimate:
+def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
+                           streams: np.ndarray) -> FidelityEstimate:
     """Poisson-resample the W counts table and spread the fidelity estimate.
 
     The rows must be the ``w_settings(dimension)`` rows, in order, with one
-    shared herald count.  The point value and its warnings come from
-    ``w_fidelity`` on the observed counts; a resample fails when its
-    population total is zero.  Raises ``EstimateUndefinedError`` when the
-    observed populations are all zero or fewer than two resamples succeed.
+    shared herald count.  Resample r draws from ``streams[r]``, one row of
+    an (R, 4) ``detect.stream_states`` array.  The point value and its
+    warnings come from ``w_fidelity`` on the observed counts; a resample
+    fails when its population total is zero.  Raises
+    ``EstimateUndefinedError`` when the observed populations are all zero
+    or fewer than two resamples succeed.
     """
-    if n_resamples < 2:
-        raise ValueError("n_resamples must be at least 2")
-    if len({r.heralds for r in table.rows}) > 1:
+    n_resamples = _resample_count(streams)
+    if (table.heralds != table.heralds[:1]).any():
         raise ValueError("rows must share one herald count for a consistent scale")
-    labels, expected = tuple(r.label for r in table.rows), w_labels(dimension)
+    labels, expected = table.labels, w_labels(dimension)
     if labels != expected:
         raise ValueError(f"rows must be w_labels({dimension}) in order: missing "
                          f"{sorted(set(expected) - set(labels))}, "
                          f"unexpected {sorted(set(labels) - set(expected))}")
-    observed = np.array([float(r.coincidences) for r in table.rows])
+    observed = table.coincidences.astype(float)
     point = w_fidelity(observed, dimension)
-    values, _, _, total = _w_estimate(_poisson_resamples(observed, n_resamples, seed),
-                                      dimension)
+    values, _, _, total = _w_estimate(_poisson_resamples(observed, streams), dimension)
     values = np.clip(values[total > 0], 0.0, 1.0)
     tally = dict(n_resamples=int(values.size), n_failed=n_resamples - int(values.size))
     if values.size < 2:

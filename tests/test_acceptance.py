@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from maqmsim.cli import load_experiment_config, run_experiment
-from maqmsim.detect import CountRow, CountsTable, sample_counts, tomography_settings
+from maqmsim.detect import CountRow, CountsTable, tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import (
     ProtocolConfig,
@@ -26,6 +26,7 @@ from maqmsim.protocol import (
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.schedule import cell_to_rf, compile_schedule, schedule_to_jsonl
 from maqmsim.tomo import bell_target, mle_reconstruct, monte_carlo_fidelity
+from test_detect import draw_counts, streams
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "maqmsim" / "configs"
@@ -116,8 +117,8 @@ def test_criterion_2_two_branch_loss_law():
             outcome = asymmetric_outcome(eta1, eta2)
             law = closed_form_two_branch(eta1, eta2)
             assert abs(outcome.predicted_fidelity - law) <= 1e-9
-            table = sample_counts(outcome, settings, 100_000, 1.0, 0.0,
-                                  seed=int(rng.integers(1 << 32)))
+            table = draw_counts(outcome, settings, 100_000, 1.0, 0.0,
+                                seed=int(rng.integers(1 << 32)))
             rho = mle_reconstruct(table).rho
             assert abs(fidelity(rho, target) - law) <= 0.01
 
@@ -161,14 +162,14 @@ def test_criterion_3_tomography_round_trip():
             exact_rows = tuple(
                 CountRow(lbl, 1_000_000, int(round(p * 1_000_000)))
                 for lbl, p in zip(labels, probs))
-            res = mle_reconstruct(CountsTable(exact_rows))
+            res = mle_reconstruct(CountsTable.from_rows(exact_rows))
             assert state_fidelity(res.rho, truth) >= 0.9999
             assert_monotone(res.likelihood_trace)
 
             sampled_rows = tuple(
                 CountRow(lbl, 1000, int(rng.binomial(1000, p)))
                 for lbl, p in zip(labels, probs))
-            res = mle_reconstruct(CountsTable(sampled_rows))
+            res = mle_reconstruct(CountsTable.from_rows(sampled_rows))
             f = state_fidelity(res.rho, truth)
             assert f >= 0.93
             sampled_fidelities.append(f)
@@ -185,8 +186,8 @@ def test_criterion_4_monte_carlo_error_calibration():
         target = bell_target(0.0)
         covered, sigmas = 0, []
         for trial in range(100):
-            table = sample_counts(outcome, settings, 1000, 1.0, 0.0, seed=trial)
-            est = monte_carlo_fidelity(table, target, 50, seed=10_000 + trial)
+            table = draw_counts(outcome, settings, 1000, 1.0, 0.0, seed=trial)
+            est = monte_carlo_fidelity(table, target, streams(10_000 + trial, 50))
             sigmas.append(est.sigma)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maqmsim import cli
+from maqmsim import cli, memory, schedule
 from maqmsim.cli import (
     MAX_HERALDS,
     ConfigError,
@@ -30,6 +31,7 @@ from maqmsim.schedule import schedule_from_jsonl, schedule_to_jsonl
 from test_tomo import SetulbSpy, force_decrease
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GRID1 = {"x_origin": 97.0, "x_step": 1.5, "y_origin": 95.5, "y_step": 1.5}
@@ -374,6 +376,48 @@ def test_main_run_matches_d16_golden_report_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "qudit16_report.json").read_bytes()
 
 
+def test_main_sweep_matches_golden_sweep_bytes(tmp_path):
+    # three drift points on qudit_default: sweep seeds, stream tree, W
+    # bootstrap and the CSV cells, byte for byte
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIG_DIR / "qudit_default.json"),
+                 "--param", "protocol.drift", "--values", "0,0.3,0.6", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "qudit_sweep.csv").read_bytes()
+
+
+def sweep_column_keys(w):
+    """Each sweep column and the run CSV key of the same report value; ``w``
+    is the stage columns' prefix, "" for qubit runs and "w_" for qudit runs."""
+    keys = {"seed": "seed", "dimension": "dimension", "schedule_valid": "schedule.valid",
+            "herald_probability": "herald_probability",
+            "transmission_fidelity": "transmission_fidelity"}
+    for stage in ("maqm1", "maqm2"):
+        keys[f"{stage}_{w}fidelity"] = f"{stage}_stage.{w}fidelity"
+        keys[f"{stage}_{w}sigma"] = f"{stage}_stage.sigma"
+    return keys
+
+
+@pytest.mark.parametrize("config_name", ["qubit_ideal.json", "qudit_default.json"])
+def test_run_csv_and_sweep_csv_write_a_shared_value_alike(capsys, config_name):
+    # the one-point sweep at the config's own herald number is the run at
+    # the point's seed, so every value the two outputs share is the same
+    # number; whole floats (qubit_ideal's 1.0) must read alike too
+    path = str(CONFIG_DIR / config_name)
+    heralds = json.loads(Path(path).read_text())["detection"]["heralds_per_setting"]
+    assert main(["sweep", "--config", path, "--param", "detection.heralds_per_setting",
+                 "--values", str(heralds)]) == 0
+    header, cells = capsys.readouterr().out.splitlines()
+    sweep = dict(zip(header.split(","), cells.split(",")))
+    assert main(["run", "--config", path, "--format", "csv", "--seed", sweep["seed"]]) == 0
+    run = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    keys = sweep_column_keys("" if run["dimension"] == "2" else "w_")
+    shared = {column: key for column, key in keys.items() if key in run}
+    assert {"seed", "herald_probability", "maqm2_stage.sigma"} <= {*shared, *shared.values()}
+    assert {column: sweep[column] for column in shared} == \
+        {column: run[key] for column, key in shared.items()}
+
+
 def test_main_run_seed_override(tmp_path):
     path = write_config(tmp_path, small_doc(seed=3))
     out = tmp_path / "report.json"
@@ -455,6 +499,39 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"config error: {where}")
+
+
+# each config bound, the value its constant holds, and the README phrase
+# that states it (README whitespace folded to single spaces)
+README_BOUNDS = {
+    "MAX_TIME_US": (cli.MAX_TIME_US, r"`protocol\.t1`, `tau` and `t2` are at most (\S+) µs"),
+    "MIN_TAU_US": (cli.MIN_TAU_US, r"`protocol\.tau` is at least (\S+) µs"),
+    "TIME_GRID_US-ns": (schedule.TIME_GRID_US * 1e3, r"two steps of the (\S+) ns timing grid"),
+    "TIME_GRID_US": (schedule.TIME_GRID_US, r"`t_larmor` is at least (\S+) µs, the timing grid"),
+    "MAX_HERALDS": (cli.MAX_HERALDS, r"`detection\.heralds_per_setting` is at most (.+?),"),
+    "MAX_RESAMPLES": (cli.MAX_RESAMPLES, r"`estimation\.n_resamples` is at most (.+?), and"),
+    "MAX_BOOTSTRAP_FLOATS": (cli.MAX_BOOTSTRAP_FLOATS,
+                             r"`n_resamples × dimension²` is at most (\S+) "),
+    "MAX_CELLS": (memory.MAX_CELLS, r"A memory grid has at most (\S+) cells"),
+    "MAX_DIMENSION": (cli.MAX_DIMENSION, r"`protocol\.dimension` is at most (\S+) and"),
+}
+
+
+def readme_number(text):
+    """A number as the README writes it: 1e6, 0.002, 100 000, 10**8 or 2**63 − 1."""
+    power = re.fullmatch(r"(\d+)\*\*(\d+)(?: − (\d+))?", text)
+    if power:
+        base, exponent, less = power.groups()
+        return int(base) ** int(exponent) - int(less or 0)
+    return float(text.replace(" ", ""))
+
+
+@pytest.mark.parametrize("name", README_BOUNDS)
+def test_readme_states_each_config_bound_at_its_value(name):
+    value, phrase = README_BOUNDS[name]
+    found = re.search(phrase, " ".join(README.read_text().split()))
+    assert found, f"README states no value for {name}"
+    assert readme_number(found.group(1)) == value
 
 
 @pytest.mark.parametrize("config_name", ["qubit_default.json", "qudit_default.json"])

@@ -8,10 +8,10 @@ from maqmsim.detect import (
     CountRow,
     CountsTable,
     Settings,
-    _substream_states,
-    _substreams,
+    _generators,
     coincidence_probabilities,
     sample_counts,
+    stream_states,
     tomography_settings,
     w_labels,
     w_settings,
@@ -37,6 +37,17 @@ def make_config(dimension=2, eta_read=1.0, eta_eit=1.0):
         tau=7.8 if dimension == 2 else 3.9,
         t2=7.8,
     )
+
+
+def streams(seed, count):
+    """The streams (seed, i), i < count, as ``stream_states`` rows."""
+    return stream_states(seed, np.arange(count))
+
+
+def draw_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
+    """``sample_counts`` on the outcome's probabilities, row i from stream (seed, i)."""
+    return sample_counts(settings, coincidence_probabilities(outcome, settings, eta_det),
+                         heralds, dark_rate, streams(seed, len(settings.labels)))
 
 
 def bell_outcome(**kw):
@@ -210,7 +221,7 @@ def reference_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
         p = reference_probability(outcome, s, a, eta_det) + dark_rate
         c = int(np.random.default_rng([seed, i]).binomial(heralds, p))
         out.append(CountRow(label, heralds, c))
-    return CountsTable(tuple(out))
+    return CountsTable.from_rows(out)
 
 
 class TestArrayExpressionMatchesPerSettingLoop:
@@ -230,7 +241,7 @@ class TestArrayExpressionMatchesPerSettingLoop:
             want = [reference_probability(out, s, a, eta_det)
                     for s, a in zip(settings.signal, settings.atom)]
             assert got.tolist() == want
-            table = sample_counts(out, settings, 5000, eta_det, dark_rate, seed=29)
+            table = draw_counts(out, settings, 5000, eta_det, dark_rate, seed=29)
             assert table == reference_counts(out, settings, 5000, eta_det, dark_rate, 29)
 
 
@@ -258,50 +269,50 @@ class TestSampleCounts:
     def test_certain_event_saturates(self):
         out = bell_outcome()
         uu = rows(tomography_settings(2), "UU")
-        table = sample_counts(out, uu, 500, eta_det=1.0, dark_rate=0.5, seed=1)
+        table = draw_counts(out, uu, 500, eta_det=1.0, dark_rate=0.5, seed=1)
         assert table.rows[0].coincidences == 500
 
     def test_impossible_probability_rejected(self):
         out = bell_outcome()
         uu = rows(tomography_settings(2), "UU")
         with pytest.raises(ValueError):
-            sample_counts(out, uu, 100, eta_det=1.0, dark_rate=0.6, seed=1)
+            draw_counts(out, uu, 100, eta_det=1.0, dark_rate=0.6, seed=1)
 
     def test_binomial_moments(self):
         out = bell_outcome()
         uu = rows(tomography_settings(2), "UU")
-        table = sample_counts(out, uu, 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
+        table = draw_counts(out, uu, 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
         c = table.rows[0].coincidences
         assert abs(c - 5000) < 5 * 50  # 5 sigma, sigma = sqrt(n p (1-p)) = 50
 
     def test_zero_probability_gives_zero_counts(self):
         out = bell_outcome()
         ud = rows(tomography_settings(2), "UD")
-        table = sample_counts(out, ud, 1000, eta_det=1.0, dark_rate=0.0, seed=3)
+        table = draw_counts(out, ud, 1000, eta_det=1.0, dark_rate=0.0, seed=3)
         assert table.rows[0].coincidences == 0
 
     def test_seed_reproducibility(self):
         out = bell_outcome()
         settings = tomography_settings(2)
-        a = sample_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
-        b = sample_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
+        a = draw_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
+        b = draw_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
         assert a == b
 
     def test_rows_independent_of_order(self):
         # substreams are keyed by setting index, not by a shared stream
         out = bell_outcome()
         settings = tomography_settings(2)
-        full = sample_counts(out, settings, 1000, 0.5, 0.0, seed=11)
-        prefix = sample_counts(out, rows(settings, *settings.labels[:4]), 1000, 0.5, 0.0,
-                               seed=11)
-        assert full.rows[:4] == prefix.rows
+        full = draw_counts(out, settings, 1000, 0.5, 0.0, seed=11)
+        prefix = draw_counts(out, rows(settings, *settings.labels[:4]), 1000, 0.5, 0.0,
+                             seed=11)
+        assert full.rows[:4] == tuple(prefix.rows)
 
     def test_frequencies_converge_to_probability(self):
         out = bell_outcome()
         ss = rows(tomography_settings(2), "SS")
         p = probability(out, ss, 1.0)
         for shots in (1_000, 100_000):
-            table = sample_counts(out, ss, shots, 1.0, 0.0, seed=13)
+            table = draw_counts(out, ss, shots, 1.0, 0.0, seed=13)
             freq = table.rows[0].coincidences / shots
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) < 5 * sigma
@@ -320,16 +331,26 @@ class TestSubstreams:
     def test_edge_seeds_give_numpys_streams(self, seed):
         want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
                 for r in range(500)]
-        assert _substream_states(seed, 500).tolist() == want
-        for r, rng in zip(range(20), _substreams(seed, 500)):
+        assert streams(seed, 500).tolist() == want
+        for r, rng in zip(range(20), _generators(streams(seed, 500), 500)):
             want = np.random.default_rng([seed, r])
             assert rng.binomial(1000, 0.25, size=3).tolist() == \
                 want.binomial(1000, 0.25, size=3).tolist()
 
-    @pytest.mark.parametrize("seed, count", [(-1, 4), (0, 2**32 + 1), (0, -1)])
-    def test_out_of_range_rejected_when_called(self, seed, count):
+    @pytest.mark.parametrize("parts", [(-1, np.arange(4)), (0, np.array([3, -1])),
+                                       (0, np.array([1.0])), (0, np.zeros((2, 2), int)),
+                                       (np.arange(2), np.arange(3)), ()],
+                             ids=["negative-int", "negative-entry", "float", "2-d",
+                                  "lengths-differ", "empty"])
+    def test_bad_parts_rejected(self, parts):
         with pytest.raises(ValueError):
-            _substreams(seed, count)
+            stream_states(*parts)
+
+    def test_states_must_match_the_rows(self):
+        with pytest.raises(ValueError, match=r"\(3, 4\) uint64"):
+            _generators(streams(0, 2), 3)
+        with pytest.raises(ValueError, match=r"\(2, 4\) uint64"):
+            _generators(streams(0, 2).astype(np.int64), 2)
 
 
 def _kets(letter):

@@ -159,19 +159,49 @@ SUBSTREAM_RATES = np.array([0.0, 0.7, 3.0, 45.0, 2500.0])
 @PROPERTY
 @given(seed=st.integers(0, 2**256 - 1), count=st.integers(0, 300))
 def test_substreams_are_numpys_seeded_streams(seed, count):
-    states = detect._substream_states(seed, count)
+    states = detect.stream_states(seed, np.arange(count))
     assert states.dtype == np.uint64 and states.shape == (count, 4)
     assert states.tolist() == [
         np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
         for r in range(count)]
     taken = 0
-    for r, rng in enumerate(detect._substreams(seed, count)):
+    for r, rng in enumerate(detect._generators(states, count)):
         want = np.random.default_rng([seed, r])
         assert rng.binomial(5000, 0.3) == want.binomial(5000, 0.3)
         assert rng.binomial(40, 0.9) == want.binomial(40, 0.9)
         assert rng.poisson(SUBSTREAM_RATES).tolist() == want.poisson(SUBSTREAM_RATES).tolist()
         taken += 1
     assert taken == count
+
+
+# a derived seed is a uint64: one entropy word below 2**32, two above
+derived_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@PROPERTY
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
+       shared=st.booleans(), n_suffixes=st.integers(1, 2), data=st.data())
+def test_one_pass_hash_is_numpys_seed_sequence(seed, shared, n_suffixes, data):
+    # rows (seed, derived_j, suffix words...) in one pass: the seed's 1 to 5
+    # words run the extra-entropy rounds past the pool of 4, and the derived
+    # seeds' 1 or 2 words mix word counts between the rows of the pass
+    derived = data.draw(st.lists(derived_seeds, max_size=30))
+    derived.append(data.draw(st.integers(0, 2**32 - 1)))
+    n = len(derived)
+    suffixes = [data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
+                for _ in range(n_suffixes)]
+    parts = ([seed] if shared else []) + [np.array(derived, dtype=np.uint64)] + \
+        [np.array(s) for s in suffixes]
+    words = [([seed] if shared else []) + [derived[j]] + [s[j] for s in suffixes]
+             for j in range(n)]
+    got = detect.stream_states(*parts)
+    assert got.dtype == np.uint64 and got.shape == (n, 4)
+    assert got.tolist() == [np.random.SeedSequence(w).generate_state(4, np.uint64).tolist()
+                            for w in words]
+    # derive_seed is the first state word of the same hash
+    j = data.draw(st.integers(0, n - 1))
+    assert cli.derive_seed(*words[j]) == \
+        int(np.random.SeedSequence(words[j]).generate_state(1, np.uint64)[0])
 
 
 def tomography_rows(k):
@@ -184,8 +214,8 @@ def tomography_rows(k):
 @given(k=st.integers(1, 4), heralds=st.integers(1, 10**6), data=st.data())
 def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data):
     # the rows are count vectors as a bootstrap draws them, free of the herald cap
-    table = CountsTable(tuple(CountRow(label, heralds, 0)
-                              for label in tomography_settings(2).labels))
+    table = CountsTable.from_rows(CountRow(label, heralds, 0)
+                                  for label in tomography_settings(2).labels)
     projectors, _, exposures = tomo._aligned_projectors(table)
     observed = np.array(data.draw(tomography_rows(k)), dtype=float)
     init = np.eye(4) / 4
@@ -209,8 +239,8 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data)
 def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
     rng = np.random.default_rng(seed)
     heralds = data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16))
-    table = CountsTable(tuple(CountRow(label, h, 0)
-                              for label, h in zip(tomography_settings(2).labels, heralds)))
+    table = CountsTable.from_rows(CountRow(label, h, 0)
+                                  for label, h in zip(tomography_settings(2).labels, heralds))
     projectors, _, exposures = tomo._aligned_projectors(table)
     if data.draw(st.booleans()):
         # random rank-1 projectors: unlike the tomography settings' sparse,

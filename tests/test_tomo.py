@@ -17,7 +17,6 @@ from maqmsim.detect import (
     CountRow,
     CountsTable,
     coincidence_probabilities,
-    sample_counts,
     tomography_settings,
     w_labels,
     w_settings,
@@ -34,6 +33,7 @@ from maqmsim.tomo import (
     monte_carlo_w_fidelity,
     w_fidelity,
 )
+from test_detect import draw_counts, streams
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "maqmsim" / "configs"
@@ -71,7 +71,7 @@ def exact_counts(probabilities, labels, heralds=4_000_000):
         c = p * heralds
         assert abs(c - round(c)) < 1e-6, "test wants exactly representable counts"
         rows.append(CountRow(label, heralds, int(round(c))))
-    return CountsTable(tuple(rows))
+    return CountsTable.from_rows(rows)
 
 
 def bell_table(heralds=4_000_000):
@@ -101,15 +101,15 @@ class TestMleReconstruct:
         truth = 0.8 * pure + 0.2 * np.eye(4) / 4
         settings = tomography_settings(2)
         probs = [setting_probability(truth, s, a) for s, a in zip(settings.signal, settings.atom)]
-        counts = CountsTable(tuple(
+        counts = CountsTable.from_rows(
             CountRow(label, 10_000_000, int(round(p * 10_000_000)))
-            for label, p in zip(settings.labels, probs)))
+            for label, p in zip(settings.labels, probs))
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, truth, rtol=0, atol=2e-3)
 
     def test_trace_monotone(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 1000, 0.5, 1e-4, seed=5)
+        table = draw_counts(out, tomography_settings(2), 1000, 0.5, 1e-4, seed=5)
         res = mle_reconstruct(table)
         trace = np.array(res.likelihood_trace)
         assert len(trace) >= 2
@@ -117,7 +117,7 @@ class TestMleReconstruct:
 
     def test_all_zero_counts_returns_init(self):
         settings = tomography_settings(2)
-        counts = CountsTable(tuple(CountRow(label, 1000, 0) for label in settings.labels))
+        counts = CountsTable.from_rows(CountRow(label, 1000, 0) for label in settings.labels)
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
 
@@ -130,14 +130,14 @@ class TestMleReconstruct:
                                                          name, value):
         spy = SetulbSpy(monkeypatch)
         args = (bell_table(),) if estimator == "mle_reconstruct" else (
-            bell_table(), bell_target(), 4, 0)
+            bell_table(), bell_target(), streams(0, 4))
         with pytest.raises(ValueError, match=f"^{name} must"):
             getattr(tomo, estimator)(*args, **{name: value})
         assert spy.fits == 0
 
     def test_exhaustion_flags_non_convergence(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 1000, 0.5, 0.0, seed=6)
+        table = draw_counts(out, tomography_settings(2), 1000, 0.5, 0.0, seed=6)
         res = mle_reconstruct(table, max_iter=1)
         assert not res.converged
 
@@ -149,12 +149,12 @@ class TestMleReconstruct:
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="no measurement setting named 'XX'"):
-            mle_reconstruct(CountsTable((CountRow("XX", 10, 1),)))
+            mle_reconstruct(CountsTable.from_rows((CountRow("XX", 10, 1),)))
 
     def test_result_always_physical(self):
         out = run_protocol(make_config(eta_read=[0.3] * 30))
         for seed in range(5):
-            table = sample_counts(out, tomography_settings(2), 200, 0.4, 1e-3, seed=seed)
+            table = draw_counts(out, tomography_settings(2), 200, 0.4, 1e-3, seed=seed)
             res = mle_reconstruct(table)
             eigs = np.linalg.eigvalsh(res.rho.entries)
             assert eigs.min() >= -1e-10
@@ -164,39 +164,39 @@ class TestMleReconstruct:
 class TestMonteCarloFidelity:
     def test_high_count_sigma_small(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 20_000, 1.0, 0.0, seed=8)
-        est = monte_carlo_fidelity(table, bell_target(), n_resamples=20, seed=17)
+        table = draw_counts(out, tomography_settings(2), 20_000, 1.0, 0.0, seed=8)
+        est = monte_carlo_fidelity(table, bell_target(), streams(17, 20))
         assert est.value >= 0.99
         assert 0.0 < est.sigma < 0.01
         assert est.n_failed == 0
 
     def test_deterministic_in_seed(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        a = monte_carlo_fidelity(table, bell_target(), n_resamples=5, seed=23)
-        b = monte_carlo_fidelity(table, bell_target(), n_resamples=5, seed=23)
+        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        a = monte_carlo_fidelity(table, bell_target(), streams(23, 5))
+        b = monte_carlo_fidelity(table, bell_target(), streams(23, 5))
         assert a == b
 
     def test_stack_blocks_give_the_same_estimate(self, monkeypatch):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        whole = monte_carlo_fidelity(table, bell_target(), n_resamples=10, seed=23)
+        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        whole = monte_carlo_fidelity(table, bell_target(), streams(23, 10))
         monkeypatch.setattr(tomo, "MAX_STACK_ROWS", 4)
-        blocks = monte_carlo_fidelity(table, bell_target(), n_resamples=10, seed=23)
+        blocks = monte_carlo_fidelity(table, bell_target(), streams(23, 10))
         assert (blocks.value, blocks.sigma, blocks.n_resamples) == \
             (whole.value, whole.sigma, whole.n_resamples) == (whole.value, whole.sigma, 10)
 
     def test_too_few_resamples_rejected(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
         with pytest.raises(ValueError):
-            monte_carlo_fidelity(table, bell_target(), n_resamples=1, seed=23)
+            monte_carlo_fidelity(table, bell_target(), streams(23, 1))
 
     def test_target_must_be_a_unit_vector_of_the_reconstruction_dimension(self):
         table = bell_table()
         for bad in (np.full(2, np.sqrt(0.5)), np.full(4, 1.0)):
             with pytest.raises(ValueError):
-                monte_carlo_fidelity(table, bad, n_resamples=2, seed=23)
+                monte_carlo_fidelity(table, bad, streams(23, 2))
 
     @pytest.mark.parametrize("stage", [
         pytest.param(1, marks=pytest.mark.xfail(
@@ -213,14 +213,14 @@ class TestMonteCarloFidelity:
         out, settings = run_protocol(cfg.protocol, transfer=stage == 2), tomography_settings(2)
         target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
         probs = coincidence_probabilities(out, settings, cfg.eta_det) + cfg.dark_rate
-        expected = CountsTable(tuple(CountRow(label, 10**9, 10**9 * float(p))
-                                     for label, p in zip(settings.labels, probs)))
+        expected = CountsTable.from_rows(CountRow(label, 10**9, 10**9 * float(p))
+                                         for label, p in zip(settings.labels, probs))
         truth = fidelity(mle_reconstruct(expected, tol=1e-16, max_iter=cfg.max_iter).rho, target)
         errors, covered = [], 0
         for trial in range(100):
-            table = sample_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
-                                  cfg.dark_rate, seed=trial)
-            est = monte_carlo_fidelity(table, target, cfg.n_resamples, seed=10_000 + trial,
+            table = draw_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
+                                cfg.dark_rate, seed=trial)
+            est = monte_carlo_fidelity(table, target, streams(10_000 + trial, cfg.n_resamples),
                                        tol=cfg.tol, max_iter=cfg.max_iter)
             errors.append(est.value - truth)
             if abs(est.value - truth) <= est.sigma:
@@ -244,8 +244,8 @@ def w_counts(rho):
 
 
 def w_table(counts, d, heralds=1000):
-    return CountsTable(tuple(CountRow(label, heralds, int(c))
-                             for label, c in zip(w_labels(d), counts)))
+    return CountsTable.from_rows(CountRow(label, heralds, int(c))
+                                 for label, c in zip(w_labels(d), counts))
 
 
 class TestWFidelity:
@@ -328,8 +328,8 @@ class TestWPipeline:
         # lossless run: estimate from sampled counts should sit on the exact
         # projected fidelity within Monte Carlo error
         out = self.qudit_outcome()
-        table = sample_counts(out, w_settings(4), 100_000, 0.8, 0.0, seed=31)
-        est = monte_carlo_w_fidelity(table, 4, n_resamples=30, seed=32)
+        table = draw_counts(out, w_settings(4), 100_000, 0.8, 0.0, seed=31)
+        est = monte_carlo_w_fidelity(table, 4, streams(32, 30))
         exact = project_w(out)
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
 
@@ -339,16 +339,16 @@ class TestWPipeline:
                                [1.0, 0.6, 0.35, 0.15]):
             values[y * 5 + x] = eta
         out = self.qudit_outcome(eta_eit=values)
-        table = sample_counts(out, w_settings(4), 200_000, 0.8, 0.0, seed=41)
-        est = monte_carlo_w_fidelity(table, 4, n_resamples=30, seed=42)
+        table = draw_counts(out, w_settings(4), 200_000, 0.8, 0.0, seed=41)
+        est = monte_carlo_w_fidelity(table, 4, streams(42, 30))
         exact = project_w(out)
         assert exact < 0.95
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
 
     def test_dark_counts_pull_toward_mixed(self):
         out = self.qudit_outcome()
-        clean = sample_counts(out, w_settings(4), 200_000, 0.5, 0.0, seed=51)
-        dark = sample_counts(out, w_settings(4), 200_000, 0.5, 5e-3, seed=51)
+        clean = draw_counts(out, w_settings(4), 200_000, 0.5, 0.0, seed=51)
+        dark = draw_counts(out, w_settings(4), 200_000, 0.5, 5e-3, seed=51)
         f_clean = w_fidelity([r.coincidences for r in clean.rows], 4).value
         f_dark = w_fidelity([r.coincidences for r in dark.rows], 4).value
         assert f_dark < f_clean
@@ -358,26 +358,26 @@ class TestWPipeline:
         rows = (CountRow("P0", 100, 1), CountRow("P1", 200, 1),
                 CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
         with pytest.raises(ValueError, match="herald"):
-            monte_carlo_w_fidelity(CountsTable(rows), 2, n_resamples=2, seed=0)
+            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 2, streams(0, 2))
 
     def test_missing_population_rows_rejected(self):
         rows = (CountRow("P0", 100, 1), CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
         with pytest.raises(ValueError, match="missing \\['P1'\\]"):
-            monte_carlo_w_fidelity(CountsTable(rows), 2, n_resamples=2, seed=0)
+            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 2, streams(0, 2))
 
     @pytest.mark.parametrize("drop", ["C01-", "C23+"])
     def test_missing_pair_row_rejected(self, drop):
         rows = tuple(r for r in w_table([10] * 16, 4).rows if r.label != drop)
         with pytest.raises(ValueError, match=f"missing \\['{re.escape(drop)}'\\]"):
-            monte_carlo_w_fidelity(CountsTable(rows), 4, n_resamples=2, seed=0)
+            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 4, streams(0, 2))
 
     def test_extra_or_reordered_rows_rejected(self):
-        rows = w_table([10] * 4, 2).rows
+        rows = tuple(w_table([10] * 4, 2).rows)
         with pytest.raises(ValueError, match="unexpected \\['C02\\+'\\]"):
-            monte_carlo_w_fidelity(CountsTable(rows + (CountRow("C02+", 1000, 1),)), 2,
-                                   n_resamples=2, seed=0)
+            monte_carlo_w_fidelity(CountsTable.from_rows(rows + (CountRow("C02+", 1000, 1),)), 2,
+                                   streams(0, 2))
         with pytest.raises(ValueError, match="in order"):
-            monte_carlo_w_fidelity(CountsTable(rows[::-1]), 2, n_resamples=2, seed=0)
+            monte_carlo_w_fidelity(CountsTable.from_rows(rows[::-1]), 2, streams(0, 2))
 
     @pytest.mark.parametrize("seed, n_ok", [(8, 1), (3, 0)])
     def test_too_few_resamples_keep_the_point(self, seed, n_ok):
@@ -385,7 +385,7 @@ class TestWPipeline:
         counts = [1] + [0] * 15
         with pytest.raises(tomo.EstimateUndefinedError,
                            match=f"only {n_ok} of 3 resamples succeeded") as exc:
-            monte_carlo_w_fidelity(w_table(counts, 4), 4, n_resamples=3, seed=seed)
+            monte_carlo_w_fidelity(w_table(counts, 4), 4, streams(seed, 3))
         point = exc.value.point
         assert point.value == w_fidelity(counts, 4).value
         assert (point.n_resamples, point.n_failed) == (n_ok, 3 - n_ok)
@@ -393,14 +393,14 @@ class TestWPipeline:
 
     def test_zero_populations_have_no_point(self):
         with pytest.raises(tomo.EstimateUndefinedError, match="all zero") as exc:
-            monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, n_resamples=3, seed=0)
+            monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, streams(0, 3))
         assert exc.value.point is None
 
     def d16_table(self):
         cfg = load_experiment_config(str(GOLDEN_DIR / "qudit16_config.json"))
         out = run_protocol(cfg.protocol, transfer=True)
-        return sample_counts(out, w_settings(16), cfg.heralds_per_setting, cfg.eta_det,
-                             cfg.dark_rate, seed=5)
+        return draw_counts(out, w_settings(16), cfg.heralds_per_setting, cfg.eta_det,
+                           cfg.dark_rate, seed=5)
 
     @pytest.mark.parametrize("config", [CONFIG_DIR / "qudit_default.json",
                                         GOLDEN_DIR / "qudit16_config.json"], ids=["d4", "d16"])
@@ -415,9 +415,9 @@ class TestWPipeline:
         truth = w_fidelity(expected, d).value
         errors, covered = [], 0
         for trial in range(100):
-            table = sample_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
-                                  cfg.dark_rate, seed=trial)
-            est = monte_carlo_w_fidelity(table, d, cfg.n_resamples, seed=10_000 + trial)
+            table = draw_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
+                                cfg.dark_rate, seed=trial)
+            est = monte_carlo_w_fidelity(table, d, streams(10_000 + trial, cfg.n_resamples))
             errors.append(est.value - truth)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1
@@ -429,7 +429,7 @@ class TestWPipeline:
     def test_matches_scalar_reference_bitwise(self, case):
         if case == "d4":
             d, n_res = 4, 50
-            table = sample_counts(self.qudit_outcome(), w_settings(4), 20_000, 0.5, 1e-4, seed=3)
+            table = draw_counts(self.qudit_outcome(), w_settings(4), 20_000, 0.5, 1e-4, seed=3)
         elif case == "d16":
             d, n_res = 16, 20
             table = self.d16_table()
@@ -438,14 +438,15 @@ class TestWPipeline:
             d, n_res = 4, 60
             table = w_table([1, 0, 0, 0] + [1, 0, 0, 2, 3, 0, 1, 1, 0, 0, 2, 0], 4)
         value, values, n_failed, notes = reference_w_bootstrap(table, d, n_res, seed=9)
-        est = monte_carlo_w_fidelity(table, d, n_resamples=n_res, seed=9)
+        est = monte_carlo_w_fidelity(table, d, streams(9, n_res))
         assert est.value == value
         assert est.sigma == float(np.asarray(values).std(ddof=1))
         assert (est.n_resamples, est.n_failed) == (len(values), n_failed)
         assert est.warnings == notes
         # every resample of the stack, not just their spread
         observed = np.array([float(r.coincidences) for r in table.rows])
-        stacked, *_, total = tomo._w_estimate(tomo._poisson_resamples(observed, n_res, 9), d)
+        resamples = tomo._poisson_resamples(observed, streams(9, n_res))
+        stacked, *_, total = tomo._w_estimate(resamples, d)
         assert np.clip(stacked[total > 0], 0.0, 1.0).tobytes() == np.array(values).tobytes()
         if case == "near_zero_populations":
             assert n_failed > 0 and notes
@@ -457,8 +458,8 @@ class TestTransmissionFidelity:
         stage1 = run_protocol(cfg, transfer=False)
         stage2 = run_protocol(cfg, transfer=True)
         settings = tomography_settings(2)
-        rho1 = mle_reconstruct(sample_counts(stage1, settings, 500_000, 1.0, 0.0, seed=61)).rho
-        rho2 = mle_reconstruct(sample_counts(stage2, settings, 500_000, 1.0, 0.0, seed=62)).rho
+        rho1 = mle_reconstruct(draw_counts(stage1, settings, 500_000, 1.0, 0.0, seed=61)).rho
+        rho2 = mle_reconstruct(draw_counts(stage2, settings, 500_000, 1.0, 0.0, seed=62)).rho
         f12 = state_fidelity(rho1, rho2)
         f21 = state_fidelity(rho2, rho1)
         assert_allclose(f12, f21, rtol=0, atol=1e-8)
@@ -514,17 +515,17 @@ def reference_objective(projectors, observed, exposures):
 
 
 def sampled_problem(seed=5, heralds=1000):
-    table = sample_counts(run_protocol(make_config()), tomography_settings(2),
-                          heralds, 0.5, 1e-4, seed=seed)
+    table = draw_counts(run_protocol(make_config()), tomography_settings(2),
+                        heralds, 0.5, 1e-4, seed=seed)
     return tomo._aligned_projectors(table)
 
 
 def reference_stage2_table():
     # the transfer stage of the shipped qubit config at seed 821328062
     cfg = load_experiment_config(str(CONFIG_DIR / "qubit_default.json"), 821328062)
-    table = sample_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(2),
-                          cfg.heralds_per_setting, cfg.eta_det, cfg.dark_rate,
-                          seed=derive_seed(cfg.seed, 2, 0))
+    table = draw_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(2),
+                        cfg.heralds_per_setting, cfg.eta_det, cfg.dark_rate,
+                        seed=derive_seed(cfg.seed, 2, 0))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
     return cfg, table, target
 
@@ -532,7 +533,8 @@ def reference_stage2_table():
 def stacked_problem(n_rows=6, seed=5):
     # one sampled table plus Poisson resamples of it, as a bootstrap stacks them
     projectors, observed, exposures = sampled_problem(seed)
-    stack = np.vstack([observed[None], tomo._poisson_resamples(observed, n_rows - 1, seed)])
+    resamples = tomo._poisson_resamples(observed, streams(seed, n_rows - 1))
+    stack = np.vstack([observed[None], resamples])
     return projectors, stack, exposures
 
 
@@ -666,8 +668,8 @@ class TestMleObjective:
 
     def test_bootstrap_base_fit_is_the_plain_fit(self):
         out = run_protocol(make_config())
-        table = sample_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        est = monte_carlo_fidelity(table, bell_target(), n_resamples=3, seed=23)
+        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
+        est = monte_carlo_fidelity(table, bell_target(), streams(23, 3))
         assert est.rho.entries.tobytes() == mle_reconstruct(table).rho.entries.tobytes()
         assert est.value == fidelity(est.rho, bell_target())
 
@@ -680,7 +682,7 @@ class TestAgainstScipyMinimize:
         # a scipy whose setulb or _minimize_lbfgsb loop differs fails here
         projectors, observed, exposures = sampled_problem(seed, heralds)
         base = scipy_reference_fit(projectors, observed, exposures, np.eye(4) / 4, 1e-9, 1000)
-        stack = tomo._poisson_resamples(observed, 20, seed)
+        stack = tomo._poisson_resamples(observed, streams(seed, 20))
         fits = [(tomo._fit_stack(projectors, observed[None], exposures, np.eye(4) / 4,
                                  1e-9, 1000), 0, base)]
         fit = tomo._fit_stack(projectors, stack, exposures, base[0], 1e-9, 1000)
@@ -760,8 +762,8 @@ def force_decrease(m, x, *args):
         task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
 
 _lbfgsb.setulb = force_decrease
-table = CountsTable(tuple(CountRow(label, 1000, 250 if label[0] == label[1] else 0)
-                          for label in tomography_settings(2).labels))
+table = CountsTable.from_rows(CountRow(label, 1000, 250 if label[0] == label[1] else 0)
+                              for label in tomography_settings(2).labels)
 try:
     tomo.mle_reconstruct(table)
 except tomo.LikelihoodDecreasedError:
@@ -804,18 +806,18 @@ class TestLikelihoodGuard:
         # and 5 are forced to fail
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
-        est = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+        est = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
         assert (est.n_resamples, est.n_failed) == (3, 3)
 
     @pytest.mark.parametrize("survivors", [0, 1])
     def test_bootstrap_without_spread_keeps_the_point(self, monkeypatch, survivors):
-        plain = monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+        plain = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: (spy.fits == 2 and row >= survivors
                                       and force_decrease(row, *args))
         with pytest.raises(EstimateUndefinedError,
                            match=f"^only {survivors} of 6 resamples succeeded$") as caught:
-            monte_carlo_fidelity(bell_table(), bell_target(), n_resamples=6, seed=3)
+            monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
         point = caught.value.point
         assert (point.value, point.sigma, point.n_resamples, point.n_failed) == (
             plain.value, 0.0, survivors, 6 - survivors)
@@ -827,7 +829,7 @@ import sys
 from maqmsim import tomo
 from maqmsim.detect import CountRow, CountsTable, tomography_settings
 
-table = CountsTable(tuple(CountRow(label, 1000, 10) for label in tomography_settings(2).labels))
+table = CountsTable.from_rows(CountRow(label, 1000, 10) for label in tomography_settings(2).labels)
 for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
     try:
         tomo.mle_reconstruct(table, **kwargs)
@@ -851,7 +853,7 @@ from maqmsim import tomo
 from maqmsim.detect import CountRow, CountsTable
 
 order, rows = sys.argv[1], json.loads(sys.argv[2])
-table = CountsTable(tuple(CountRow(*row) for row in rows))
+table = CountsTable.from_rows(CountRow(*row) for row in rows)
 
 def fit():
     res = tomo.mle_reconstruct(table)
