@@ -1,8 +1,10 @@
 """Batch front-end: config loading, full pipeline runs, sweeps, compilation.
 
 Reports are deterministic: all randomness flows from the config seed through
-named substreams (the stream tree is set out in ``detect``), floats are
-serialized at 6 significant digits, and the report embeds the config hash
+named substreams (the stream tree is set out in ``detect``): ``derive_seed``
+gives each stage and sweep point its seed through numpy's ``SeedSequence``,
+and ``detect.stream_states`` hashes the rows' streams in one pass.  Floats
+are serialized at 6 significant digits, and the report embeds the config hash
 so every number is traceable to its inputs.  ``main`` keeps no state
 between calls.
 """
@@ -11,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -57,7 +61,10 @@ class ConfigError(ValueError):
 
 MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
 MIN_TAU_US = 2 * TIME_GRID_US   # snapped bins two grid steps apart stay distinct
-MAX_HERALDS = 2**63 - 1   # numpy's binomial takes the herald number as a C long
+# numpy's binomial takes the herald number as a C long, and a bootstrap
+# resample's Poisson mean, an observed count up to the herald number, must
+# stay below ~9.2234e18
+MAX_HERALDS = 2**62
 MAX_DIMENSION = 100       # a qudit run builds d^2 settings of d-vectors
 MAX_RESAMPLES = 10**5     # a qubit run refits the table once per resample
 MAX_BOOTSTRAP_FLOATS = 10**8   # the W bootstrap holds an (R, d^2) stack of floats
@@ -289,9 +296,9 @@ def load_experiment_config(path: str, seed_override: int | None = None) -> Exper
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministic integer substream seed from (seed, index, ...) parts: the
-    first word of ``stream_states(*parts)``."""
-    return int(stream_states(*parts)[0, 0])
+    """The uint64 seed of the stream (seed, index, ...): the first state word of
+    ``np.random.SeedSequence(parts)``."""
+    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
 def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
@@ -299,12 +306,11 @@ def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
 
     Stage s's table seed is ``derive_seed(seed, s, 0)`` and its bootstrap
     seed ``derive_seed(seed, s, 1)``; row i of either draws from stream
-    (that seed, i).  The four seeds are hashed in one pass, and all the rows'
-    streams in a second.
+    (that seed, i), and all the rows' streams are hashed in one pass.
     """
-    seeds = stream_states(cfg.seed, [1, 1, 2, 2], [0, 1, 0, 1])[:, 0]
+    seeds = [derive_seed(cfg.seed, s, k) for s in (1, 2) for k in (0, 1)]
     counts = [n_settings, cfg.n_resamples] * 2
-    states = stream_states(np.repeat(seeds, counts),
+    states = stream_states(np.repeat(np.array(seeds, dtype=np.uint64), counts),
                            np.concatenate([np.arange(c) for c in counts]))
     return np.split(states, np.cumsum(counts)[:-1])
 
@@ -460,11 +466,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def report_to_csv(report: dict) -> str:
-    lines = ["key,value"]
-    for key, value in _flatten(report):
-        lines.append(f"{key},{_csv_cell(value)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text([("key", "value"),
+                      *((key, _csv_cell(value)) for key, value in _flatten(report))])
 
 
 # sweepable paths: numeric entries overwrite the raw config value; the
@@ -527,14 +537,11 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
     base_seed = _seed(top, base_seed)
     unswept = (parse_experiment_config(doc, seed_override=base_seed)
                if param in _SWEEP_VIRTUAL else None)
-    values = list(values)
-    # point i runs with derive_seed(base_seed, i), every point hashed in one pass
-    seeds = stream_states(base_seed, np.arange(len(values)))[:, 0].tolist()
     rows = []
-    for value, seed in zip(values, seeds):
+    for i, value in enumerate(values):
         varied = (_apply_ratio(doc, value, unswept) if unswept is not None
                   else _apply_sweep_value(doc, param, value))
-        cfg = parse_experiment_config(varied, seed_override=seed)
+        cfg = parse_experiment_config(varied, seed_override=derive_seed(base_seed, i))
         report = run_experiment(cfg)
         row = {
             "param": param,
@@ -557,10 +564,8 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in _SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_text([_SWEEP_COLUMNS,
+                      *([_csv_cell(row.get(col)) for col in _SWEEP_COLUMNS] for row in rows)])
 
 
 def _emit(text: str, out_path: str | None) -> None:

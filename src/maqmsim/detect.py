@@ -11,24 +11,22 @@ detection efficiency show up as missing counts rather than renormalized
 statistics.  A ``CountsTable`` holds label, herald and coincidence columns.
 
 Every random draw comes from a stream: a PCG64 seeded from one row of
-``stream_states(*parts)``, bit for bit the generator
-``np.random.default_rng([*parts])`` gives.  A run's streams form a tree:
-the config seed gives stage s a table seed, the first state word of stream
-(seed, s, 0), and a bootstrap seed, that of (seed, s, 1); table row i draws
-from stream (table seed, i) and resample r from (bootstrap seed, r).  Each
-level of the tree is hashed in one array pass, and a sweep hashes its point
-seeds (seed, i) in one pass too.  Streams are keyed by index, so tables
-are reproducible and independent of evaluation order, and adding a
-consumer never shifts another's draws.  ``numpy.random`` loads on the first
-draw.  Nothing is cached between runs but the settings blocks and label
-tuples, which depend on the dimension alone; ``cli.main`` keeps no state
-between calls.
+``stream_states(seeds, indices)``, bit for bit the generator
+``np.random.default_rng([seed, index])`` gives.  A run's streams form a
+tree: the config seed gives stage s a table seed and a bootstrap seed,
+``cli.derive_seed(seed, s, 0)`` and ``(seed, s, 1)``, through numpy's
+``SeedSequence``; table row i draws from stream (table seed, i) and
+resample r from (bootstrap seed, r), every row of a run hashed in one
+array pass.  Streams are keyed by index, so tables are reproducible and
+independent of evaluation order, and adding a consumer never shifts
+another's draws.  ``numpy.random`` loads on the first draw.  Nothing is
+cached between runs but the settings blocks and label tuples, which
+depend on the dimension alone; ``cli.main`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -281,21 +279,22 @@ def sample_counts(settings: Settings, probabilities, heralds_per_setting: int,
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_WORDS = 4
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     """(calls + 1, 1) uint32: the running hash constant before each call and after the last."""
     out = [init]
     for _ in range(calls):
         out.append(out[-1] * mult & _MASK32)
-    consts = np.array(out, dtype=np.uint32)[:, None]
-    consts.setflags(write=False)
-    return consts
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# a pool of 4 words takes 4 hashmix calls to fill and 4 x 3 to mix;
+# generate_state(4, uint64) takes 8 more
+_POOL_CONSTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_WORDS**2)
+_STATE_CONSTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_WORDS)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -309,100 +308,53 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return values ^ (values >> 16)
 
 
-def _int_words(value: int) -> list[int]:
-    """SeedSequence's entropy words of a non-negative int: 32 bits each, low first."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+def _column(values, bits: int, name: str) -> np.ndarray:
+    """``values``, a scalar or 1-D array of integers in [0, 2**bits), as a 1-D uint64 array."""
+    array = np.asarray(values)
+    if array.ndim > 1 or array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers in [0, 2**{bits}), a scalar or a 1-D "
+                         f"array, got {array.dtype} of shape {array.shape}")
+    if array.size:
+        low, high = int(array.min()), int(array.max())
+        if low < 0 or high >> bits:
+            raise ValueError(f"{name} must be in [0, 2**{bits}), got {low if low < 0 else high}")
+    return np.atleast_1d(array.astype(np.uint64))
 
 
-def _entropy(parts) -> tuple[np.ndarray, np.ndarray]:
-    """The (L, n) uint32 entropy matrix of ``stream_states(*parts)`` and each column's length.
+def stream_states(seeds, indices) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed states of the streams (seeds[j], indices[j]),
+    all in one hash pass.
 
-    A column holds its parts' words in turn: every word of an int part, and
-    one word of an array entry below 2**32, else two.  Rows past a column's
-    length, and past the shortest pool of 4, are zero.
-    """
-    if not parts:
-        raise ValueError("need at least one stream part")
-    rows, sizes = [], set()
-    ragged = []   # (row of an array part's high words, the columns that have none)
-    for part in parts:
-        if np.ndim(part) == 0:
-            value = operator.index(part)
-            if value < 0:
-                raise ValueError(f"stream parts must be non-negative, got {value}")
-            rows += _int_words(value)
-            continue
-        array = np.asarray(part)
-        if array.ndim != 1 or array.dtype.kind not in "iu":
-            raise ValueError(f"an array stream part must be 1-D integers, got {array.dtype} "
-                             f"of shape {array.shape}")
-        if array.dtype.kind == "i" and array.size and array.min() < 0:
-            raise ValueError(f"stream parts must be non-negative, got {array.min()}")
-        array = array.astype(np.uint64, copy=False)
-        sizes.add(array.size)
-        rows.append(array & _MASK32)
-        wide = array > _MASK32
-        if wide.any():
-            if not wide.all():
-                ragged.append((len(rows), np.flatnonzero(~wide)))
-            rows.append(array >> 32)
-    if len(sizes) > 1:
-        raise ValueError(f"array stream parts must share one length, got {sorted(sizes)}")
-    n = sizes.pop() if sizes else 1
-    entropy = np.zeros((max(len(rows), _POOL_WORDS), n), dtype=np.uint32)
-    for r, row in enumerate(rows):
-        entropy[r] = row
-    lengths = np.full(n, len(rows))
-    # a column without a high word at some row moves its later words up one;
-    # the last such row first, so the earlier ones stay where they are
-    for row, narrow in reversed(ragged):
-        entropy[row:-1, narrow] = entropy[row + 1:, narrow]
-        entropy[-1, narrow] = 0
-        lengths[narrow] -= 1
-    return entropy, lengths
-
-
-def stream_states(*parts) -> np.ndarray:
-    """(n, 4) uint64 PCG64 seed states, all in one hash pass.
-
-    Row j is ``np.random.SeedSequence([*parts at j]).generate_state(4,
+    Row j is ``np.random.SeedSequence([seeds[j], indices[j]]).generate_state(4,
     np.uint64)``, so ``PCG64`` seeded from it is the generator
-    ``np.random.default_rng([*parts at j])`` gives, bit for bit.  Each part is
-    a non-negative int, shared by every row, or a 1-D array of integers
-    below 2**64, one per row; the arrays share one length n (1 when there
-    are none).  The first state word is a seed of its own: row j's
-    ``[0]`` is ``SeedSequence(...).generate_state(1, np.uint64)[0]``.
+    ``np.random.default_rng([seeds[j], indices[j]])`` gives, bit for bit.
+    ``seeds`` are below 2**64 and ``indices`` below 2**32, each a scalar or
+    a 1-D array; they broadcast to one length n (1 when both are scalars).
 
-    SeedSequence's entropy mixing runs once for all rows over (words, n)
-    uint32 arrays, which wrap modulo 2**32 as the C code does.  The hash
-    constants do not depend on the entropy, and the calls that mix one
-    source word into several pool words are independent, so each such group
-    runs as one array operation.  An entropy word past the pool of 4 mixes
-    into the streams whose entropy reaches it.
+    A seed is one entropy word below 2**32 and two above, and an index one,
+    so a row's entropy fits SeedSequence's pool of 4 words, zero-filled.
+    The mixing runs once for all rows over (4, n) uint32 arrays, which wrap
+    modulo 2**32 as the C code does.  The hash constants do not depend on
+    the entropy, and the calls that mix one pool word into the others are
+    independent, so each such group runs as one array operation.
     """
-    entropy, lengths = _entropy(parts)
-    # four hashmix calls per entropy row: the first 4 rows fill the pool and
-    # are each hashed into the 3 other pool words; later rows into all 4
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * len(entropy))
-    pool = _hashmix(entropy[:_POOL_WORDS], consts[:_POOL_WORDS + 1])
+    seeds, indices = np.broadcast_arrays(_column(seeds, 64, "seeds"),
+                                         _column(indices, 32, "indices"))
+    wide = seeds > _MASK32
+    entropy = np.zeros((_POOL_WORDS, len(seeds)), dtype=np.uint32)
+    entropy[0] = seeds & _MASK32
+    entropy[1] = np.where(wide, seeds >> 32, indices)
+    entropy[2] = np.where(wide, indices, 0)
+    pool = _hashmix(entropy, _POOL_CONSTS[:_POOL_WORDS + 1])
     k = _POOL_WORDS
     for src in range(_POOL_WORDS):
         # every other pool word, in order, takes a hash of this one
         dst = [i for i in range(_POOL_WORDS) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_CONSTS[k:k + _POOL_WORDS]))
         k += _POOL_WORDS - 1
-    for row in range(_POOL_WORDS, len(entropy)):
-        cols = np.flatnonzero(lengths > row)
-        pool[:, cols] = _mix(pool[:, cols],
-                             _hashmix(entropy[row, cols], consts[k:k + _POOL_WORDS + 1]))
-        k += _POOL_WORDS
     # generate_state(4, uint64): 8 words cycling over the pool, read in pairs
     # as little-endian uint64
-    state = _hashmix(np.concatenate([pool, pool]),
-                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS))
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTS)
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 

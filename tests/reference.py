@@ -1,0 +1,77 @@
+"""A slow, independent reference for what a run's predictions should be.
+
+It builds the whole signal x memory state as a d^2 vector out of Kronecker
+products of basis kets, and every measurement as an explicit projector on
+that space.  It takes nothing from the package's branch-diagonal arithmetic
+(``protocol.run_protocol``, ``protocol.project_w``,
+``detect.coincidence_probabilities``): the per-branch transmission is
+recomputed here from the memory model's formulas, and the package supplies
+only the config it reads and the settings it measures.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+
+def survival(tau_mem: float, t_larmor: float, t: float) -> float:
+    """exp(-(t / tau_mem)^2) cos^2(pi t / t_larmor): a spin wave stored for t."""
+    ratio = t / tau_mem
+    return math.exp(-(ratio * ratio)) * math.cos(math.pi * t / t_larmor) ** 2
+
+
+def state_vector(config, transfer: bool) -> np.ndarray:
+    """The herald-conditioned, unnormalized state sum_k v_k |s_k> (x) |a_k>.
+
+    Bin i reads branch k = ``retrieval_order[i]`` at t1 + i tau.  With the
+    transfer, the branch is stored in its target cell until the last bin is
+    in and t2 has passed, and picks up the bin's drift phase.
+    """
+    d = config.dimension
+    kets = np.eye(d)
+    psi = np.zeros(d * d, dtype=complex)
+    for i, k in enumerate(config.retrieval_order):
+        source = config.source_cells[k]
+        weight = config.spec1.eta_read[source.y, source.x] * survival(
+            config.spec1.tau_mem, config.spec1.t_larmor, config.t1 + i * config.tau)
+        phase = config.write_phases[k]
+        if transfer:
+            target = config.target_cells[k]
+            weight *= config.spec2.eta_eit[target.y, target.x] * survival(
+                config.spec2.tau_mem, config.spec2.t_larmor, (d - 1 - i) * config.tau + config.t2)
+            phase += config.drifts[i]
+        psi += math.sqrt(weight) * cmath.exp(1j * phase) / math.sqrt(d) * np.kron(kets[k], kets[k])
+    return psi
+
+
+def predicted_fidelity(config, psi: np.ndarray) -> float:
+    """<ideal| rho |ideal> for rho = |psi><psi| normalized; 0 when psi is zero."""
+    d = config.dimension
+    kets = np.eye(d)
+    ideal = sum(cmath.exp(1j * theta) / math.sqrt(d) * np.kron(kets[k], kets[k])
+                for k, theta in enumerate(config.write_phases))
+    norm = np.vdot(psi, psi).real
+    if norm == 0.0:
+        return 0.0
+    rho = np.outer(psi, psi.conj()) / norm
+    return np.vdot(ideal, rho @ ideal).real
+
+
+def w_fidelity(d: int, psi: np.ndarray) -> float:
+    """The memory's overlap with the uniform W state after the signal photon is
+    found in the balanced superposition of its modes."""
+    plus = np.ones(d) / math.sqrt(d)
+    memory = np.kron(plus.conj()[None, :], np.eye(d)) @ psi   # (<+| (x) 1) |psi>
+    w = np.ones(d) / math.sqrt(d)
+    return abs(np.vdot(w, memory)) ** 2 / np.vdot(memory, memory).real
+
+
+def coincidence_probabilities(psi: np.ndarray, settings, eta_det: float) -> np.ndarray:
+    """eta_det <psi| P_i |psi> for each setting's projector
+    P_i = |signal_i><signal_i| (x) |atom_i><atom_i|."""
+    out = []
+    for s, a in zip(settings.signal, settings.atom):
+        projector = np.kron(np.outer(s, s.conj()), np.outer(a, a.conj()))
+        out.append(eta_det * np.vdot(psi, projector @ psi).real)
+    return np.array(out)

@@ -1,6 +1,8 @@
 """End-to-end checks of config loading, the report pipeline, and subcommands."""
 
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -376,6 +378,15 @@ def test_main_run_matches_d16_golden_report_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "qudit16_report.json").read_bytes()
 
 
+def test_main_run_matches_big_seed_golden_report_bytes(tmp_path):
+    # a 100-bit seed is 4 entropy words, so its stage seeds take every word
+    # of numpy's SeedSequence pool; its stage seeds are two-word row seeds
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(CONFIG_DIR / "qudit_default.json"),
+                 "--seed", str(10**30), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "qudit_bigseed_report.json").read_bytes()
+
+
 def test_main_sweep_matches_golden_sweep_bytes(tmp_path):
     # three drift points on qudit_default: sweep seeds, stream tree, W
     # bootstrap and the CSV cells, byte for byte
@@ -432,6 +443,25 @@ def test_main_run_csv_format(tmp_path):
     assert main(["run", "--config", path, "--out", str(out),
                  "--format", "csv"]) == 0
     assert out.read_text().startswith("key,value\n")
+
+
+def test_run_csv_list_cells_keep_their_row(tmp_path, capsys):
+    # 30 heralds a setting leave visibility warnings, lists of messages
+    # with commas, which must stay one quoted cell each
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["detection"]["heralds_per_setting"] = 30
+    path = write_config(tmp_path, doc)
+    assert main(["run", "--config", path, "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["run", "--config", path, "--seed", "1", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(len(row) == 2 for row in rows)
+    cells = dict(rows[1:])
+    warnings = [report[stage]["warnings"] for stage in ("maqm1_stage", "maqm2_stage")]
+    assert any(len(w) > 1 for w in warnings)
+    assert [json.loads(cells[f"{stage}.warnings"]) for stage in ("maqm1_stage", "maqm2_stage")] \
+        == warnings
+    assert json.loads(cells["schedule.violations"]) == report["schedule"]["violations"]
 
 
 def test_main_config_errors_exit_nonzero(tmp_path, capsys):
@@ -547,14 +577,19 @@ def test_dark_rate_past_one_exits_two_before_any_draw(tmp_path, capsys, monkeypa
     assert lines[0].startswith(f"config error: detection.dark_rate: {dark_rate!r} plus")
 
 
+def peak_probability(doc) -> float:
+    """The largest coincidence probability of either stage of a qudit run."""
+    cfg = parse_experiment_config(doc)
+    return max(float(cli.coincidence_probabilities(
+        cli.run_protocol(cfg.protocol, transfer=transfer), cli.w_settings(4), cfg.eta_det).max())
+        for transfer in (False, True))
+
+
 def test_dark_rate_check_agrees_with_the_sampler(tmp_path, capsys):
     # at the edge, the check and sample_counts add the same two floats, so a
     # dark rate either exits 2 up front or runs to the end
     doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
-    cfg = parse_experiment_config(doc)
-    peak = max(float(cli.coincidence_probabilities(
-        cli.run_protocol(cfg.protocol, transfer=transfer), cli.w_settings(4), cfg.eta_det).max())
-        for transfer in (False, True))
+    peak = peak_probability(doc)
     edge = 1.0 - peak
     for dark_rate in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
         doc["detection"]["dark_rate"] = float(dark_rate)
@@ -564,11 +599,20 @@ def test_dark_rate_check_agrees_with_the_sampler(tmp_path, capsys):
         capsys.readouterr()
 
 
-@pytest.mark.parametrize("heralds, code", [
-    (10**19, 2), (MAX_HERALDS + 1, 2), (MAX_HERALDS, 0), (2**62, 0)])
-def test_heralds_per_setting_fits_a_c_long(tmp_path, capsys, heralds, code):
+@pytest.mark.parametrize("heralds, fill_the_ceiling, code", [
+    (10**19, False, 2), (2**63 - 1, False, 2), (MAX_HERALDS + 1, False, 2),
+    (MAX_HERALDS, False, 0), (MAX_HERALDS, True, 0)],
+    ids=["past-a-c-long", "a-c-long", "past-the-bound", "at-the-bound",
+         "at-the-bound-with-every-herald-a-coincidence"])
+def test_heralds_per_setting_fits_a_c_long(tmp_path, capsys, heralds, fill_the_ceiling, code):
     doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
     doc["detection"]["heralds_per_setting"] = heralds
+    if fill_the_ceiling:
+        # the peak setting counts every herald, and a resample's Poisson
+        # mean is that count
+        peak = peak_probability(doc)
+        edge = 1.0 - peak
+        doc["detection"]["dark_rate"] = edge if peak + edge <= 1.0 else float(np.nextafter(edge, 0))
     assert main(["run", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "report.json")]) == code
     err = capsys.readouterr().err

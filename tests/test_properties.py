@@ -11,6 +11,7 @@ import io
 import json
 import math
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from maqmsim.cli import parse_experiment_config
 from maqmsim.detect import CountRow, CountsTable, Settings, coincidence_probabilities, \
     tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
-from maqmsim.protocol import ProtocolConfig, bin_time, run_protocol, storage_dwell
+from maqmsim.protocol import ProtocolConfig, bin_time, project_w, run_protocol, storage_dwell
 from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
+import reference
 from test_tomo import reference_objective
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
@@ -154,10 +156,12 @@ def test_coincidence_probabilities_match_a_per_row_projection(d, n, eta_det, dat
 
 # rates of a bootstrap row: dark, small, and large enough for numpy's PTRS path
 SUBSTREAM_RATES = np.array([0.0, 0.7, 3.0, 45.0, 2500.0])
+# a derived seed is a uint64: one entropy word below 2**32, two above
+derived_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
 
 
 @PROPERTY
-@given(seed=st.integers(0, 2**256 - 1), count=st.integers(0, 300))
+@given(seed=derived_seeds, count=st.integers(0, 300))
 def test_substreams_are_numpys_seeded_streams(seed, count):
     states = detect.stream_states(seed, np.arange(count))
     assert states.dtype == np.uint64 and states.shape == (count, 4)
@@ -174,34 +178,40 @@ def test_substreams_are_numpys_seeded_streams(seed, count):
     assert taken == count
 
 
-# a derived seed is a uint64: one entropy word below 2**32, two above
-derived_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+@PROPERTY
+@given(seeds=st.lists(derived_seeds, max_size=30), shared=st.sampled_from(["", "seed", "index"]),
+       data=st.data())
+def test_one_pass_hash_is_numpys_seed_sequence(seeds, shared, data):
+    # one pass over rows whose seeds are one and two entropy words long
+    seeds += [data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(2**32, 2**64 - 1))]
+    indices = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(seeds),
+                                 max_size=len(seeds)))
+    if shared == "seed":        # a scalar seed against an index array
+        seeds = [seeds[0]] * len(seeds)
+    elif shared == "index":     # a seed array against a scalar index
+        indices = [indices[0]] * len(indices)
+    got = detect.stream_states(seeds[0] if shared == "seed" else np.array(seeds, np.uint64),
+                               indices[0] if shared == "index" else np.array(indices))
+    assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+    assert got.tolist() == [np.random.SeedSequence([s, i]).generate_state(4, np.uint64).tolist()
+                            for s, i in zip(seeds, indices)]
 
 
 @PROPERTY
-@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
-       shared=st.booleans(), n_suffixes=st.integers(1, 2), data=st.data())
-def test_one_pass_hash_is_numpys_seed_sequence(seed, shared, n_suffixes, data):
-    # rows (seed, derived_j, suffix words...) in one pass: the seed's 1 to 5
-    # words run the extra-entropy rounds past the pool of 4, and the derived
-    # seeds' 1 or 2 words mix word counts between the rows of the pass
-    derived = data.draw(st.lists(derived_seeds, max_size=30))
-    derived.append(data.draw(st.integers(0, 2**32 - 1)))
-    n = len(derived)
-    suffixes = [data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n))
-                for _ in range(n_suffixes)]
-    parts = ([seed] if shared else []) + [np.array(derived, dtype=np.uint64)] + \
-        [np.array(s) for s in suffixes]
-    words = [([seed] if shared else []) + [derived[j]] + [s[j] for s in suffixes]
-             for j in range(n)]
-    got = detect.stream_states(*parts)
-    assert got.dtype == np.uint64 and got.shape == (n, 4)
-    assert got.tolist() == [np.random.SeedSequence(w).generate_state(4, np.uint64).tolist()
-                            for w in words]
-    # derive_seed is the first state word of the same hash
-    j = data.draw(st.integers(0, n - 1))
-    assert cli.derive_seed(*words[j]) == \
-        int(np.random.SeedSequence(words[j]).generate_state(1, np.uint64)[0])
+@given(seed=st.one_of(st.integers(0, 2**64), st.integers(0, 2**256)),
+       n_settings=st.integers(0, 20), n_resamples=st.integers(2, 20))
+def test_stream_plan_is_numpys_seed_sequence_tree(seed, n_settings, n_resamples):
+    # a config seed of any length gives stage seeds (seed, s, k), each of
+    # whose rows is the stream (stage seed, i)
+    cfg = types.SimpleNamespace(seed=seed, n_resamples=n_resamples)
+    plan = cli._stream_plan(cfg, n_settings)
+    want = []
+    for s in (1, 2):
+        for k, count in enumerate((n_settings, n_resamples)):
+            stage_seed = np.random.SeedSequence([seed, s, k]).generate_state(1, np.uint64)[0]
+            want.append([np.random.SeedSequence([stage_seed, i]).generate_state(4, np.uint64)
+                         .tolist() for i in range(count)])
+    assert [states.tolist() for states in plan] == want
 
 
 def tomography_rows(k):
@@ -368,9 +378,10 @@ def efficiency_maps():
 
 
 @st.composite
-def qudit_configs(draw):
-    """Whole qudit config documents with d in 3..6, so no draw runs the MLE."""
-    d = draw(st.integers(3, 6))
+def qudit_configs(draw, dimensions=st.integers(3, 6)):
+    """Whole config documents with d drawn from ``dimensions``: 3..6, so no run
+    fits an MLE, unless a caller asks for 2."""
+    d = draw(dimensions)
 
     def memory(grid, eit):
         entry = {"n_x": 5, "n_y": 6, "eta_write": draw(efficiency_maps()),
@@ -424,3 +435,25 @@ def test_a_whole_qudit_config_runs_twice_alike_or_names_a_field(doc):
             assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, err
             path = err.removeprefix("config error: ").split(": ", 1)[0]
             assert is_field(doc, path), err
+
+
+@PROPERTY
+@given(doc=st.one_of(qudit_configs(st.just(2)), qudit_configs()), data=st.data())
+def test_predictions_match_the_full_state_vector_reference(doc, data):
+    # qubit and qudit configs, with write phases, against the kron-built state
+    d = doc["protocol"]["dimension"]
+    doc["protocol"]["write_phases"] = data.draw(
+        st.lists(st.floats(-10.0, 10.0) | st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    cfg = parse_experiment_config(doc)
+    settings_block = tomography_settings(2) if d == 2 else detect.w_settings(d)
+    for transfer in (False, True):
+        outcome = run_protocol(cfg.protocol, transfer=transfer)
+        psi = reference.state_vector(cfg.protocol, transfer)
+        assert math.isclose(outcome.predicted_fidelity,
+                            reference.predicted_fidelity(cfg.protocol, psi), abs_tol=1e-12)
+        np.testing.assert_allclose(
+            coincidence_probabilities(outcome, settings_block, cfg.eta_det),
+            reference.coincidence_probabilities(psi, settings_block, cfg.eta_det),
+            rtol=0.0, atol=1e-12)
+        if np.vdot(psi, psi).real > 0.0:
+            assert math.isclose(project_w(outcome), reference.w_fidelity(d, psi), abs_tol=1e-12)
