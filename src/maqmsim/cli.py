@@ -12,7 +12,6 @@ between calls.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import io
@@ -115,7 +114,10 @@ class _Object:
 def _number(value, path: str, positive=False, non_negative=False, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:   # an int past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be a finite number")
     if positive and value <= 0:
@@ -137,16 +139,35 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _numbers(value, path: str, count: int, **bounds) -> list[float]:
+def _within(values: np.ndarray, non_negative=False, maximum=None) -> bool:
+    """Whether every value passes ``_number``'s finiteness and bound checks."""
+    ok = np.isfinite(values)
+    if non_negative:
+        ok &= values >= 0
+    if maximum is not None:
+        ok &= values <= maximum
+    return bool(ok.all())
+
+
+def _numbers(value, path: str, count: int, **bounds) -> np.ndarray:
+    """A list of ``count`` numbers as a float array, checked all at once;
+    an error names the first entry that fails, as ``_number`` reads it."""
     if not isinstance(value, list) or len(value) != count:
         raise ConfigError(f"{path}: must be a list of {count} numbers")
-    return [_number(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)]
+    if {type(v) for v in value} <= {int, float}:
+        try:
+            array = np.array(value, dtype=float)
+        except OverflowError:   # an int past the float range
+            array = None
+        if array is not None and _within(array, **bounds):
+            return array
+    return np.array([_number(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)])
 
 
 def _efficiencies(value, path: str, cells: int):
     """A map in [0, 1]: one number for every cell, or a row-major list of one per cell."""
     if isinstance(value, list):    # an array, so that MemorySpec does not check it again
-        return np.array(_numbers(value, path, cells, non_negative=True, maximum=1.0))
+        return _numbers(value, path, cells, non_negative=True, maximum=1.0)
     return _number(value, path, non_negative=True, maximum=1.0)
 
 
@@ -223,11 +244,11 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
                           f"the {TIME_GRID_US:g} us timing grid")
     t2 = proto.read("t2", _number, non_negative=True, maximum=MAX_TIME_US)
 
-    phases = tuple(proto.read("write_phases", _numbers, [0.0] * dim, count=dim))
+    phases = tuple(proto.read("write_phases", _numbers, [0.0] * dim, count=dim).tolist())
 
     drift = proto.read("drift", default=0.0)
     if isinstance(drift, list):
-        drifts = _numbers(drift, "protocol.drift", dim)
+        drifts = _numbers(drift, "protocol.drift", dim).tolist()
     else:
         # scalar shorthand: the first bin is the phase reference
         value = _number(drift, "protocol.drift")
@@ -494,16 +515,21 @@ def sweepable_paths() -> tuple[str, ...]:
     return tuple(sorted(_SWEEP_NUMERIC | _SWEEP_VIRTUAL))
 
 
-def _apply_sweep_value(doc: dict, path: str, value: float) -> dict:
-    doc = copy.deepcopy(doc)
-    keys = path.split(".")
-    node = doc
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
+def _with_value(doc: dict, path: str, value) -> dict:
+    """``doc`` with ``value`` at the dotted ``path``, missing objects made.
+
+    Only the objects on the path are copied; the rest is shared with
+    ``doc``, which is left as it was.  Sharing is safe because parsing a
+    config never writes into the document it reads.
+    """
+    *parents, last = path.split(".")
+    doc = node = dict(doc)
+    for key in parents:
+        child = node.get(key, {})
+        if not isinstance(child, dict):
             raise ConfigError(f"{path}: cannot descend into a non-object")
-    # a whole value goes in as an int, so the field's own reader check decides
-    node[keys[-1]] = int(value) if float(value).is_integer() else value
+        node[key] = node = dict(child)
+    node[last] = value
     return doc
 
 
@@ -515,9 +541,7 @@ def _apply_ratio(doc: dict, ratio: float, unswept: ExperimentConfig) -> dict:
     eta_read = unswept.protocol.spec1.eta_read.copy()
     for cell in unswept.protocol.source_cells[1:]:
         eta_read[cell.y, cell.x] *= ratio
-    doc = copy.deepcopy(doc)
-    doc["memories"]["MAQM1"]["eta_read"] = eta_read.ravel().tolist()
-    return doc
+    return _with_value(doc, "memories.MAQM1.eta_read", eta_read.ravel().tolist())
 
 
 _SWEEP_COLUMNS = [
@@ -539,8 +563,9 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
                if param in _SWEEP_VIRTUAL else None)
     rows = []
     for i, value in enumerate(values):
+        # a whole value goes in as an int, so the field's own reader check decides
         varied = (_apply_ratio(doc, value, unswept) if unswept is not None
-                  else _apply_sweep_value(doc, param, value))
+                  else _with_value(doc, param, int(value) if float(value).is_integer() else value))
         cfg = parse_experiment_config(varied, seed_override=derive_seed(base_seed, i))
         report = run_experiment(cfg)
         row = {

@@ -271,9 +271,9 @@ def sample_counts(settings: Settings, probabilities, heralds_per_setting: int,
     if over.size:
         i = over[0]
         raise ValueError(f"setting {settings.labels[i]!r}: probability {p.item(i)!r} exceeds 1")
-    counts = np.empty(n, dtype=np.int64)
-    for i, (p_i, rng) in enumerate(zip(p.tolist(), _generators(streams, n))):
-        counts[i] = rng.binomial(heralds_per_setting, p_i)
+    counts = np.fromiter((rng.binomial(heralds_per_setting, p_i)
+                          for p_i, rng in zip(p.tolist(), _generators(streams, n))),
+                         dtype=np.int64, count=n)
     return CountsTable(settings.labels, np.full(n, heralds_per_setting, dtype=np.int64), counts)
 
 
@@ -309,11 +309,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _column(values, bits: int, name: str) -> np.ndarray:
-    """``values``, a scalar or 1-D array of integers in [0, 2**bits), as a 1-D uint64 array."""
-    array = np.asarray(values)
-    if array.ndim > 1 or array.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers in [0, 2**{bits}), a scalar or a 1-D "
-                         f"array, got {array.dtype} of shape {array.shape}")
+    """``values``, a scalar or 1-D array of integers in [0, 2**bits), as a 1-D uint64 array.
+
+    A list or tuple of Python ints is read through exact ints: numpy reads
+    an empty one, or one that mixes ints at or above 2**63 with smaller
+    ones, as float64.
+    """
+    if isinstance(values, (list, tuple)) and all(type(v) is int for v in values):
+        array = np.array(values, dtype=object)
+    else:
+        array = np.asarray(values)
+        if array.ndim > 1 or array.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers in [0, 2**{bits}), a scalar or a 1-D "
+                             f"array, got {array.dtype} of shape {array.shape}")
     if array.size:
         low, high = int(array.min()), int(array.max())
         if low < 0 or high >> bits:

@@ -42,9 +42,10 @@ fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps read the table's count columns and take their resample streams
 as one (R, 4) array of ``detect.stream_states``; they draw one (R, n) stack
-of Poisson resamples, row r from stream r.  The W bootstrap evaluates the
-whole stack in one array expression, and the qubit bootstrap checks and
-scores each fitted stack in one pass.
+of Poisson resamples, row r from stream r.  A W stage estimates the
+observed table and its resamples in one pass, as one (R + 1, n) stack whose
+row 0 is the observed table, and the qubit bootstrap checks and scores
+each fitted stack in one pass.
 A W table with no population count, or a bootstrap of either kind where
 fewer than two resamples succeed, raises ``EstimateUndefinedError``; in
 the second case it carries the point estimate, so a report can keep the
@@ -53,6 +54,7 @@ value and drop the spread.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import sys
@@ -482,6 +484,38 @@ def _w_estimate(counts: np.ndarray, d: int):
     return value, pops, vis, total[..., 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _w_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j in lexicographic order, the order of the visibilities;
+    built once per dimension, read-only."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _check_w_counts(counts: np.ndarray, d: int) -> None:
+    if not (counts >= 0).all():
+        raise ValueError("counts must be non-negative")
+    # counts are non-negative, so this sum is positive when _w_estimate's is
+    if not counts[:d].sum() > 0:
+        raise EstimateUndefinedError("population counts are all zero")
+
+
+def _w_point(value, pops: np.ndarray, vis: np.ndarray) -> FidelityEstimate:
+    """One table's estimate from its ``_w_estimate`` row, with its warnings."""
+    i, j = _w_pairs(pops.size)
+    bounds = np.sqrt(pops[i] * pops[j])
+    notes = [f"visibility ({i[k]},{j[k]}) = {vis[k]:.4g} exceeds the "
+             f"population bound {bounds[k]:.4g}"
+             for k in np.flatnonzero(np.abs(vis) > bounds * (1.0 + W_CONSISTENCY_TOL) + 1e-12)]
+    if not 0.0 <= value <= 1.0:
+        notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
+        value = np.clip(value, 0.0, 1.0)
+    return FidelityEstimate(value=float(value), sigma=0.0, n_resamples=0,
+                            warnings=tuple(notes))
+
+
 def w_fidelity(counts, dimension: int) -> FidelityEstimate:
     """F_W = (1/d)(sum_i p_i + 2 sum_{i<j} Re rho_ij) from one count vector.
 
@@ -496,22 +530,8 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
     if d < 2 or counts.shape != (d * d,):
         raise ValueError(f"need d >= 2 and d^2 counts in w_labels(d) order, "
                          f"got d = {d} and shape {counts.shape}")
-    if not (counts >= 0).all():
-        raise ValueError("counts must be non-negative")
-    value, pops, vis, total = _w_estimate(counts, d)
-    if not total > 0:
-        raise EstimateUndefinedError("population counts are all zero")
-    # pairs i < j in lexicographic order, the order of the visibilities
-    i, j = np.triu_indices(d, 1)
-    bounds = np.sqrt(pops[i] * pops[j])
-    notes = [f"visibility ({i[k]},{j[k]}) = {vis[k]:.4g} exceeds the "
-             f"population bound {bounds[k]:.4g}"
-             for k in np.flatnonzero(np.abs(vis) > bounds * (1.0 + W_CONSISTENCY_TOL) + 1e-12)]
-    if not 0.0 <= value <= 1.0:
-        notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
-        value = np.clip(value, 0.0, 1.0)
-    return FidelityEstimate(value=float(value), sigma=0.0, n_resamples=0,
-                            warnings=tuple(notes))
+    _check_w_counts(counts, d)
+    return _w_point(*_w_estimate(counts, d)[:3])
 
 
 def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
@@ -520,11 +540,12 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
 
     The rows must be the ``w_settings(dimension)`` rows, in order, with one
     shared herald count.  Resample r draws from ``streams[r]``, one row of
-    an (R, 4) ``detect.stream_states`` array.  The point value and its
-    warnings come from ``w_fidelity`` on the observed counts; a resample
-    fails when its population total is zero.  Raises
-    ``EstimateUndefinedError`` when the observed populations are all zero
-    or fewer than two resamples succeed.
+    an (R, 4) ``detect.stream_states`` array.  The observed counts and
+    their resamples are estimated as one stack; the observed row gives the
+    point value and its warnings, the bits ``w_fidelity`` gives, and a
+    resample fails when its population total is zero.  Raises
+    ``EstimateUndefinedError`` when the observed populations are all zero,
+    before any draw, or when fewer than two resamples succeed.
     """
     n_resamples = _resample_count(streams)
     if (table.heralds != table.heralds[:1]).any():
@@ -535,9 +556,11 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
                          f"{sorted(set(expected) - set(labels))}, "
                          f"unexpected {sorted(set(labels) - set(expected))}")
     observed = table.coincidences.astype(float)
-    point = w_fidelity(observed, dimension)
-    values, _, _, total = _w_estimate(_poisson_resamples(observed, streams), dimension)
-    values = np.clip(values[total > 0], 0.0, 1.0)
+    _check_w_counts(observed, dimension)
+    stack = np.concatenate((observed[None], _poisson_resamples(observed, streams)))
+    values, pops, vis, total = _w_estimate(stack, dimension)
+    point = _w_point(values[0], pops[0], vis[0])
+    values = np.clip(values[1:][total[1:] > 0], 0.0, 1.0)
     tally = dict(n_resamples=int(values.size), n_failed=n_resamples - int(values.size))
     if values.size < 2:
         raise EstimateUndefinedError(

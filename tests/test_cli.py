@@ -397,6 +397,15 @@ def test_main_sweep_matches_golden_sweep_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "qudit_sweep.csv").read_bytes()
 
 
+def test_main_sweep_of_a_nested_path_matches_golden_bytes(tmp_path):
+    # a memory field: the point copies share the rest of the memories object
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIG_DIR / "qudit_default.json"),
+                 "--param", "memories.MAQM2.tau_mem", "--values", "40,80", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "qudit_tau_sweep.csv").read_bytes()
+
+
 def sweep_column_keys(w):
     """Each sweep column and the run CSV key of the same report value; ``w``
     is the stage columns' prefix, "" for qubit runs and "w_" for qudit runs."""
@@ -1167,3 +1176,166 @@ def test_efficiency_map_of_the_wrong_type_names_its_path(tmp_path, capsys, name,
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------ sweep point copies, number lists
+
+@pytest.mark.parametrize("name", ["qubit_default.json", "qudit_default.json"])
+def test_parsing_leaves_the_document_as_it_was(name):
+    # sweep points share every object off their swept path, so a parse must
+    # never write into the document it reads
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    before = copy.deepcopy(doc)
+    parse_experiment_config(doc)
+    assert doc == before
+
+
+# two values of each sweepable field of small_doc(4), both of which run
+SWEEP_POINTS = {
+    "protocol.t1": [11.7, 23.4], "protocol.tau": [3.9, 7.8], "protocol.t2": [7.8, 15.6],
+    "protocol.drift": [0.0, 0.4], "detection.eta_det": [1.0, 0.5],
+    "detection.dark_rate": [0.0, 1e-3], "detection.heralds_per_setting": [2000, 500],
+    "estimation.n_resamples": [6, 9], "memories.MAQM1.eta_read": [0.2, 0.5],
+    "memories.MAQM1.eta_write": [0.01, 0.02], "memories.MAQM1.tau_mem": [65.0, 30.0],
+    "memories.MAQM1.t_larmor": [3.9, 7.8], "memories.MAQM2.eta_eit": [0.2, 0.6],
+    "memories.MAQM2.tau_mem": [27.8, 50.0], "memories.MAQM2.t_larmor": [1.3, 2.6],
+    "memories.MAQM1.eta_read_ratio": [1.0, 0.5],
+}
+
+
+def set_point(doc, path, value):
+    """A deep copy of ``doc`` with a sweep point's value set, by hand."""
+    doc = copy.deepcopy(doc)
+    if path == "memories.MAQM1.eta_read_ratio":
+        cfg = parse_experiment_config(doc)
+        eta_read = cfg.protocol.spec1.eta_read.copy()
+        for cell in cfg.protocol.source_cells[1:]:
+            eta_read[cell.y, cell.x] *= value
+        path, value = "memories.MAQM1.eta_read", eta_read.ravel().tolist()
+    *parents, key = path.split(".")
+    _at(doc, parents)[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path", sweepable_paths())
+def test_a_sweep_point_is_a_run_of_its_own_document(path):
+    # each point copies the objects on its path; row i must be the run of a
+    # deep copy with the value set, at the point's seed, and the caller's
+    # document must come back as it was
+    assert set(SWEEP_POINTS) == set(sweepable_paths())
+    doc = small_doc(dimension=4, seed=11)
+    before = copy.deepcopy(doc)
+    rows = run_sweep(doc, path, SWEEP_POINTS[path])
+    assert doc == before
+    for i, (row, value) in enumerate(zip(rows, SWEEP_POINTS[path])):
+        cfg = parse_experiment_config(set_point(before, path, value),
+                                      seed_override=derive_seed(11, i))
+        report = run_experiment(cfg)
+        want = {"seed": report["seed"], "schedule_valid": report["schedule"]["valid"],
+                "herald_probability": report["herald_probability"]}
+        for stage in ("maqm1", "maqm2"):
+            block = report[f"{stage}_stage"]
+            want.update({f"{stage}_w_fidelity": block["w_fidelity"],
+                         f"{stage}_w_sigma": block["sigma"]})
+        assert {key: row[key] for key in want} == want, (path, i)
+
+
+def test_a_sweep_creates_missing_objects_on_its_path():
+    doc = small_doc(dimension=4)
+    del doc["detection"]
+    rows = run_sweep(doc, "detection.dark_rate", [1e-3])
+    assert "detection" not in doc
+    want = run_experiment(parse_experiment_config(
+        {**doc, "detection": {"dark_rate": 1e-3}}, seed_override=derive_seed(3, 0)))
+    assert rows[0]["maqm2_w_fidelity"] == want["maqm2_stage"]["w_fidelity"]
+
+
+def test_a_sweep_does_not_descend_into_a_non_object():
+    doc = small_doc(dimension=4)
+    doc["detection"] = [1]
+    with pytest.raises(ConfigError, match=r"^detection\.dark_rate: cannot descend"):
+        run_sweep(doc, "detection.dark_rate", [1e-3])
+    assert doc["detection"] == [1]
+
+
+TOO_BIG = 10**400    # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("path, index", [
+    ("protocol.t1", None), ("detection.dark_rate", None),
+    ("memories.MAQM1.rf_grid.x_origin", None), ("memories.MAQM1.eta_write", 29),
+    ("protocol.drift", 2),
+], ids=["t1", "dark_rate", "x_origin", "eta_write-entry", "drift-entry"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_an_integer_past_the_float_range_exits_two(tmp_path, capsys, path, index, sign):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    *parents, key = path.split(".")
+    value, where = sign * TOO_BIG, path
+    if index is not None:    # one entry of a list of 30 efficiencies or 4 drifts
+        value, where = [0.0] * (30 if "eta" in key else 4), f"{path}[{index}]"
+        value[index] = sign * TOO_BIG
+    _at(doc, parents)[key] = value
+    config = write_config(tmp_path, doc)
+    assert str(TOO_BIG) in Path(config).read_text()    # written as a 401-digit literal
+    for command in ("run", "compile"):
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: must be a finite number\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "must be a number"),
+    ("0.01", "must be a number"),
+    (math.nan, "must be a finite number"),
+    (-0.01, "must be non-negative"),
+    (1.5, "must be at most 1"),
+    (TOO_BIG, "must be a finite number"),
+], ids=["bool", "string", "nan", "negative", "over-maximum", "oversized-int"])
+def test_a_number_list_error_names_its_first_bad_entry(bad, message):
+    # a later bad entry of every other kind must not be the one named
+    doc = copy.deepcopy(small_doc())
+    values = [0.01] * 30
+    values[7] = bad
+    values[20:26] = [True, "0.01", math.nan, -0.01, 1.5, TOO_BIG]
+    doc["memories"]["MAQM1"]["eta_write"] = values
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_config(doc)
+    assert str(exc.value) == f"memories.MAQM1.eta_write[7]: {message}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "must be a finite number"),
+    (-math.inf, "must be a finite number"),
+    (-5e-324, "must be non-negative"),
+    (1.0000000000000002, "must be at most 1"),
+    (2, "must be at most 1"),
+    (TOO_BIG, "must be a finite number"),
+], ids=["nan", "-inf", "negative", "over-maximum", "int-over-maximum", "oversized-int"])
+def test_one_bad_entry_in_a_list_of_plain_numbers_is_named(bad, message):
+    # every other entry is a plain in-range float, so only the array check sees it
+    doc = copy.deepcopy(small_doc())
+    doc["memories"]["MAQM1"]["eta_read"] = [0.5] * 13 + [bad] + [0.5] * 16
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_config(doc)
+    assert str(exc.value) == f"memories.MAQM1.eta_read[13]: {message}"
+
+
+@pytest.mark.parametrize("key", ["write_phases", "drift"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -TOO_BIG])
+def test_an_unbounded_number_list_names_its_non_finite_entry(key, bad):
+    doc = copy.deepcopy(small_doc())
+    doc["protocol"][key] = [0.25, bad]
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_config(doc)
+    assert str(exc.value) == f"protocol.{key}[1]: must be a finite number"
+
+
+def test_a_number_list_reads_every_entry_as_its_float():
+    doc = copy.deepcopy(small_doc(dimension=4))
+    values = [0, 1, 2**70 + 1, 0.5] * 7 + [np.float64(0.25), 1]
+    doc["memories"]["MAQM1"]["eta_write"] = [v / 2**71 for v in values]
+    doc["protocol"]["write_phases"] = [1, 2**70 + 1, -3, np.float64(0.1)]
+    cfg = parse_experiment_config(doc)
+    want = np.array([float(v / 2**71) for v in values]).reshape(6, 5)
+    assert cfg.protocol.spec1.eta_write.tobytes() == want.tobytes()
+    assert cfg.protocol.write_phases == (1.0, float(2**70 + 1), -3.0, 0.1)
+    assert all(type(v) is float for v in cfg.protocol.write_phases)

@@ -346,6 +346,22 @@ class TestSubstreams:
         with pytest.raises(ValueError):
             stream_states(seeds, indices)
 
+    @pytest.mark.parametrize("seeds", [[2**63 + 5, 3], (3, 2**64 - 1, 2**32), []],
+                             ids=["list", "tuple", "empty"])
+    def test_seed_lists_past_2_63_read_exactly(self, seeds):
+        # numpy reads such a list as float64; its entries are exact ints
+        indices = np.arange(len(seeds))
+        assert stream_states(seeds, indices).tolist() == \
+            stream_states(np.array(seeds, dtype=np.uint64), indices).tolist()
+
+    @pytest.mark.parametrize("seeds", [[2**64, 3], [1.5, 2], [-1, 2], [2**63 + 5, -3],
+                                       [3, -2**70], [[1, 2]]],
+                             ids=["2**64", "float", "negative", "negative-past-2**63",
+                                  "negative-wide", "nested"])
+    def test_bad_seed_lists_rejected(self, seeds):
+        with pytest.raises(ValueError, match="seeds must be"):
+            stream_states(seeds, 0)
+
     def test_states_must_match_the_rows(self):
         with pytest.raises(ValueError, match=r"\(3, 4\) uint64"):
             _generators(streams(0, 2), 3)

@@ -457,3 +457,23 @@ def test_predictions_match_the_full_state_vector_reference(doc, data):
             rtol=0.0, atol=1e-12)
         if np.vdot(psi, psi).real > 0.0:
             assert math.isclose(project_w(outcome), reference.w_fidelity(d, psi), abs_tol=1e-12)
+
+
+@PROPERTY
+@given(d=st.integers(2, 6), n_resamples=st.integers(2, 12), seed=derived_seeds, data=st.data())
+def test_w_bootstrap_point_is_w_fidelity_bit_for_bit(d, n_resamples, seed, data):
+    # the stacked estimate's observed row gives the one-vector value and
+    # warnings; low counts bring visibility and clip warnings
+    counts = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+    pops = data.draw(st.lists(counts, min_size=d, max_size=d).filter(any))
+    pairs = data.draw(st.lists(counts, min_size=d * (d - 1), max_size=d * (d - 1)))
+    heralds = max(pops + pairs)
+    table = CountsTable(detect.w_labels(d), [heralds] * d * d, pops + pairs)
+    try:
+        est = tomo.monte_carlo_w_fidelity(table, d,
+                                          detect.stream_states(seed, np.arange(n_resamples)))
+    except tomo.EstimateUndefinedError as err:
+        est = err.point
+    alone = tomo.w_fidelity(pops + pairs, d)
+    assert est.value.hex() == alone.value.hex()
+    assert est.warnings == alone.warnings

@@ -391,10 +391,21 @@ class TestWPipeline:
         assert (point.n_resamples, point.n_failed) == (n_ok, 3 - n_ok)
         assert point.warnings == w_fidelity(counts, 4).warnings
 
-    def test_zero_populations_have_no_point(self):
+    def test_zero_populations_have_no_point(self, monkeypatch):
+        # and raise before any generator is built
+        calls = []
+        monkeypatch.setattr(tomo, "_generators", lambda *args: calls.append(args))
         with pytest.raises(tomo.EstimateUndefinedError, match="all zero") as exc:
             monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, streams(0, 3))
         assert exc.value.point is None
+        assert calls == []
+
+    def test_pairs_are_built_once_per_dimension(self):
+        i, j = tomo._w_pairs(5)
+        assert tomo._w_pairs(5)[0] is i
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (a, b) for a in range(5) for b in range(a + 1, 5)]
+        assert not i.flags.writeable and not j.flags.writeable
 
     def d16_table(self):
         cfg = load_experiment_config(str(GOLDEN_DIR / "qudit16_config.json"))
