@@ -33,12 +33,7 @@ from .detect import (
 from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
-from .tomo import (
-    EstimateUndefinedError,
-    bell_target,
-    monte_carlo_fidelity,
-    monte_carlo_w_fidelity,
-)
+from .tomo import bell_target, monte_carlo_fidelity, monte_carlo_w_fidelity
 from .qstate import DensityMatrix, state_fidelity
 
 __all__ = [
@@ -270,7 +265,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
             retrieval_order=tuple(order),
         )
     except ValueError as err:
-        raise ConfigError(f"protocol: {err}") from err
+        raise ConfigError(f"protocol.{err}") from err
 
     det = top.read("detection", _Object, {})
     eta_det = det.read("eta_det", _number, 1.0, positive=True, maximum=1.0)
@@ -301,11 +296,29 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
 
 
 def _read_config(path: str) -> tuple[object, bytes]:
-    """The parsed JSON document and its raw bytes; syntax errors name path:line:col."""
+    """The parsed JSON document and its raw bytes.
+
+    The bytes must be UTF-8 (a leading byte-order mark is skipped); syntax
+    errors name path:line:col, and a key repeated in one object is named.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return json.loads(raw), raw
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {err.start} "
+                          f"({raw[err.start]:#04x}) is invalid") from None
+
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ConfigError(f"{path}: duplicate key {repeated!r}")
+        return doc
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys), raw
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
 
@@ -343,18 +356,17 @@ def _stage_report_qubit(outcome, probabilities, table_streams, bootstrap_streams
     table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
                           table_streams)
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
+    est = monte_carlo_fidelity(table, target, bootstrap_streams,
+                               tol=cfg.tol, max_iter=cfg.max_iter)
     block = {
         "predicted_fidelity": outcome.predicted_fidelity,
         "survival_probability": outcome.survival_probability,
+        "fidelity": est.value,
+        "sigma": est.sigma,
+        "n_resamples": est.n_resamples,
     }
-    try:
-        est = monte_carlo_fidelity(table, target, bootstrap_streams,
-                                   tol=cfg.tol, max_iter=cfg.max_iter)
-    except EstimateUndefinedError as err:
-        block.update(fidelity=err.point.value, sigma=None,
-                     n_resamples=err.point.n_resamples, warnings=[str(err)])
-        return block, err.point.rho
-    block.update(fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples)
+    if est.warnings:
+        block["warnings"] = list(est.warnings)
     return block, est.rho
 
 
@@ -376,14 +388,7 @@ def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams
         return block
     table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
                           table_streams)
-    try:
-        est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, bootstrap_streams)
-    except EstimateUndefinedError as err:
-        if err.point is not None:
-            block.update(w_fidelity=err.point.value, n_resamples=err.point.n_resamples,
-                         warnings=list(err.point.warnings))
-        block["warnings"].append(str(err))
-        return block
+    est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, bootstrap_streams)
     block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
                  warnings=list(est.warnings))
     return block

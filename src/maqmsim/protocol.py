@@ -75,32 +75,32 @@ class ProtocolConfig:
     def __post_init__(self):
         d = self.dimension
         if d < 2:
-            raise ValueError("dimension must be at least 2")
-        object.__setattr__(self, "source_cells", tuple(self.source_cells))
-        object.__setattr__(self, "target_cells", tuple(self.target_cells))
-        if len(self.source_cells) != d or len(self.target_cells) != d:
-            raise ValueError("need exactly one source and one target cell per branch")
-        if len(set(self.source_cells)) != d or len(set(self.target_cells)) != d:
-            raise ValueError("cells must be distinct within each memory")
-        for c in self.source_cells:
-            self.spec1.require_cell(c)
-        for c in self.target_cells:
-            self.spec2.require_cell(c)
-        if self.t1 <= 0 or self.tau <= 0:
-            raise ValueError("t1 and tau must be positive")
+            raise ValueError("dimension: must be at least 2")
+        for name, spec in (("source_cells", self.spec1), ("target_cells", self.spec2)):
+            cells = tuple(getattr(self, name))
+            object.__setattr__(self, name, cells)
+            if len(cells) != d:
+                raise ValueError(f"{name}: need exactly one cell per branch")
+            if len(set(cells)) != d:
+                raise ValueError(f"{name}: cells must be distinct within the memory")
+            for c in cells:
+                spec.require_cell(c)
+        for name in ("t1", "tau"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
         if self.t2 < 0:
-            raise ValueError("t2 must be non-negative")
+            raise ValueError("t2: must be non-negative")
         phases = tuple(self.write_phases) if self.write_phases else (0.0,) * d
         if len(phases) != d:
-            raise ValueError("need one write phase per branch")
+            raise ValueError("write_phases: need one write phase per branch")
         object.__setattr__(self, "write_phases", phases)
         drifts = tuple(self.drifts) if self.drifts else (0.0,) * d
         if len(drifts) != d:
-            raise ValueError("need one drift phase per bin")
+            raise ValueError("drifts: need one drift phase per bin")
         object.__setattr__(self, "drifts", drifts)
         order = tuple(self.retrieval_order) if self.retrieval_order else tuple(range(d))
         if sorted(order) != list(range(d)):
-            raise ValueError("retrieval_order must be a permutation of the bins")
+            raise ValueError("retrieval_order: must be a permutation of the bins")
         object.__setattr__(self, "retrieval_order", order)
 
 

@@ -46,10 +46,14 @@ of Poisson resamples, row r from stream r.  A W stage estimates the
 observed table and its resamples in one pass, as one (R + 1, n) stack whose
 row 0 is the observed table, and the qubit bootstrap checks and scores
 each fitted stack in one pass.
-A W table with no population count, or a bootstrap of either kind where
-fewer than two resamples succeed, raises ``EstimateUndefinedError``; in
-the second case it carries the point estimate, so a report can keep the
-value and drop the spread.
+
+Every estimator returns a ``FidelityEstimate``; ``None`` marks what the
+data cannot give, and ``warnings`` says why.  A W table with no population
+count has no ``value``.  A bootstrap where fewer than two resamples
+succeed keeps its point value and has no ``sigma``; ``w_fidelity``
+measures no spread, so its ``sigma`` is ``None`` too.  Bad arguments
+(unknown labels, mixed heralds, fewer than two streams, a bad ``tol`` or
+``max_iter``) raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ __all__ = [
     "ReconstructionResult",
     "FidelityEstimate",
     "LikelihoodDecreasedError",
-    "EstimateUndefinedError",
     "bell_target",
     "mle_reconstruct",
     "monte_carlo_fidelity",
@@ -110,23 +113,26 @@ class ReconstructionResult:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """Point fidelity and bootstrap spread.
+    """Point fidelity and bootstrap spread; ``None`` where the data give none.
 
-    ``rho`` is the base fit the point value was computed from, for
-    estimators that reconstruct a state; it is not part of the JSON form.
+    ``value`` is None for a table that defines no fidelity, ``sigma`` for
+    an estimate without a spread; a reason the data gave is in
+    ``warnings``.  ``rho`` is the base fit the point value was computed
+    from, for estimators that reconstruct a state; it is not part of the
+    JSON form.
     """
 
-    value: float
-    sigma: float
+    value: float | None
+    sigma: float | None
     n_resamples: int
     n_failed: int = 0
     warnings: tuple[str, ...] = ()
     rho: DensityMatrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
+        if self.value is not None and not 0.0 <= self.value <= 1.0:
             raise ValueError("fidelity value must lie in [0, 1]")
-        if not np.isfinite(self.sigma) or self.sigma < 0:
+        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
 
 
@@ -143,16 +149,6 @@ def _aligned_projectors(counts: CountsTable):
     kets = (settings.signal[rows, :, None] * settings.atom[rows, None, :]).reshape(n, d * d)
     projectors = kets[:, :, None] * kets.conj()[:, None, :]
     return projectors, counts.coincidences.astype(float), counts.heralds.astype(float)
-
-
-def _pack(t_mat: np.ndarray) -> np.ndarray:
-    d = t_mat.shape[0]
-    parts = [t_mat.diagonal().real]
-    lower = [(t_mat[i, j].real, t_mat[i, j].imag)
-             for i in range(d) for j in range(i)]
-    if lower:
-        parts.append(np.concatenate([np.array(p) for p in lower]))
-    return np.concatenate(parts)
 
 
 class LikelihoodDecreasedError(RuntimeError):
@@ -172,7 +168,8 @@ class _NegLogLikelihoods:
     sum_s (c_s / q_s) P_s are matmuls with a unit middle axis, so each row
     gets the BLAS ddot / zgemv call a 1-D product makes.  ``packed[k]`` is
     the float slot of parameter k in the interleaved (re, im) view of a
-    row of T, so unpacking is one scatter and the gradient one gather.
+    row of T, so unpacking is one scatter, and packing and the gradient
+    are one gather each.
     """
 
     def __init__(self, projectors, observed, exposures):
@@ -185,8 +182,7 @@ class _NegLogLikelihoods:
         self.observed = observed
         self.c_total = np.array([float(row.sum()) for row in observed])
         self.s_op = np.tensordot(exposures, projectors, axes=1)
-        # the diagonal, then the strict lower triangle row-major as (re, im):
-        # the order _pack writes
+        # the diagonal, then the strict lower triangle row-major as (re, im)
         lower = np.tril_indices(d, -1)
         self.packed = np.concatenate([
             2 * (d + 1) * np.arange(d),
@@ -198,6 +194,11 @@ class _NegLogLikelihoods:
         t_flat = np.zeros((x.shape[0], 2 * d * d))
         t_flat[:, self.packed] = x
         return t_flat.view(complex).reshape(-1, d, d)
+
+    def pack(self, t_mat: np.ndarray) -> np.ndarray:
+        """(m, d, d) T -> (m, d^2) packed parameters, the inverse of ``unpack``."""
+        t_flat = np.ascontiguousarray(t_mat, dtype=complex).reshape(len(t_mat), -1)
+        return t_flat.view(float)[:, self.packed]
 
     def __call__(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         d, s_op = self.d, self.s_op
@@ -291,7 +292,7 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     k, d = observed.shape[0], projectors.shape[1]
     n, m = d * d, _LBFGS_M
     objective = _NegLogLikelihoods(projectors, observed, exposures)
-    x = np.tile(_pack(_initial_t(init_rho, d)), (k, 1))
+    x = np.tile(objective.pack(_initial_t(init_rho, d)[None]), (k, 1))
     g = np.zeros((k, n))
     no_bounds, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)
     wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
@@ -401,19 +402,6 @@ def mle_reconstruct(counts: CountsTable, tol: float = 1e-9,
     return _fit_one(*_aligned_projectors(counts), tol, max_iter)
 
 
-class EstimateUndefinedError(ValueError):
-    """A table defines no fidelity (a W table with no population count) or no spread.
-
-    ``point`` is None when the W populations are all zero.  When fewer than
-    two resamples succeed it is the observed table's estimate, with the
-    successful and failed resample counts.
-    """
-
-    def __init__(self, message: str, point: FidelityEstimate | None = None):
-        super().__init__(message)
-        self.point = point
-
-
 def _resample_count(streams) -> int:
     """The number of resamples ``streams`` asks for: at least 2."""
     n_resamples = len(streams)
@@ -430,6 +418,16 @@ def _poisson_resamples(observed: np.ndarray, streams: np.ndarray) -> np.ndarray:
     return draws
 
 
+def _spread(point: FidelityEstimate, values: np.ndarray, attempted: int) -> FidelityEstimate:
+    """``point`` with the spread of ``values``, the resamples of ``attempted``
+    that succeeded; with fewer than two, no sigma and the reason as a warning."""
+    tally = dict(n_resamples=int(values.size), n_failed=attempted - int(values.size))
+    if values.size < 2:
+        return replace(point, warnings=(*point.warnings, f"only {values.size} of "
+                                        f"{attempted} resamples succeeded"), **tally)
+    return replace(point, sigma=float(values.std(ddof=1)), **tally)
+
+
 def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.ndarray,
                          tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
     """Poisson-resample the table, refit each draw, report point and spread.
@@ -441,15 +439,15 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.nd
     number; the likelihood only cares about rates).  Each refit warm-starts
     from the base reconstruction, which is returned as ``rho`` so callers
     need not fit the table again.  Failed refits are skipped and counted;
-    when fewer than two succeed, ``EstimateUndefinedError`` carries the
-    point estimate with sigma 0.  Resample r draws from ``streams[r]``, one
-    row of an (R, 4) ``detect.stream_states`` array.
+    when fewer than two succeed, sigma is None.  Resample r draws from
+    ``streams[r]``, one row of an (R, 4) ``detect.stream_states`` array.
     """
     n_resamples = _resample_count(streams)
     _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
     base = _fit_one(projectors, observed, exposures, tol, max_iter).rho
-    point = fidelity(base, target)   # checks the target before any refit
+    # fidelity checks the target before any refit
+    point = FidelityEstimate(value=fidelity(base, target), sigma=None, n_resamples=0, rho=base)
 
     resamples, kept = _poisson_resamples(observed, streams), []
     for start in range(0, n_resamples, MAX_STACK_ROWS):
@@ -457,13 +455,7 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.nd
                           exposures, base.entries, tol, max_iter)
         fitted = np.array([error is None for error in fits.errors])
         kept.append(_stack_fidelities(fits.rho[fitted], target))
-    values = np.concatenate(kept)
-    estimate = FidelityEstimate(value=point, sigma=0.0, n_resamples=int(values.size),
-                                n_failed=n_resamples - int(values.size), rho=base)
-    if values.size < 2:
-        raise EstimateUndefinedError(
-            f"only {values.size} of {n_resamples} resamples succeeded", estimate)
-    return replace(estimate, sigma=float(values.std(ddof=1)))
+    return _spread(point, np.concatenate(kept), n_resamples)
 
 
 def _w_estimate(counts: np.ndarray, d: int):
@@ -494,12 +486,16 @@ def _w_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _check_w_counts(counts: np.ndarray, d: int) -> None:
+_NO_POPULATION = FidelityEstimate(value=None, sigma=None, n_resamples=0,
+                                  warnings=("population counts are all zero",))
+
+
+def _w_populated(counts: np.ndarray, d: int) -> bool:
+    """Whether ``counts`` hold a population count; a negative count raises."""
     if not (counts >= 0).all():
         raise ValueError("counts must be non-negative")
     # counts are non-negative, so this sum is positive when _w_estimate's is
-    if not counts[:d].sum() > 0:
-        raise EstimateUndefinedError("population counts are all zero")
+    return bool(counts[:d].sum() > 0)
 
 
 def _w_point(value, pops: np.ndarray, vis: np.ndarray) -> FidelityEstimate:
@@ -512,7 +508,7 @@ def _w_point(value, pops: np.ndarray, vis: np.ndarray) -> FidelityEstimate:
     if not 0.0 <= value <= 1.0:
         notes.append(f"raw estimate {value:.4g} clipped into [0, 1]")
         value = np.clip(value, 0.0, 1.0)
-    return FidelityEstimate(value=float(value), sigma=0.0, n_resamples=0,
+    return FidelityEstimate(value=float(value), sigma=None, n_resamples=0,
                             warnings=tuple(notes))
 
 
@@ -523,14 +519,16 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
     order.  A visibility larger in magnitude than sqrt(p_i p_j)(1 + tol) is
     physically impossible and gets a warning attached rather than silently
     entering the average; so does a raw estimate outside [0, 1], which is
-    clipped.  All-zero population counts raise ``EstimateUndefinedError``.
+    clipped.  All-zero population counts give no value.  One vector has no
+    spread, so sigma is None.
     """
     d = dimension
     counts = np.asarray(counts, dtype=float)
     if d < 2 or counts.shape != (d * d,):
         raise ValueError(f"need d >= 2 and d^2 counts in w_labels(d) order, "
                          f"got d = {d} and shape {counts.shape}")
-    _check_w_counts(counts, d)
+    if not _w_populated(counts, d):
+        return _NO_POPULATION
     return _w_point(*_w_estimate(counts, d)[:3])
 
 
@@ -543,9 +541,8 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
     an (R, 4) ``detect.stream_states`` array.  The observed counts and
     their resamples are estimated as one stack; the observed row gives the
     point value and its warnings, the bits ``w_fidelity`` gives, and a
-    resample fails when its population total is zero.  Raises
-    ``EstimateUndefinedError`` when the observed populations are all zero,
-    before any draw, or when fewer than two resamples succeed.
+    resample fails when its population total is zero.  Observed populations
+    that are all zero give no value, before any draw.
     """
     n_resamples = _resample_count(streams)
     if (table.heralds != table.heralds[:1]).any():
@@ -556,14 +553,9 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
                          f"{sorted(set(expected) - set(labels))}, "
                          f"unexpected {sorted(set(labels) - set(expected))}")
     observed = table.coincidences.astype(float)
-    _check_w_counts(observed, dimension)
+    if not _w_populated(observed, dimension):
+        return _NO_POPULATION
     stack = np.concatenate((observed[None], _poisson_resamples(observed, streams)))
     values, pops, vis, total = _w_estimate(stack, dimension)
     point = _w_point(values[0], pops[0], vis[0])
-    values = np.clip(values[1:][total[1:] > 0], 0.0, 1.0)
-    tally = dict(n_resamples=int(values.size), n_failed=n_resamples - int(values.size))
-    if values.size < 2:
-        raise EstimateUndefinedError(
-            f"only {values.size} of {n_resamples} resamples succeeded",
-            replace(point, **tally))
-    return replace(point, sigma=float(values.std(ddof=1)), **tally)
+    return _spread(point, np.clip(values[1:][total[1:] > 0], 0.0, 1.0), n_resamples)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -176,6 +177,58 @@ def test_sweep_config_must_be_an_object(tmp_path, capsys, text):
     assert capsys.readouterr().err == "config error: config: top level must be a JSON object\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("raw, where", [
+    (b'{"seed": \xc3\x28}', "byte 9 (0xc3)"),
+    (b'\xff\xfe{"seed": 1}', "byte 0 (0xff)"),
+], ids=["bad-continuation", "utf16-mark"])
+def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys, command, raw, where):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    sweep = ["--param", "protocol.drift", "--values", "0.1"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *sweep]) == 2
+    assert capsys.readouterr().err == (f"config error: {path}: not UTF-8 text: "
+                                       f"{where} is invalid\n")
+
+
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path):
+    plain = run_experiment(load_experiment_config(write_config(tmp_path, small_doc(4))))
+    path = tmp_path / "marked.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "config.json").read_bytes())
+    marked = run_experiment(load_experiment_config(str(path)))
+    assert marked.pop("config_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+    del plain["config_sha256"]
+    assert report_to_json(marked) == report_to_json(plain)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 2}', "seed"),
+    ('{"seed": 1, "detection": {"dark_rate": 0, "eta_det": 1, "dark_rate": 0}}', "dark_rate"),
+], ids=["top-level", "nested"])
+def test_a_repeated_key_is_rejected_by_name(tmp_path, capsys, command, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    sweep = ["--param", "protocol.drift", "--values", "0.1"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *sweep]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: duplicate key {key!r}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("source_cells", [[1, 1], [1, 2], [2, 2]], "source_cells: need exactly one cell per branch"),
+    ("target_cells", [[1, 1]], "target_cells: need exactly one cell per branch"),
+    ("source_cells", [[1, 1], [1, 1]], "source_cells: cells must be distinct within the memory"),
+    ("target_cells", [[1, 2], [1, 2]], "target_cells: cells must be distinct within the memory"),
+    ("retrieval_order", [0, 0], "retrieval_order: must be a permutation of the bins"),
+    ("retrieval_order", [0, 1, 2], "retrieval_order: must be a permutation of the bins"),
+])
+def test_a_protocol_error_names_its_field(tmp_path, capsys, field, value, message):
+    doc = small_doc()
+    doc["protocol"][field] = value
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: protocol.{message}\n"
+
+
 def test_cell_outside_grid_rejected():
     doc = small_doc()
     doc["protocol"]["source_cells"] = [[1, 1], [9, 9]]
@@ -240,7 +293,6 @@ def test_report_embeds_hash_and_seed(tmp_path):
     cfg = load_experiment_config(path)
     rep = run_experiment(cfg)
     assert rep["seed"] == 17
-    import hashlib
     assert rep["config_sha256"] == hashlib.sha256(
         Path(path).read_bytes()).hexdigest()
 
@@ -385,6 +437,17 @@ def test_main_run_matches_big_seed_golden_report_bytes(tmp_path):
     assert main(["run", "--config", str(CONFIG_DIR / "qudit_default.json"),
                  "--seed", str(10**30), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / "qudit_bigseed_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, seed", [("qudit_lowcount", 32), ("qudit_nopop", 2)])
+def test_main_run_of_thin_tables_matches_golden_report_bytes(tmp_path, name, seed):
+    # lowcount (20 heralds, 2 resamples): stage 1 keeps its value with one
+    # good resample and sigma null; nopop (1 herald, no dark counts): stage 2
+    # has no population count, so its value and sigma are null
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(GOLDEN_DIR / f"{name}_config.json"),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}_report.json").read_bytes()
 
 
 def test_main_sweep_matches_golden_sweep_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -12,7 +13,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maqmsim import tomo
-from maqmsim.cli import derive_seed, load_experiment_config
+from maqmsim.cli import (
+    derive_seed,
+    load_experiment_config,
+    parse_experiment_config,
+    run_experiment,
+)
 from maqmsim.detect import (
     CountRow,
     CountsTable,
@@ -25,7 +31,6 @@ from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.tomo import (
-    EstimateUndefinedError,
     LikelihoodDecreasedError,
     bell_target,
     mle_reconstruct,
@@ -254,6 +259,8 @@ class TestWFidelity:
         est = w_fidelity([1] * 4 + [2, 0] * 6, 4)
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.warnings == ()
+        # one vector measures no spread
+        assert (est.sigma, est.n_resamples, est.n_failed) == (None, 0, 0)
 
     def test_incoherent_mixture(self):
         assert w_fidelity([1.0] * 16, 4).value == pytest.approx(0.25, abs=1e-12)
@@ -276,11 +283,15 @@ class TestWFidelity:
         ([1.0] * 15, r"d\^2 counts"),
         ([1.0] * 17, r"d\^2 counts"),
         ([1.0] * 15 + [-1.0], "non-negative"),
-        ([0.0] * 4 + [1.0] * 12, "all zero"),
-    ], ids=["short", "long", "negative", "no_population"])
+    ], ids=["short", "long", "negative"])
     def test_bad_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
             w_fidelity(counts, 4)
+
+    def test_no_population_count_has_no_value(self):
+        est = w_fidelity([0.0] * 4 + [1.0] * 12, 4)
+        assert (est.value, est.sigma, est.n_resamples, est.n_failed) == (None, None, 0, 0)
+        assert est.warnings == ("population counts are all zero",)
 
 
 def reference_w_bootstrap(table, d, n_resamples, seed):
@@ -383,21 +394,19 @@ class TestWPipeline:
     def test_too_few_resamples_keep_the_point(self, seed, n_ok):
         # one population count: a resample fails when its Poisson draw is 0
         counts = [1] + [0] * 15
-        with pytest.raises(tomo.EstimateUndefinedError,
-                           match=f"only {n_ok} of 3 resamples succeeded") as exc:
-            monte_carlo_w_fidelity(w_table(counts, 4), 4, streams(seed, 3))
-        point = exc.value.point
-        assert point.value == w_fidelity(counts, 4).value
-        assert (point.n_resamples, point.n_failed) == (n_ok, 3 - n_ok)
-        assert point.warnings == w_fidelity(counts, 4).warnings
+        est = monte_carlo_w_fidelity(w_table(counts, 4), 4, streams(seed, 3))
+        alone = w_fidelity(counts, 4)
+        assert est.value.hex() == alone.value.hex()
+        assert (est.sigma, est.n_resamples, est.n_failed) == (None, n_ok, 3 - n_ok)
+        assert est.warnings == (*alone.warnings, f"only {n_ok} of 3 resamples succeeded")
 
     def test_zero_populations_have_no_point(self, monkeypatch):
-        # and raise before any generator is built
+        # and return before any generator is built
         calls = []
         monkeypatch.setattr(tomo, "_generators", lambda *args: calls.append(args))
-        with pytest.raises(tomo.EstimateUndefinedError, match="all zero") as exc:
-            monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, streams(0, 3))
-        assert exc.value.point is None
+        est = monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, streams(0, 3))
+        assert (est.value, est.sigma, est.n_resamples, est.n_failed) == (None, None, 0, 0)
+        assert est.warnings == ("population counts are all zero",)
         assert calls == []
 
     def test_pairs_are_built_once_per_dimension(self):
@@ -491,6 +500,13 @@ def loop_unpack(x, d):
     return t_mat
 
 
+def loop_pack(t_mat):
+    # reference: the inverse of loop_unpack
+    d = t_mat.shape[0]
+    lower = [(t_mat[i, j].real, t_mat[i, j].imag) for i in range(d) for j in range(i)]
+    return np.concatenate([t_mat.diagonal().real, np.array(lower).reshape(-1)])
+
+
 def loop_grad_pack(m_mat):
     d = m_mat.shape[0]
     parts = [2.0 * m_mat.diagonal().real]
@@ -555,7 +571,7 @@ def scipy_reference_fit(projectors, observed, exposures, init_rho, tol, max_iter
 
     d = projectors.shape[1]
     value, gradient = reference_objective(projectors, observed, exposures)
-    x0 = tomo._pack(tomo._initial_t(init_rho, d))
+    x0 = loop_pack(tomo._initial_t(init_rho, d))
     trace = [-value(x0)]
     res = minimize(lambda x: (value(x), gradient(x)), x0, jac=True, method="L-BFGS-B",
                    callback=lambda xk: trace.append(-value(xk)),
@@ -611,7 +627,7 @@ class TestMleObjective:
             t_mat = objective.unpack(x)
             for row, t_row in zip(x, t_mat):
                 assert t_row.tobytes() == loop_unpack(row, d).tobytes()
-                assert tomo._pack(t_row).tobytes() == row.tobytes()
+            assert objective.pack(t_mat).tobytes() == x.tobytes()
 
     def test_fused_value_and_gradient_match_reference_bitwise(self):
         # row by row inside a stack, for the whole stack and for a subset
@@ -826,13 +842,12 @@ class TestLikelihoodGuard:
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: (spy.fits == 2 and row >= survivors
                                       and force_decrease(row, *args))
-        with pytest.raises(EstimateUndefinedError,
-                           match=f"^only {survivors} of 6 resamples succeeded$") as caught:
-            monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
-        point = caught.value.point
-        assert (point.value, point.sigma, point.n_resamples, point.n_failed) == (
-            plain.value, 0.0, survivors, 6 - survivors)
-        assert point.rho.entries.tobytes() == plain.rho.entries.tobytes()
+        est = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
+        assert est.value.hex() == plain.value.hex()
+        assert (est.sigma, est.n_resamples, est.n_failed) == (None, survivors, 6 - survivors)
+        assert est.warnings == (f"only {survivors} of 6 resamples succeeded",)
+        assert est.rho.entries.tobytes() == plain.rho.entries.tobytes()
+        assert plain.warnings == ()
 
 
 OPTIMIZED_STOPPING_SCRIPT = """
@@ -935,3 +950,36 @@ def test_default_tolerance_fit_reaches_the_optimum():
     tight = mle_reconstruct(table, tol=1e-16, max_iter=cfg.max_iter)
     assert default.converged
     assert abs(fidelity(default.rho, target) - fidelity(tight.rho, target)) <= 1e-5
+
+
+@functools.lru_cache(maxsize=None)
+def high_count_report(path):
+    # no dark counts and 10^9 heralds per setting, at the shipped resample
+    # count and stopping rule
+    doc = json.loads(Path(path).read_text())
+    doc["detection"].update(dark_rate=0.0, heralds_per_setting=10**9)
+    return run_experiment(parse_experiment_config(doc))
+
+
+def stops_short(sds):
+    return pytest.mark.xfail(
+        strict=True, reason=f"L-BFGS-B's relative stop at tol 1e-9 ends the fits short at "
+                            f"10^9 heralds (within 3 sd at tol 1e-16): {sds} sd")
+
+
+@pytest.mark.parametrize("path, stage", [
+    pytest.param(CONFIG_DIR / "qubit_default.json", 1, marks=stops_short(-25.2)),
+    pytest.param(CONFIG_DIR / "qubit_default.json", 2, marks=stops_short(-8.2)),
+    pytest.param(CONFIG_DIR / "qubit_ideal.json", 1, marks=stops_short(-6.9)),
+    pytest.param(CONFIG_DIR / "qubit_ideal.json", 2, marks=stops_short(-6.8)),
+    (CONFIG_DIR / "qudit_default.json", 1),
+    (CONFIG_DIR / "qudit_default.json", 2),
+    (GOLDEN_DIR / "qudit16_config.json", 1),
+    (GOLDEN_DIR / "qudit16_config.json", 2),
+], ids=lambda value: value.stem if isinstance(value, Path) else f"stage{value}")
+def test_high_count_estimate_lies_within_three_sigma_of_the_prediction(path, stage):
+    report = high_count_report(str(path))
+    block = report[f"maqm{stage}_stage"]
+    w = "" if report["dimension"] == 2 else "w_"
+    pull = (block[f"{w}fidelity"] - block[f"predicted_{w}fidelity"]) / block["sigma"]
+    assert abs(pull) <= 3.0, f"{pull:+.2f} sd"
