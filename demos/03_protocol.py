@@ -2,8 +2,8 @@
 """Run the heralded transfer end to end and look at what costs fidelity.
 
 Covers the source-only stage versus the full transfer, branch efficiency
-imbalance, coupling-laser drift, readout ordering, the W projection for the
-four-bin run, and the geometric herald statistics.
+imbalance, coupling-laser drift, readout ordering, and the W projection for
+the four-bin run.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from maqmsim import (
     MemorySpec,
     ProtocolConfig,
     RfGrid,
-    herald_loop,
     project_w,
     run_protocol,
 )
@@ -101,13 +100,6 @@ def main():
     print(f"  W fidelity          {f_w:.6f}")
     print("  early bins wait longer in the source memory, late bins wait")
     print("  longer in the target; the imbalance is what pulls F_W below 1")
-
-    print()
-    print("Herald statistics: attempts until the first heralded write")
-    cycles, exhausted = herald_loop(p_signal=0.01, max_cycles=10_000,
-                                    seed=1234, runs=100_000)
-    print(f"  mean attempts {cycles.mean():.1f} (expect 1/p = 100),"
-          f" exhausted runs: {int(exhausted.sum())}")
 
 
 if __name__ == "__main__":

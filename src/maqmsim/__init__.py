@@ -7,7 +7,7 @@ The package re-exports the public names of its modules; each module's
 * ``memory``: memory grids, per-cell efficiencies, survival;
 * ``qstate``: density matrices and state fidelities;
 * ``protocol``: branch-amplitude bookkeeping of one heralded transfer with
-  per-bin drift phases, the W projection and herald statistics;
+  per-bin drift phases, and the W projection;
 * ``schedule``: timed RF control schedules and their validation;
 * ``detect``: measurement settings and seeded coincidence counts;
 * ``tomo``: MLE reconstruction and bootstrap fidelities;

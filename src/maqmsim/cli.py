@@ -253,6 +253,9 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     if (not isinstance(order, list)
             or any(isinstance(v, bool) or not isinstance(v, int) for v in order)):
         raise ConfigError("protocol.retrieval_order: must be a list of bin indices")
+    if not order:
+        # ProtocolConfig reads () as the identity order, which only an absent field means here
+        raise ConfigError("protocol.retrieval_order: must be a permutation of the bins")
     proto.close()
 
     try:

@@ -21,8 +21,8 @@ time, conditioned on the herald.
 Every state on this path is diagonal in the branch pairing, so the d branch
 amplitudes v_k of sum_k v_k |s_k>|a_k> are the whole state.
 
-Nothing here is stochastic except ``herald_loop``; the rest is exact
-bookkeeping so tests can pin numbers to closed forms.
+Nothing here is stochastic; it is exact bookkeeping, so tests can pin numbers
+to closed forms.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "storage_dwell",
     "run_protocol",
     "project_w",
-    "herald_loop",
 ]
 
 
@@ -194,22 +193,3 @@ def project_w(outcome: TransferOutcome) -> float:
     if norm == 0.0:
         raise PostSelectionError("every branch amplitude is zero; nothing to project on")
     return float(abs(np.sum(v / norm)) ** 2 / d)
-
-
-def herald_loop(p_signal: float, max_cycles: int, seed: int, runs: int = 1):
-    """Sample how many write attempts precede the first herald.
-
-    Returns ``(cycles, exhausted)``: attempt counts capped at ``max_cycles``
-    and a flag per run marking the ones that hit the cap without a herald.
-    """
-    if not 0.0 < p_signal <= 1.0:
-        raise ValueError("p_signal must be in (0, 1]")
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    rng = np.random.default_rng([seed])
-    raw = rng.geometric(p_signal, size=runs)
-    exhausted = raw > max_cycles
-    cycles = np.where(exhausted, max_cycles, raw).astype(np.int64)
-    return cycles, exhausted

@@ -38,10 +38,6 @@ __all__ = [
     "Violation",
     "Schedule",
     "PatternError",
-    "WRITE_DURATION_US",
-    "READ_DURATION_US",
-    "COUPLING_DURATION_US",
-    "FINAL_DURATION_US",
     "AOD_SWITCH_US",
     "MIN_GUARD_US",
     "TIME_GRID_US",

@@ -31,7 +31,8 @@ def test_package_exports_the_module_lists():
 
 
 @pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency",
-                                  "_SWEEP_INTEGER", "_entropy", "_int_words"])
+                                  "_SWEEP_INTEGER", "_entropy", "_int_words",
+                                  "herald_loop"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
 

@@ -1,0 +1,101 @@
+"""Every golden output under tests/golden/, made by the one command that
+``tests/golden/manifest.json`` lists for it.
+
+Each manifest entry gives a ``maqmsim`` argv (paths relative to the repository
+root), the golden file it writes, and why that case is pinned.  The tests run
+every entry in process, hold the golden directory to the manifest, and rerun
+the whole manifest in fresh interpreters under two hash seeds and under
+``python -O``.
+
+As a script, from the repository root:
+
+    PYTHONPATH=src python tests/test_goldens.py           # check every entry
+    PYTHONPATH=src python tests/test_goldens.py --write   # regenerate them
+
+The check exits 1 at the first output that differs from its golden.
+``--write`` rewrites every output from its argv and prints the names of the
+files that changed; a change that moves golden bytes on purpose goes through
+it, and ``git diff tests/golden`` shows what moved.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from maqmsim.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
+MANIFEST = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+
+
+def produce(entry: dict, out: Path) -> bytes:
+    """Run one entry's command, from the repository root, into ``out``."""
+    code = main(entry["argv"] + ["--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"maqmsim {' '.join(entry['argv'])} exited {code}")
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["output"] for e in MANIFEST])
+def test_golden_bytes(entry, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    produced = produce(entry, tmp_path / entry["output"])
+    assert produced == (GOLDEN_DIR / entry["output"]).read_bytes()
+
+
+def test_manifest_covers_every_golden():
+    outputs = [e["output"] for e in MANIFEST]
+    inputs = {Path(arg).name for e in MANIFEST for arg in e["argv"]
+              if Path(arg).parent == Path("tests/golden")}
+    assert len(outputs) == len(set(outputs))
+    assert all((GOLDEN_DIR / name).is_file() for name in outputs)
+    files = {p.name for p in GOLDEN_DIR.iterdir()} - {"manifest.json"}
+    assert files == set(outputs) | inputs
+
+
+@pytest.mark.parametrize("flags, hash_seed", [
+    pytest.param([], "1", id="PYTHONHASHSEED=1"),
+    pytest.param([], "2", id="PYTHONHASHSEED=2"),
+    pytest.param(["-O"], None, id="-O"),
+])
+def test_goldens_hold_in_a_fresh_interpreter(flags, hash_seed):
+    # str hashing is salted per interpreter, and python -O strips assert
+    # statements: no output byte may depend on either
+    env = dict(os.environ, PYTHONPATH="src")
+    if hash_seed:
+        env["PYTHONHASHSEED"] = hash_seed
+    done = subprocess.run([sys.executable, *flags, "tests/test_goldens.py"], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def sync(write: bool) -> int:
+    """Run every entry; rewrite each golden that differs, or stop at the first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for entry in MANIFEST:
+            golden = GOLDEN_DIR / entry["output"]
+            produced = produce(entry, Path(tmp) / golden.name)
+            if golden.is_file() and golden.read_bytes() == produced:
+                continue
+            if not write:
+                print(f"{golden.name}: output differs from the golden", file=sys.stderr)
+                return 1
+            golden.write_bytes(produced)
+            print(golden.name)
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Check or regenerate the golden outputs.")
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite every golden from its command and name the changed ones")
+    args = parser.parse_args()
+    os.chdir(ROOT)
+    sys.exit(sync(args.write))

@@ -7,7 +7,6 @@ from maqmsim.protocol import (
     PostSelectionError,
     ProtocolConfig,
     bin_time,
-    herald_loop,
     project_w,
     run_protocol,
     storage_dwell,
@@ -261,33 +260,6 @@ class TestQuditAndW:
         assert out.predicted_fidelity == 0.0
         with pytest.raises(PostSelectionError):
             project_w(out)
-
-
-class TestHeraldLoop:
-    def test_mean_cycles_near_inverse_probability(self):
-        cycles, exhausted = herald_loop(0.01, max_cycles=10_000, seed=5, runs=100_000)
-        assert not exhausted.any()
-        assert 97.0 <= cycles.mean() <= 103.0
-
-    def test_cap_flags_exhausted_runs(self):
-        cycles, exhausted = herald_loop(0.001, max_cycles=50, seed=9, runs=2_000)
-        assert exhausted.any()
-        assert cycles.max() == 50
-        assert (cycles[exhausted] == 50).all()
-
-    def test_deterministic_in_seed(self):
-        a = herald_loop(0.05, 1_000, seed=31, runs=64)
-        b = herald_loop(0.05, 1_000, seed=31, runs=64)
-        assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
-
-    def test_certain_herald(self):
-        cycles, exhausted = herald_loop(1.0, 10, seed=0, runs=16)
-        assert (cycles == 1).all()
-        assert not exhausted.any()
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError):
-            herald_loop(0.0, 10, seed=0)
 
 
 class TestConfigValidation:
