@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """From exact branch amplitudes to an experimenter's eye view: sample
 coincidence counts through lossy detectors, reconstruct the state by
-maximum likelihood, and put an error bar on the fidelity."""
+maximum likelihood, and put an error bar on the fidelity.
+
+Every random draw happens in ``detect``: ``sample_counts`` draws a table and
+``poisson_resamples`` its bootstrap resamples.  The estimators in ``tomo``
+take those arrays and draw nothing themselves."""
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from maqmsim import (
     mle_reconstruct,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
+    poisson_resamples,
     run_protocol,
     sample_counts,
     stream_states,
@@ -79,7 +84,10 @@ def main():
     print("Bootstrap error bar at 2000 heralds/setting")
     table = sample_counts(settings, probabilities, heralds_per_setting=2000,
                           dark_rate=1e-4, streams=table_streams)
-    est = monte_carlo_fidelity(table, target, streams=stream_states(7, np.arange(100)))
+    # 100 resampled tables, resample r drawn from np.random.default_rng([7, r])
+    resamples = poisson_resamples(table, stream_states(7, np.arange(100)))
+    print(f"  resample stack: {resamples.shape[0]} tables x {resamples.shape[1]} settings")
+    est = monte_carlo_fidelity(table, target, resamples)
     pull = (est.value - outcome.predicted_fidelity) / est.sigma
     print(f"  F = {est.value:.4f} +- {est.sigma:.4f}"
           f"  ({est.n_resamples} resamples, truth sits {pull:+.2f} sigma away)")
@@ -92,7 +100,8 @@ def main():
                            dark_rate=1e-4, streams=stream_states(5, np.arange(16)))
     pops = table4.coincidences[:4].astype(float)
     print(f"  populations: {np.round(pops / pops.sum(), 4)}")
-    est4 = monte_carlo_w_fidelity(table4, dimension=4, streams=stream_states(9, np.arange(100)))
+    resamples4 = poisson_resamples(table4, stream_states(9, np.arange(100)))
+    est4 = monte_carlo_w_fidelity(table4, dimension=4, resamples=resamples4)
     print(f"  F_W = {est4.value:.4f} +- {est4.sigma:.4f}"
           f"  warnings: {list(est4.warnings) or 'none'}")
 

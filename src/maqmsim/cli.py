@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .detect import (
     coincidence_probabilities,
+    poisson_resamples,
     sample_counts,
     stream_states,
     tomography_settings,
@@ -359,7 +360,7 @@ def _stage_report_qubit(outcome, probabilities, table_streams, bootstrap_streams
     table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
                           table_streams)
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
-    est = monte_carlo_fidelity(table, target, bootstrap_streams,
+    est = monte_carlo_fidelity(table, target, poisson_resamples(table, bootstrap_streams),
                                tol=cfg.tol, max_iter=cfg.max_iter)
     block = {
         "predicted_fidelity": outcome.predicted_fidelity,
@@ -391,7 +392,8 @@ def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams
         return block
     table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
                           table_streams)
-    est = monte_carlo_w_fidelity(table, cfg.protocol.dimension, bootstrap_streams)
+    est = monte_carlo_w_fidelity(table, cfg.protocol.dimension,
+                                 poisson_resamples(table, bootstrap_streams))
     block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
                  warnings=list(est.warnings))
     return block

@@ -8,13 +8,15 @@ A block of settings is one ``Settings`` value: the row labels plus read-only
 Coincidences are herald-conditioned: probabilities are computed against the
 unnormalized branch amplitudes of a protocol run, so branch loss and
 detection efficiency show up as missing counts rather than renormalized
-statistics.  A ``CountsTable`` holds label, herald and coincidence columns.
+statistics.  A ``CountsTable`` is three read-only columns: labels, heralds
+and coincidences.  Counts cross to ``tomo`` as arrays: a table, and the
+(R, n) stack of its bootstrap resamples that ``poisson_resamples`` draws.
 
-Every random draw comes from a stream: a PCG64 seeded from one row of
-``stream_states(seeds, indices)``, bit for bit the generator
-``np.random.default_rng([seed, index])`` gives.  A run's streams form a
-tree: the config seed gives stage s a table seed and a bootstrap seed,
-``cli.derive_seed(seed, s, 0)`` and ``(seed, s, 1)``, through numpy's
+Every random draw in the package is made here, from a stream: a PCG64
+seeded from one row of ``stream_states(seeds, indices)``, bit for bit the
+generator ``np.random.default_rng([seed, index])`` gives.  A run's streams
+form a tree: the config seed gives stage s a table seed and a bootstrap
+seed, ``cli.derive_seed(seed, s, 0)`` and ``(seed, s, 1)``, through numpy's
 ``SeedSequence``; table row i draws from stream (table seed, i) and
 resample r from (bootstrap seed, r), every row of a run hashed in one
 array pass.  Streams are keyed by index, so tables are reproducible and
@@ -27,7 +29,6 @@ depend on the dimension alone; ``cli.main`` keeps no state between calls.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,13 +38,13 @@ from .protocol import TransferOutcome
 
 __all__ = [
     "Settings",
-    "CountRow",
     "CountsTable",
     "tomography_settings",
     "w_labels",
     "w_settings",
     "coincidence_probabilities",
     "sample_counts",
+    "poisson_resamples",
     "stream_states",
 ]
 
@@ -81,27 +82,15 @@ class Settings:
         object.__setattr__(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class CountRow:
-    label: str
-    heralds: int
-    coincidences: int
-
-    def __post_init__(self):
-        if self.heralds < 0 or self.coincidences < 0:
-            raise ValueError("counts must be non-negative")
-        if self.coincidences > self.heralds:
-            raise ValueError("coincidences cannot exceed heralds")
-
-
 @dataclass(frozen=True, eq=False)
 class CountsTable:
     """A coincidence table as columns: row i is ``labels[i]``, ``heralds[i]``
     and ``coincidences[i]``.
 
     The count columns are read-only 1-D copies of what is given, checked
-    all at once by the rules of ``CountRow``; ``rows`` is a sized view of
-    the table as ``CountRow`` values.
+    all at once: counts are non-negative and no row has more coincidences
+    than heralds.  ``rows`` gives the table as ``(label, heralds,
+    coincidences)`` tuples.
     """
 
     labels: tuple[str, ...]
@@ -124,15 +113,9 @@ class CountsTable:
         object.__setattr__(self, "heralds", heralds)
         object.__setattr__(self, "coincidences", coincidences)
 
-    @classmethod
-    def from_rows(cls, rows) -> CountsTable:
-        rows = tuple(rows)
-        return cls(tuple(r.label for r in rows), [r.heralds for r in rows],
-                   [r.coincidences for r in rows])
-
     @property
-    def rows(self) -> _CountRows:
-        return _CountRows(self)
+    def rows(self) -> tuple[tuple[str, int, int], ...]:
+        return tuple(zip(self.labels, self.heralds.tolist(), self.coincidences.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, CountsTable):
@@ -141,25 +124,6 @@ class CountsTable:
                 and np.array_equal(self.coincidences, other.coincidences))
 
     __hash__ = None
-
-
-class _CountRows(Sequence):
-    """The rows of a ``CountsTable``, each made as it is read."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: CountsTable):
-        self._table = table
-
-    def __len__(self):
-        return len(self._table.labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        t = self._table
-        label = t.labels[i]   # raises IndexError past the end
-        return CountRow(label, t.heralds[i].item(), t.coincidences[i].item())
 
 
 # single-qubit analyzer kets on the {upper, lower} mode pair
@@ -275,6 +239,16 @@ def sample_counts(settings: Settings, probabilities, heralds_per_setting: int,
                           for p_i, rng in zip(p.tolist(), _generators(streams, n))),
                          dtype=np.int64, count=n)
     return CountsTable(settings.labels, np.full(n, heralds_per_setting, dtype=np.int64), counts)
+
+
+def poisson_resamples(table: CountsTable, streams: np.ndarray) -> np.ndarray:
+    """(R, n) float bootstrap resamples of the table's coincidences: row r is
+    Poisson around the n counts, drawn on the PCG64 seeded from ``streams[r]``."""
+    observed = table.coincidences.astype(float)
+    draws = np.empty((len(streams), observed.size))
+    for r, rng in enumerate(_generators(streams, len(streams))):
+        draws[r] = rng.poisson(observed)
+    return draws
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)

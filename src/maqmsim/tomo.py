@@ -40,20 +40,21 @@ of the same table.  Its resamples, warm-started from the base fit, are
 fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
-bootstraps read the table's count columns and take their resample streams
-as one (R, 4) array of ``detect.stream_states``; they draw one (R, n) stack
-of Poisson resamples, row r from stream r.  A W stage estimates the
-observed table and its resamples in one pass, as one (R + 1, n) stack whose
-row 0 is the observed table, and the qubit bootstrap checks and scores
-each fitted stack in one pass.
+bootstraps read the table's count columns and take its resamples as one
+(R, n) array, row r one resampled count vector, as
+``detect.poisson_resamples`` draws them; nothing here draws.  A W stage
+estimates the observed table and its resamples in one pass, as one
+(R + 1, n) stack whose row 0 is the observed table, and the qubit
+bootstrap checks and scores each fitted stack in one pass.
 
 Every estimator returns a ``FidelityEstimate``; ``None`` marks what the
 data cannot give, and ``warnings`` says why.  A W table with no population
-count has no ``value``.  A bootstrap where fewer than two resamples
-succeed keeps its point value and has no ``sigma``; ``w_fidelity``
-measures no spread, so its ``sigma`` is ``None`` too.  Bad arguments
-(unknown labels, mixed heralds, fewer than two streams, a bad ``tol`` or
-``max_iter``) raise ``ValueError``.
+count has no ``value``.  A bootstrap keeps its point value and has no
+``sigma`` when fewer than two resamples succeed, or for a W table with no
+coherence count, whose resamples all give 1/d; ``w_fidelity`` measures no
+spread, so its ``sigma`` is ``None`` too.  Bad arguments (unknown labels,
+mixed heralds, a resample array of fewer than two rows or of the wrong
+width, a bad ``tol`` or ``max_iter``) raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detect import CountsTable, _generators, tomography_settings, w_labels
+from .detect import CountsTable, tomography_settings, w_labels
 from .qstate import DensityMatrix, _stack_fidelities, fidelity
 
 __all__ = [
@@ -402,20 +403,14 @@ def mle_reconstruct(counts: CountsTable, tol: float = 1e-9,
     return _fit_one(*_aligned_projectors(counts), tol, max_iter)
 
 
-def _resample_count(streams) -> int:
-    """The number of resamples ``streams`` asks for: at least 2."""
-    n_resamples = len(streams)
-    if n_resamples < 2:
-        raise ValueError(f"need at least 2 resample streams, got {n_resamples}")
-    return n_resamples
-
-
-def _poisson_resamples(observed: np.ndarray, streams: np.ndarray) -> np.ndarray:
-    """(R, n) Poisson draws around ``observed``; row r draws from ``streams[r]``."""
-    draws = np.empty((len(streams), observed.size))
-    for r, rng in enumerate(_generators(streams, len(streams))):
-        draws[r] = rng.poisson(observed)
-    return draws
+def _resample_stack(resamples, table: CountsTable) -> np.ndarray:
+    """``resamples`` as an (R, n) float array: R >= 2, one column per table row."""
+    resamples = np.asarray(resamples, dtype=float)
+    n = len(table.labels)
+    if resamples.ndim != 2 or len(resamples) < 2 or resamples.shape[1] != n:
+        raise ValueError(f"need an (R, {n}) array of resamples with R >= 2, "
+                         f"got shape {resamples.shape}")
+    return resamples
 
 
 def _spread(point: FidelityEstimate, values: np.ndarray, attempted: int) -> FidelityEstimate:
@@ -428,9 +423,9 @@ def _spread(point: FidelityEstimate, values: np.ndarray, attempted: int) -> Fide
     return replace(point, sigma=float(values.std(ddof=1)), **tally)
 
 
-def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.ndarray,
+def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, resamples: np.ndarray,
                          tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
-    """Poisson-resample the table, refit each draw, report point and spread.
+    """Refit each resample of the table, report the point fit and the spread.
 
     The point estimate is the base fit's fidelity; the resample mean sits
     systematically low (each resample carries the sampling noise twice) and
@@ -439,23 +434,24 @@ def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, streams: np.nd
     number; the likelihood only cares about rates).  Each refit warm-starts
     from the base reconstruction, which is returned as ``rho`` so callers
     need not fit the table again.  Failed refits are skipped and counted;
-    when fewer than two succeed, sigma is None.  Resample r draws from
-    ``streams[r]``, one row of an (R, 4) ``detect.stream_states`` array.
+    when fewer than two succeed, sigma is None.  ``resamples`` is an (R, n)
+    array of count vectors, R >= 2, one column per table row, as
+    ``detect.poisson_resamples`` draws them.
     """
-    n_resamples = _resample_count(streams)
+    resamples = _resample_stack(resamples, counts)
     _check_stopping(tol, max_iter)
     projectors, observed, exposures = _aligned_projectors(counts)
     base = _fit_one(projectors, observed, exposures, tol, max_iter).rho
     # fidelity checks the target before any refit
     point = FidelityEstimate(value=fidelity(base, target), sigma=None, n_resamples=0, rho=base)
 
-    resamples, kept = _poisson_resamples(observed, streams), []
-    for start in range(0, n_resamples, MAX_STACK_ROWS):
+    kept = []
+    for start in range(0, len(resamples), MAX_STACK_ROWS):
         fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
                           exposures, base.entries, tol, max_iter)
         fitted = np.array([error is None for error in fits.errors])
         kept.append(_stack_fidelities(fits.rho[fitted], target))
-    return _spread(point, np.concatenate(kept), n_resamples)
+    return _spread(point, np.concatenate(kept), len(resamples))
 
 
 def _w_estimate(counts: np.ndarray, d: int):
@@ -488,6 +484,7 @@ def _w_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 _NO_POPULATION = FidelityEstimate(value=None, sigma=None, n_resamples=0,
                                   warnings=("population counts are all zero",))
+_NO_COHERENCE = "coherence counts are all zero, so the resamples show no spread"
 
 
 def _w_populated(counts: np.ndarray, d: int) -> bool:
@@ -533,18 +530,20 @@ def w_fidelity(counts, dimension: int) -> FidelityEstimate:
 
 
 def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
-                           streams: np.ndarray) -> FidelityEstimate:
-    """Poisson-resample the W counts table and spread the fidelity estimate.
+                           resamples: np.ndarray) -> FidelityEstimate:
+    """Spread the W fidelity estimate over the table's resamples.
 
     The rows must be the ``w_settings(dimension)`` rows, in order, with one
-    shared herald count.  Resample r draws from ``streams[r]``, one row of
-    an (R, 4) ``detect.stream_states`` array.  The observed counts and
-    their resamples are estimated as one stack; the observed row gives the
-    point value and its warnings, the bits ``w_fidelity`` gives, and a
-    resample fails when its population total is zero.  Observed populations
-    that are all zero give no value, before any draw.
+    shared herald count; ``resamples`` is an (R, n) array of count
+    vectors, R >= 2, one column per row, as ``detect.poisson_resamples``
+    draws them.  The observed counts and their resamples are estimated as
+    one stack; the observed row gives the point value and its warnings, the
+    bits ``w_fidelity`` gives, and a resample fails when its population
+    total is zero.  Observed populations that are all zero give no value.
+    Without a coherence count every resample has V = 0 and the value 1/d,
+    so its spread measures nothing and sigma is None.
     """
-    n_resamples = _resample_count(streams)
+    resamples = _resample_stack(resamples, table)
     if (table.heralds != table.heralds[:1]).any():
         raise ValueError("rows must share one herald count for a consistent scale")
     labels, expected = table.labels, w_labels(dimension)
@@ -555,7 +554,10 @@ def monte_carlo_w_fidelity(table: CountsTable, dimension: int,
     observed = table.coincidences.astype(float)
     if not _w_populated(observed, dimension):
         return _NO_POPULATION
-    stack = np.concatenate((observed[None], _poisson_resamples(observed, streams)))
-    values, pops, vis, total = _w_estimate(stack, dimension)
+    values, pops, vis, total = _w_estimate(np.concatenate((observed[None], resamples)),
+                                           dimension)
     point = _w_point(values[0], pops[0], vis[0])
-    return _spread(point, np.clip(values[1:][total[1:] > 0], 0.0, 1.0), n_resamples)
+    est = _spread(point, np.clip(values[1:][total[1:] > 0], 0.0, 1.0), len(resamples))
+    if observed[dimension:].any():
+        return est
+    return replace(est, sigma=None, warnings=(*est.warnings, _NO_COHERENCE))

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from maqmsim.cli import load_experiment_config, run_experiment
-from maqmsim.detect import CountRow, CountsTable, tomography_settings
+from maqmsim.detect import CountsTable, tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.schedule import cell_to_rf, compile_schedule
 from maqmsim.tomo import bell_target, mle_reconstruct, monte_carlo_fidelity
-from test_detect import draw_counts, streams
+from test_detect import draw_counts, resamples
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "maqmsim" / "configs"
@@ -151,17 +151,13 @@ def test_criterion_3_tomography_round_trip():
             probs = [setting_probability(truth_arr, s, a)
                      for s, a in zip(settings.signal, settings.atom)]
 
-            exact_rows = tuple(
-                CountRow(lbl, 1_000_000, int(round(p * 1_000_000)))
-                for lbl, p in zip(labels, probs))
-            res = mle_reconstruct(CountsTable.from_rows(exact_rows))
+            exact = [int(round(p * 1_000_000)) for p in probs]
+            res = mle_reconstruct(CountsTable(labels, [1_000_000] * 16, exact))
             assert state_fidelity(res.rho, truth) >= 0.9999
             assert_monotone(res.likelihood_trace)
 
-            sampled_rows = tuple(
-                CountRow(lbl, 1000, int(rng.binomial(1000, p)))
-                for lbl, p in zip(labels, probs))
-            res = mle_reconstruct(CountsTable.from_rows(sampled_rows))
+            sampled = [int(rng.binomial(1000, p)) for p in probs]
+            res = mle_reconstruct(CountsTable(labels, [1000] * 16, sampled))
             f = state_fidelity(res.rho, truth)
             assert f >= 0.93
             sampled_fidelities.append(f)
@@ -179,7 +175,7 @@ def test_criterion_4_monte_carlo_error_calibration():
         covered, sigmas = 0, []
         for trial in range(100):
             table = draw_counts(outcome, settings, 1000, 1.0, 0.0, seed=trial)
-            est = monte_carlo_fidelity(table, target, streams(10_000 + trial, 50))
+            est = monte_carlo_fidelity(table, target, resamples(table, 10_000 + trial, 50))
             sigmas.append(est.sigma)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1

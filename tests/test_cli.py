@@ -1002,7 +1002,31 @@ def test_too_few_resamples_keep_the_point_value(tmp_path):
     assert main(["run", "--config", path, "--seed", "32", "--out", str(out)]) == 0
     stage = json.loads(out.read_text())["maqm1_stage"]
     assert (stage["w_fidelity"], stage["sigma"], stage["n_resamples"]) == (0.25, None, 1)
-    assert stage["warnings"] == ["only 1 of 2 resamples succeeded"]
+    assert stage["warnings"] == ["only 1 of 2 resamples succeeded", NO_COHERENCE]
+
+
+NO_COHERENCE = "coherence counts are all zero, so the resamples show no spread"
+
+
+@pytest.mark.parametrize("config, seed, stage, populations", [
+    ("qudit_nopop_config.json", 2, "maqm1_stage", [0, 1, 0, 0]),
+    ("qudit_lowcount_config.json", 32, "maqm2_stage", [1, 0, 0, 0]),
+])
+def test_w_stage_without_coherence_counts_has_no_sigma(tmp_path, monkeypatch, config, seed,
+                                                        stage, populations):
+    # every resample has the value 1/d, so the spread reads 0 and shows nothing
+    tables = []
+    real = cli.sample_counts
+    monkeypatch.setattr(cli, "sample_counts", lambda *args: tables.append(real(*args))
+                        or tables[-1])
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(GOLDEN_DIR / config), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    table = tables[("maqm1_stage", "maqm2_stage").index(stage)]
+    assert table.coincidences[:4].tolist() == populations and not table.coincidences[4:].any()
+    block = json.loads(out.read_text())[stage]
+    assert (block["w_fidelity"], block["sigma"]) == (0.25, None)
+    assert block["warnings"][-1] == NO_COHERENCE
 
 
 def test_qubit_stage_without_spread_keeps_the_point_value(tmp_path, monkeypatch):

@@ -5,11 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from maqmsim.detect import (
-    CountRow,
     CountsTable,
     Settings,
     _generators,
     coincidence_probabilities,
+    poisson_resamples,
     sample_counts,
     stream_states,
     tomography_settings,
@@ -42,6 +42,11 @@ def make_config(dimension=2, eta_read=1.0, eta_eit=1.0):
 def streams(seed, count):
     """The streams (seed, i), i < count, as ``stream_states`` rows."""
     return stream_states(seed, np.arange(count))
+
+
+def resamples(table, seed, count):
+    """``poisson_resamples`` of the table, row r from stream (seed, r)."""
+    return poisson_resamples(table, streams(seed, count))
 
 
 def draw_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
@@ -216,12 +221,10 @@ def reference_probability(outcome, s, a, eta_det):
 
 
 def reference_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
-    out = []
-    for i, (label, s, a) in enumerate(zip(settings.labels, settings.signal, settings.atom)):
-        p = reference_probability(outcome, s, a, eta_det) + dark_rate
-        c = int(np.random.default_rng([seed, i]).binomial(heralds, p))
-        out.append(CountRow(label, heralds, c))
-    return CountsTable.from_rows(out)
+    counts = [int(np.random.default_rng([seed, i]).binomial(
+        heralds, reference_probability(outcome, s, a, eta_det) + dark_rate))
+        for i, (s, a) in enumerate(zip(settings.signal, settings.atom))]
+    return CountsTable(settings.labels, [heralds] * len(counts), counts)
 
 
 class TestArrayExpressionMatchesPerSettingLoop:
@@ -270,7 +273,7 @@ class TestSampleCounts:
         out = bell_outcome()
         uu = rows(tomography_settings(2), "UU")
         table = draw_counts(out, uu, 500, eta_det=1.0, dark_rate=0.5, seed=1)
-        assert table.rows[0].coincidences == 500
+        assert table.coincidences[0] == 500
 
     def test_impossible_probability_rejected(self):
         out = bell_outcome()
@@ -282,14 +285,14 @@ class TestSampleCounts:
         out = bell_outcome()
         uu = rows(tomography_settings(2), "UU")
         table = draw_counts(out, uu, 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
-        c = table.rows[0].coincidences
+        c = table.coincidences[0]
         assert abs(c - 5000) < 5 * 50  # 5 sigma, sigma = sqrt(n p (1-p)) = 50
 
     def test_zero_probability_gives_zero_counts(self):
         out = bell_outcome()
         ud = rows(tomography_settings(2), "UD")
         table = draw_counts(out, ud, 1000, eta_det=1.0, dark_rate=0.0, seed=3)
-        assert table.rows[0].coincidences == 0
+        assert table.coincidences[0] == 0
 
     def test_seed_reproducibility(self):
         out = bell_outcome()
@@ -305,7 +308,7 @@ class TestSampleCounts:
         full = draw_counts(out, settings, 1000, 0.5, 0.0, seed=11)
         prefix = draw_counts(out, rows(settings, *settings.labels[:4]), 1000, 0.5, 0.0,
                              seed=11)
-        assert full.rows[:4] == tuple(prefix.rows)
+        assert full.rows[:4] == prefix.rows
 
     def test_frequencies_converge_to_probability(self):
         out = bell_outcome()
@@ -313,15 +316,38 @@ class TestSampleCounts:
         p = probability(out, ss, 1.0)
         for shots in (1_000, 100_000):
             table = draw_counts(out, ss, shots, 1.0, 0.0, seed=13)
-            freq = table.rows[0].coincidences / shots
+            freq = table.coincidences[0] / shots
             sigma = np.sqrt(p * (1 - p) / shots)
             assert abs(freq - p) < 5 * sigma
 
-    def test_count_invariants(self):
-        with pytest.raises(ValueError):
-            CountRow("UU", 10, 11)
-        with pytest.raises(ValueError):
-            CountRow("UU", -1, 0)
+    @pytest.mark.parametrize("heralds, coincidences, message", [
+        ([10, 10], [10, 11], "cannot exceed heralds"),
+        ([10, -1], [0, 0], "non-negative"),
+        ([10, 10], [-1, 0], "non-negative"),
+        ([10], [1, 1], "one herald and one coincidence count per label"),
+    ], ids=["over-heralds", "negative-heralds", "negative-coincidences", "short-column"])
+    def test_count_invariants(self, heralds, coincidences, message):
+        with pytest.raises(ValueError, match=message):
+            CountsTable(("UU", "UD"), heralds, coincidences)
+
+    def test_a_table_is_its_read_only_columns(self):
+        table = CountsTable(["UU", "UD"], [10, 10], [3, 0])
+        assert table.labels == ("UU", "UD")
+        assert table.rows == (("UU", 10, 3), ("UD", 10, 0))
+        assert not table.heralds.flags.writeable and not table.coincidences.flags.writeable
+
+
+class TestPoissonResamples:
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_row_r_is_numpys_stream_r(self, seed):
+        # dark, small, and rates large enough for numpy's PTRS path
+        table = CountsTable(tuple("abcde"), [10**6] * 5, [0, 1, 3, 45, 2500])
+        stack = resamples(table, seed, 30)
+        assert stack.dtype == np.float64 and stack.shape == (30, 5)
+        observed = table.coincidences.astype(float)
+        for r, row in enumerate(stack):
+            want = np.random.default_rng([seed, r]).poisson(observed)
+            assert row.tolist() == want.tolist()
 
 
 class TestSubstreams:

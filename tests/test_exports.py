@@ -32,9 +32,22 @@ def test_package_exports_the_module_lists():
 
 @pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency",
                                   "_SWEEP_INTEGER", "_entropy", "_int_words",
-                                  "herald_loop"])
+                                  "herald_loop", "CountRow", "_CountRows",
+                                  "_poisson_resamples", "_resample_count"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
+
+
+def test_counts_cross_to_tomo_as_arrays_only():
+    # a table is its columns, and tomo takes resamples, never the streams
+    # that draw them
+    assert not hasattr(detect.CountsTable, "from_rows")
+    from_detect = [alias.name for node in ast.walk(ast.parse(inspect.getsource(tomo)))
+                   if isinstance(node, ast.ImportFrom) and node.module == "detect"
+                   for alias in node.names]
+    assert from_detect and not [name for name in from_detect if name.startswith("_")]
+    assert not [name for name, fn in vars(tomo).items() if inspect.isfunction(fn)
+                and "streams" in inspect.signature(fn).parameters]
 
 
 def test_settings_nothing_sets_are_gone():

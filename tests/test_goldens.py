@@ -13,12 +13,15 @@ As a script, from the repository root:
     PYTHONPATH=src python tests/test_goldens.py --write   # regenerate them
 
 The check exits 1 at the first output that differs from its golden.
-``--write`` rewrites every output from its argv and prints the names of the
-files that changed; a change that moves golden bytes on purpose goes through
-it, and ``git diff tests/golden`` shows what moved.
+``--write`` rewrites every output from its argv and prints what changed,
+one line per JSON leaf or CSV cell: ``file: key old -> new``, where a
+missing leaf reads ``(absent)``.  A change that moves golden bytes on
+purpose goes through it and quotes those lines.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -76,6 +79,53 @@ def test_goldens_hold_in_a_fresh_interpreter(flags, hash_seed):
     assert done.returncode == 0, done.stderr
 
 
+def leaves(name: str, data: bytes) -> dict:
+    """The file's leaves by key, each as JSON text: a JSON leaf by its dotted
+    path, a JSON Lines leaf under ``line N``, and a CSV cell, as a string,
+    under ``row N.column``."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        return {f"row {i}.{column}": json.dumps(cell) for i, row in enumerate(rows, 1)
+                for column, cell in zip(header, row)}
+    if name.endswith(".jsonl"):
+        doc = {f"line {i}": json.loads(line) for i, line in enumerate(text.splitlines(), 1)}
+    else:
+        doc = json.loads(text) if text else {}
+    out = {}
+
+    def walk(node, key):
+        if isinstance(node, (dict, list)) and node:
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for k, value in items:
+                walk(value, f"{key}[{k}]" if isinstance(node, list) else
+                     f"{key}.{k}" if key else k)
+        else:
+            out[key] = json.dumps(node)
+
+    walk(doc, "")
+    return out
+
+
+def leaf_diff(name: str, old: bytes, new: bytes) -> list[str]:
+    """``file: key old -> new`` for each leaf that differs, in the new file's order."""
+    a, b = leaves(name, old), leaves(name, new)
+    return [f"{name}: {key} {a.get(key, '(absent)')} -> {b.get(key, '(absent)')}"
+            for key in dict.fromkeys([*b, *a]) if a.get(key) != b.get(key)]
+
+
+def test_leaf_diff_names_each_changed_leaf():
+    old = b'{"stage": {"sigma": 0.0, "warnings": []}, "seed": 2}'
+    new = b'{"stage": {"sigma": null, "warnings": ["w"]}, "seed": 2}'
+    assert leaf_diff("r.json", old, new) == [
+        "r.json: stage.sigma 0.0 -> null", 'r.json: stage.warnings[0] (absent) -> "w"',
+        "r.json: stage.warnings [] -> (absent)"]
+    assert leaf_diff("s.csv", b"x,sigma\r\n0,0.1\r\n0.3,0.2\r\n",
+                     b"x,sigma\r\n0,0.1\r\n0.3,\r\n") == ['s.csv: row 2.sigma "0.2" -> ""']
+    assert leaf_diff("e.jsonl", b'{"t": 1}\n{"t": 2}\n', b'{"t": 1}\n{"t": 3}\n') == [
+        "e.jsonl: line 2.t 2 -> 3"]
+
+
 def sync(write: bool) -> int:
     """Run every entry; rewrite each golden that differs, or stop at the first."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,8 +137,10 @@ def sync(write: bool) -> int:
             if not write:
                 print(f"{golden.name}: output differs from the golden", file=sys.stderr)
                 return 1
+            old = golden.read_bytes() if golden.is_file() else b""
             golden.write_bytes(produced)
-            print(golden.name)
+            print("\n".join(leaf_diff(golden.name, old, produced))
+                  or f"{golden.name}: bytes differ, no leaf changed")
     return 0
 
 

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from maqmsim import cli, detect, tomo
 from maqmsim.cli import parse_experiment_config
-from maqmsim.detect import CountRow, CountsTable, Settings, coincidence_probabilities, \
-    tomography_settings
+from maqmsim.detect import CountsTable, Settings, coincidence_probabilities, tomography_settings
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
 from maqmsim.protocol import ProtocolConfig, bin_time, project_w, run_protocol, storage_dwell
 from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
@@ -224,8 +223,7 @@ def tomography_rows(k):
 @given(k=st.integers(1, 4), heralds=st.integers(1, 10**6), data=st.data())
 def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data):
     # the rows are count vectors as a bootstrap draws them, free of the herald cap
-    table = CountsTable.from_rows(CountRow(label, heralds, 0)
-                                  for label in tomography_settings(2).labels)
+    table = CountsTable(tomography_settings(2).labels, [heralds] * 16, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
     observed = np.array(data.draw(tomography_rows(k)), dtype=float)
     init = np.eye(4) / 4
@@ -249,8 +247,7 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data)
 def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
     rng = np.random.default_rng(seed)
     heralds = data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16))
-    table = CountsTable.from_rows(CountRow(label, h, 0)
-                                  for label, h in zip(tomography_settings(2).labels, heralds))
+    table = CountsTable(tomography_settings(2).labels, heralds, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
     if data.draw(st.booleans()):
         # random rank-1 projectors: unlike the tomography settings' sparse,
@@ -470,13 +467,15 @@ def test_w_bootstrap_point_is_w_fidelity_bit_for_bit(d, n_resamples, seed, data)
     pairs = data.draw(st.lists(counts, min_size=d * (d - 1), max_size=d * (d - 1)))
     heralds = max(pops + pairs)
     table = CountsTable(detect.w_labels(d), [heralds] * d * d, pops + pairs)
-    est = tomo.monte_carlo_w_fidelity(table, d,
-                                      detect.stream_states(seed, np.arange(n_resamples)))
+    streams = detect.stream_states(seed, np.arange(n_resamples))
+    est = tomo.monte_carlo_w_fidelity(table, d, detect.poisson_resamples(table, streams))
     alone = tomo.w_fidelity(pops + pairs, d)
     assert est.value.hex() == alone.value.hex()
     assert est.n_resamples + est.n_failed == n_resamples
-    # fewer than two good resamples give no sigma, and the reason comes last
-    assert (est.sigma is None) == (est.n_resamples < 2)
+    # fewer than two good resamples, or no coherence count, give no sigma,
+    # and the reasons come last
+    assert (est.sigma is None) == (est.n_resamples < 2 or not any(pairs))
     spread = () if est.n_resamples >= 2 else (
         f"only {est.n_resamples} of {n_resamples} resamples succeeded",)
-    assert est.warnings == alone.warnings + spread
+    flat = () if any(pairs) else (tomo._NO_COHERENCE,)
+    assert est.warnings == alone.warnings + spread + flat

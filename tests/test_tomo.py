@@ -20,7 +20,6 @@ from maqmsim.cli import (
     run_experiment,
 )
 from maqmsim.detect import (
-    CountRow,
     CountsTable,
     coincidence_probabilities,
     tomography_settings,
@@ -38,7 +37,7 @@ from maqmsim.tomo import (
     monte_carlo_w_fidelity,
     w_fidelity,
 )
-from test_detect import draw_counts, streams
+from test_detect import draw_counts, resamples
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "maqmsim" / "configs"
@@ -71,12 +70,9 @@ def setting_probability(rho_entries, signal, atom):
 
 
 def exact_counts(probabilities, labels, heralds=4_000_000):
-    rows = []
-    for label, p in zip(labels, probabilities):
-        c = p * heralds
-        assert abs(c - round(c)) < 1e-6, "test wants exactly representable counts"
-        rows.append(CountRow(label, heralds, int(round(c))))
-    return CountsTable.from_rows(rows)
+    counts = np.asarray(probabilities) * heralds
+    assert (abs(counts - counts.round()) < 1e-6).all(), "test wants exactly representable counts"
+    return CountsTable(labels, [heralds] * len(labels), counts.round().astype(int))
 
 
 def bell_table(heralds=4_000_000):
@@ -106,9 +102,8 @@ class TestMleReconstruct:
         truth = 0.8 * pure + 0.2 * np.eye(4) / 4
         settings = tomography_settings(2)
         probs = [setting_probability(truth, s, a) for s, a in zip(settings.signal, settings.atom)]
-        counts = CountsTable.from_rows(
-            CountRow(label, 10_000_000, int(round(p * 10_000_000)))
-            for label, p in zip(settings.labels, probs))
+        counts = CountsTable(settings.labels, [10_000_000] * 16,
+                             [int(round(p * 10_000_000)) for p in probs])
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, truth, rtol=0, atol=2e-3)
 
@@ -122,7 +117,7 @@ class TestMleReconstruct:
 
     def test_all_zero_counts_returns_init(self):
         settings = tomography_settings(2)
-        counts = CountsTable.from_rows(CountRow(label, 1000, 0) for label in settings.labels)
+        counts = CountsTable(settings.labels, [1000] * 16, [0] * 16)
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
 
@@ -134,8 +129,9 @@ class TestMleReconstruct:
     def test_bad_stopping_rules_rejected_before_any_fit(self, monkeypatch, estimator,
                                                          name, value):
         spy = SetulbSpy(monkeypatch)
-        args = (bell_table(),) if estimator == "mle_reconstruct" else (
-            bell_table(), bell_target(), streams(0, 4))
+        table = bell_table()
+        args = (table,) if estimator == "mle_reconstruct" else (
+            table, bell_target(), resamples(table, 0, 4))
         with pytest.raises(ValueError, match=f"^{name} must"):
             getattr(tomo, estimator)(*args, **{name: value})
         assert spy.fits == 0
@@ -154,7 +150,7 @@ class TestMleReconstruct:
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="no measurement setting named 'XX'"):
-            mle_reconstruct(CountsTable.from_rows((CountRow("XX", 10, 1),)))
+            mle_reconstruct(CountsTable(("XX",), [10], [1]))
 
     def test_result_always_physical(self):
         out = run_protocol(make_config(eta_read=[0.3] * 30))
@@ -170,7 +166,7 @@ class TestMonteCarloFidelity:
     def test_high_count_sigma_small(self):
         out = run_protocol(make_config())
         table = draw_counts(out, tomography_settings(2), 20_000, 1.0, 0.0, seed=8)
-        est = monte_carlo_fidelity(table, bell_target(), streams(17, 20))
+        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 17, 20))
         assert est.value >= 0.99
         assert 0.0 < est.sigma < 0.01
         assert est.n_failed == 0
@@ -178,30 +174,29 @@ class TestMonteCarloFidelity:
     def test_deterministic_in_seed(self):
         out = run_protocol(make_config())
         table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        a = monte_carlo_fidelity(table, bell_target(), streams(23, 5))
-        b = monte_carlo_fidelity(table, bell_target(), streams(23, 5))
+        a = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 5))
+        b = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 5))
         assert a == b
 
     def test_stack_blocks_give_the_same_estimate(self, monkeypatch):
         out = run_protocol(make_config())
         table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        whole = monte_carlo_fidelity(table, bell_target(), streams(23, 10))
+        whole = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 10))
         monkeypatch.setattr(tomo, "MAX_STACK_ROWS", 4)
-        blocks = monte_carlo_fidelity(table, bell_target(), streams(23, 10))
+        blocks = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 10))
         assert (blocks.value, blocks.sigma, blocks.n_resamples) == \
             (whole.value, whole.sigma, whole.n_resamples) == (whole.value, whole.sigma, 10)
 
-    def test_too_few_resamples_rejected(self):
-        out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        with pytest.raises(ValueError):
-            monte_carlo_fidelity(table, bell_target(), streams(23, 1))
+    @pytest.mark.parametrize("shape", [(1, 16), (0, 16), (4, 15), (16,), (2, 16, 1)])
+    def test_a_resample_array_of_the_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"need an \(R, 16\) array of resamples"):
+            monte_carlo_fidelity(bell_table(), bell_target(), np.ones(shape))
 
     def test_target_must_be_a_unit_vector_of_the_reconstruction_dimension(self):
         table = bell_table()
         for bad in (np.full(2, np.sqrt(0.5)), np.full(4, 1.0)):
             with pytest.raises(ValueError):
-                monte_carlo_fidelity(table, bad, streams(23, 2))
+                monte_carlo_fidelity(table, bad, resamples(table, 23, 2))
 
     @pytest.mark.parametrize("stage", [
         pytest.param(1, marks=pytest.mark.xfail(
@@ -218,14 +213,14 @@ class TestMonteCarloFidelity:
         out, settings = run_protocol(cfg.protocol, transfer=stage == 2), tomography_settings(2)
         target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
         probs = coincidence_probabilities(out, settings, cfg.eta_det) + cfg.dark_rate
-        expected = CountsTable.from_rows(CountRow(label, 10**9, 10**9 * float(p))
-                                         for label, p in zip(settings.labels, probs))
+        expected = CountsTable(settings.labels, [10**9] * 16, 10**9 * probs)
         truth = fidelity(mle_reconstruct(expected, tol=1e-16, max_iter=cfg.max_iter).rho, target)
         errors, covered = [], 0
         for trial in range(100):
             table = draw_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
                                 cfg.dark_rate, seed=trial)
-            est = monte_carlo_fidelity(table, target, streams(10_000 + trial, cfg.n_resamples),
+            est = monte_carlo_fidelity(table, target,
+                                       resamples(table, 10_000 + trial, cfg.n_resamples),
                                        tol=cfg.tol, max_iter=cfg.max_iter)
             errors.append(est.value - truth)
             if abs(est.value - truth) <= est.sigma:
@@ -249,8 +244,7 @@ def w_counts(rho):
 
 
 def w_table(counts, d, heralds=1000):
-    return CountsTable.from_rows(CountRow(label, heralds, int(c))
-                                 for label, c in zip(w_labels(d), counts))
+    return CountsTable(w_labels(d), [heralds] * d * d, counts)
 
 
 class TestWFidelity:
@@ -294,7 +288,7 @@ class TestWFidelity:
         assert est.warnings == ("population counts are all zero",)
 
 
-def reference_w_bootstrap(table, d, n_resamples, seed):
+def reference_w_bootstrap(table, d, stack):
     """The scalar per-resample loop of the label-dict W estimator, kept as reference."""
 
     def estimate(by_label):
@@ -318,14 +312,11 @@ def reference_w_bootstrap(table, d, n_resamples, seed):
             value = float(np.clip(value, 0.0, 1.0))
         return value, tuple(notes)
 
-    labels = [r.label for r in table.rows]
-    point, notes = estimate({r.label: float(r.coincidences) for r in table.rows})
-    observed = np.array([float(r.coincidences) for r in table.rows])
+    point, notes = estimate(dict(zip(table.labels, table.coincidences.astype(float).tolist())))
     values, failed = [], 0
-    for r in range(n_resamples):
-        rng = np.random.default_rng([seed, r])
+    for row in stack:
         try:
-            values.append(estimate(dict(zip(labels, rng.poisson(observed).astype(float))))[0])
+            values.append(estimate(dict(zip(table.labels, row.tolist())))[0])
         except ValueError:
             failed += 1
     return point, values, failed, notes
@@ -340,7 +331,7 @@ class TestWPipeline:
         # projected fidelity within Monte Carlo error
         out = self.qudit_outcome()
         table = draw_counts(out, w_settings(4), 100_000, 0.8, 0.0, seed=31)
-        est = monte_carlo_w_fidelity(table, 4, streams(32, 30))
+        est = monte_carlo_w_fidelity(table, 4, resamples(table, 32, 30))
         exact = project_w(out)
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
 
@@ -351,7 +342,7 @@ class TestWPipeline:
             values[y * 5 + x] = eta
         out = self.qudit_outcome(eta_eit=values)
         table = draw_counts(out, w_settings(4), 200_000, 0.8, 0.0, seed=41)
-        est = monte_carlo_w_fidelity(table, 4, streams(42, 30))
+        est = monte_carlo_w_fidelity(table, 4, resamples(table, 42, 30))
         exact = project_w(out)
         assert exact < 0.95
         assert abs(est.value - exact) < 5 * max(est.sigma, 1e-4)
@@ -360,54 +351,72 @@ class TestWPipeline:
         out = self.qudit_outcome()
         clean = draw_counts(out, w_settings(4), 200_000, 0.5, 0.0, seed=51)
         dark = draw_counts(out, w_settings(4), 200_000, 0.5, 5e-3, seed=51)
-        f_clean = w_fidelity([r.coincidences for r in clean.rows], 4).value
-        f_dark = w_fidelity([r.coincidences for r in dark.rows], 4).value
+        f_clean = w_fidelity(clean.coincidences, 4).value
+        f_dark = w_fidelity(dark.coincidences, 4).value
         assert f_dark < f_clean
         assert f_dark > 0.25
 
     def test_mixed_heralds_rejected(self):
-        rows = (CountRow("P0", 100, 1), CountRow("P1", 200, 1),
-                CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
+        table = CountsTable(("P0", "P1", "C01+", "C01-"), [100, 200, 100, 100], [1] * 4)
         with pytest.raises(ValueError, match="herald"):
-            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 2, streams(0, 2))
+            monte_carlo_w_fidelity(table, 2, resamples(table, 0, 2))
 
     def test_missing_population_rows_rejected(self):
-        rows = (CountRow("P0", 100, 1), CountRow("C01+", 100, 1), CountRow("C01-", 100, 1))
+        table = CountsTable(("P0", "C01+", "C01-"), [100] * 3, [1] * 3)
         with pytest.raises(ValueError, match="missing \\['P1'\\]"):
-            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 2, streams(0, 2))
+            monte_carlo_w_fidelity(table, 2, resamples(table, 0, 2))
 
     @pytest.mark.parametrize("drop", ["C01-", "C23+"])
     def test_missing_pair_row_rejected(self, drop):
-        rows = tuple(r for r in w_table([10] * 16, 4).rows if r.label != drop)
+        table = CountsTable(*zip(*(r for r in w_table([10] * 16, 4).rows if r[0] != drop)))
         with pytest.raises(ValueError, match=f"missing \\['{re.escape(drop)}'\\]"):
-            monte_carlo_w_fidelity(CountsTable.from_rows(rows), 4, streams(0, 2))
+            monte_carlo_w_fidelity(table, 4, resamples(table, 0, 2))
 
     def test_extra_or_reordered_rows_rejected(self):
-        rows = tuple(w_table([10] * 4, 2).rows)
+        rows = w_table([10] * 4, 2).rows
+        extra = CountsTable(*zip(*rows, ("C02+", 1000, 1)))
         with pytest.raises(ValueError, match="unexpected \\['C02\\+'\\]"):
-            monte_carlo_w_fidelity(CountsTable.from_rows(rows + (CountRow("C02+", 1000, 1),)), 2,
-                                   streams(0, 2))
+            monte_carlo_w_fidelity(extra, 2, resamples(extra, 0, 2))
+        reordered = CountsTable(*zip(*rows[::-1]))
         with pytest.raises(ValueError, match="in order"):
-            monte_carlo_w_fidelity(CountsTable.from_rows(rows[::-1]), 2, streams(0, 2))
+            monte_carlo_w_fidelity(reordered, 2, resamples(reordered, 0, 2))
+
+    @pytest.mark.parametrize("shape", [(1, 16), (3, 15), (16,)])
+    def test_a_resample_array_of_the_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"need an \(R, 16\) array of resamples"):
+            monte_carlo_w_fidelity(w_table([10] * 16, 4), 4, np.ones(shape))
 
     @pytest.mark.parametrize("seed, n_ok", [(8, 1), (3, 0)])
     def test_too_few_resamples_keep_the_point(self, seed, n_ok):
-        # one population count: a resample fails when its Poisson draw is 0
-        counts = [1] + [0] * 15
-        est = monte_carlo_w_fidelity(w_table(counts, 4), 4, streams(seed, 3))
+        # one population count: a resample fails when its Poisson draw is 0;
+        # the coherence count keeps the no-coherence rule out of the way
+        counts = [1] + [0] * 3 + [1] + [0] * 11
+        table = w_table(counts, 4)
+        est = monte_carlo_w_fidelity(table, 4, resamples(table, seed, 3))
         alone = w_fidelity(counts, 4)
         assert est.value.hex() == alone.value.hex()
         assert (est.sigma, est.n_resamples, est.n_failed) == (None, n_ok, 3 - n_ok)
         assert est.warnings == (*alone.warnings, f"only {n_ok} of 3 resamples succeeded")
 
-    def test_zero_populations_have_no_point(self, monkeypatch):
-        # and return before any generator is built
-        calls = []
-        monkeypatch.setattr(tomo, "_generators", lambda *args: calls.append(args))
-        est = monte_carlo_w_fidelity(w_table([0] * 4 + [5] * 12, 4), 4, streams(0, 3))
+    @pytest.mark.parametrize("populations", [[1, 0, 0, 0], [0, 1, 0, 0], [30, 40, 1, 7]])
+    def test_no_coherence_count_has_no_sigma(self, populations):
+        # every resample has V = 0, so its value is 1/d to rounding: the
+        # spread would read ~0 with no reason given
+        table = w_table(populations + [0] * 12, 4)
+        stack = resamples(table, 5, 40)
+        est = monte_carlo_w_fidelity(table, 4, stack)
+        alone = w_fidelity(table.coincidences, 4)
+        assert est.value.hex() == alone.value.hex() and est.sigma is None
+        ok = int((stack[:, :4].sum(axis=1) > 0).sum())
+        assert (est.n_resamples, est.n_failed) == (ok, 40 - ok)
+        spread = () if ok >= 2 else (f"only {ok} of 40 resamples succeeded",)
+        assert est.warnings == (*alone.warnings, *spread, tomo._NO_COHERENCE)
+
+    def test_zero_populations_have_no_point(self):
+        table = w_table([0] * 4 + [5] * 12, 4)
+        est = monte_carlo_w_fidelity(table, 4, resamples(table, 0, 3))
         assert (est.value, est.sigma, est.n_resamples, est.n_failed) == (None, None, 0, 0)
         assert est.warnings == ("population counts are all zero",)
-        assert calls == []
 
     def test_pairs_are_built_once_per_dimension(self):
         i, j = tomo._w_pairs(5)
@@ -437,7 +446,8 @@ class TestWPipeline:
         for trial in range(100):
             table = draw_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
                                 cfg.dark_rate, seed=trial)
-            est = monte_carlo_w_fidelity(table, d, streams(10_000 + trial, cfg.n_resamples))
+            est = monte_carlo_w_fidelity(table, d,
+                                         resamples(table, 10_000 + trial, cfg.n_resamples))
             errors.append(est.value - truth)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1
@@ -457,16 +467,15 @@ class TestWPipeline:
             # one population count in all: about e^-1 of the resamples have none
             d, n_res = 4, 60
             table = w_table([1, 0, 0, 0] + [1, 0, 0, 2, 3, 0, 1, 1, 0, 0, 2, 0], 4)
-        value, values, n_failed, notes = reference_w_bootstrap(table, d, n_res, seed=9)
-        est = monte_carlo_w_fidelity(table, d, streams(9, n_res))
+        stack = resamples(table, 9, n_res)
+        value, values, n_failed, notes = reference_w_bootstrap(table, d, stack)
+        est = monte_carlo_w_fidelity(table, d, stack)
         assert est.value == value
         assert est.sigma == float(np.asarray(values).std(ddof=1))
         assert (est.n_resamples, est.n_failed) == (len(values), n_failed)
         assert est.warnings == notes
         # every resample of the stack, not just their spread
-        observed = np.array([float(r.coincidences) for r in table.rows])
-        resamples = tomo._poisson_resamples(observed, streams(9, n_res))
-        stacked, *_, total = tomo._w_estimate(resamples, d)
+        stacked, *_, total = tomo._w_estimate(stack, d)
         assert np.clip(stacked[total > 0], 0.0, 1.0).tobytes() == np.array(values).tobytes()
         if case == "near_zero_populations":
             assert n_failed > 0 and notes
@@ -541,10 +550,9 @@ def reference_objective(projectors, observed, exposures):
     return value, gradient
 
 
-def sampled_problem(seed=5, heralds=1000):
-    table = draw_counts(run_protocol(make_config()), tomography_settings(2),
-                        heralds, 0.5, 1e-4, seed=seed)
-    return tomo._aligned_projectors(table)
+def sampled_table(seed=5, heralds=1000):
+    return draw_counts(run_protocol(make_config()), tomography_settings(2),
+                       heralds, 0.5, 1e-4, seed=seed)
 
 
 def reference_stage2_table():
@@ -559,9 +567,9 @@ def reference_stage2_table():
 
 def stacked_problem(n_rows=6, seed=5):
     # one sampled table plus Poisson resamples of it, as a bootstrap stacks them
-    projectors, observed, exposures = sampled_problem(seed)
-    resamples = tomo._poisson_resamples(observed, streams(seed, n_rows - 1))
-    stack = np.vstack([observed[None], resamples])
+    table = sampled_table(seed)
+    projectors, observed, exposures = tomo._aligned_projectors(table)
+    stack = np.vstack([observed[None], resamples(table, seed, n_rows - 1)])
     return projectors, stack, exposures
 
 
@@ -696,7 +704,7 @@ class TestMleObjective:
     def test_bootstrap_base_fit_is_the_plain_fit(self):
         out = run_protocol(make_config())
         table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        est = monte_carlo_fidelity(table, bell_target(), streams(23, 3))
+        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 3))
         assert est.rho.entries.tobytes() == mle_reconstruct(table).rho.entries.tobytes()
         assert est.value == fidelity(est.rho, bell_target())
 
@@ -707,9 +715,10 @@ class TestAgainstScipyMinimize:
                                                (9, 1000), (11, 2)])
     def test_stack_matches_serial_public_fits(self, seed, heralds):
         # a scipy whose setulb or _minimize_lbfgsb loop differs fails here
-        projectors, observed, exposures = sampled_problem(seed, heralds)
+        table = sampled_table(seed, heralds)
+        projectors, observed, exposures = tomo._aligned_projectors(table)
         base = scipy_reference_fit(projectors, observed, exposures, np.eye(4) / 4, 1e-9, 1000)
-        stack = tomo._poisson_resamples(observed, streams(seed, 20))
+        stack = resamples(table, seed, 20)
         fits = [(tomo._fit_stack(projectors, observed[None], exposures, np.eye(4) / 4,
                                  1e-9, 1000), 0, base)]
         fit = tomo._fit_stack(projectors, stack, exposures, base[0], 1e-9, 1000)
@@ -777,7 +786,7 @@ import sys
 import numpy as np
 from scipy.optimize import _lbfgsb
 from maqmsim import tomo
-from maqmsim.detect import CountRow, CountsTable, tomography_settings
+from maqmsim.detect import CountsTable, tomography_settings
 
 def force_decrease(m, x, *args):
     task = args[9]
@@ -789,8 +798,8 @@ def force_decrease(m, x, *args):
         task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
 
 _lbfgsb.setulb = force_decrease
-table = CountsTable.from_rows(CountRow(label, 1000, 250 if label[0] == label[1] else 0)
-                              for label in tomography_settings(2).labels)
+labels = tomography_settings(2).labels
+table = CountsTable(labels, [1000] * 16, [250 if label[0] == label[1] else 0 for label in labels])
 try:
     tomo.mle_reconstruct(table)
 except tomo.LikelihoodDecreasedError:
@@ -833,16 +842,16 @@ class TestLikelihoodGuard:
         # and 5 are forced to fail
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
-        est = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
+        est = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         assert (est.n_resamples, est.n_failed) == (3, 3)
 
     @pytest.mark.parametrize("survivors", [0, 1])
     def test_bootstrap_without_spread_keeps_the_point(self, monkeypatch, survivors):
-        plain = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
+        plain = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: (spy.fits == 2 and row >= survivors
                                       and force_decrease(row, *args))
-        est = monte_carlo_fidelity(bell_table(), bell_target(), streams(3, 6))
+        est = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         assert est.value.hex() == plain.value.hex()
         assert (est.sigma, est.n_resamples, est.n_failed) == (None, survivors, 6 - survivors)
         assert est.warnings == (f"only {survivors} of 6 resamples succeeded",)
@@ -853,9 +862,9 @@ class TestLikelihoodGuard:
 OPTIMIZED_STOPPING_SCRIPT = """
 import sys
 from maqmsim import tomo
-from maqmsim.detect import CountRow, CountsTable, tomography_settings
+from maqmsim.detect import CountsTable, tomography_settings
 
-table = CountsTable.from_rows(CountRow(label, 1000, 10) for label in tomography_settings(2).labels)
+table = CountsTable(tomography_settings(2).labels, [1000] * 16, [10] * 16)
 for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
     try:
         tomo.mle_reconstruct(table, **kwargs)
@@ -876,10 +885,10 @@ def test_stopping_checks_survive_optimized_mode():
 IMPORT_ORDER_SCRIPT = r"""
 import json, sys
 from maqmsim import tomo
-from maqmsim.detect import CountRow, CountsTable
+from maqmsim.detect import CountsTable
 
 order, rows = sys.argv[1], json.loads(sys.argv[2])
-table = CountsTable.from_rows(CountRow(*row) for row in rows)
+table = CountsTable(*zip(*rows))
 
 def fit():
     res = tomo.mle_reconstruct(table)
@@ -912,7 +921,7 @@ print(json.dumps(steps))
 class TestKernelLoader:
     def test_either_import_order_fits_with_one_kernel(self):
         table = bell_table(heralds=2000)
-        rows = json.dumps([[r.label, r.heralds, r.coincidences] for r in table.rows])
+        rows = json.dumps(table.rows)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
         res = mle_reconstruct(table)
