@@ -34,8 +34,8 @@ from .detect import (
 from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
-from .tomo import bell_target, monte_carlo_fidelity, monte_carlo_w_fidelity
-from .qstate import DensityMatrix, state_fidelity
+from .tomo import bell_target, monte_carlo_fidelities, monte_carlo_w_fidelity
+from .qstate import state_fidelity
 
 __all__ = [
     "ConfigError",
@@ -353,25 +353,37 @@ def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
     return np.split(states, np.cumsum(counts)[:-1])
 
 
-def _stage_report_qubit(outcome, probabilities, table_streams, bootstrap_streams,
-                        cfg: ExperimentConfig, settings) -> tuple[dict, DensityMatrix]:
-    """The stage's block and base fit; a bootstrap with no spread keeps the
-    fidelity, sets sigma None and adds the reason as the block's ``warnings``."""
-    table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
-                          table_streams)
+def _stage_reports_qubit(outcomes, probabilities, table_streams, bootstrap_streams,
+                         cfg: ExperimentConfig, settings) -> tuple[dict, dict, float | None]:
+    """Both stages' blocks and the transmission fidelity, from one fit of both tables.
+
+    A stage without a spread keeps its fidelity, sets sigma None and adds
+    the reason as the block's ``warnings``; a stage without a base fit has
+    no fidelity, and then the run has no transmission fidelity.
+    """
+    tables, resamples = [], []
+    for p, rows, draws in zip(probabilities, table_streams, bootstrap_streams):
+        table = sample_counts(settings, p, cfg.heralds_per_setting, cfg.dark_rate, rows)
+        tables.append(table)
+        resamples.append(poisson_resamples(table, draws))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
-    est = monte_carlo_fidelity(table, target, poisson_resamples(table, bootstrap_streams),
-                               tol=cfg.tol, max_iter=cfg.max_iter)
-    block = {
-        "predicted_fidelity": outcome.predicted_fidelity,
-        "survival_probability": outcome.survival_probability,
-        "fidelity": est.value,
-        "sigma": est.sigma,
-        "n_resamples": est.n_resamples,
-    }
-    if est.warnings:
-        block["warnings"] = list(est.warnings)
-    return block, est.rho
+    estimates = monte_carlo_fidelities(tables, target, resamples, tol=cfg.tol,
+                                       max_iter=cfg.max_iter)
+    blocks = []
+    for outcome, est in zip(outcomes, estimates):
+        block = {
+            "predicted_fidelity": outcome.predicted_fidelity,
+            "survival_probability": outcome.survival_probability,
+            "fidelity": est.value,
+            "sigma": est.sigma,
+            "n_resamples": est.n_resamples,
+        }
+        if est.warnings:
+            block["warnings"] = list(est.warnings)
+        blocks.append(block)
+    rho1, rho2 = (est.rho for est in estimates)
+    transmission = None if rho1 is None or rho2 is None else state_fidelity(rho1, rho2)
+    return *blocks, transmission
 
 
 def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams,
@@ -450,11 +462,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         },
     }
     if d == 2:
-        block1, rho1 = _stage_report_qubit(stage1, p1, table1, bootstrap1, cfg, settings)
-        block2, rho2 = _stage_report_qubit(stage2, p2, table2, bootstrap2, cfg, settings)
-        report["maqm1_stage"] = block1
-        report["maqm2_stage"] = block2
-        report["transmission_fidelity"] = state_fidelity(rho1, rho2)
+        (report["maqm1_stage"], report["maqm2_stage"],
+         report["transmission_fidelity"]) = _stage_reports_qubit(
+            (stage1, stage2), (p1, p2), (table1, table2), (bootstrap1, bootstrap2), cfg, settings)
     else:
         report["maqm1_stage"] = _stage_report_qudit(stage1, p1, table1, bootstrap1, cfg, settings)
         report["maqm2_stage"] = _stage_report_qudit(stage2, p2, table2, bootstrap2, cfg, settings)

@@ -44,15 +44,20 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dimension})"
 
 
-def fidelity(rho: DensityMatrix, target) -> float:
-    """Overlap <target| rho |target> with a pure target given as a unit vector."""
+def _unit_target(target, d: int) -> np.ndarray:
+    """``target`` as a complex vector; one that is not a unit vector of length d raises."""
     t = np.asarray(target, dtype=complex)
-    if t.shape != (rho.dimension,):
-        raise ValueError(f"target must be a vector of length {rho.dimension}, "
-                         f"got shape {t.shape}")
+    if t.shape != (d,):
+        raise ValueError(f"target must be a vector of length {d}, got shape {t.shape}")
     norm_sq = float(np.sum(np.abs(t) ** 2))
     if abs(norm_sq - 1.0) > NORM_ATOL * max(1.0, norm_sq):
         raise ValueError(f"target not normalized: sum |a|^2 = {norm_sq!r}")
+    return t
+
+
+def fidelity(rho: DensityMatrix, target) -> float:
+    """Overlap <target| rho |target> with a pure target given as a unit vector."""
+    t = _unit_target(target, rho.dimension)
     value = np.vdot(t, rho.entries @ t)
     if abs(value.imag) > HERM_ATOL:
         raise ValueError("fidelity came out complex; density matrix invalid?")
@@ -64,7 +69,7 @@ def _stack_fidelities(mats: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Matrices that ``DensityMatrix`` or ``fidelity`` would reject are left
     out; the rest keep their order and the bits of the one-matrix calls.
-    The target is not checked: check it with ``fidelity`` first.
+    The target is not checked: check it with ``_unit_target`` first.
     """
     hermitian = (np.abs(mats - mats.conj().transpose(0, 2, 1)) <= HERM_ATOL).all(axis=(1, 2))
     unit_trace = ~(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0) > HERM_ATOL)

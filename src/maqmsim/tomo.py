@@ -31,13 +31,17 @@ never fits loads no scipy and one that fits skips the package's import.
 The value of each accepted step is the row's last evaluation; the
 likelihood trace is checked to be non-decreasing across accepted steps,
 and a row that fails the check stops with ``LikelihoodDecreasedError`` (an
-explicit check, so it also holds under ``python -O``).  A single fit
-raises it; a bootstrap counts the row as failed.
+explicit check, so it also holds under ``python -O``).  A single fit, and
+a bootstrap's base fit, raise it; a bootstrap counts a resample that fails
+it as failed.
 
-A bootstrap fits the observed table once from the maximally mixed state and
-hands that base fit back with the estimate, so a report needs no second fit
-of the same table.  Its resamples, warm-started from the base fit, are
-fitted as stacks of at most ``MAX_STACK_ROWS`` rows.
+``monte_carlo_fidelities`` bootstraps tables that share labels and heralds,
+such as a run's two qubit stages, in two stacks: the base fits of all the
+tables, each from the maximally mixed state, then the resamples of all the
+tables, each warm-started from its own table's base fit, in blocks of at
+most ``MAX_STACK_ROWS`` rows.  Each base fit is handed back with its
+estimate, so a report needs no second fit of the same table.
+``monte_carlo_fidelity`` is the one-table form.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps read the table's count columns and take its resamples as one
@@ -49,12 +53,15 @@ bootstrap checks and scores each fitted stack in one pass.
 
 Every estimator returns a ``FidelityEstimate``; ``None`` marks what the
 data cannot give, and ``warnings`` says why.  A W table with no population
-count has no ``value``.  A bootstrap keeps its point value and has no
-``sigma`` when fewer than two resamples succeed, or for a W table with no
-coherence count, whose resamples all give 1/d; ``w_fidelity`` measures no
+count has no ``value``, nor has a qubit table with no coincidence count.  A
+bootstrap keeps its point value and has no ``sigma`` when fewer than two
+resamples succeed; for a W table with no coherence count, whose resamples
+all give 1/d; and for a qubit table whose counts sit in one setting, whose
+resamples all give the base fit's state.  ``w_fidelity`` measures no
 spread, so its ``sigma`` is ``None`` too.  Bad arguments (unknown labels,
-mixed heralds, a resample array of fewer than two rows or of the wrong
-width, a bad ``tol`` or ``max_iter``) raise ``ValueError``.
+mixed heralds, qubit tables that differ in labels or heralds, a resample
+array of fewer than two rows or of the wrong width, a bad target, ``tol``
+or ``max_iter``) raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detect import CountsTable, tomography_settings, w_labels
-from .qstate import DensityMatrix, _stack_fidelities, fidelity
+from .qstate import DensityMatrix, _stack_fidelities, _unit_target, fidelity
 
 __all__ = [
     "ReconstructionResult",
@@ -81,6 +88,7 @@ __all__ = [
     "bell_target",
     "mle_reconstruct",
     "monte_carlo_fidelity",
+    "monte_carlo_fidelities",
     "w_fidelity",
     "monte_carlo_w_fidelity",
 ]
@@ -283,6 +291,7 @@ class _StackFit(NamedTuple):
 def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _StackFit:
     """L-BFGS-B on each row of ``observed`` (k, S), all rows in lockstep.
 
+    ``init_rho`` is one start for every row, (d, d), or one per row, (k, d, d).
     The loop is scipy's ``_minimize_lbfgsb`` (one iteration per NEW_X, the
     max_iter and maxfun stops, ``converged`` only on CONVERGENCE) with its
     function memo, run for every row at once.  A row whose accepted step
@@ -293,7 +302,8 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     k, d = observed.shape[0], projectors.shape[1]
     n, m = d * d, _LBFGS_M
     objective = _NegLogLikelihoods(projectors, observed, exposures)
-    x = np.tile(objective.pack(_initial_t(init_rho, d)[None]), (k, 1))
+    # setulb takes each row of x as a contiguous buffer
+    x = np.ascontiguousarray(objective.pack(np.broadcast_to(_initial_t(init_rho, d), (k, d, d))))
     g = np.zeros((k, n))
     no_bounds, nbd = np.zeros(n), np.zeros(n, dtype=np.int32)
     wa = np.zeros((k, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
@@ -364,18 +374,8 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
                      traces=tuple(tuple(t) for t in traces), errors=tuple(errors))
 
 
-def _fit_one(projectors, observed, exposures, tol, max_iter) -> ReconstructionResult:
-    """One count vector through ``_fit_stack`` from the maximally mixed state;
-    a likelihood decrease raises."""
-    d = projectors.shape[1]
-    fit = _fit_stack(projectors, observed[None, :], exposures, np.eye(d) / d, tol, max_iter)
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
-    return ReconstructionResult(DensityMatrix(fit.rho[0]), float(fit.log_likelihood[0]),
-                                int(fit.iterations[0]), bool(fit.converged[0]), fit.traces[0])
-
-
 def _initial_t(init_rho: np.ndarray, d: int) -> np.ndarray:
+    """The Cholesky factor of each (d, d) start, nudged off the boundary."""
     jitter = 1e-9
     mat = (init_rho + jitter * np.eye(d)) / (1.0 + jitter * d)
     return np.linalg.cholesky(mat)
@@ -397,10 +397,17 @@ def mle_reconstruct(counts: CountsTable, tol: float = 1e-9,
     ``converged`` reports whether the relative likelihood change dropped
     below ``tol`` within ``max_iter`` accepted steps; on exhaustion the best
     iterate is still returned.  All-zero tables are a flat likelihood, so
-    the initial state, the maximally mixed one, comes back unchanged.
+    the initial state, the maximally mixed one, comes back unchanged.  A
+    likelihood decrease raises.
     """
     _check_stopping(tol, max_iter)
-    return _fit_one(*_aligned_projectors(counts), tol, max_iter)
+    projectors, observed, exposures = _aligned_projectors(counts)
+    d = projectors.shape[1]
+    fit = _fit_stack(projectors, observed[None], exposures, np.eye(d) / d, tol, max_iter)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    return ReconstructionResult(DensityMatrix(fit.rho[0]), float(fit.log_likelihood[0]),
+                                int(fit.iterations[0]), bool(fit.converged[0]), fit.traces[0])
 
 
 def _resample_stack(resamples, table: CountsTable) -> np.ndarray:
@@ -423,35 +430,83 @@ def _spread(point: FidelityEstimate, values: np.ndarray, attempted: int) -> Fide
     return replace(point, sigma=float(values.std(ddof=1)), **tally)
 
 
-def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, resamples: np.ndarray,
-                         tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
-    """Refit each resample of the table, report the point fit and the spread.
+_NO_COUNTS = FidelityEstimate(value=None, sigma=None, n_resamples=0,
+                              warnings=("coincidence counts are all zero",))
+_ONE_SETTING = "coincidence counts sit in one setting, so the resamples show no spread"
+
+
+def monte_carlo_fidelities(tables, target: np.ndarray, resamples, tol: float = 1e-9,
+                           max_iter: int = 1000) -> tuple[FidelityEstimate, ...]:
+    """Refit each resample of each table, report each point fit and its spread.
 
     The point estimate is the base fit's fidelity; the resample mean sits
     systematically low (each resample carries the sampling noise twice) and
     centering on it would break 1-sigma coverage.  Resampled counts are
     treated as raw Poisson draws (they may exceed the recorded herald
     number; the likelihood only cares about rates).  Each refit warm-starts
-    from the base reconstruction, which is returned as ``rho`` so callers
-    need not fit the table again.  Failed refits are skipped and counted;
-    when fewer than two succeed, sigma is None.  ``resamples`` is an (R, n)
-    array of count vectors, R >= 2, one column per table row, as
-    ``detect.poisson_resamples`` draws them.
-    """
-    resamples = _resample_stack(resamples, counts)
-    _check_stopping(tol, max_iter)
-    projectors, observed, exposures = _aligned_projectors(counts)
-    base = _fit_one(projectors, observed, exposures, tol, max_iter).rho
-    # fidelity checks the target before any refit
-    point = FidelityEstimate(value=fidelity(base, target), sigma=None, n_resamples=0, rho=base)
+    from its table's base reconstruction, which is returned as ``rho`` so
+    callers need not fit the table again.  Failed refits are skipped and
+    counted against their own table; when fewer than two succeed, sigma is
+    None.  Counts that sit in one setting give every resample the base
+    fit's optimum, so sigma is None too.  A table with no count is a flat
+    likelihood: it has no value, and none of its rows is fitted.
 
-    kept = []
-    for start in range(0, len(resamples), MAX_STACK_ROWS):
-        fits = _fit_stack(projectors, resamples[start:start + MAX_STACK_ROWS],
-                          exposures, base.entries, tol, max_iter)
+    The tables must share labels and heralds.  ``resamples[i]`` is table
+    i's (R_i, n) array of count vectors, R_i >= 2, one column per table
+    row, as ``detect.poisson_resamples`` draws them.  All base fits are one
+    stack and all refits one more, in blocks of at most ``MAX_STACK_ROWS``
+    rows; a row takes the iterates it takes alone, so each table gets the
+    estimate it gets alone.  A base fit whose likelihood decreases raises,
+    the first table's first.
+    """
+    tables = tuple(tables)
+    stacks = [_resample_stack(r, table) for table, r in zip(tables, resamples, strict=True)]
+    _check_stopping(tol, max_iter)
+    if not tables:
+        raise ValueError("need at least one table")
+    first = tables[0]
+    if any(table.labels != first.labels or not np.array_equal(table.heralds, first.heralds)
+           for table in tables[1:]):
+        raise ValueError("tables must share labels and heralds")
+    projectors, _, exposures = _aligned_projectors(first)
+    d = projectors.shape[1]
+    target = _unit_target(target, d)
+    observed = np.array([table.coincidences for table in tables], dtype=float)
+    counted = np.flatnonzero(observed.any(axis=1)).tolist()
+    estimates = [_NO_COUNTS] * len(tables)
+    if not counted:
+        return tuple(estimates)
+
+    base = _fit_stack(projectors, observed[counted], exposures, np.eye(d) / d, tol, max_iter)
+    for error in base.errors:
+        if error is not None:
+            raise error
+    rhos = [DensityMatrix(rho) for rho in base.rho]
+    # row r of the resample stack belongs to the owner[r]-th counted table
+    stack = np.concatenate([stacks[i] for i in counted])
+    owner = np.repeat(np.arange(len(counted)), [len(stacks[i]) for i in counted])
+    starts = np.array([rho.entries for rho in rhos])[owner]
+    kept = [[] for _ in counted]
+    for start in range(0, len(stack), MAX_STACK_ROWS):
+        block = slice(start, start + MAX_STACK_ROWS)
+        fits = _fit_stack(projectors, stack[block], exposures, starts[block], tol, max_iter)
         fitted = np.array([error is None for error in fits.errors])
-        kept.append(_stack_fidelities(fits.rho[fitted], target))
-    return _spread(point, np.concatenate(kept), len(resamples))
+        for j, values in enumerate(kept):
+            values.append(_stack_fidelities(fits.rho[fitted & (owner[block] == j)], target))
+    for j, i in enumerate(counted):
+        point = FidelityEstimate(value=fidelity(rhos[j], target), sigma=None, n_resamples=0,
+                                 rho=rhos[j])
+        est = _spread(point, np.concatenate(kept[j]), len(stacks[i]))
+        if np.count_nonzero(observed[i]) == 1:
+            est = replace(est, sigma=None, warnings=(*est.warnings, _ONE_SETTING))
+        estimates[i] = est
+    return tuple(estimates)
+
+
+def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, resamples: np.ndarray,
+                         tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
+    """``monte_carlo_fidelities`` of one table and its (R, n) ``resamples``."""
+    return monte_carlo_fidelities((counts,), target, (resamples,), tol, max_iter)[0]
 
 
 def _w_estimate(counts: np.ndarray, d: int):

@@ -1030,19 +1030,44 @@ def test_w_stage_without_coherence_counts_has_no_sigma(tmp_path, monkeypatch, co
 
 
 def test_qubit_stage_without_spread_keeps_the_point_value(tmp_path, monkeypatch):
-    # every stage-1 resample fails (fit 2 of the run; fit 1 is the stage-1
-    # base fit); the rest of the report keeps its values
+    # every stage-1 resample fails: fit 1 of the run holds both base fits,
+    # fit 2 the resamples, stage 1's in rows 0 to 5; the rest of the report
+    # keeps its values
     path = write_config(tmp_path, small_doc())
     plain = run_experiment(load_experiment_config(path))
     spy = SetulbSpy(monkeypatch)
-    spy.act = lambda row, *args: spy.fits == 2 and force_decrease(row, *args)
+    spy.act = lambda row, *args: spy.fits == 2 and row < 6 and force_decrease(row, *args)
     out = tmp_path / "report.json"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
-    assert spy.fits == 4
+    assert spy.fits == 2
     plain["maqm1_stage"].update(sigma=None, n_resamples=0,
                                 warnings=["only 0 of 6 resamples succeeded"])
     assert out.read_text() == report_to_json(plain)
     assert "warnings" not in plain["maqm2_stage"]
+
+
+@pytest.mark.parametrize("heralds, seed, empty", [(1, 3, ("maqm1_stage", "maqm2_stage")),
+                                                   (2, 1, ("maqm2_stage",))])
+def test_qubit_stage_without_counts_reports_no_fidelity(tmp_path, heralds, seed, empty):
+    # a table with no coincidence count is a flat likelihood: no fit, no
+    # fidelity, and no transmission fidelity for the run
+    doc = json.loads((CONFIG_DIR / "qubit_default.json").read_text())
+    doc["detection"]["heralds_per_setting"] = heralds
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for stage in ("maqm1_stage", "maqm2_stage"):
+        block = report[stage]
+        if stage in empty:
+            assert (block["fidelity"], block["sigma"], block["n_resamples"]) == (None, None, 0)
+            assert block["warnings"] == ["coincidence counts are all zero"]
+        else:
+            assert 0.0 <= block["fidelity"] <= 1.0 and block["sigma"] > 0.0
+    assert report["transmission_fidelity"] is None
+    assert main(["run", "--config", path, "--seed", str(seed), "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert ["transmission_fidelity", ""] in list(csv.reader(io.StringIO(out.read_text())))
 
 
 def test_main_sweep_unknown_param_exits_two(tmp_path, capsys):

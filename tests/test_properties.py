@@ -220,16 +220,27 @@ def tomography_rows(k):
 
 
 @PROPERTY
-@given(k=st.integers(1, 4), heralds=st.integers(1, 10**6), data=st.data())
-def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, data):
-    # the rows are count vectors as a bootstrap draws them, free of the herald cap
+@given(k=st.integers(1, 4), heralds=st.integers(1, 10**6),
+       seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)), data=st.data())
+def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, seed, data):
+    # the rows are count vectors as a bootstrap draws them, free of the herald
+    # cap; they start from one shared state, or (with a seed) each from its own
     table = CountsTable(tomography_settings(2).labels, [heralds] * 16, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
     observed = np.array(data.draw(tomography_rows(k)), dtype=float)
-    init = np.eye(4) / 4
+    if seed is None:
+        init = np.eye(4) / 4
+        starts = [init] * k
+    else:
+        g = np.random.default_rng(seed).normal(size=(2, k, 4, 4))
+        g = g[0] + 1j * g[1]
+        init = g @ g.conj().transpose(0, 2, 1)
+        init /= np.trace(init, axis1=1, axis2=2).real[:, None, None]
+        starts = init
     stack = tomo._fit_stack(projectors, observed, exposures, init, 1e-9, 1000)
     for r in range(k):
-        alone = tomo._fit_stack(projectors, observed[r:r + 1], exposures, init, 1e-9, 1000)
+        alone = tomo._fit_stack(projectors, observed[r:r + 1], exposures, starts[r], 1e-9,
+                                1000)
         assert stack.rho[r].tobytes() == alone.rho[0].tobytes()
         assert stack.log_likelihood[r] == alone.log_likelihood[0]
         assert stack.iterations[r] == alone.iterations[0]

@@ -33,6 +33,7 @@ from maqmsim.tomo import (
     LikelihoodDecreasedError,
     bell_target,
     mle_reconstruct,
+    monte_carlo_fidelities,
     monte_carlo_fidelity,
     monte_carlo_w_fidelity,
     w_fidelity,
@@ -228,6 +229,113 @@ class TestMonteCarloFidelity:
         assert 55 <= covered <= 80, f"truth {truth:.6f}, covered {covered}/100"
         bias = float(np.mean(errors)) / float(np.std(errors, ddof=1))
         assert abs(bias) < 0.3, f"truth {truth:.6f}, covered {covered}/100, bias {bias:.3f} sd"
+
+    @pytest.mark.parametrize("counts", [[3] + [0] * 15, [0] * 5 + [2] + [0] * 10])
+    def test_counts_in_one_setting_give_no_spread(self, counts):
+        # every resample k' e_s has the optimum of the observed k e_s, and an
+        # all-zero one stays at its warm start, so the spread is optimizer noise
+        table = CountsTable(tomography_settings(2).labels, [1000] * 16, counts)
+        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 7, 50))
+        assert est.value == fidelity(mle_reconstruct(table).rho, bell_target())
+        assert (est.sigma, est.n_resamples + est.n_failed) == (None, 50)
+        assert est.warnings == ("coincidence counts sit in one setting, "
+                                "so the resamples show no spread",)
+
+
+def shared_tables():
+    """Three sampled tables of one outcome that share labels and heralds."""
+    out = run_protocol(make_config())
+    return [draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=seed)
+            for seed in (9, 10, 11)]
+
+
+def assert_same_estimate(got, want):
+    assert (got.value, got.sigma, got.n_resamples, got.n_failed, got.warnings) == \
+        (want.value, want.sigma, want.n_resamples, want.n_failed, want.warnings)
+    assert got.rho.entries.tobytes() == want.rho.entries.tobytes()
+
+
+class TestMonteCarloFidelities:
+    @pytest.mark.parametrize("max_rows", [tomo.MAX_STACK_ROWS, 3])
+    @pytest.mark.parametrize("n_tables", [2, 3])
+    def test_each_table_gets_the_estimate_it_gets_alone(self, monkeypatch, n_tables, max_rows):
+        # 4, 5 and 6 resamples: with 3-row blocks, rows 3-5 straddle tables 0 and 1
+        tables = shared_tables()[:n_tables]
+        draws = [resamples(table, 23 + i, 4 + i) for i, table in enumerate(tables)]
+        alone = [monte_carlo_fidelity(table, bell_target(), r) for table, r in zip(tables, draws)]
+        monkeypatch.setattr(tomo, "MAX_STACK_ROWS", max_rows)
+        spy = SetulbSpy(monkeypatch)
+        fused = monte_carlo_fidelities(tables, bell_target(), draws)
+        assert spy.fits == 1 + -(-sum(map(len, draws)) // max_rows)
+        assert len(fused) == n_tables
+        for got, want in zip(fused, alone):
+            assert_same_estimate(got, want)
+
+    def test_failed_resamples_count_against_their_own_table(self, monkeypatch):
+        # fit 2 is the resample stack, table 0's resamples in rows 0-5
+        tables = shared_tables()[:2]
+        draws = [resamples(table, 23 + i, 6) for i, table in enumerate(tables)]
+        plain = monte_carlo_fidelities(tables, bell_target(), draws)
+        spy = SetulbSpy(monkeypatch)
+        spy.act = lambda row, *args: (spy.fits == 2 and row < 6 and row % 2 == 1
+                                      and force_decrease(row, *args))
+        first, second = monte_carlo_fidelities(tables, bell_target(), draws)
+        assert spy.fits == 2
+        assert (first.value, first.n_resamples, first.n_failed) == (plain[0].value, 3, 3)
+        assert first.sigma != plain[0].sigma
+        assert_same_estimate(second, plain[1])
+
+    def test_a_base_fit_decrease_raises_the_first_tables_error(self):
+        tables = shared_tables()[:2]
+        draws = [resamples(table, 23 + i, 4) for i, table in enumerate(tables)]
+
+        def raised(rows):
+            with pytest.MonkeyPatch.context() as patch:
+                spy = SetulbSpy(patch)
+                spy.act = lambda row, *args: row in rows and force_decrease(row, *args)
+                with pytest.raises(LikelihoodDecreasedError) as err:
+                    monte_carlo_fidelities(tables, bell_target(), draws)
+                assert spy.fits == 1
+            return str(err.value)
+
+        first, second = raised({0}), raised({1})
+        assert first != second
+        assert raised({0, 1}) == first
+
+    def test_a_table_without_counts_has_no_value_and_is_not_fitted(self, monkeypatch):
+        table = shared_tables()[0]
+        empty = CountsTable(table.labels, table.heralds, [0] * 16)
+        draws = [resamples(empty, 24, 6), resamples(table, 23, 6)]
+        alone = monte_carlo_fidelity(table, bell_target(), draws[1])
+        spy = SetulbSpy(monkeypatch)
+        none = monte_carlo_fidelity(empty, bell_target(), draws[0])
+        assert spy.fits == 0
+        assert (none.value, none.sigma, none.rho, none.n_resamples, none.n_failed,
+                none.warnings) == (None, None, None, 0, 0, ("coincidence counts are all zero",))
+        # beside a table with counts, the resample stack holds that table's 6 rows alone
+        both = monte_carlo_fidelities([empty, table], bell_target(), draws)
+        assert spy.fits == 2 and len(spy.starts) == 6
+        assert both[0] == none
+        assert_same_estimate(both[1], alone)
+
+    @pytest.mark.parametrize("change, message", [("heralds", "tables must share"),
+                                                 ("labels", "tables must share"),
+                                                 ("count", r"zip\(\) argument 2 is longer")])
+    def test_tables_must_share_labels_and_heralds(self, monkeypatch, change, message):
+        table = bell_table()
+        other = {
+            "heralds": bell_table(heralds=8_000_000),
+            "labels": CountsTable(table.labels[::-1], table.heralds, table.coincidences[::-1]),
+            "count": table,
+        }[change]
+        draws = [resamples(t, 3 + i, 4) for i, t in enumerate((table, other))]
+        spy = SetulbSpy(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_fidelities([table, other], bell_target(),
+                                   draws + draws[:1] if change == "count" else draws)
+        with pytest.raises(ValueError, match="need at least one table"):
+            monte_carlo_fidelities([], bell_target(), [])
+        assert spy.fits == 0
 
 
 
