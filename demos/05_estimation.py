@@ -19,7 +19,7 @@ from maqmsim import (
     coincidence_probabilities,
     fidelity,
     mle_reconstruct,
-    monte_carlo_fidelity,
+    monte_carlo_fidelities,
     monte_carlo_w_fidelity,
     poisson_resamples,
     run_protocol,
@@ -61,7 +61,7 @@ def main():
     target = bell_target(0.0)
     print(f"Truth: predicted fidelity {outcome.predicted_fidelity:.6f}")
 
-    settings = tomography_settings(2)
+    settings = tomography_settings()
     print()
     print("Coincidence probabilities feeding the sampler (first four settings)")
     probabilities = coincidence_probabilities(outcome, settings, eta_det=0.8)
@@ -87,7 +87,8 @@ def main():
     # 100 resampled tables, resample r drawn from np.random.default_rng([7, r])
     resamples = poisson_resamples(table, stream_states(7, np.arange(100)))
     print(f"  resample stack: {resamples.shape[0]} tables x {resamples.shape[1]} settings")
-    est = monte_carlo_fidelity(table, target, resamples)
+    # the bootstrap takes a tuple of tables, fitted in one stack; here, one
+    (est,) = monte_carlo_fidelities((table,), target, (resamples,))
     pull = (est.value - outcome.predicted_fidelity) / est.sigma
     print(f"  F = {est.value:.4f} +- {est.sigma:.4f}"
           f"  ({est.n_resamples} resamples, truth sits {pull:+.2f} sigma away)")

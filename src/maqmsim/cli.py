@@ -202,6 +202,11 @@ def _memory_spec(memories: _Object, name: str) -> MemorySpec:
     rf_grid = RfGrid(grid.read("x_origin", _number), grid.read("x_step", _number, positive=True),
                      grid.read("y_origin", _number), grid.read("y_step", _number, positive=True))
     grid.close()
+    # steps are positive, so the last cell has each axis's largest tone
+    for axis, tone in (("x", rf_grid.x_freq(n_x - 1)), ("y", rf_grid.y_freq(n_y - 1))):
+        if not math.isfinite(tone):
+            raise ConfigError(f"{grid.path}: {axis}_origin + {axis}_step * (n_{axis} - 1), "
+                              f"the last cell's {axis} tone, must be a finite number")
     entry.close()
     try:
         return MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read, tau_mem, t_larmor,
@@ -254,9 +259,6 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
     if (not isinstance(order, list)
             or any(isinstance(v, bool) or not isinstance(v, int) for v in order)):
         raise ConfigError("protocol.retrieval_order: must be a list of bin indices")
-    if not order:
-        # ProtocolConfig reads () as the identity order, which only an absent field means here
-        raise ConfigError("protocol.retrieval_order: must be a permutation of the bins")
     proto.close()
 
     try:
@@ -303,7 +305,9 @@ def _read_config(path: str) -> tuple[object, bytes]:
     """The parsed JSON document and its raw bytes.
 
     The bytes must be UTF-8 (a leading byte-order mark is skipped); syntax
-    errors name path:line:col, and a key repeated in one object is named.
+    errors name path:line:col, and a key repeated in one object is named;
+    nesting past the interpreter's recursion limit, or an integer past its
+    digit limit, is rejected with the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -325,6 +329,13 @@ def _read_config(path: str) -> tuple[object, bytes]:
         return json.loads(text, object_pairs_hook=unique_keys), raw
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except RecursionError:
+        raise ConfigError(f"{path}: nested too deeply") from None
+    except ConfigError:
+        raise
+    except ValueError:   # CPython's limit on the digits of an int literal
+        raise ConfigError(f"{path}: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -440,7 +451,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     stage1 = run_protocol(cfg.protocol, transfer=False)
     stage2 = run_protocol(cfg.protocol, transfer=True)
     d = cfg.protocol.dimension
-    settings = tomography_settings(2) if d == 2 else w_settings(d)
+    settings = tomography_settings() if d == 2 else w_settings(d)
     # both stages are checked before any count is drawn
     p1, p2 = (coincidence_probabilities(outcome, settings, cfg.eta_det)
               for outcome in (stage1, stage2))

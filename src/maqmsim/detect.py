@@ -2,7 +2,7 @@
 
 A block of settings is one ``Settings`` value: the row labels plus read-only
 (n, d) arrays of signal and atom analyzer vectors, row i projecting onto
-``signal[i]`` x ``atom[i]``.  ``tomography_settings(2)`` and
+``signal[i]`` x ``atom[i]``.  ``tomography_settings()`` and
 ``w_settings(d)`` build their block once and share it between calls.
 
 Coincidences are herald-conditioned: probabilities are computed against the
@@ -136,26 +136,23 @@ _KETS = {
 _KET_ORDER = "UDSR"
 
 
-def tomography_settings(dimension: int = 2) -> Settings:
+@functools.cache
+def tomography_settings() -> Settings:
     """The 16-projector two-qubit set, signal letter first in the label.
 
     {U, D, S, R} per side: populations, balanced superposition, and circular
     analyzers; informationally complete for a two-qubit state.  The block is
     built once and shared between calls.
     """
-    if dimension != 2:
-        raise ValueError("tomography settings are defined for dimension 2 only")
-    return _tomography_settings()
-
-
-@functools.lru_cache(maxsize=None)
-def _tomography_settings() -> Settings:
     pairs = [(s, a) for s in _KET_ORDER for a in _KET_ORDER]
     return Settings(tuple(s + a for s, a in pairs),
                     [_KETS[s] for s, _ in pairs], [_KETS[a] for _, a in pairs])
 
 
-def w_labels(dimension: int) -> tuple[str, ...]:
+# ``dimension`` is positional-only here and in ``w_settings``: the cache
+# would key f(4) and f(dimension=4) apart
+@functools.cache
+def w_labels(dimension: int, /) -> tuple[str, ...]:
     """Row labels of a W-state table, in ``w_settings`` order.
 
     ``P{i}`` for each branch i, then ``C{i}{j}+`` and ``C{i}{j}-`` for each
@@ -164,17 +161,13 @@ def w_labels(dimension: int) -> tuple[str, ...]:
     """
     if dimension < 2:
         raise ValueError("need at least two branches")
-    return _w_labels(dimension)
-
-
-@functools.lru_cache(maxsize=None)
-def _w_labels(d: int) -> tuple[str, ...]:
-    pairs = combinations(range(d), 2)
-    return (tuple(f"P{i}" for i in range(d))
+    pairs = combinations(range(dimension), 2)
+    return (tuple(f"P{i}" for i in range(dimension))
             + tuple(f"C{i}{j}{tag}" for i, j in pairs for tag in "+-"))
 
 
-def w_settings(dimension: int = 4) -> Settings:
+@functools.cache
+def w_settings(dimension: int, /) -> Settings:
     """Population plus pairwise-superposition settings for a W-state check.
 
     The signal photon is always analyzed in the balanced superposition of its
@@ -183,11 +176,7 @@ def w_settings(dimension: int = 4) -> Settings:
     in ``w_labels`` order.  The block is built once per dimension and shared
     between calls.
     """
-    return _w_settings(dimension)
-
-
-@functools.lru_cache(maxsize=None)
-def _w_settings(d: int) -> Settings:
+    d = dimension
     labels = w_labels(d)
     h = 1.0 / np.sqrt(2.0)
     atoms = np.zeros((d * d, d), dtype=complex)

@@ -54,9 +54,11 @@ class ProtocolConfig:
 
     ``source_cells`` and ``target_cells`` pair up branch by branch: branch k
     starts in source_cells[k] and, if transferred, ends in target_cells[k].
-    ``retrieval_order`` maps bin index to branch index; identity by default.
-    ``drifts[i]`` is the net laser phase bin i picks up on the transfer leg;
-    zero by default.  Times are microseconds.
+    ``retrieval_order`` maps bin index to branch index; None gives the
+    identity.  ``drifts[i]`` is the net laser phase bin i picks up on the
+    transfer leg; None gives zeros, as it does for ``write_phases``.  A
+    tuple, even an empty one, must have one entry per branch.  Times are
+    microseconds.
     """
 
     dimension: int
@@ -67,9 +69,9 @@ class ProtocolConfig:
     t1: float
     tau: float
     t2: float
-    write_phases: tuple[float, ...] = ()
-    drifts: tuple[float, ...] = ()
-    retrieval_order: tuple[int, ...] = ()
+    write_phases: tuple[float, ...] | None = None
+    drifts: tuple[float, ...] | None = None
+    retrieval_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
         d = self.dimension
@@ -89,15 +91,15 @@ class ProtocolConfig:
                 raise ValueError(f"{name}: must be positive")
         if self.t2 < 0:
             raise ValueError("t2: must be non-negative")
-        phases = tuple(self.write_phases) if self.write_phases else (0.0,) * d
+        phases = (0.0,) * d if self.write_phases is None else tuple(self.write_phases)
         if len(phases) != d:
             raise ValueError("write_phases: need one write phase per branch")
         object.__setattr__(self, "write_phases", phases)
-        drifts = tuple(self.drifts) if self.drifts else (0.0,) * d
+        drifts = (0.0,) * d if self.drifts is None else tuple(self.drifts)
         if len(drifts) != d:
             raise ValueError("drifts: need one drift phase per bin")
         object.__setattr__(self, "drifts", drifts)
-        order = tuple(self.retrieval_order) if self.retrieval_order else tuple(range(d))
+        order = tuple(range(d)) if self.retrieval_order is None else tuple(self.retrieval_order)
         if sorted(order) != list(range(d)):
             raise ValueError("retrieval_order: must be a permutation of the bins")
         object.__setattr__(self, "retrieval_order", order)

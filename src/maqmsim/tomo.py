@@ -41,7 +41,6 @@ tables, each from the maximally mixed state, then the resamples of all the
 tables, each warm-started from its own table's base fit, in blocks of at
 most ``MAX_STACK_ROWS`` rows.  Each base fit is handed back with its
 estimate, so a report needs no second fit of the same table.
-``monte_carlo_fidelity`` is the one-table form.
 
 W fidelities are read off count vectors in ``w_labels`` order.  Both
 bootstraps read the table's count columns and take its resamples as one
@@ -87,7 +86,6 @@ __all__ = [
     "LikelihoodDecreasedError",
     "bell_target",
     "mle_reconstruct",
-    "monte_carlo_fidelity",
     "monte_carlo_fidelities",
     "w_fidelity",
     "monte_carlo_w_fidelity",
@@ -146,7 +144,7 @@ class FidelityEstimate:
 
 
 def _aligned_projectors(counts: CountsTable):
-    settings = tomography_settings(2)
+    settings = tomography_settings()
     index = {label: i for i, label in enumerate(settings.labels)}
     rows = []
     for label in counts.labels:
@@ -501,12 +499,6 @@ def monte_carlo_fidelities(tables, target: np.ndarray, resamples, tol: float = 1
             est = replace(est, sigma=None, warnings=(*est.warnings, _ONE_SETTING))
         estimates[i] = est
     return tuple(estimates)
-
-
-def monte_carlo_fidelity(counts: CountsTable, target: np.ndarray, resamples: np.ndarray,
-                         tol: float = 1e-9, max_iter: int = 1000) -> FidelityEstimate:
-    """``monte_carlo_fidelities`` of one table and its (R, n) ``resamples``."""
-    return monte_carlo_fidelities((counts,), target, (resamples,), tol, max_iter)[0]
 
 
 def _w_estimate(counts: np.ndarray, d: int):

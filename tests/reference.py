@@ -51,10 +51,13 @@ def predicted_fidelity(config, psi: np.ndarray) -> float:
     kets = np.eye(d)
     ideal = sum(cmath.exp(1j * theta) / math.sqrt(d) * np.kron(kets[k], kets[k])
                 for k, theta in enumerate(config.write_phases))
-    norm = np.vdot(psi, psi).real
-    if norm == 0.0:
+    scale = np.abs(psi).max()
+    if scale == 0.0:
         return 0.0
-    rho = np.outer(psi, psi.conj()) / norm
+    # scaled to a largest entry of 1, real and imaginary parts apart: a starved
+    # state's norm can be subnormal, and numpy's complex division by it overflows
+    psi = psi.real / scale + 1j * (psi.imag / scale)
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     return np.vdot(ideal, rho @ ideal).real
 
 

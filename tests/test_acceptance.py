@@ -18,8 +18,9 @@ from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import ProtocolConfig, project_w, run_protocol
 from maqmsim.qstate import DensityMatrix, fidelity, state_fidelity
 from maqmsim.schedule import cell_to_rf, compile_schedule
-from maqmsim.tomo import bell_target, mle_reconstruct, monte_carlo_fidelity
+from maqmsim.tomo import bell_target, mle_reconstruct
 from test_detect import draw_counts, resamples
+from test_tomo import one_table_fidelity
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "maqmsim" / "configs"
@@ -102,7 +103,7 @@ def asymmetric_outcome(eta1, eta2):
 def test_criterion_2_two_branch_loss_law():
     with criterion(2, 120.0, "branch-loss fidelity follows the closed form"):
         rng = np.random.default_rng(20260822)
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         target = bell_target(0.0)
         for _ in range(20):
             eta1, eta2 = rng.uniform(0.05, 1.0, size=2)
@@ -142,7 +143,7 @@ def test_criterion_3_tomography_round_trip():
     # applies to the mean over states, with a 0.93 sanity floor per state.
     with criterion(3, 300.0, "tomography recovers random states, monotone fits"):
         rng = np.random.default_rng(0)
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         labels = settings.labels
         sampled_fidelities = []
         for _ in range(10):
@@ -170,12 +171,12 @@ def test_criterion_4_monte_carlo_error_calibration():
         outcome = asymmetric_outcome(1.0, 0.25)
         truth = outcome.predicted_fidelity
         assert abs(truth - 0.9) <= 1e-9
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         target = bell_target(0.0)
         covered, sigmas = 0, []
         for trial in range(100):
             table = draw_counts(outcome, settings, 1000, 1.0, 0.0, seed=trial)
-            est = monte_carlo_fidelity(table, target, resamples(table, 10_000 + trial, 50))
+            est = one_table_fidelity(table, target, resamples(table, 10_000 + trial, 50))
             sigmas.append(est.sigma)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1

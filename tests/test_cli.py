@@ -191,6 +191,20 @@ def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys, command, raw, whe
                                        f"{where} is invalid\n")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 200_000, "nested too deeply"),
+    ('{"seed": ' + "1" * 5000 + "}",
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+], ids=["deep-nesting", "long-integer"])
+def test_json_the_reader_cannot_hold_exits_two(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    sweep = ["--param", "protocol.drift", "--values", "0.1"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *sweep]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {reason}\n"
+
+
 def test_a_utf8_byte_order_mark_is_skipped(tmp_path):
     plain = run_experiment(load_experiment_config(write_config(tmp_path, small_doc(4))))
     path = tmp_path / "marked.json"
@@ -662,6 +676,19 @@ def test_rf_grid_must_be_an_object(tmp_path, capsys, grid):
     assert main(["compile", "--config", path]) == 2
     assert capsys.readouterr().err == (f"config error: memories.MAQM1.rf_grid: must be "
                                        f"an object, got {grid!r}\n")
+
+
+@pytest.mark.parametrize("memory, axis", [("MAQM1", "x"), ("MAQM2", "y")])
+def test_rf_grid_tones_must_be_finite_on_every_cell(tmp_path, capsys, memory, axis):
+    # origin and step are finite, but the last cell's tone overflows to inf,
+    # which compile would write out as the non-JSON Infinity
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    doc["memories"][memory]["rf_grid"].update({f"{axis}_origin": 1e308, f"{axis}_step": 1e308})
+    path = write_config(tmp_path, doc)
+    assert main(["compile", "--config", path, "--out", str(tmp_path / "schedule.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: memories.{memory}.rf_grid: {axis}_origin + {axis}_step * (n_{axis} - 1), "
+        f"the last cell's {axis} tone, must be a finite number\n")
 
 
 def test_grid_cell_count_is_bounded_before_any_map(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations
 
 import numpy as np
@@ -67,27 +68,23 @@ def rows(settings, *labels):
 
 class TestSettings:
     def test_sixteen_settings(self):
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         assert len(settings.labels) == 16
         assert len(set(settings.labels)) == 16
         assert settings.signal.shape == settings.atom.shape == (16, 2)
 
     def test_all_unit_norm(self):
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         assert_allclose(np.linalg.norm(settings.signal, axis=1), 1.0, atol=1e-12)
         assert_allclose(np.linalg.norm(settings.atom, axis=1), 1.0, atol=1e-12)
 
     def test_design_matrix_full_rank(self):
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         design = []
         for s, a in zip(settings.signal, settings.atom):
             ket = np.kron(s, a)
             design.append(np.outer(ket, ket.conj()).reshape(-1))
         assert np.linalg.matrix_rank(np.array(design)) == 16
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            tomography_settings(4)
 
     def test_non_unit_basis_rejected(self):
         with pytest.raises(ValueError, match="'bad': signal vector must be unit-norm"):
@@ -104,10 +101,10 @@ class TestSettings:
         assert_allclose(settings.signal, np.full((16, 4), 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("build, dimension", [
-        (tomography_settings, 2), (w_settings, 4), (w_settings, 16)])
+        (tomography_settings, 2), (lambda: w_settings(4), 4), (lambda: w_settings(16), 16)])
     def test_settings_are_built_once(self, build, dimension):
-        first = build(dimension)
-        assert build(dimension) is first
+        first = build()
+        assert build() is first
         fresh = fresh_settings(dimension)
         assert first.labels == fresh.labels
         assert np.array_equal(first.signal, fresh.signal)
@@ -116,6 +113,14 @@ class TestSettings:
         for vectors in (first.signal, first.atom):
             with pytest.raises(ValueError, match="read-only"):
                 vectors[0, 0] = 0.0
+
+    def test_a_dimension_has_one_cache_key(self):
+        # a cache keys f(4) and f(dimension=4) apart, so dimension is positional-only
+        assert not inspect.signature(tomography_settings).parameters
+        for build in (w_labels, w_settings):
+            assert build(4) is build(4)
+            with pytest.raises(TypeError):
+                build(dimension=4)
 
     def test_block_copies_its_input(self):
         signal = np.array([[1.0, 0.0]], dtype=complex)
@@ -132,7 +137,7 @@ def probability(outcome, settings, eta_det):
 class TestCoincidenceProbability:
     def test_bell_parallel_analyzers(self):
         out = bell_outcome()
-        uu = rows(tomography_settings(2), "UU")
+        uu = rows(tomography_settings(), "UU")
         assert_allclose(probability(out, uu, 1.0), 0.5, rtol=0, atol=1e-12)
 
     def test_bell_orthogonal_superposition(self):
@@ -142,7 +147,7 @@ class TestCoincidenceProbability:
 
     def test_detection_efficiency_scales_linearly(self):
         out = bell_outcome()
-        ss = rows(tomography_settings(2), "SS")
+        ss = rows(tomography_settings(), "SS")
         full = probability(out, ss, 1.0)
         half = probability(out, ss, 0.5)
         assert_allclose(half, full / 2.0, rtol=0, atol=1e-15)
@@ -152,7 +157,7 @@ class TestCoincidenceProbability:
         # conditioned detection probability is the weighted norm
         for eta_read, eta_det in [(1.0, 1.0), (0.4, 1.0), (0.7, 0.33)]:
             out = bell_outcome(eta_read=eta_read)
-            family = rows(tomography_settings(2), "UU", "UD", "DU", "DD")
+            family = rows(tomography_settings(), "UU", "UD", "DU", "DD")
             total = sum(coincidence_probabilities(out, family, eta_det))
             assert_allclose(total, out.survival_probability * eta_det, rtol=0, atol=1e-12)
             assert total <= 1.0 + 1e-12
@@ -160,12 +165,12 @@ class TestCoincidenceProbability:
     def test_dimension_mismatch_rejected(self):
         out = run_protocol(make_config(4))
         with pytest.raises(ValueError, match="length 4"):
-            coincidence_probabilities(out, rows(tomography_settings(2), "UU"), 1.0)
+            coincidence_probabilities(out, rows(tomography_settings(), "UU"), 1.0)
         with pytest.raises(ValueError, match="length 4"):
-            coincidence_probabilities(out, tomography_settings(2), 1.0)
+            coincidence_probabilities(out, tomography_settings(), 1.0)
 
     def test_mixed_vector_lengths_rejected(self):
-        w, t = w_settings(4), tomography_settings(2)
+        w, t = w_settings(4), tomography_settings()
         with pytest.raises(ValueError):
             Settings(("P0", "UU"), [w.signal[0], t.signal[0]], [w.atom[0], t.atom[0]])
         with pytest.raises(ValueError, match="equal-length signal and atom vectors"):
@@ -175,7 +180,7 @@ class TestCoincidenceProbability:
 
     def test_bad_eta_rejected(self):
         out = bell_outcome()
-        uu = rows(tomography_settings(2), "UU")
+        uu = rows(tomography_settings(), "UU")
         for eta in (0.0, 1.5, -0.2):
             with pytest.raises(ValueError):
                 coincidence_probabilities(out, [uu], eta)
@@ -229,7 +234,7 @@ def reference_counts(outcome, settings, heralds, eta_det, dark_rate, seed):
 
 class TestArrayExpressionMatchesPerSettingLoop:
     CASES = [
-        ("tomography", lambda: bell_outcome(eta_read=0.4), lambda: tomography_settings(2)),
+        ("tomography", lambda: bell_outcome(eta_read=0.4), lambda: tomography_settings()),
         ("w4", lambda: run_protocol(make_config(4, eta_read=0.6)), lambda: w_settings(4)),
         ("w16-source", lambda: wide_outcome(False), lambda: w_settings(16)),
         ("w16-transfer", lambda: wide_outcome(True), lambda: w_settings(16)),
@@ -271,32 +276,32 @@ def fresh_settings(dimension):
 class TestSampleCounts:
     def test_certain_event_saturates(self):
         out = bell_outcome()
-        uu = rows(tomography_settings(2), "UU")
+        uu = rows(tomography_settings(), "UU")
         table = draw_counts(out, uu, 500, eta_det=1.0, dark_rate=0.5, seed=1)
         assert table.coincidences[0] == 500
 
     def test_impossible_probability_rejected(self):
         out = bell_outcome()
-        uu = rows(tomography_settings(2), "UU")
+        uu = rows(tomography_settings(), "UU")
         with pytest.raises(ValueError):
             draw_counts(out, uu, 100, eta_det=1.0, dark_rate=0.6, seed=1)
 
     def test_binomial_moments(self):
         out = bell_outcome()
-        uu = rows(tomography_settings(2), "UU")
+        uu = rows(tomography_settings(), "UU")
         table = draw_counts(out, uu, 10_000, eta_det=1.0, dark_rate=0.0, seed=7)
         c = table.coincidences[0]
         assert abs(c - 5000) < 5 * 50  # 5 sigma, sigma = sqrt(n p (1-p)) = 50
 
     def test_zero_probability_gives_zero_counts(self):
         out = bell_outcome()
-        ud = rows(tomography_settings(2), "UD")
+        ud = rows(tomography_settings(), "UD")
         table = draw_counts(out, ud, 1000, eta_det=1.0, dark_rate=0.0, seed=3)
         assert table.coincidences[0] == 0
 
     def test_seed_reproducibility(self):
         out = bell_outcome()
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         a = draw_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
         b = draw_counts(out, settings, 1000, 0.5, 1e-4, seed=11)
         assert a == b
@@ -304,7 +309,7 @@ class TestSampleCounts:
     def test_rows_independent_of_order(self):
         # substreams are keyed by setting index, not by a shared stream
         out = bell_outcome()
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         full = draw_counts(out, settings, 1000, 0.5, 0.0, seed=11)
         prefix = draw_counts(out, rows(settings, *settings.labels[:4]), 1000, 0.5, 0.0,
                              seed=11)
@@ -312,7 +317,7 @@ class TestSampleCounts:
 
     def test_frequencies_converge_to_probability(self):
         out = bell_outcome()
-        ss = rows(tomography_settings(2), "SS")
+        ss = rows(tomography_settings(), "SS")
         p = probability(out, ss, 1.0)
         for shots in (1_000, 100_000):
             table = draw_counts(out, ss, shots, 1.0, 0.0, seed=13)

@@ -33,7 +33,9 @@ def test_package_exports_the_module_lists():
 @pytest.mark.parametrize("name", ["ScheduleConstraints", "MeasurementSetting", "cell_efficiency",
                                   "_SWEEP_INTEGER", "_entropy", "_int_words",
                                   "herald_loop", "CountRow", "_CountRows",
-                                  "_poisson_resamples", "_resample_count"])
+                                  "_poisson_resamples", "_resample_count",
+                                  "_tomography_settings", "_w_labels", "_w_settings",
+                                  "monte_carlo_fidelity"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
 

@@ -225,7 +225,7 @@ def tomography_rows(k):
 def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, seed, data):
     # the rows are count vectors as a bootstrap draws them, free of the herald
     # cap; they start from one shared state, or (with a seed) each from its own
-    table = CountsTable(tomography_settings(2).labels, [heralds] * 16, [0] * 16)
+    table = CountsTable(tomography_settings().labels, [heralds] * 16, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
     observed = np.array(data.draw(tomography_rows(k)), dtype=float)
     if seed is None:
@@ -258,7 +258,7 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, seed,
 def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
     rng = np.random.default_rng(seed)
     heralds = data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16))
-    table = CountsTable(tomography_settings(2).labels, heralds, [0] * 16)
+    table = CountsTable(tomography_settings().labels, heralds, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
     if data.draw(st.booleans()):
         # random rank-1 projectors: unlike the tomography settings' sparse,
@@ -454,7 +454,7 @@ def test_predictions_match_the_full_state_vector_reference(doc, data):
     doc["protocol"]["write_phases"] = data.draw(
         st.lists(st.floats(-10.0, 10.0) | st.floats(-1e3, 1e3), min_size=d, max_size=d))
     cfg = parse_experiment_config(doc)
-    settings_block = tomography_settings(2) if d == 2 else detect.w_settings(d)
+    settings_block = tomography_settings() if d == 2 else detect.w_settings(d)
     for transfer in (False, True):
         outcome = run_protocol(cfg.protocol, transfer=transfer)
         psi = reference.state_vector(cfg.protocol, transfer)

@@ -279,6 +279,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             qubit_config(retrieval_order=(0, 0))
 
+    @pytest.mark.parametrize("field, message", [
+        ("write_phases", "one write phase per branch"),
+        ("drifts", "one drift phase per bin"),
+        ("retrieval_order", "must be a permutation of the bins"),
+    ])
+    def test_an_empty_tuple_is_not_the_default(self, field, message):
+        # None gives zeros or the identity order; () is a wrong length
+        with pytest.raises(ValueError, match=message):
+            qubit_config(**{field: ()})
+
     def test_drifts_need_one_entry_per_bin(self):
         for drifts in ((0.0,), (0.0, 0.0, 0.0)):
             with pytest.raises(ValueError, match="one drift phase per bin"):

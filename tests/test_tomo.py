@@ -34,7 +34,6 @@ from maqmsim.tomo import (
     bell_target,
     mle_reconstruct,
     monte_carlo_fidelities,
-    monte_carlo_fidelity,
     monte_carlo_w_fidelity,
     w_fidelity,
 )
@@ -76,8 +75,13 @@ def exact_counts(probabilities, labels, heralds=4_000_000):
     return CountsTable(labels, [heralds] * len(labels), counts.round().astype(int))
 
 
+def one_table_fidelity(table, target, draws, **stopping):
+    """``monte_carlo_fidelities`` of one table and its (R, n) resamples."""
+    return monte_carlo_fidelities((table,), target, (draws,), **stopping)[0]
+
+
 def bell_table(heralds=4_000_000):
-    settings = tomography_settings(2)
+    settings = tomography_settings()
     target = bell_target()
     rho = np.outer(target, target.conj())
     probs = [setting_probability(rho, s, a) for s, a in zip(settings.signal, settings.atom)]
@@ -101,7 +105,7 @@ class TestMleReconstruct:
         target = bell_target()
         pure = np.outer(target, target.conj())
         truth = 0.8 * pure + 0.2 * np.eye(4) / 4
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         probs = [setting_probability(truth, s, a) for s, a in zip(settings.signal, settings.atom)]
         counts = CountsTable(settings.labels, [10_000_000] * 16,
                              [int(round(p * 10_000_000)) for p in probs])
@@ -110,19 +114,19 @@ class TestMleReconstruct:
 
     def test_trace_monotone(self):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 1000, 0.5, 1e-4, seed=5)
+        table = draw_counts(out, tomography_settings(), 1000, 0.5, 1e-4, seed=5)
         res = mle_reconstruct(table)
         trace = np.array(res.likelihood_trace)
         assert len(trace) >= 2
         assert (np.diff(trace) >= -1e-9 * (1 + np.abs(trace[:-1]))).all()
 
     def test_all_zero_counts_returns_init(self):
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         counts = CountsTable(settings.labels, [1000] * 16, [0] * 16)
         res = mle_reconstruct(counts)
         assert_allclose(res.rho.entries, np.eye(4) / 4, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("estimator", ["mle_reconstruct", "monte_carlo_fidelity"])
+    @pytest.mark.parametrize("estimator", ["mle_reconstruct", "monte_carlo_fidelities"])
     @pytest.mark.parametrize("name, value", [("tol", float("nan")), ("tol", float("inf")),
                                              ("tol", 0.0), ("tol", -1e-9),
                                              ("tol", 1.0), ("tol", 1e300),
@@ -132,14 +136,14 @@ class TestMleReconstruct:
         spy = SetulbSpy(monkeypatch)
         table = bell_table()
         args = (table,) if estimator == "mle_reconstruct" else (
-            table, bell_target(), resamples(table, 0, 4))
+            (table,), bell_target(), (resamples(table, 0, 4),))
         with pytest.raises(ValueError, match=f"^{name} must"):
             getattr(tomo, estimator)(*args, **{name: value})
         assert spy.fits == 0
 
     def test_exhaustion_flags_non_convergence(self):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 1000, 0.5, 0.0, seed=6)
+        table = draw_counts(out, tomography_settings(), 1000, 0.5, 0.0, seed=6)
         res = mle_reconstruct(table, max_iter=1)
         assert not res.converged
 
@@ -156,7 +160,7 @@ class TestMleReconstruct:
     def test_result_always_physical(self):
         out = run_protocol(make_config(eta_read=[0.3] * 30))
         for seed in range(5):
-            table = draw_counts(out, tomography_settings(2), 200, 0.4, 1e-3, seed=seed)
+            table = draw_counts(out, tomography_settings(), 200, 0.4, 1e-3, seed=seed)
             res = mle_reconstruct(table)
             eigs = np.linalg.eigvalsh(res.rho.entries)
             assert eigs.min() >= -1e-10
@@ -166,38 +170,38 @@ class TestMleReconstruct:
 class TestMonteCarloFidelity:
     def test_high_count_sigma_small(self):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 20_000, 1.0, 0.0, seed=8)
-        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 17, 20))
+        table = draw_counts(out, tomography_settings(), 20_000, 1.0, 0.0, seed=8)
+        est = one_table_fidelity(table, bell_target(), resamples(table, 17, 20))
         assert est.value >= 0.99
         assert 0.0 < est.sigma < 0.01
         assert est.n_failed == 0
 
     def test_deterministic_in_seed(self):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        a = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 5))
-        b = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 5))
+        table = draw_counts(out, tomography_settings(), 2000, 1.0, 0.0, seed=9)
+        a = one_table_fidelity(table, bell_target(), resamples(table, 23, 5))
+        b = one_table_fidelity(table, bell_target(), resamples(table, 23, 5))
         assert a == b
 
     def test_stack_blocks_give_the_same_estimate(self, monkeypatch):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        whole = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 10))
+        table = draw_counts(out, tomography_settings(), 2000, 1.0, 0.0, seed=9)
+        whole = one_table_fidelity(table, bell_target(), resamples(table, 23, 10))
         monkeypatch.setattr(tomo, "MAX_STACK_ROWS", 4)
-        blocks = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 10))
+        blocks = one_table_fidelity(table, bell_target(), resamples(table, 23, 10))
         assert (blocks.value, blocks.sigma, blocks.n_resamples) == \
             (whole.value, whole.sigma, whole.n_resamples) == (whole.value, whole.sigma, 10)
 
     @pytest.mark.parametrize("shape", [(1, 16), (0, 16), (4, 15), (16,), (2, 16, 1)])
     def test_a_resample_array_of_the_wrong_shape_is_rejected(self, shape):
         with pytest.raises(ValueError, match=r"need an \(R, 16\) array of resamples"):
-            monte_carlo_fidelity(bell_table(), bell_target(), np.ones(shape))
+            one_table_fidelity(bell_table(), bell_target(), np.ones(shape))
 
     def test_target_must_be_a_unit_vector_of_the_reconstruction_dimension(self):
         table = bell_table()
         for bad in (np.full(2, np.sqrt(0.5)), np.full(4, 1.0)):
             with pytest.raises(ValueError):
-                monte_carlo_fidelity(table, bad, resamples(table, 23, 2))
+                one_table_fidelity(table, bad, resamples(table, 23, 2))
 
     @pytest.mark.parametrize("stage", [
         pytest.param(1, marks=pytest.mark.xfail(
@@ -211,7 +215,7 @@ class TestMonteCarloFidelity:
         # the shipped qubit config's heralds, dark rate, resample count and
         # stopping rule; the truth is a tight fit of the exact expected counts
         cfg = load_experiment_config(str(CONFIG_DIR / "qubit_default.json"))
-        out, settings = run_protocol(cfg.protocol, transfer=stage == 2), tomography_settings(2)
+        out, settings = run_protocol(cfg.protocol, transfer=stage == 2), tomography_settings()
         target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
         probs = coincidence_probabilities(out, settings, cfg.eta_det) + cfg.dark_rate
         expected = CountsTable(settings.labels, [10**9] * 16, 10**9 * probs)
@@ -220,9 +224,9 @@ class TestMonteCarloFidelity:
         for trial in range(100):
             table = draw_counts(out, settings, cfg.heralds_per_setting, cfg.eta_det,
                                 cfg.dark_rate, seed=trial)
-            est = monte_carlo_fidelity(table, target,
-                                       resamples(table, 10_000 + trial, cfg.n_resamples),
-                                       tol=cfg.tol, max_iter=cfg.max_iter)
+            est = one_table_fidelity(table, target,
+                                     resamples(table, 10_000 + trial, cfg.n_resamples),
+                                     tol=cfg.tol, max_iter=cfg.max_iter)
             errors.append(est.value - truth)
             if abs(est.value - truth) <= est.sigma:
                 covered += 1
@@ -234,8 +238,8 @@ class TestMonteCarloFidelity:
     def test_counts_in_one_setting_give_no_spread(self, counts):
         # every resample k' e_s has the optimum of the observed k e_s, and an
         # all-zero one stays at its warm start, so the spread is optimizer noise
-        table = CountsTable(tomography_settings(2).labels, [1000] * 16, counts)
-        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 7, 50))
+        table = CountsTable(tomography_settings().labels, [1000] * 16, counts)
+        est = one_table_fidelity(table, bell_target(), resamples(table, 7, 50))
         assert est.value == fidelity(mle_reconstruct(table).rho, bell_target())
         assert (est.sigma, est.n_resamples + est.n_failed) == (None, 50)
         assert est.warnings == ("coincidence counts sit in one setting, "
@@ -245,7 +249,7 @@ class TestMonteCarloFidelity:
 def shared_tables():
     """Three sampled tables of one outcome that share labels and heralds."""
     out = run_protocol(make_config())
-    return [draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=seed)
+    return [draw_counts(out, tomography_settings(), 2000, 1.0, 0.0, seed=seed)
             for seed in (9, 10, 11)]
 
 
@@ -262,7 +266,7 @@ class TestMonteCarloFidelities:
         # 4, 5 and 6 resamples: with 3-row blocks, rows 3-5 straddle tables 0 and 1
         tables = shared_tables()[:n_tables]
         draws = [resamples(table, 23 + i, 4 + i) for i, table in enumerate(tables)]
-        alone = [monte_carlo_fidelity(table, bell_target(), r) for table, r in zip(tables, draws)]
+        alone = [one_table_fidelity(table, bell_target(), r) for table, r in zip(tables, draws)]
         monkeypatch.setattr(tomo, "MAX_STACK_ROWS", max_rows)
         spy = SetulbSpy(monkeypatch)
         fused = monte_carlo_fidelities(tables, bell_target(), draws)
@@ -306,9 +310,9 @@ class TestMonteCarloFidelities:
         table = shared_tables()[0]
         empty = CountsTable(table.labels, table.heralds, [0] * 16)
         draws = [resamples(empty, 24, 6), resamples(table, 23, 6)]
-        alone = monte_carlo_fidelity(table, bell_target(), draws[1])
+        alone = one_table_fidelity(table, bell_target(), draws[1])
         spy = SetulbSpy(monkeypatch)
-        none = monte_carlo_fidelity(empty, bell_target(), draws[0])
+        none = one_table_fidelity(empty, bell_target(), draws[0])
         assert spy.fits == 0
         assert (none.value, none.sigma, none.rho, none.n_resamples, none.n_failed,
                 none.warnings) == (None, None, None, 0, 0, ("coincidence counts are all zero",))
@@ -594,7 +598,7 @@ class TestTransmissionFidelity:
         cfg = make_config()
         stage1 = run_protocol(cfg, transfer=False)
         stage2 = run_protocol(cfg, transfer=True)
-        settings = tomography_settings(2)
+        settings = tomography_settings()
         rho1 = mle_reconstruct(draw_counts(stage1, settings, 500_000, 1.0, 0.0, seed=61)).rho
         rho2 = mle_reconstruct(draw_counts(stage2, settings, 500_000, 1.0, 0.0, seed=62)).rho
         f12 = state_fidelity(rho1, rho2)
@@ -659,14 +663,14 @@ def reference_objective(projectors, observed, exposures):
 
 
 def sampled_table(seed=5, heralds=1000):
-    return draw_counts(run_protocol(make_config()), tomography_settings(2),
+    return draw_counts(run_protocol(make_config()), tomography_settings(),
                        heralds, 0.5, 1e-4, seed=seed)
 
 
 def reference_stage2_table():
     # the transfer stage of the shipped qubit config at seed 821328062
     cfg = load_experiment_config(str(CONFIG_DIR / "qubit_default.json"), 821328062)
-    table = draw_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(2),
+    table = draw_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(),
                         cfg.heralds_per_setting, cfg.eta_det, cfg.dark_rate,
                         seed=derive_seed(cfg.seed, 2, 0))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
@@ -811,8 +815,8 @@ class TestMleObjective:
 
     def test_bootstrap_base_fit_is_the_plain_fit(self):
         out = run_protocol(make_config())
-        table = draw_counts(out, tomography_settings(2), 2000, 1.0, 0.0, seed=9)
-        est = monte_carlo_fidelity(table, bell_target(), resamples(table, 23, 3))
+        table = draw_counts(out, tomography_settings(), 2000, 1.0, 0.0, seed=9)
+        est = one_table_fidelity(table, bell_target(), resamples(table, 23, 3))
         assert est.rho.entries.tobytes() == mle_reconstruct(table).rho.entries.tobytes()
         assert est.value == fidelity(est.rho, bell_target())
 
@@ -906,7 +910,7 @@ def force_decrease(m, x, *args):
         task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
 
 _lbfgsb.setulb = force_decrease
-labels = tomography_settings(2).labels
+labels = tomography_settings().labels
 table = CountsTable(labels, [1000] * 16, [250 if label[0] == label[1] else 0 for label in labels])
 try:
     tomo.mle_reconstruct(table)
@@ -950,16 +954,16 @@ class TestLikelihoodGuard:
         # and 5 are forced to fail
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: spy.fits == 2 and row % 2 == 1 and force_decrease(row, *args)
-        est = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
+        est = one_table_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         assert (est.n_resamples, est.n_failed) == (3, 3)
 
     @pytest.mark.parametrize("survivors", [0, 1])
     def test_bootstrap_without_spread_keeps_the_point(self, monkeypatch, survivors):
-        plain = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
+        plain = one_table_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         spy = SetulbSpy(monkeypatch)
         spy.act = lambda row, *args: (spy.fits == 2 and row >= survivors
                                       and force_decrease(row, *args))
-        est = monte_carlo_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
+        est = one_table_fidelity(bell_table(), bell_target(), resamples(bell_table(), 3, 6))
         assert est.value.hex() == plain.value.hex()
         assert (est.sigma, est.n_resamples, est.n_failed) == (None, survivors, 6 - survivors)
         assert est.warnings == (f"only {survivors} of 6 resamples succeeded",)
@@ -972,7 +976,7 @@ import sys
 from maqmsim import tomo
 from maqmsim.detect import CountsTable, tomography_settings
 
-table = CountsTable(tomography_settings(2).labels, [1000] * 16, [10] * 16)
+table = CountsTable(tomography_settings().labels, [1000] * 16, [10] * 16)
 for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
     try:
         tomo.mle_reconstruct(table, **kwargs)
