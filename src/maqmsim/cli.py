@@ -202,17 +202,15 @@ def _memory_spec(memories: _Object, name: str) -> MemorySpec:
     rf_grid = RfGrid(grid.read("x_origin", _number), grid.read("x_step", _number, positive=True),
                      grid.read("y_origin", _number), grid.read("y_step", _number, positive=True))
     grid.close()
-    # steps are positive, so the last cell has each axis's largest tone
-    for axis, tone in (("x", rf_grid.x_freq(n_x - 1)), ("y", rf_grid.y_freq(n_y - 1))):
-        if not math.isfinite(tone):
-            raise ConfigError(f"{grid.path}: {axis}_origin + {axis}_step * (n_{axis} - 1), "
-                              f"the last cell's {axis} tone, must be a finite number")
     entry.close()
     try:
         return MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read, tau_mem, t_larmor,
                           rf_grid, eta_eit)
     except ValueError as err:
-        raise ConfigError(f"{entry.path}: {err}") from err
+        # a message that opens with one of the entry's keys is about that field
+        key, sep, rest = str(err).partition(": ")
+        where, rest = (entry.at(key), rest) if sep and key in entry.doc else (entry.path, err)
+        raise ConfigError(f"{where}: {rest}") from err
 
 
 def _seed(top: _Object, seed_override) -> int:

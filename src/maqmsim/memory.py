@@ -133,6 +133,12 @@ class MemorySpec:
             raise ValueError("tau_mem must be a finite positive number")
         if not 0 < self.t_larmor < math.inf:
             raise ValueError("t_larmor must be a finite positive number")
+        # steps are positive, so the last cell has each axis's largest tone
+        grid = self.rf_grid
+        for axis, tone in (("x", grid.x_freq(self.n_x - 1)), ("y", grid.y_freq(self.n_y - 1))):
+            if not math.isfinite(tone):
+                raise ValueError(f"rf_grid: {axis}_origin + {axis}_step * (n_{axis} - 1), "
+                                 f"the last cell's {axis} tone, must be a finite number")
         object.__setattr__(self, "eta_write", _as_map(self.eta_write, self.n_x, self.n_y, "eta_write"))
         object.__setattr__(self, "eta_read", _as_map(self.eta_read, self.n_x, self.n_y, "eta_read"))
         if self.eta_eit is not None:

@@ -365,7 +365,11 @@ def _tone_doc(tone: Tone) -> dict:
 
 
 def schedule_to_jsonl(schedule: Schedule) -> str:
-    """One JSON line per (event, axis), x before y, trailing newline."""
+    """One JSON line per (event, axis), x before y, trailing newline.
+
+    A non-finite number raises ``ValueError``: JSON has none, and
+    ``schedule_from_jsonl`` would reject the ``Infinity`` or ``NaN`` written.
+    """
     lines = []
     for e in schedule.events:
         for axis, tones in (("x", e.x_tones), ("y", e.y_tones)):
@@ -377,7 +381,7 @@ def schedule_to_jsonl(schedule: Schedule) -> str:
                 "channel": e.channel.value,
                 "axis": axis,
                 "tones": [_tone_doc(t) for t in tones],
-            }))
+            }, allow_nan=False))
     return "\n".join(lines) + "\n"
 
 

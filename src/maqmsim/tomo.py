@@ -28,6 +28,8 @@ Packed parameters map to T, and the gradient back to them, through one
 index of float slots.  The first fit loads scipy's compiled ``_lbfgsb``
 module alone, never the ``scipy.optimize`` package, so a process that
 never fits loads no scipy and one that fits skips the package's import.
+Each fit runs scipy's own OpenBLAS, which ``setulb`` calls, on one thread
+and restores its earlier count after, so no second core spins.
 The value of each accepted step is the row's last evaluation; the
 likelihood trace is checked to be non-decreasing across accepted steps,
 and a row that fails the check stops with ``LikelihoodDecreasedError`` (an
@@ -275,6 +277,43 @@ def _lbfgsb_kernel():
     return kernel
 
 
+@functools.cache
+def _scipy_blas_threads(path):
+    """The (get, set) thread-count calls of the OpenBLAS scipy bundles, found
+    through the kernel's library handle; None for a kernel with no file, a
+    non-wheel scipy or MKL, whose fits run on the threads their BLAS picks."""
+    if not path:
+        return None
+    import ctypes
+    try:
+        lib = ctypes.CDLL(path)
+        get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread:
+    """scipy's OpenBLAS on one thread inside the block, its count restored
+    after: ``setulb`` would wake a second thread to spin on work too small to
+    share.  The iterates do not depend on the thread count.  The count is
+    process-wide, so fits run from several threads at once may leave it at 1."""
+
+    def __init__(self, kernel):
+        self.threads = _scipy_blas_threads(getattr(kernel, "__file__", None))
+
+    def __enter__(self):
+        if self.threads:
+            self.before = self.threads[0]()
+            self.threads[1](1)
+
+    def __exit__(self, *exc):
+        if self.threads:
+            self.threads[1](self.before)
+
+
 class _StackFit(NamedTuple):
     """Row r of every field is the fit of count row r."""
 
@@ -295,7 +334,8 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     function memo, run for every row at once.  A row whose accepted step
     lowers the likelihood stops with its error stored; the others go on.
     """
-    setulb = _lbfgsb_kernel().setulb
+    kernel = _lbfgsb_kernel()
+    setulb = kernel.setulb
 
     k, d = observed.shape[0], projectors.shape[1]
     n, m = d * d, _LBFGS_M
@@ -317,7 +357,7 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
              iwa[r], task[r], lsave[r], isave[r], dsave[r], _LBFGS_MAXLS, ln_task[r]]
             for r in range(k)]
 
-    with _warnings.catch_warnings():
+    with _warnings.catch_warnings(), _OneBlasThread(kernel):
         _warnings.simplefilter("ignore", RuntimeWarning)
         # scipy's function memo: x0 is evaluated before the first setulb
         # call, and a request at a row's last evaluated point reuses it

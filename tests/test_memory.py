@@ -122,6 +122,17 @@ class TestRfGrid:
         assert_allclose([grid.x_freq(i) for i in range(5)], [101.1, 102.3, 103.5, 104.7, 105.9])
         assert_allclose([grid.y_freq(j) for j in range(6)], [99.0, 100.2, 101.4, 102.6, 103.8, 105.0])
 
+    @pytest.mark.parametrize("grid, axis", [(RfGrid(1e308, 1e308, 95.5, 1.5), "x"),
+                                            (RfGrid(97.0, 1.5, 1e308, 1e308), "y")])
+    def test_a_spec_rejects_a_last_cell_tone_that_overflows(self, grid, axis):
+        # each number is finite, but origin + step * (n - 1) is inf
+        message = (rf"rf_grid: {axis}_origin \+ {axis}_step \* \(n_{axis} - 1\), "
+                   rf"the last cell's {axis} tone, must be a finite number")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_with(rf_grid=grid)
+        # one cell along that axis has only the origin's tone
+        spec_with(rf_grid=grid, **{f"n_{axis}": 1})
+
 
 class TestSpecFromDict:
     def test_reads_a_literal_dict(self):

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tempfile
 import types
 import warnings
@@ -446,13 +447,9 @@ def test_a_whole_qudit_config_runs_twice_alike_or_names_a_field(doc):
             assert is_field(doc, path), err
 
 
-@PROPERTY
-@given(doc=st.one_of(qudit_configs(st.just(2)), qudit_configs()), data=st.data())
-def test_predictions_match_the_full_state_vector_reference(doc, data):
-    # qubit and qudit configs, with write phases, against the kron-built state
+def check_predictions_match_the_reference(doc):
+    """A config document's predictions against the kron-built state."""
     d = doc["protocol"]["dimension"]
-    doc["protocol"]["write_phases"] = data.draw(
-        st.lists(st.floats(-10.0, 10.0) | st.floats(-1e3, 1e3), min_size=d, max_size=d))
     cfg = parse_experiment_config(doc)
     settings_block = tomography_settings() if d == 2 else detect.w_settings(d)
     for transfer in (False, True):
@@ -466,6 +463,40 @@ def test_predictions_match_the_full_state_vector_reference(doc, data):
             rtol=0.0, atol=1e-12)
         if np.vdot(psi, psi).real > 0.0:
             assert math.isclose(project_w(outcome), reference.w_fidelity(d, psi), abs_tol=1e-12)
+
+
+@PROPERTY
+@given(doc=st.one_of(qudit_configs(st.just(2)), qudit_configs()), data=st.data())
+def test_predictions_match_the_full_state_vector_reference(doc, data):
+    # qubit and qudit configs, with write phases
+    d = doc["protocol"]["dimension"]
+    doc["protocol"]["write_phases"] = data.draw(
+        st.lists(st.floats(-10.0, 10.0) | st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    check_predictions_match_the_reference(doc)
+
+
+def test_a_state_with_a_subnormal_norm_matches_the_reference():
+    # a draw of the property above: MAQM1's subnormal eta_read leaves branch
+    # amplitudes of ~3.3e-155, and the reference once divided by their
+    # subnormal squared norm and read NaN; the package reads 0.9999437552729564
+    memory = {"n_x": 5, "n_y": 6, "eta_write": 1.0, "eta_read": 1.0, "tau_mem": 10.0,
+              "t_larmor": 1.0}
+    cells = [[0, 0], [0, 1]]
+    doc = {"seed": 0,
+           "memories": {"MAQM1": {**memory, "eta_read": 2.225073858507203e-309,
+                                  "rf_grid": QUDIT["memories"]["MAQM1"]["rf_grid"]},
+                        "MAQM2": {**memory, "eta_eit": 1.0,
+                                  "rf_grid": QUDIT["memories"]["MAQM2"]["rf_grid"]}},
+           "protocol": {"dimension": 2, "source_cells": cells, "target_cells": cells,
+                        "t1": 1.0, "tau": 1.0, "t2": 1.0, "drift": 0.0,
+                        "write_phases": [0.0, 0.0]},
+           "detection": {"eta_det": 1.0, "dark_rate": 0.0, "heralds_per_setting": 1000},
+           "estimation": {"n_resamples": 2}}
+    protocol = parse_experiment_config(doc).protocol
+    psi = reference.state_vector(protocol, False)
+    assert 0.0 < np.vdot(psi, psi).real < sys.float_info.min
+    assert run_protocol(protocol, transfer=False).predicted_fidelity == 0.9999437552729564
+    check_predictions_match_the_reference(doc)
 
 
 @PROPERTY

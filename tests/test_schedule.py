@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -339,6 +340,15 @@ class TestSerialization:
         assert list(first["tones"][0]) == ["f_mhz", "amp", "phase_rad"]
         axes = [json.loads(line)["axis"] for line in lines]
         assert axes == ["x", "y"] * 7
+
+    def test_a_non_finite_number_is_refused_not_written(self):
+        sched = compile_schedule(qubit_config())
+        event = sched.events[0]
+        tone = dataclasses.replace(event.x_tones[0], f_mhz=float("inf"))
+        broken = dataclasses.replace(sched, events=(
+            dataclasses.replace(event, x_tones=(tone,) + event.x_tones[1:]),) + sched.events[1:])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            schedule_to_jsonl(broken)
 
     def test_compile_deterministic(self):
         a = schedule_to_jsonl(compile_schedule(qubit_config()))

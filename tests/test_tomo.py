@@ -1062,6 +1062,89 @@ class TestKernelLoader:
         assert tomo._KERNEL not in sys.modules
 
 
+def scipy_blas_threads():
+    """scipy's OpenBLAS (get, set) thread calls, or a skip where a pin cannot show."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    if len(cores) < 2:
+        pytest.skip("one usable core: a one-thread pin reads as the default count")
+    threads = tomo._scipy_blas_threads(tomo._lbfgsb_kernel().__file__)
+    if threads is None:
+        pytest.skip("this scipy bundles no OpenBLAS with scipy_openblas thread calls")
+    return threads
+
+
+CPU_PER_WALL_SCRIPT = """
+import time
+import numpy as np
+from maqmsim import tomo
+from maqmsim.detect import CountsTable, tomography_settings
+
+labels = tomography_settings().labels
+rng = np.random.default_rng(5)
+tables = [CountsTable(labels, [2000] * 16,
+                      rng.poisson([300 if label[0] == label[1] else 40 for label in labels]))
+          for _ in range(8)]
+
+def fit_for(seconds):
+    cpu, wall = time.process_time(), time.perf_counter()
+    while time.perf_counter() - wall < seconds:
+        for table in tables:
+            tomo.mle_reconstruct(table)
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+fit_for(0.3)   # a fresh OpenBLAS thread spins ~0.1 s before it first sleeps
+print(fit_for(0.5))
+"""
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        get, set_ = scipy_blas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_a_fit_runs_on_one_thread_and_restores_the_count(self, monkeypatch, threads):
+        seen = set()
+        SetulbSpy(monkeypatch, act=lambda *args: seen.add(threads()))
+        mle_reconstruct(bell_table())
+        assert seen == {1}
+        assert threads() == 2
+
+    def test_the_count_is_restored_after_a_failed_fit(self, monkeypatch, threads):
+        SetulbSpy(monkeypatch, act=force_decrease)
+        with pytest.raises(LikelihoodDecreasedError):
+            mle_reconstruct(bell_table())
+        assert threads() == 2
+
+        real, calls = tomo._NegLogLikelihoods.__call__, []
+
+        def failing(self, x, rows):
+            calls.append(threads())
+            if len(calls) == 3:
+                raise FloatingPointError("objective failed")
+            return real(self, x, rows)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(tomo._NegLogLikelihoods, "__call__", failing)
+        with pytest.raises(FloatingPointError, match="objective failed"):
+            mle_reconstruct(bell_table())
+        assert calls == [1, 1, 1]
+        assert threads() == 2
+
+    def test_fitting_keeps_the_process_on_one_core(self):
+        # one busy thread cannot read above 1.0; a spinning second one reads ~2
+        scipy_blas_threads()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", CPU_PER_WALL_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 1.3
+
+
 @pytest.mark.xfail(strict=True, reason="L-BFGS-B with ftol=tol stops short of the optimum: "
                    "on this table the default fit sits 1.2e-3 nats low and its fidelity "
                    "is off by 8.1e-4")
