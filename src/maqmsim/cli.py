@@ -33,7 +33,7 @@ from .detect import (
 )
 from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
-from .schedule import TIME_GRID_US, PatternError, Schedule, compile_schedule, schedule_to_jsonl
+from .schedule import PatternError, Schedule, compile_schedule, schedule_to_jsonl
 from .tomo import bell_target, monte_carlo_fidelities, monte_carlo_w_fidelity
 from .qstate import state_fidelity
 
@@ -54,8 +54,6 @@ class ConfigError(ValueError):
     """Config problem with a field-path or line-precise location prefix."""
 
 
-MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
-MIN_TAU_US = 2 * TIME_GRID_US   # snapped bins two grid steps apart stay distinct
 # numpy's binomial takes the herald number as a C long, and a bootstrap
 # resample's Poisson mean, an observed count up to the herald number, must
 # stay below ~9.2234e18
@@ -191,26 +189,19 @@ def _memory_spec(memories: _Object, name: str) -> MemorySpec:
     eta_read = entry.read("eta_read", _efficiencies, cells=n_x * n_y)
     # only the receiving memory stores by EIT
     eta_eit = entry.read("eta_eit", _efficiencies, cells=n_x * n_y) if name == "MAQM2" else None
-    tau_mem = entry.read("tau_mem", _number, positive=True)
-    t_larmor = entry.read("t_larmor", _number, positive=True)
-    # a shorter period is not resolved by the schedule, and pi t / t_larmor
-    # would overflow the survival and Larmor grid checks
-    if t_larmor < TIME_GRID_US:
-        raise ConfigError(f"{entry.at('t_larmor')}: must be at least {TIME_GRID_US:g}, "
-                          f"the timing grid")
+    tau_mem, t_larmor = (entry.read(key, _number) for key in ("tau_mem", "t_larmor"))
     grid = entry.read("rf_grid", _Object)
-    rf_grid = RfGrid(grid.read("x_origin", _number), grid.read("x_step", _number, positive=True),
-                     grid.read("y_origin", _number), grid.read("y_step", _number, positive=True))
+    ramps = [grid.read(key, _number) for key in ("x_origin", "x_step", "y_origin", "y_step")]
     grid.close()
     entry.close()
     try:
         return MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read, tau_mem, t_larmor,
-                          rf_grid, eta_eit)
+                          RfGrid(*ramps), eta_eit)
     except ValueError as err:
-        # a message that opens with one of the entry's keys is about that field
+        # a message that opens with a key of the entry or its grid is about that field
         key, sep, rest = str(err).partition(": ")
-        where, rest = (entry.at(key), rest) if sep and key in entry.doc else (entry.path, err)
-        raise ConfigError(f"{where}: {rest}") from err
+        where = next((o.at(key) for o in (entry, grid) if sep and key in o.doc), None)
+        raise ConfigError(f"{where}: {rest}" if where else f"{entry.path}: {err}") from err
 
 
 def _seed(top: _Object, seed_override) -> int:
@@ -236,12 +227,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None,
                      maximum=min(spec1.n_x * spec1.n_y, spec2.n_x * spec2.n_y, MAX_DIMENSION))
     source = proto.read("source_cells", _cells, spec=spec1)
     target = proto.read("target_cells", _cells, spec=spec2)
-    t1 = proto.read("t1", _number, positive=True, maximum=MAX_TIME_US)
-    tau = proto.read("tau", _number, positive=True, maximum=MAX_TIME_US)
-    if tau < MIN_TAU_US:
-        raise ConfigError(f"protocol.tau: must be at least {MIN_TAU_US:g}, two steps of "
-                          f"the {TIME_GRID_US:g} us timing grid")
-    t2 = proto.read("t2", _number, non_negative=True, maximum=MAX_TIME_US)
+    t1, tau, t2 = (proto.read(key, _number) for key in ("t1", "tau", "t2"))
 
     phases = tuple(proto.read("write_phases", _numbers, [0.0] * dim, count=dim).tolist())
 

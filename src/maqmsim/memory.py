@@ -34,6 +34,7 @@ __all__ = [
 
 
 MAX_CELLS = 10**6   # cells per memory grid
+TIME_GRID_US = 1e-3     # schedule event times are snapped to this grid
 
 
 class MemoryId(enum.Enum):
@@ -68,9 +69,10 @@ class RfGrid:
     def __post_init__(self):
         for name in ("x_origin", "x_step", "y_origin", "y_step"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"rf_grid.{name} must be a finite number")
-        if self.x_step <= 0 or self.y_step <= 0:
-            raise ValueError("rf_grid steps must be positive")
+                raise ValueError(f"{name}: must be a finite number")
+        for name in ("x_step", "y_step"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive")
 
     def x_freq(self, index: int) -> float:
         return self.x_origin + self.x_step * index
@@ -130,9 +132,13 @@ class MemorySpec:
             raise ValueError(f"grid of {self.n_x} x {self.n_y} cells exceeds "
                              f"MAX_CELLS = {MAX_CELLS}")
         if not 0 < self.tau_mem < math.inf:
-            raise ValueError("tau_mem must be a finite positive number")
-        if not 0 < self.t_larmor < math.inf:
-            raise ValueError("t_larmor must be a finite positive number")
+            raise ValueError("tau_mem: must be a finite positive number")
+        # a shorter period is not resolved by the schedule, and pi t / t_larmor
+        # would overflow the survival and Larmor grid checks
+        if not math.isfinite(self.t_larmor):
+            raise ValueError("t_larmor: must be a finite number")
+        if self.t_larmor < TIME_GRID_US:
+            raise ValueError(f"t_larmor: must be at least {TIME_GRID_US:g}, the timing grid")
         # steps are positive, so the last cell has each axis's largest tone
         grid = self.rf_grid
         for axis, tone in (("x", grid.x_freq(self.n_x - 1)), ("y", grid.y_freq(self.n_y - 1))):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import CellAddress, MemorySpec, survival
+from .memory import TIME_GRID_US, CellAddress, MemorySpec, survival
 
 __all__ = [
     "ProtocolConfig",
@@ -42,6 +42,10 @@ __all__ = [
     "run_protocol",
     "project_w",
 ]
+
+
+MAX_TIME_US = 1e6         # protocol times: one second, far beyond any memory time
+MIN_TAU_US = 2 * TIME_GRID_US   # snapped bins two grid steps apart stay distinct
 
 
 class PostSelectionError(RuntimeError):
@@ -86,11 +90,16 @@ class ProtocolConfig:
                 raise ValueError(f"{name}: cells must be distinct within the memory")
             for c in cells:
                 spec.require_cell(c)
-        for name in ("t1", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive")
-        if self.t2 < 0:
-            raise ValueError("t2: must be non-negative")
+        # written so that NaN fails each comparison
+        floors = (("t1", self.t1 > 0, "must be positive"),
+                  ("tau", self.tau >= MIN_TAU_US, f"must be at least {MIN_TAU_US:g}, two "
+                                                  f"steps of the {TIME_GRID_US:g} us timing grid"),
+                  ("t2", self.t2 >= 0, "must be non-negative"))
+        for name, above_floor, rule in floors:
+            if not above_floor:
+                raise ValueError(f"{name}: {rule}")
+            if not getattr(self, name) <= MAX_TIME_US:
+                raise ValueError(f"{name}: must be at most {MAX_TIME_US:g}")
         phases = (0.0,) * d if self.write_phases is None else tuple(self.write_phases)
         if len(phases) != d:
             raise ValueError("write_phases: need one write phase per branch")

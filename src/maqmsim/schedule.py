@@ -14,9 +14,9 @@ an x tone set times a y tone set) are the one hard error, a ``PatternError``
 that names the cell list.
 
 Timing lives on a 1 ns grid (``TIME_GRID_US``).  The emission format is JSON
-Lines, one line per (event, axis), and parsing an emitted schedule and
-emitting it again reproduces the bytes exactly, provided the bins are at
-least two grid steps apart (one step lets two bins snap onto one time).
+Lines, one line per (event, axis), and for every ``ProtocolConfig`` that
+compiles, parsing the emitted schedule and emitting it again reproduces the
+bytes exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import CellAddress, MemorySpec
+from .memory import TIME_GRID_US, CellAddress, MemorySpec
 from .protocol import ProtocolConfig, bin_time
 
 __all__ = [
@@ -55,7 +55,6 @@ COUPLING_DURATION_US = 0.7
 FINAL_DURATION_US = 1.0
 AOD_SWITCH_US = 2.0     # deflector retune time between bins
 MIN_GUARD_US = 0.05     # least spacing between events on one channel
-TIME_GRID_US = 1e-3     # event times are snapped to this grid
 _TICKS_PER_US = 1.0 / TIME_GRID_US    # exactly 1000.0
 
 FACTOR_RTOL = 1e-10     # relative second-singular-value bound for product patterns

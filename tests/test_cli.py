@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maqmsim import cli, memory, schedule
+from maqmsim import cli, memory, protocol
 from maqmsim.cli import (
     MAX_HERALDS,
     ConfigError,
@@ -560,10 +560,10 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, path, value, where):
 # each config bound, the value its constant holds, and the README phrase
 # that states it (README whitespace folded to single spaces)
 README_BOUNDS = {
-    "MAX_TIME_US": (cli.MAX_TIME_US, r"`protocol\.t1`, `tau` and `t2` are at most (\S+) µs"),
-    "MIN_TAU_US": (cli.MIN_TAU_US, r"`protocol\.tau` is at least (\S+) µs"),
-    "TIME_GRID_US-ns": (schedule.TIME_GRID_US * 1e3, r"two steps of the (\S+) ns timing grid"),
-    "TIME_GRID_US": (schedule.TIME_GRID_US, r"`t_larmor` is at least (\S+) µs, the timing grid"),
+    "MAX_TIME_US": (protocol.MAX_TIME_US, r"`protocol\.t1`, `tau` and `t2` are at most (\S+) µs"),
+    "MIN_TAU_US": (protocol.MIN_TAU_US, r"`protocol\.tau` is at least (\S+) µs"),
+    "TIME_GRID_US-ns": (memory.TIME_GRID_US * 1e3, r"two steps of the (\S+) ns timing grid"),
+    "TIME_GRID_US": (memory.TIME_GRID_US, r"`t_larmor` is at least (\S+) µs, the timing grid"),
     "MAX_HERALDS": (cli.MAX_HERALDS, r"`detection\.heralds_per_setting` is at most (.+?),"),
     "MAX_RESAMPLES": (cli.MAX_RESAMPLES, r"`estimation\.n_resamples` is at most (.+?), and"),
     "MAX_BOOTSTRAP_FLOATS": (cli.MAX_BOOTSTRAP_FLOATS,
@@ -723,6 +723,20 @@ QUDIT_BROKEN_FIELDS = [
      "memories.MAQM1.t_larmor: must be at least 0.001, the timing grid"),
     (("memories", "MAQM2", "t_larmor"), 0.0009, "memories.MAQM2.t_larmor: must be at least"),
     (("estimation", "tol"), 1.0, "estimation.tol: must be less than 1"),
+    # the time, period and step rules of ProtocolConfig, MemorySpec and RfGrid,
+    # each under its field's path
+    (("protocol", "t1"), 0.0, "protocol.t1: must be positive\n"),
+    (("protocol", "tau"), -3.9, "protocol.tau: must be at least 0.002, two steps of the "
+                                "0.001 us timing grid\n"),
+    (("protocol", "t2"), -7.8, "protocol.t2: must be non-negative\n"),
+    (("memories", "MAQM2", "tau_mem"), 0.0,
+     "memories.MAQM2.tau_mem: must be a finite positive number\n"),
+    (("memories", "MAQM1", "t_larmor"), 0.0,
+     "memories.MAQM1.t_larmor: must be at least 0.001, the timing grid\n"),
+    (("memories", "MAQM1", "rf_grid", "x_step"), 0.0,
+     "memories.MAQM1.rf_grid.x_step: must be positive\n"),
+    (("memories", "MAQM2", "rf_grid", "y_step"), -1.2,
+     "memories.MAQM2.rf_grid.y_step: must be positive\n"),
 ]
 
 
@@ -758,7 +772,7 @@ def test_bins_one_grid_step_apart_are_rejected(tmp_path, capsys, t1):
     assert main(["compile", "--config", path, "--out", str(tmp_path / "s.jsonl")]) == 2
     assert capsys.readouterr().err.startswith("config error: protocol.tau: must be at least")
 
-    doc["protocol"]["tau"] = cli.MIN_TAU_US
+    doc["protocol"]["tau"] = protocol.MIN_TAU_US
     path = write_config(tmp_path, doc)
     out = tmp_path / "s.jsonl"
     assert main(["compile", "--config", path, "--out", str(out)]) == 1   # bin_gap errors

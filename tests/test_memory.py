@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from maqmsim.cli import parse_experiment_config
 from maqmsim.memory import (
+    TIME_GRID_US,
     CellAddress,
     MemoryId,
     MemorySpec,
@@ -109,6 +110,26 @@ class TestCellEfficiency:
             spec_with(eta_read=[0.5] * 29)
 
 
+class TestSpecTimes:
+    @pytest.mark.parametrize("t_larmor", [1e-310, 0.0009, np.nextafter(TIME_GRID_US, 0.0),
+                                          0.0, -7.8])
+    def test_a_larmor_period_below_the_timing_grid_is_rejected(self, t_larmor):
+        # at 1e-310, pi t / t_larmor overflowed and survival was NaN
+        with pytest.raises(ValueError, match=r"^t_larmor: must be at least 0\.001, the timing grid$"):
+            spec_with(t_larmor=t_larmor)
+        assert spec_with(t_larmor=TIME_GRID_US).t_larmor == TIME_GRID_US
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau_mem", 0.0, "must be a finite positive number"),
+        ("tau_mem", np.inf, "must be a finite positive number"),
+        ("t_larmor", np.nan, "must be a finite number"),
+        ("t_larmor", np.inf, "must be a finite number"),
+    ])
+    def test_a_time_error_opens_with_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field}: {message}$"):
+            spec_with(**{field: value})
+
+
 class TestRfGrid:
     def test_tone_frequencies(self):
         grid = RfGrid(97.0, 1.5, 95.5, 1.5)
@@ -121,6 +142,16 @@ class TestRfGrid:
         grid = RfGrid(101.1, 1.2, 99.0, 1.2)
         assert_allclose([grid.x_freq(i) for i in range(5)], [101.1, 102.3, 103.5, 104.7, 105.9])
         assert_allclose([grid.y_freq(j) for j in range(6)], [99.0, 100.2, 101.4, 102.6, 103.8, 105.0])
+
+    @pytest.mark.parametrize("field", ["x_step", "y_step"])
+    @pytest.mark.parametrize("step, rule", [
+        (0.0, "must be positive"), (-1.5, "must be positive"),
+        (-np.inf, "must be a finite number"), (np.nan, "must be a finite number"),
+    ])
+    def test_each_step_is_named(self, field, step, rule):
+        steps = {"x_step": 1.5, "y_step": 1.5, field: step}
+        with pytest.raises(ValueError, match=f"^{field}: {rule}$"):
+            RfGrid(97.0, steps["x_step"], 95.5, steps["y_step"])
 
     @pytest.mark.parametrize("grid, axis", [(RfGrid(1e308, 1e308, 95.5, 1.5), "x"),
                                             (RfGrid(97.0, 1.5, 1e308, 1e308), "y")])

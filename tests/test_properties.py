@@ -17,15 +17,16 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maqmsim import cli, detect, tomo
 from maqmsim.cli import parse_experiment_config
 from maqmsim.detect import CountsTable, Settings, coincidence_probabilities, tomography_settings
-from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid, survival
-from maqmsim.protocol import ProtocolConfig, bin_time, project_w, run_protocol, storage_dwell
-from maqmsim.schedule import TIME_GRID_US, compile_schedule, schedule_from_jsonl, schedule_to_jsonl
+from maqmsim.memory import TIME_GRID_US, CellAddress, MemoryId, MemorySpec, RfGrid, survival
+from maqmsim.protocol import (MAX_TIME_US, MIN_TAU_US, ProtocolConfig, bin_time, project_w,
+                              run_protocol, storage_dwell)
+from maqmsim.schedule import compile_schedule, schedule_from_jsonl, schedule_to_jsonl
 import reference
 from test_tomo import reference_objective
 
@@ -35,7 +36,7 @@ GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
 HALF_STEP = TIME_GRID_US / 2
 # the longest storage a run reaches: d - 1 bins plus t2, each at most MAX_TIME_US
-LONGEST_RUN_US = cli.MAX_TIME_US * cli.MAX_DIMENSION
+LONGEST_RUN_US = MAX_TIME_US * cli.MAX_DIMENSION
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -45,15 +46,15 @@ def times(low, exclude_low=False):
     where snapping to the grid meets its ties."""
     k_low = max(1, math.ceil(low / HALF_STEP))
     return st.one_of(
-        st.floats(low, cli.MAX_TIME_US, exclude_min=exclude_low),
+        st.floats(low, MAX_TIME_US, exclude_min=exclude_low),
         st.integers(k_low, 4000).map(lambda k: k * HALF_STEP),
-        st.integers(k_low, int(cli.MAX_TIME_US / HALF_STEP)).map(lambda k: k * HALF_STEP),
+        st.integers(k_low, int(MAX_TIME_US / HALF_STEP)).map(lambda k: k * HALF_STEP),
     )
 
 
 @PROPERTY
 @given(d=st.sampled_from([2, 3, 4]), t1=times(0.0, exclude_low=True),
-       tau=times(cli.MIN_TAU_US), t2=times(0.0), data=st.data())
+       tau=times(MIN_TAU_US), t2=times(0.0), data=st.data())
 def test_compiled_schedules_round_trip_byte_for_byte(d, t1, tau, t2, data):
     phases = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
     cells = [[1, y] for y in range(d)]   # one column, so any write phases factor
@@ -64,12 +65,44 @@ def test_compiled_schedules_round_trip_byte_for_byte(d, t1, tau, t2, data):
     assert schedule_to_jsonl(schedule_from_jsonl(text)) == text
 
 
+# each time's bounds, as ProtocolConfig states them
+TIME_BOUNDS = {"t1": lambda t: 0.0 < t <= MAX_TIME_US,
+               "tau": lambda t: MIN_TAU_US <= t <= MAX_TIME_US,
+               "t2": lambda t: 0.0 <= t <= MAX_TIME_US}
+ANY_TIME = st.floats() | times(0.0) | st.floats(-MIN_TAU_US, 2 * MIN_TAU_US)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(t1=ANY_TIME, tau=ANY_TIME, t2=ANY_TIME)
+@example(t1=MAX_TIME_US, tau=MAX_TIME_US, t2=MAX_TIME_US)
+@example(t1=5e-324, tau=MIN_TAU_US, t2=0.0)
+@example(t1=math.nan, tau=7.8, t2=7.8)
+@example(t1=1e306, tau=7.8, t2=7.8)
+@example(t1=15.6, tau=0.001, t2=7.8)
+def test_a_protocol_config_from_any_times_round_trips_or_names_a_time(t1, tau, t2):
+    # built directly, with no config reader in front of the type
+    spec1 = MemorySpec(MemoryId.MAQM1, 5, 6, 0.01, 0.2, 65.0, 3.9, GRID1)
+    spec2 = MemorySpec(MemoryId.MAQM2, 5, 6, 0.0, 0.0, 27.8, 1.3, GRID2, eta_eit=0.2)
+    drawn = {"t1": t1, "tau": tau, "t2": t2}
+    outside = [name for name, within in TIME_BOUNDS.items() if not within(drawn[name])]
+    try:
+        config = ProtocolConfig(4, spec1, spec2,
+                                [CellAddress(MemoryId.MAQM1, 1, y) for y in range(4)],
+                                [CellAddress(MemoryId.MAQM2, 1, y) for y in range(4)], **drawn)
+    except ValueError as err:
+        assert outside and str(err).startswith(f"{outside[0]}: "), (outside, err)
+        return
+    assert not outside
+    text = schedule_to_jsonl(compile_schedule(config))
+    assert schedule_to_jsonl(schedule_from_jsonl(text)) == text
+
+
 @PROPERTY
 @given(tau_mem=st.floats(0.0, 1e308, exclude_min=True),
        t_larmor=st.floats(TIME_GRID_US, 1e308),
        t=st.floats(0.0, LONGEST_RUN_US))
 def test_survival_is_a_probability(tau_mem, t_larmor, t):
-    # t_larmor >= TIME_GRID_US is the bound the config reader sets
+    # t_larmor >= TIME_GRID_US is MemorySpec's own bound
     spec = MemorySpec(MemoryId.MAQM1, 5, 6, 0.01, 0.2, tau_mem, t_larmor, GRID1)
     assert 0.0 <= survival(spec, t) <= 1.0
 
@@ -312,12 +345,12 @@ def test_unpack_inverts_pack_bit_for_bit(k, d, data):
 # the values just past it; drift has no bound but finiteness
 _HUGE = 1e300
 SWEEP_BOUNDS = {
-    "protocol.t1": (st.floats(0.0, cli.MAX_TIME_US, exclude_min=True),
-                    [0.0, np.nextafter(cli.MAX_TIME_US, math.inf)]),
-    "protocol.tau": (st.floats(cli.MIN_TAU_US, cli.MAX_TIME_US),
-                     [np.nextafter(cli.MIN_TAU_US, 0.0), np.nextafter(cli.MAX_TIME_US, math.inf)]),
-    "protocol.t2": (st.floats(0.0, cli.MAX_TIME_US),
-                    [-5e-324, np.nextafter(cli.MAX_TIME_US, math.inf)]),
+    "protocol.t1": (st.floats(0.0, MAX_TIME_US, exclude_min=True),
+                    [0.0, np.nextafter(MAX_TIME_US, math.inf)]),
+    "protocol.tau": (st.floats(MIN_TAU_US, MAX_TIME_US),
+                     [np.nextafter(MIN_TAU_US, 0.0), np.nextafter(MAX_TIME_US, math.inf)]),
+    "protocol.t2": (st.floats(0.0, MAX_TIME_US),
+                    [-5e-324, np.nextafter(MAX_TIME_US, math.inf)]),
     "protocol.drift": (st.floats(-_HUGE, _HUGE), [math.inf, -math.inf, math.nan]),
     "detection.eta_det": (st.floats(0.0, 1.0, exclude_min=True),
                           [0.0, np.nextafter(1.0, 2.0)]),
@@ -401,7 +434,7 @@ def qudit_configs(draw, dimensions=st.integers(3, 6)):
         return {**entry, "eta_eit": draw(efficiency_maps())} if eit else entry
 
     drift = st.floats(-10.0, 10.0) | st.floats(-_HUGE, _HUGE)
-    short = st.floats(cli.MIN_TAU_US, 20.0)    # times a memory survives
+    short = st.floats(MIN_TAU_US, 20.0)    # times a memory survives
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
         "memories": {"MAQM1": memory(QUDIT["memories"]["MAQM1"]["rf_grid"], False),
@@ -409,7 +442,7 @@ def qudit_configs(draw, dimensions=st.integers(3, 6)):
         "protocol": {"dimension": d, "source_cells": draw(grid_cells(d)),
                      "target_cells": draw(grid_cells(d)),
                      "t1": draw(short | times(0.0, exclude_low=True)),
-                     "tau": draw(short | times(cli.MIN_TAU_US)), "t2": draw(short | times(0.0)),
+                     "tau": draw(short | times(MIN_TAU_US)), "t2": draw(short | times(0.0)),
                      "drift": draw(drift | st.lists(drift, min_size=d, max_size=d))},
         "detection": {"eta_det": draw(st.floats(0.0, 1.0, exclude_min=True)),
                       "dark_rate": draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, 1.0)),

@@ -1,9 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from maqmsim.memory import CellAddress, MemoryId, MemorySpec, RfGrid
 from maqmsim.protocol import (
+    MAX_TIME_US,
+    MIN_TAU_US,
     PostSelectionError,
     ProtocolConfig,
     bin_time,
@@ -293,6 +298,24 @@ class TestConfigValidation:
         for drifts in ((0.0,), (0.0, 0.0, 0.0)):
             with pytest.raises(ValueError, match="one drift phase per bin"):
                 qubit_config(drifts=drifts)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        *((field, value, rule) for field, rule in (
+            ("t1", "must be positive"),
+            ("tau", "must be at least 0.002, two steps of the 0.001 us timing grid"),
+            ("t2", "must be non-negative"),
+        ) for value in (math.nan, -math.inf, -1.0)),
+        *((field, value, "must be at most 1e+06") for field in ("t1", "tau", "t2")
+          for value in (math.inf, np.nextafter(MAX_TIME_US, math.inf), 1e306, 1e308)),
+        ("t1", 0.0, "must be positive"),
+        *(("tau", value, "must be at least 0.002") for value in
+          (5e-324, 0.001, np.nextafter(MIN_TAU_US, 0.0))),
+        ("t2", -5e-324, "must be non-negative"),
+    ])
+    def test_a_time_outside_its_bounds_is_rejected_by_name(self, field, value, rule):
+        # NaN, inf and the huge times once reached the schedule compiler
+        with pytest.raises(ValueError, match="^" + re.escape(f"{field}: {rule}")):
+            qubit_config(**{field: value})
 
     def test_herald_probability_reports_write_efficiency(self):
         # eta_write lives in the same row-major map layout as eta_read
