@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -348,19 +348,14 @@ def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
     return np.split(states, np.cumsum(counts)[:-1])
 
 
-def _stage_reports_qubit(outcomes, probabilities, table_streams, bootstrap_streams,
-                         cfg: ExperimentConfig, settings) -> tuple[dict, dict, float | None]:
+def _qubit_blocks(outcomes, tables, resamples,
+                  cfg: ExperimentConfig) -> tuple[dict, dict, float | None]:
     """Both stages' blocks and the transmission fidelity, from one fit of both tables.
 
     A stage without a spread keeps its fidelity, sets sigma None and adds
     the reason as the block's ``warnings``; a stage without a base fit has
     no fidelity, and then the run has no transmission fidelity.
     """
-    tables, resamples = [], []
-    for p, rows, draws in zip(probabilities, table_streams, bootstrap_streams):
-        table = sample_counts(settings, p, cfg.heralds_per_setting, cfg.dark_rate, rows)
-        tables.append(table)
-        resamples.append(poisson_resamples(table, draws))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
     estimates = monte_carlo_fidelities(tables, target, resamples, tol=cfg.tol,
                                        max_iter=cfg.max_iter)
@@ -381,8 +376,7 @@ def _stage_reports_qubit(outcomes, probabilities, table_streams, bootstrap_strea
     return *blocks, transmission
 
 
-def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams,
-                        cfg: ExperimentConfig, settings) -> dict:
+def _w_block(outcome, table, resamples, dimension: int) -> dict:
     """The stage's W block; what cannot be computed is None, with the reason in warnings."""
     block = {
         "predicted_w_fidelity": None,
@@ -397,10 +391,7 @@ def _stage_report_qudit(outcome, probabilities, table_streams, bootstrap_streams
     except PostSelectionError as err:
         block["warnings"].append(str(err))
         return block
-    table = sample_counts(settings, probabilities, cfg.heralds_per_setting, cfg.dark_rate,
-                          table_streams)
-    est = monte_carlo_w_fidelity(table, cfg.protocol.dimension,
-                                 poisson_resamples(table, bootstrap_streams))
+    est = monte_carlo_w_fidelity(table, dimension, resamples)
     block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
                  warnings=list(est.warnings))
     return block
@@ -430,39 +421,42 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     runs get tomography fidelities against the Bell target plus the
     transmission fidelity between the two reconstructions; qudit runs get
     W-state fidelities for both stages.
+
+    The dark rate is checked against both stages before any count is
+    drawn.  Then each stage, in order, draws its table and its resamples
+    from its blocks of ``_stream_plan``.  A W stage is estimated before the next
+    stage draws, so one W resample stack is alive at a time; the qubit
+    tables are fitted together once both are drawn.
     """
     schedule = _compile(cfg)
-    stage1 = run_protocol(cfg.protocol, transfer=False)
-    stage2 = run_protocol(cfg.protocol, transfer=True)
+    stages = ("maqm1_stage", "maqm2_stage")
+    outcomes = [run_protocol(cfg.protocol, transfer=transfer) for transfer in (False, True)]
     d = cfg.protocol.dimension
     settings = tomography_settings() if d == 2 else w_settings(d)
-    # both stages are checked before any count is drawn
-    p1, p2 = (coincidence_probabilities(outcome, settings, cfg.eta_det)
-              for outcome in (stage1, stage2))
-    _check_dark_rate(cfg, {"maqm1_stage": p1, "maqm2_stage": p2})
-    table1, bootstrap1, table2, bootstrap2 = _stream_plan(cfg, len(settings.labels))
+    probabilities = [coincidence_probabilities(outcome, settings, cfg.eta_det)
+                     for outcome in outcomes]
+    _check_dark_rate(cfg, dict(zip(stages, probabilities)))
+    plan = _stream_plan(cfg, len(settings.labels))
 
     report = {
         "package_version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.sha256,
         "dimension": d,
-        "herald_probability": stage1.herald_probability,
-        "schedule": {
-            "valid": schedule.valid,
-            "violations": [
-                {"severity": v.severity, "code": v.code, "message": v.message}
-                for v in schedule.violations
-            ],
-        },
+        "herald_probability": outcomes[0].herald_probability,
+        "schedule": {"valid": schedule.valid,
+                     "violations": [asdict(v) for v in schedule.violations]},
     }
+    drawn = []
+    for name, outcome, p, rows, draws in zip(stages, outcomes, probabilities,
+                                             plan[::2], plan[1::2]):
+        table = sample_counts(settings, p, cfg.heralds_per_setting, cfg.dark_rate, rows)
+        drawn.append((table, poisson_resamples(table, draws)))
+        if d > 2:   # popped, so the stack is freed when its block is done
+            report[name] = _w_block(outcome, *drawn.pop(), d)
     if d == 2:
-        (report["maqm1_stage"], report["maqm2_stage"],
-         report["transmission_fidelity"]) = _stage_reports_qubit(
-            (stage1, stage2), (p1, p2), (table1, table2), (bootstrap1, bootstrap2), cfg, settings)
-    else:
-        report["maqm1_stage"] = _stage_report_qudit(stage1, p1, table1, bootstrap1, cfg, settings)
-        report["maqm2_stage"] = _stage_report_qudit(stage2, p2, table2, bootstrap2, cfg, settings)
+        *blocks, transmission = _qubit_blocks(outcomes, *zip(*drawn), cfg)
+        report.update(zip(stages, blocks), transmission_fidelity=transmission)
     return report
 
 
@@ -641,11 +635,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {args.values!r} is not a comma-separated "
                           f"list of numbers") from None
     rows = run_sweep(doc, args.param, values, base_seed=args.seed)
-    if args.format == "json":
-        text = json.dumps(_round_floats(rows), indent=2) + "\n"
-    else:
-        text = sweep_to_csv(rows)
-    _emit(text, args.out)
+    _emit(report_to_json(rows) if args.format == "json" else sweep_to_csv(rows), args.out)
     return 0
 
 

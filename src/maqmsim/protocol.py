@@ -27,6 +27,8 @@ to closed forms.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,14 +102,15 @@ class ProtocolConfig:
                 raise ValueError(f"{name}: {rule}")
             if not getattr(self, name) <= MAX_TIME_US:
                 raise ValueError(f"{name}: must be at most {MAX_TIME_US:g}")
-        phases = (0.0,) * d if self.write_phases is None else tuple(self.write_phases)
-        if len(phases) != d:
-            raise ValueError("write_phases: need one write phase per branch")
-        object.__setattr__(self, "write_phases", phases)
-        drifts = (0.0,) * d if self.drifts is None else tuple(self.drifts)
-        if len(drifts) != d:
-            raise ValueError("drifts: need one drift phase per bin")
-        object.__setattr__(self, "drifts", drifts)
+        for name, each in (("write_phases", "one write phase per branch"),
+                           ("drifts", "one drift phase per bin")):
+            phases = (0.0,) * d if getattr(self, name) is None else tuple(getattr(self, name))
+            if len(phases) != d:
+                raise ValueError(f"{name}: need {each}")
+            bad = next((i for i, phase in enumerate(phases) if not math.isfinite(phase)), None)
+            if bad is not None:
+                raise ValueError(f"{name}[{bad}]: must be a finite number")
+            object.__setattr__(self, name, phases)
         order = tuple(range(d)) if self.retrieval_order is None else tuple(self.retrieval_order)
         if sorted(order) != list(range(d)):
             raise ValueError("retrieval_order: must be a permutation of the bins")
@@ -172,10 +175,10 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
             phase += config.drifts[i]
         branch[k] = np.sqrt(w) * np.exp(1j * phase) / np.sqrt(d)
 
-    norm_sq = float(np.sum(np.abs(branch) ** 2))
+    scaled, norm_sq = _scale_free(branch)
     if norm_sq > 0:
         ideal = np.exp(1j * np.asarray(config.write_phases)) / np.sqrt(d)
-        predicted = float(abs(np.vdot(ideal, branch)) ** 2 / norm_sq)
+        predicted = float(abs(np.vdot(ideal, scaled)) ** 2 / norm_sq)
     else:
         predicted = 0.0
 
@@ -190,6 +193,18 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
     )
 
 
+def _scale_free(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` and its squared norm, ``v`` taken over its largest magnitude
+    where that norm is not a normal float: the ratios taken of ``v`` do not
+    depend on its scale, and squares that small have lost their digits or
+    underflowed to zero."""
+    norm_sq = float(np.sum(np.abs(v) ** 2))
+    if norm_sq < sys.float_info.min and v.any():
+        v = v / np.abs(v).max()
+        norm_sq = float(np.sum(np.abs(v) ** 2))
+    return v, norm_sq
+
+
 def project_w(outcome: TransferOutcome) -> float:
     """W fidelity of the memory after projecting the signal photon.
 
@@ -199,7 +214,7 @@ def project_w(outcome: TransferOutcome) -> float:
     loss shows up directly: one dead branch out of four gives 3/4.
     """
     d = outcome.config.dimension
-    v = outcome.branch_amplitudes
+    v, _ = _scale_free(outcome.branch_amplitudes)
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise PostSelectionError("every branch amplitude is zero; nothing to project on")

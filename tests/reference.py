@@ -66,6 +66,9 @@ def w_fidelity(d: int, psi: np.ndarray) -> float:
     found in the balanced superposition of its modes."""
     plus = np.ones(d) / math.sqrt(d)
     memory = np.kron(plus.conj()[None, :], np.eye(d)) @ psi   # (<+| (x) 1) |psi>
+    # scaled as in predicted_fidelity: a subnormal squared norm has lost its digits
+    scale = np.abs(memory).max()
+    memory = memory.real / scale + 1j * (memory.imag / scale)
     w = np.ones(d) / math.sqrt(d)
     return abs(np.vdot(w, memory)) ** 2 / np.vdot(memory, memory).real
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +602,62 @@ def test_dark_rate_past_one_exits_two_before_any_draw(tmp_path, capsys, monkeypa
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"config error: detection.dark_rate: {dark_rate!r} plus")
+
+
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_stages_draw_in_order_from_their_stream_blocks(monkeypatch, dimension):
+    # stage s draws its table from block 2s of the stream plan and its
+    # resamples from block 2s + 1; a W stage is estimated, and its stack
+    # freed, before the next stage draws; a qubit run fits both tables in
+    # one call once both are drawn
+    cfg = parse_experiment_config(small_doc(dimension))
+    settings = cli.tomography_settings() if dimension == 2 else cli.w_settings(dimension)
+    plan = cli._stream_plan(cfg, len(settings.labels))
+    probabilities = [cli.coincidence_probabilities(cli.run_protocol(cfg.protocol, transfer=t),
+                                                   settings, cfg.eta_det) for t in (False, True)]
+    real = {name: getattr(cli, name) for name in (
+        "sample_counts", "poisson_resamples", "monte_carlo_w_fidelity", "monte_carlo_fidelities")}
+    events, tables, stacks = [], [], []
+
+    def block(streams):
+        return next(i for i, b in enumerate(plan) if b.shape == streams.shape
+                    and np.array_equal(b, streams))
+
+    def sample_counts(*args):
+        tables.append(real["sample_counts"](*args))
+        stage = next(s for s, p in enumerate(probabilities) if np.array_equal(p, args[1]))
+        events.append(f"stage {stage + 1} table {block(args[-1])}")
+        return tables[-1]
+
+    def poisson_resamples(table, streams):
+        assert table is tables[-1]
+        assert all(ref() is None for ref in stacks), "a W stack outlived its stage"
+        stack = real["poisson_resamples"](table, streams)
+        if dimension > 2:
+            stacks.append(weakref.ref(stack))
+        events.append(f"resamples {block(streams)}")
+        return stack
+
+    def monte_carlo_w_fidelity(table, d, resamples):
+        assert table is tables[-1] and resamples is stacks[-1]()
+        events.append("w")
+        return real["monte_carlo_w_fidelity"](table, d, resamples)
+
+    def monte_carlo_fidelities(fit_tables, *args, **kwargs):
+        assert [id(t) for t in fit_tables] == [id(t) for t in tables]
+        events.append("fit")
+        return real["monte_carlo_fidelities"](fit_tables, *args, **kwargs)
+
+    for name, spy in (("sample_counts", sample_counts), ("poisson_resamples", poisson_resamples),
+                      ("monte_carlo_w_fidelity", monte_carlo_w_fidelity),
+                      ("monte_carlo_fidelities", monte_carlo_fidelities)):
+        monkeypatch.setattr(cli, name, spy)
+    report = run_experiment(cfg)
+    draws = ["stage 1 table 0", "resamples 1", "stage 2 table 2", "resamples 3"]
+    assert events == (draws + ["fit"] if dimension == 2 else
+                      draws[:2] + ["w"] + draws[2:] + ["w"])
+    monkeypatch.undo()
+    assert report == run_experiment(cfg)
 
 
 def peak_probability(doc) -> float:

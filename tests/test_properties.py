@@ -1,7 +1,12 @@
 """Invariants checked on generated inputs.
 
-Each property draws a modest, fixed sequence of examples (``derandomize``),
-so the suite stays deterministic and fast.
+Under the default ``ci`` profile each property draws a modest, fixed
+sequence of examples (``derandomize``), so the suite stays deterministic
+and fast.  ``HYPOTHESIS_PROFILE=deep`` draws 20 times as many fresh
+examples and keeps each failure in ``.hypothesis/``, where the next deep run
+replays it first; a failure it finds becomes an ``@example`` row, or a plain
+test through the property's check where the property draws through
+``st.data()``.
 """
 
 import contextlib
@@ -10,6 +15,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import types
@@ -18,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, example, given, settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 from hypothesis import strategies as st
 
 from maqmsim import cli, detect, tomo
@@ -38,7 +45,13 @@ HALF_STEP = TIME_GRID_US / 2
 # the longest storage a run reaches: d - 1 bins plus t2, each at most MAX_TIME_US
 LONGEST_RUN_US = MAX_TIME_US * cli.MAX_DIMENSION
 
-PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+settings.register_profile("ci", max_examples=60, deadline=None, database=None,
+                          derandomize=True)
+settings.register_profile("deep", settings.get_profile("ci"), max_examples=20 * 60,
+                          derandomize=False, database=DirectoryBasedExampleDatabase(
+                              Path(__file__).resolve().parents[1] / ".hypothesis" / "deep"))
+PROPERTY = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+WIDE = settings(PROPERTY, max_examples=PROPERTY.max_examples * 5 // 2)   # 150 under ci
 
 
 def times(low, exclude_low=False):
@@ -72,7 +85,7 @@ TIME_BOUNDS = {"t1": lambda t: 0.0 < t <= MAX_TIME_US,
 ANY_TIME = st.floats() | times(0.0) | st.floats(-MIN_TAU_US, 2 * MIN_TAU_US)
 
 
-@settings(PROPERTY, max_examples=150)
+@WIDE
 @given(t1=ANY_TIME, tau=ANY_TIME, t2=ANY_TIME)
 @example(t1=MAX_TIME_US, tau=MAX_TIME_US, t2=MAX_TIME_US)
 @example(t1=5e-324, tau=MIN_TAU_US, t2=0.0)
@@ -379,7 +392,7 @@ def run_once(doc, workdir):
     return code, out.read_bytes() if code == 0 else None, err.getvalue()
 
 
-@settings(PROPERTY, max_examples=150)   # 15 fields, each inside and past its bound
+@WIDE   # 15 fields, each inside and past its bound
 @given(path=st.sampled_from(sorted(SWEEP_BOUNDS)), past=st.booleans(), data=st.data())
 def test_a_sweepable_field_at_or_past_its_bound_runs_or_names_itself(path, past, data):
     assert set(SWEEP_BOUNDS) == cli._SWEEP_NUMERIC
@@ -508,27 +521,52 @@ def test_predictions_match_the_full_state_vector_reference(doc, data):
     check_predictions_match_the_reference(doc)
 
 
-def test_a_state_with_a_subnormal_norm_matches_the_reference():
-    # a draw of the property above: MAQM1's subnormal eta_read leaves branch
-    # amplitudes of ~3.3e-155, and the reference once divided by their
-    # subnormal squared norm and read NaN; the package reads 0.9999437552729564
+def starved_qubit_doc(eta_read: float) -> dict:
+    """A qubit config whose MAQM1 reads at ``eta_read``, everything else at 1."""
     memory = {"n_x": 5, "n_y": 6, "eta_write": 1.0, "eta_read": 1.0, "tau_mem": 10.0,
               "t_larmor": 1.0}
     cells = [[0, 0], [0, 1]]
-    doc = {"seed": 0,
-           "memories": {"MAQM1": {**memory, "eta_read": 2.225073858507203e-309,
-                                  "rf_grid": QUDIT["memories"]["MAQM1"]["rf_grid"]},
-                        "MAQM2": {**memory, "eta_eit": 1.0,
-                                  "rf_grid": QUDIT["memories"]["MAQM2"]["rf_grid"]}},
-           "protocol": {"dimension": 2, "source_cells": cells, "target_cells": cells,
-                        "t1": 1.0, "tau": 1.0, "t2": 1.0, "drift": 0.0,
-                        "write_phases": [0.0, 0.0]},
-           "detection": {"eta_det": 1.0, "dark_rate": 0.0, "heralds_per_setting": 1000},
-           "estimation": {"n_resamples": 2}}
+    return {"seed": 0,
+            "memories": {"MAQM1": {**memory, "eta_read": eta_read,
+                                   "rf_grid": QUDIT["memories"]["MAQM1"]["rf_grid"]},
+                         "MAQM2": {**memory, "eta_eit": 1.0,
+                                   "rf_grid": QUDIT["memories"]["MAQM2"]["rf_grid"]}},
+            "protocol": {"dimension": 2, "source_cells": cells, "target_cells": cells,
+                         "t1": 1.0, "tau": 1.0, "t2": 1.0, "drift": 0.0,
+                         "write_phases": [0.0, 0.0]},
+            "detection": {"eta_det": 1.0, "dark_rate": 0.0, "heralds_per_setting": 1000},
+            "estimation": {"n_resamples": 2}}
+
+
+def test_a_state_with_a_subnormal_norm_matches_the_reference():
+    # a draw of the property above: MAQM1's subnormal eta_read leaves branch
+    # amplitudes of ~3.3e-155, and the reference once divided by their
+    # subnormal squared norm and read NaN; the package reads 0.999943755272955
+    doc = starved_qubit_doc(2.225073858507203e-309)
     protocol = parse_experiment_config(doc).protocol
     psi = reference.state_vector(protocol, False)
     assert 0.0 < np.vdot(psi, psi).real < sys.float_info.min
-    assert run_protocol(protocol, transfer=False).predicted_fidelity == 0.9999437552729564
+    assert run_protocol(protocol, transfer=False).predicted_fidelity == 0.999943755272955
+    check_predictions_match_the_reference(doc)
+
+
+def test_amplitudes_whose_squares_underflow_match_the_reference():
+    # a deep-profile draw of the property above: at eta_read 5e-324 each
+    # branch amplitude is ~1.6e-162, its square underflows to zero, and the
+    # package once read a predicted fidelity of 0 against the reference's 1
+    doc = starved_qubit_doc(5e-324)
+    protocol = parse_experiment_config(doc).protocol
+    assert protocol.spec1.eta_read.min() == 5e-324
+    assert not np.sum(np.abs(run_protocol(protocol).branch_amplitudes) ** 2)
+    check_predictions_match_the_reference(doc)
+
+
+def test_a_qudit_with_a_subnormal_norm_matches_the_reference():
+    # at eta_read 1e-320 the squared norm is subnormal: the package once read
+    # predicted and W fidelities 2e-4 to 2e-3 off, and the reference's
+    # unscaled W fidelity read 1.0
+    doc = copy.deepcopy(QUDIT)
+    doc["memories"]["MAQM1"]["eta_read"] = 1e-320
     check_predictions_match_the_reference(doc)
 
 

@@ -317,6 +317,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^" + re.escape(f"{field}: {rule}")):
             qubit_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["write_phases", "drifts"])
+    @pytest.mark.parametrize("phases, first_bad", [
+        ((0.0, math.nan), 1), ((math.inf, 0.0), 0), ((-math.inf, math.nan), 0),
+        ((0.25, np.float64(math.inf)), 1),
+    ])
+    def test_a_phase_that_is_not_finite_is_rejected_by_entry(self, field, phases, first_bad):
+        # a NaN write phase once compiled to a valid schedule with one y
+        # tone, and an infinite drift warned inside run_protocol
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{field}[{first_bad}]: must be a finite number")):
+            qubit_config(**{field: phases})
+
+    def test_finite_phases_past_one_turn_are_kept(self):
+        config = qubit_config(write_phases=(0.0, -12.5), drifts=(1e300, 0.25))
+        assert (config.write_phases, config.drifts) == ((0.0, -12.5), (1e300, 0.25))
+
     def test_herald_probability_reports_write_efficiency(self):
         # eta_write lives in the same row-major map layout as eta_read
         spec1 = source_spec(eta_write=read_map({(1, 1): 0.02, (1, 2): 0.04}, base=0.01))
