@@ -5,14 +5,15 @@ named substreams (the stream tree is set out in ``detect``): ``derive_seed``
 gives each stage and sweep point its seed through numpy's ``SeedSequence``,
 and ``detect.stream_states`` hashes the rows' streams in one pass.  Floats
 are serialized at 6 significant digits, and the report embeds the config hash
-so every number is traceable to its inputs.  ``main`` keeps no state
-between calls.
+so every number is traceable to its inputs.  ``main`` keeps no run state
+between calls; it builds its argument parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -376,8 +377,9 @@ def _qubit_blocks(outcomes, tables, resamples,
     return *blocks, transmission
 
 
-def _w_block(outcome, table, resamples, dimension: int) -> dict:
-    """The stage's W block; what cannot be computed is None, with the reason in warnings."""
+def _w_block(outcome, draw, dimension: int) -> dict:
+    """The stage's W block, whose table and resamples ``draw()`` gives if it has amplitudes
+    to project on; what cannot be computed is None, with the reason in warnings."""
     block = {
         "predicted_w_fidelity": None,
         "survival_probability": outcome.survival_probability,
@@ -391,6 +393,7 @@ def _w_block(outcome, table, resamples, dimension: int) -> dict:
     except PostSelectionError as err:
         block["warnings"].append(str(err))
         return block
+    table, resamples = draw()
     est = monte_carlo_w_fidelity(table, dimension, resamples)
     block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
                  warnings=list(est.warnings))
@@ -424,9 +427,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     The dark rate is checked against both stages before any count is
     drawn.  Then each stage, in order, draws its table and its resamples
-    from its blocks of ``_stream_plan``.  A W stage is estimated before the next
-    stage draws, so one W resample stack is alive at a time; the qubit
-    tables are fitted together once both are drawn.
+    from its blocks of ``_stream_plan``, but a W stage with nothing to project
+    on draws nothing.  A W stage is estimated before the next stage draws, so
+    one W resample stack is alive at a time; the qubit tables are fitted
+    together once both are drawn.
     """
     schedule = _compile(cfg)
     stages = ("maqm1_stage", "maqm2_stage")
@@ -450,10 +454,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     drawn = []
     for name, outcome, p, rows, draws in zip(stages, outcomes, probabilities,
                                              plan[::2], plan[1::2]):
-        table = sample_counts(settings, p, cfg.heralds_per_setting, cfg.dark_rate, rows)
-        drawn.append((table, poisson_resamples(table, draws)))
-        if d > 2:   # popped, so the stack is freed when its block is done
-            report[name] = _w_block(outcome, *drawn.pop(), d)
+        def draw():   # called in this iteration, so it reads this stage's streams
+            table = sample_counts(settings, p, cfg.heralds_per_setting, cfg.dark_rate, rows)
+            return table, poisson_resamples(table, draws)
+        if d > 2:   # the stack is freed when its block is done
+            report[name] = _w_block(outcome, draw, d)
+        else:
+            drawn.append(draw())
     if d == 2:
         *blocks, transmission = _qubit_blocks(outcomes, *zip(*drawn), cfg)
         report.update(zip(stages, blocks), transmission_fidelity=transmission)
@@ -639,6 +646,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maqmsim",

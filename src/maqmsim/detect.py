@@ -23,7 +23,8 @@ array pass.  Streams are keyed by index, so tables are reproducible and
 independent of evaluation order, and adding a consumer never shifts
 another's draws.  ``numpy.random`` loads on the first draw.  Nothing is
 cached between runs but the settings blocks and label tuples, which
-depend on the dimension alone; ``cli.main`` keeps no state between calls.
+depend on the dimension alone, and the seed stand-in class; ``cli.main``
+keeps no run state between calls.
 """
 
 from __future__ import annotations
@@ -329,41 +330,32 @@ def stream_states(seeds, indices) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedSequenceBase:
-    """Registered as a numpy ``ISeedSequence`` by ``_generators`` on first use,
-    so importing this module does not load ``numpy.random``.
+@functools.cache
+def _fixed_state() -> type:
+    """The seed stand-in class: an ``ISeedSequence`` whose one state is given,
+    for PCG64 to seed itself from.  It is built on the first draw, so that
+    importing this module does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    PCG64 checks ``isinstance(seed, ISeedSequence)`` for every generator.
-    CPython caches that answer for a subclass of a registered class, but
-    looks a registered class itself up in the registry on every check.
-    """
+    class FixedState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
 
-    __slots__ = ()
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError(f"state is 4 uint64 words, not {n_words} {dtype}")
+            return self.state
 
-
-class _FixedState(_SeedSequenceBase):
-    """A seed sequence whose one state is given; PCG64 seeds itself from it."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError(f"state is 4 uint64 words, not {n_words} {dtype}")
-        return self.state
+    return FixedState
 
 
 def _generators(streams: np.ndarray, count: int):
     """One PCG64 generator per row of ``streams``, (count, 4) ``stream_states``,
-    built as they are taken."""
-    streams = np.asarray(streams)
+    built as they are taken, each seeded from its own ``_fixed_state()`` object."""
+    streams = np.ascontiguousarray(streams)
     if streams.dtype != np.uint64 or streams.shape != (count, 4):
         raise ValueError(f"need ({count}, 4) uint64 stream states, "
                          f"got {streams.dtype} of shape {streams.shape}")
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-    ISeedSequence.register(_SeedSequenceBase)
-    streams = np.ascontiguousarray(streams)
-    return (Generator(PCG64(_FixedState(row))) for row in streams)
+    fixed_state = _fixed_state()
+    return (Generator(PCG64(fixed_state(row))) for row in streams)

@@ -1050,17 +1050,25 @@ def test_heralds_sweep_leaves_failed_rows_blank(tmp_path):
             assert cells[f"{stage}_w_fidelity"] == cells[f"{stage}_w_sigma"] == ""
 
 
-@pytest.mark.parametrize("memory, field, value, dead", [
+DEAD_STAGES = pytest.mark.parametrize("memory, field, value, dead", [
     ("MAQM1", "eta_read", 0.0, ("maqm1_stage", "maqm2_stage")),
     ("MAQM2", "eta_eit", 0.0, ("maqm2_stage",)),
     (None, "t1", 2000.0, ("maqm1_stage", "maqm2_stage")),   # the envelope underflows
     # (t / tau_mem)**2 is past the float range; survival cuts off before squaring
     ("MAQM1", "tau_mem", 1e-160, ("maqm1_stage", "maqm2_stage")),
 ])
-def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, value, dead):
+
+
+def dead_stage_doc(memory, field, value):
+    """``qudit_default`` with one field set so that some stage has no amplitudes."""
     doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
     (doc["memories"][memory] if memory else doc["protocol"])[field] = value
-    path = write_config(tmp_path, doc)
+    return doc
+
+
+@DEAD_STAGES
+def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, value, dead):
+    path = write_config(tmp_path, dead_stage_doc(memory, field, value))
     out = tmp_path / "report.json"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -1076,6 +1084,27 @@ def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, va
             assert stage["w_fidelity"] is not None and stage["sigma"] is not None
     assert main(["run", "--config", path, "--out", str(out), "--format", "csv"]) == 0
     assert f"{dead[0]}.predicted_w_fidelity,\n" in out.read_text()
+
+
+@DEAD_STAGES
+def test_a_w_stage_without_amplitudes_draws_nothing(monkeypatch, memory, field, value, dead):
+    # a live stage s still draws from blocks 2s and 2s + 1 of the stream plan
+    cfg = parse_experiment_config(dead_stage_doc(memory, field, value))
+    plan = cli._stream_plan(cfg, len(cli.w_settings(cfg.protocol.dimension).labels))
+    blocks = []
+
+    def spy(real):
+        def draw(*args):
+            blocks.append(next(i for i, b in enumerate(plan) if b.shape == args[-1].shape
+                               and np.array_equal(b, args[-1])))
+            return real(*args)
+        return draw
+
+    for name in ("sample_counts", "poisson_resamples"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    run_experiment(cfg)
+    live = [s for s, name in enumerate(("maqm1_stage", "maqm2_stage")) if name not in dead]
+    assert blocks == [block for s in live for block in (2 * s, 2 * s + 1)]
 
 
 def test_qudit_stage_without_population_counts_reports_null(tmp_path):
@@ -1212,6 +1241,46 @@ def test_scipy_loads_only_on_the_first_fit(tmp_path):
         ["qubit run", 0, False, True, True],
     ]
     assert (tmp_path / "4.txt").read_bytes() == (GOLDEN_DIR / "qubit_report.json").read_bytes()
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # each command's output, in one sequence on the one parser, is what it
+    # gives on a freshly built parser; a default follows a given value
+    path = write_config(tmp_path, small_doc(4))
+    values = ["--param", "protocol.drift", "--values", "0,0.3"]
+    sequence = [["run", "--config", path, "--format", "csv"], ["run", "--config", path],
+                ["run"], ["compile", "--config", path],
+                ["sweep", "--config", path, "--format", "json", *values],
+                ["sweep", "--config", path, *values]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as done:   # an argparse error
+            code = done.code
+        return code, *capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    shared = [call(argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    assert "the following arguments are required: --config" in shared[2][2]
+    assert shared[0][1].startswith("key,value\n") and json.loads(shared[1][1])["dimension"] == 4
+    assert len(json.loads(shared[4][1])) == 2 and shared[5][1].startswith("param,value,")
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parents[1]))
+    script = "import maqmsim.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 def test_python_m_maqmsim_runs_the_console_command():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from maqmsim.detect import (
     CountsTable,
     Settings,
+    _fixed_state,
     _generators,
     coincidence_probabilities,
     poisson_resamples,
@@ -392,6 +393,18 @@ class TestSubstreams:
     def test_bad_seed_lists_rejected(self, seeds):
         with pytest.raises(ValueError, match="seeds must be"):
             stream_states(seeds, 0)
+
+    def test_rows_are_seeded_through_one_cached_seed_class(self):
+        # each row gets a stand-in object of its own, holding its state
+        from numpy.random.bit_generator import ISeedSequence
+        cls = _fixed_state()
+        assert cls is _fixed_state() and issubclass(cls, ISeedSequence)
+        rows = streams(5, 3)
+        seeds = [rng.bit_generator.seed_seq for rng in _generators(rows, 3)]
+        assert all(type(seed) is cls for seed in seeds) and len(set(map(id, seeds))) == 3
+        assert [seed.generate_state(4, np.uint64).tolist() for seed in seeds] == rows.tolist()
+        with pytest.raises(ValueError, match="4 uint64 words, not 8"):
+            seeds[0].generate_state(8)
 
     def test_states_must_match_the_rows(self):
         with pytest.raises(ValueError, match=r"\(3, 4\) uint64"):
