@@ -5,8 +5,9 @@ named substreams (the stream tree is set out in ``detect``): ``derive_seed``
 gives each stage and sweep point its seed through numpy's ``SeedSequence``,
 and ``detect.stream_states`` hashes the rows' streams in one pass.  Floats
 are serialized at 6 significant digits, and the report embeds the config hash
-so every number is traceable to its inputs.  ``main`` keeps no run state
-between calls; it builds its argument parser once, on the first call.
+so every number is traceable to its inputs.  ``main`` keeps no state that
+can change an output: it builds its argument parser once per process, and
+keeps the last compiled schedule under its exact inputs (``_compile``).
 """
 
 from __future__ import annotations
@@ -409,11 +410,30 @@ def _check_dark_rate(cfg: ExperimentConfig, probabilities: dict) -> None:
                               f"{name} coincidence probability {peak:.6g} exceeds 1")
 
 
+_last_compiled = [None, None]   # the key and schedule of the last compile
+
+
 def _compile(cfg: ExperimentConfig) -> Schedule:
-    try:
-        return compile_schedule(cfg.protocol)
-    except PatternError as err:
-        raise ConfigError(f"protocol.{err}") from err
+    """The protocol's schedule, compiled again only when its key changes.
+
+    The key is what compilation reads: the dimension, the cells, the
+    retrieval order, each memory's id and grid size, and, as float64 bits
+    (so -0.0 and 0.0 differ), the times, write phases and each memory's
+    ``tau_mem``, ``t_larmor`` and RF grid.  The drifts and efficiency maps
+    never reach the schedule, so a sweep over them compiles once.
+    """
+    p, specs = cfg.protocol, (cfg.protocol.spec1, cfg.protocol.spec2)
+    floats = [p.t1, p.tau, p.t2, *p.write_phases,
+              *(v for s in specs for v in (s.tau_mem, s.t_larmor, *vars(s.rf_grid).values()))]
+    key = (p.dimension, p.source_cells, p.target_cells, p.retrieval_order,
+           *((s.memory, s.n_x, s.n_y) for s in specs), np.array(floats).tobytes())
+    if _last_compiled[0] != key:
+        try:
+            _last_compiled[1] = compile_schedule(p)
+        except PatternError as err:
+            raise ConfigError(f"protocol.{err}") from err
+        _last_compiled[0] = key
+    return _last_compiled[1]
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

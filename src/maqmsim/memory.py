@@ -105,7 +105,7 @@ def _as_map(values, n_x: int, n_y: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # the maps are arrays: == and hash by identity
 class MemorySpec:
     """Static description of one memory: grid, efficiencies, decay, RF map.
 

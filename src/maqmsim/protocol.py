@@ -127,7 +127,7 @@ def storage_dwell(config: ProtocolConfig, i: int) -> float:
     return (config.dimension - 1 - i) * config.tau + config.t2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # the amplitudes are an array: == and hash by identity
 class TransferOutcome:
     """Result of one exact protocol run.
 

@@ -31,7 +31,7 @@ from maqmsim.cli import (
     sweep_to_csv,
     sweepable_paths,
 )
-from maqmsim.schedule import schedule_from_jsonl, schedule_to_jsonl
+from maqmsim.schedule import compile_schedule, schedule_from_jsonl, schedule_to_jsonl
 from test_tomo import SetulbSpy, force_decrease
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
@@ -1281,6 +1281,82 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The protocols ``cli.compile_schedule`` is called with, from an empty memo."""
+    calls = []
+
+    def spy(protocol):
+        calls.append(protocol)
+        return compile_schedule(protocol)
+
+    monkeypatch.setattr(cli, "_last_compiled", [None, None])
+    monkeypatch.setattr(cli, "compile_schedule", spy)
+    return calls
+
+
+def test_a_drift_sweep_compiles_once(compiles):
+    rows = run_sweep(small_doc(4, n_resamples=4), "protocol.drift",
+                     [0.1 * i for i in range(8)])
+    assert len(rows) == 8 and len(compiles) == 1
+
+
+def test_a_t1_sweep_compiles_each_value(compiles):
+    run_sweep(small_doc(4, n_resamples=4), "protocol.t1", [11.7, 15.6, 19.5])
+    assert [p.t1 for p in compiles] == [11.7, 15.6, 19.5]
+
+
+def test_compile_after_run_reuses_the_schedule(tmp_path, compiles):
+    path = write_config(tmp_path, small_doc(4, n_resamples=4))
+    out = tmp_path / "sched.jsonl"
+    assert main(["run", "--config", path, "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["compile", "--config", path, "--out", str(out)]) == 0
+    assert len(compiles) == 1
+    cold = compile_schedule(load_experiment_config(path).protocol)
+    assert out.read_text() == schedule_to_jsonl(cold)
+
+
+def test_a_pattern_error_is_never_kept(tmp_path, capsys, compiles):
+    doc = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+    good = write_config(tmp_path, doc, "good.json")
+    doc["protocol"]["source_cells"][0] = [0, 2]
+    bad = write_config(tmp_path, doc, "bad.json")
+    codes = [main(["compile", "--config", path, "--out", str(tmp_path / "out")])
+             for path in (bad, bad, good)]
+    assert codes == [2, 2, 0] and len(compiles) == 3
+    assert capsys.readouterr().err.count("cell weights do not factor") == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source_cells", [[3, 2], [2, 2], [2, 3], [3, 3]]),
+    ("target_cells", [[3, 2], [2, 2], [2, 3], [3, 3]]),
+    ("retrieval_order", [1, 0, 3, 2]),
+])
+def test_each_structural_field_keys_the_schedule(field, value):
+    # test_knobs moves only numbers, so the layout fields are moved here
+    doc = small_doc(4)
+    moved = copy.deepcopy(doc)
+    moved["protocol"][field] = value
+    texts = []
+    for each in (doc, moved):
+        cfg = parse_experiment_config(each)
+        warm, cold = cli._compile(cfg), compile_schedule(cfg.protocol)
+        assert warm.violations == cold.violations
+        texts += [schedule_to_jsonl(warm), schedule_to_jsonl(cold)]
+    assert texts[0] == texts[1] != texts[2] == texts[3]
+
+
+@pytest.mark.parametrize("name", ["qubit_default", "qubit_ideal", "qudit_default"])
+def test_two_parses_of_a_config_compare_without_raising(name):
+    # specs and outcomes hold arrays, so they compare by identity, and configs hash
+    path = CONFIG_DIR / f"{name}.json"
+    first, second = load_experiment_config(path), load_experiment_config(path)
+    assert first == first and first != second
+    assert hash(first) == hash(first) and hash(first.protocol) == hash(first.protocol)
+    outcome = protocol.run_protocol(first.protocol)
+    assert outcome == outcome and outcome != protocol.run_protocol(first.protocol)
 
 
 def test_python_m_maqmsim_runs_the_console_command():

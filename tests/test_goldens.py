@@ -12,7 +12,10 @@ As a script, from the repository root:
     PYTHONPATH=src python tests/test_goldens.py           # check every entry
     PYTHONPATH=src python tests/test_goldens.py --write   # regenerate them
 
-The check exits 1 at the first output that differs from its golden.
+The check runs the manifest forwards and then backwards in one process, so
+no output may depend on what the command before it left behind (the CLI
+keeps its last compiled schedule).  It exits 1 at the first output that
+differs from its golden.
 ``--write`` rewrites every output from its argv and prints what changed,
 one line per JSON leaf or CSV cell: ``file: key old -> new``, where a
 missing leaf reads ``(absent)``.  A change that moves golden bytes on
@@ -127,9 +130,12 @@ def test_leaf_diff_names_each_changed_leaf():
 
 
 def sync(write: bool) -> int:
-    """Run every entry; rewrite each golden that differs, or stop at the first."""
+    """Run every entry; rewrite each golden that differs, or stop at the first.
+
+    A check then runs the entries again in reverse order, in the same process.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        for entry in MANIFEST:
+        for entry in MANIFEST if write else MANIFEST + MANIFEST[::-1]:
             golden = GOLDEN_DIR / entry["output"]
             produced = produce(entry, Path(tmp) / golden.name)
             if golden.is_file() and golden.read_bytes() == produced:

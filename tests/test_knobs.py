@@ -2,7 +2,9 @@
 
 Each field is moved on its own, inside its bounds, and both outputs are
 compared with those of the unchanged config.  A field that moves neither is
-a knob with no effect, and its case fails by the field's path.
+a knob with no effect, and its case fails by the field's path.  Each moved
+config is also compiled through ``cli._compile`` right after the unchanged
+one, so a field compilation reads but the memo's key leaves out fails by name.
 """
 
 import copy
@@ -55,7 +57,10 @@ def probe(path: str, value):
 
 
 def compiled(doc) -> tuple:
-    schedule = compile_schedule(cli.parse_experiment_config(doc).protocol)
+    return output_of(compile_schedule(cli.parse_experiment_config(doc).protocol))
+
+
+def output_of(schedule) -> tuple:
     return schedule_to_jsonl(schedule), schedule.violations
 
 
@@ -83,6 +88,10 @@ def test_each_numeric_field_moves_run_or_compile(name, path):
     for part in parents:
         node = node[part]
     node[key] = PROBES.get((name, path), probe(path, node[key]))
+    # warm with the unchanged config, the memo keeps a schedule only on equal inputs
+    cli._compile(cli.parse_experiment_config(DOCS[name]))
+    assert output_of(cli._compile(cli.parse_experiment_config(doc))) == compiled(doc), \
+        f"the schedule memo misses {path} on {name}"
     # a run is compared only when the schedule is the same
     assert any(output(doc) != unchanged(name, output) for output in (compiled, ran)), \
         f"{path} moves neither compile nor run output on {name}"

@@ -70,12 +70,37 @@ def times(low, exclude_low=False):
        tau=times(MIN_TAU_US), t2=times(0.0), data=st.data())
 def test_compiled_schedules_round_trip_byte_for_byte(d, t1, tau, t2, data):
     phases = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    check_round_trip(round_trip_doc(d, t1, tau, t2, phases))
+
+
+def round_trip_doc(d, t1, tau, t2, phases):
     cells = [[1, y] for y in range(d)]   # one column, so any write phases factor
     doc = copy.deepcopy(QUDIT)
     doc["protocol"] = {"dimension": d, "source_cells": cells, "target_cells": cells,
                        "t1": t1, "tau": tau, "t2": t2, "write_phases": phases}
-    text = schedule_to_jsonl(compile_schedule(parse_experiment_config(doc).protocol))
+    return doc
+
+
+def check_round_trip(doc):
+    """The schedule's text parses back to itself, and ``cli._compile``, whose memo
+    the previous call left warm, gives the cold schedule's text and verdict."""
+    cfg = parse_experiment_config(doc)
+    cold = compile_schedule(cfg.protocol)
+    text = schedule_to_jsonl(cold)
     assert schedule_to_jsonl(schedule_from_jsonl(text)) == text
+    warm = cli._compile(cfg)
+    assert (schedule_to_jsonl(warm), warm.violations) == (text, cold.violations)
+
+
+def test_a_zero_write_phase_of_either_sign_compiles_its_own_schedule(monkeypatch):
+    # -0.0 == 0.0, so only a key on the float's bits tells the two apart
+    compiled = []
+    monkeypatch.setattr(cli, "_last_compiled", [None, None])
+    monkeypatch.setattr(cli, "compile_schedule",
+                        lambda protocol: compiled.append(protocol) or compile_schedule(protocol))
+    for zero in (0.0, -0.0):
+        check_round_trip(round_trip_doc(4, 11.7, 3.9, 7.8, [0.3, zero, 0.0, 0.0]))
+    assert [math.copysign(1.0, p.write_phases[1]) for p in compiled] == [1.0, -1.0]
 
 
 # each time's bounds, as ProtocolConfig states them
