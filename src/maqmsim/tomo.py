@@ -20,10 +20,10 @@ reverse-communication kernel ``setulb`` under the rules of scipy's
 asked for a value and gradient is evaluated in one stacked call.  A row
 therefore takes the iterates a fit of its table alone takes, bit for bit.
 Every step of the objective runs on the whole stack and keeps the one-row
-summation order: the projector traces q_s add their terms in a fixed
-nested order, as plain adds of contiguous (row, setting) slabs, and the
-dot c . ln q and sum_s (c_s / q_s) P_s are matrix products with a unit
-middle axis, which make the same BLAS call per row as a one-row product.
+summation order: the traces q_s and Q add their terms in a fixed nested
+order, as plain adds of contiguous (setting, row) slabs, and the dot
+c . ln q and sum_s (c_s / q_s) P_s are matrix products with a unit middle
+axis, which make the same BLAS call per row as a one-row product.
 Packed parameters map to T, and the gradient back to them, through one
 index of float slots.  The first fit loads scipy's compiled ``_lbfgsb``
 module alone, never the ``scipy.optimize`` package, so a process that
@@ -60,9 +60,9 @@ resamples succeed; for a W table with no coherence count, whose resamples
 all give 1/d; and for a qubit table whose counts sit in one setting, whose
 resamples all give the base fit's state.  ``w_fidelity`` measures no
 spread, so its ``sigma`` is ``None`` too.  Bad arguments (unknown labels,
-mixed heralds, qubit tables that differ in labels or heralds, a resample
-array of fewer than two rows or of the wrong width, a bad target, ``tol``
-or ``max_iter``) raise ``ValueError``.
+mixed heralds, qubit tables that differ in labels or heralds, resamples
+that are not an (R >= 2, n) array of finite non-negative counts, a bad
+target, ``tol`` or ``max_iter``) raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ import os
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
@@ -168,29 +167,27 @@ class _NegLogLikelihoods:
     """-l and its gradient over packed T parameters, for rows of count vectors.
 
     ``objective(x, rows)`` evaluates count row ``rows[i]`` at ``x[i]`` and
-    returns ``(values, gradients)``.  The rows share the projectors and the
-    exposures.  Each row's numbers are the bits a one-row evaluation gives.
-    The projector traces q_s sum, for each (s, i), the j terms left to
-    right and then the i sums in turn, the order of the one-row
-    ``einsum("sij,ji->s")``; the terms sit in a (j, i, row, s) array, so
-    each sum is a plain add of contiguous slabs.  The dot c . ln q and
-    sum_s (c_s / q_s) P_s are matmuls with a unit middle axis, so each row
-    gets the BLAS ddot / zgemv call a 1-D product makes.  ``packed[k]`` is
-    the float slot of parameter k in the interleaved (re, im) view of a
-    row of T, so unpacking is one scatter, and packing and the gradient
-    are one gather each.
+    returns ``(values, gradients)``, the bits a one-row evaluation gives.
+    Each trace q_s, and Q = tr(S A) as one more setting S = sum_s N_s P_s,
+    adds P_sij.re A_ji.re - P_sij.im A_ji.im over j left to right, then over
+    i, as the one-row ``einsum`` does, in contiguous (j, i, s, row) slabs
+    that run along the rows.  ln q is taken of one contiguous (row, s) copy,
+    as a strided one takes another dot path; c . ln q and sum_s (c_s/q_s) P_s
+    are matmuls with a unit middle axis: each row gets the BLAS ddot / zgemv
+    call a 1-D product makes.  ``packed[k]`` is the float slot of parameter
+    k in the (re, im) view of a row of T, so unpacking is one scatter.
     """
 
     def __init__(self, projectors, observed, exposures):
         n_settings, d = projectors.shape[:2]
         self.d = d
-        # P_sij as contiguous (j, i, 1, s) slabs, to meet A_ji as (j, i, row, 1)
-        self.p_real = np.ascontiguousarray(projectors.real.transpose(2, 1, 0)[:, :, None])
-        self.p_imag = np.ascontiguousarray(projectors.imag.transpose(2, 1, 0)[:, :, None])
         self.flat_projectors = projectors.reshape(n_settings, d * d)
         self.observed = observed
         self.c_total = np.array([float(row.sum()) for row in observed])
         self.s_op = np.tensordot(exposures, projectors, axes=1)
+        # P_sij as contiguous (j, i, s, 1) slabs, S the last s, to meet A_ji as (j, i, 1, row)
+        p_ji = np.concatenate((projectors, self.s_op[None])).transpose(2, 1, 0)[..., None]
+        self.p_real, self.p_imag = np.ascontiguousarray(p_ji.real), np.ascontiguousarray(p_ji.imag)
         # the diagonal, then the strict lower triangle row-major as (re, im)
         lower = np.tril_indices(d, -1)
         self.packed = np.concatenate([
@@ -211,24 +208,21 @@ class _NegLogLikelihoods:
 
     def __call__(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         d, s_op = self.d, self.s_op
-        observed, c_total = self.observed[rows], self.c_total[rows]
-        m = len(rows)
+        observed, c_total, m = self.observed[rows], self.c_total[rows], len(rows)
         t_mat = self.unpack(x)
         a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
-        # q_s = Re sum_ij P_sij A_ji in the order above; the sums start from
-        # the first term, not from 0, which can only flip the sign of a zero
-        # sum, and the floor erases that
-        a_t = a_mat.transpose(1, 2, 0)[..., None]
-        terms = self.p_real * a_t.real - self.p_imag * a_t.imag
-        q = np.maximum(reduce(np.add, reduce(np.add, terms)), Q_FLOOR)
-        big_q = np.maximum(np.einsum("ij,rji->r", s_op, a_mat).real, Q_FLOOR)
-        log_q, ratio = np.log(q), observed / q
-        dots = (observed[:, None, :] @ log_q[:, :, None])[:, 0, 0]
-        values = -(dots - c_total * np.log(big_q))
-        g_mat = (ratio.astype(complex)[:, None, :] @ self.flat_projectors).reshape(m, d, d)
-        g_mat = g_mat - (c_total / big_q)[:, None, None] * s_op
-        grads = -(2.0 * (g_mat @ t_mat).reshape(m, d * d).view(float)[:, self.packed])
-        return values, grads
+        a_t = a_mat.transpose(1, 2, 0)[:, :, None]
+        terms = self.p_real * a_t.real
+        terms -= self.p_imag * a_t.imag
+        q = np.add.reduce(np.add.reduce(terms))   # each sum starts from 0, as the einsum's do
+        big_q = np.maximum(q[-1], Q_FLOOR)
+        q = np.maximum(q[:-1].T, Q_FLOOR, order="C")
+        values = (observed[:, None, :] @ np.log(q)[:, :, None])[:, 0, 0] - c_total * np.log(big_q)
+        g_mat = ((observed / q)[:, None, :] @ self.flat_projectors).reshape(m, d, d)
+        g_mat -= (c_total / big_q)[:, None, None] * s_op
+        grads = (g_mat @ t_mat).reshape(m, d * d).view(float)[:, self.packed]
+        grads *= -2.0   # the bits of -(2 v)
+        return -values, grads
 
 
 # L-BFGS-B settings (scipy's defaults for m, maxls and maxfun; the fit's gtol)
@@ -359,17 +353,17 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
 
     with _warnings.catch_warnings(), _OneBlasThread(kernel):
         _warnings.simplefilter("ignore", RuntimeWarning)
-        # scipy's function memo: x0 is evaluated before the first setulb
-        # call, and a request at a row's last evaluated point reuses it
+        # scipy's function memo: x0 is evaluated before the first setulb call, and a
+        # request at a row's last evaluated point reuses f[r] and g[r] (setulb never writes g)
         seen_x = x.copy()
-        seen_f, seen_g = objective(seen_x, np.arange(k))
-        f = seen_f.tolist()
+        values, g[:] = objective(x, np.arange(k))
+        f = values.tolist()
         traces = [[-v] for v in f]
         active = list(range(k))
         while active:
             wanted = []
             for r in active:
-                row_args, row_task = args[r], task[r]
+                row_args, row_task = args[r], args[r][11]
                 row_args[5] = f[r]
                 while True:
                     setulb(*row_args)
@@ -393,15 +387,16 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
                     elif evaluations[r] > _LBFGS_MAXFUN:
                         row_task[:] = (_STOP, 502)
             active, rows = wanted, np.array(wanted, dtype=int)
-            fresh = rows[(x[rows] != seen_x[rows]).any(axis=1)]
-            if len(fresh):
-                seen_x[fresh] = x[fresh]
-                seen_f[fresh], seen_g[fresh] = objective(x[fresh], fresh)
-                for r in fresh.tolist():
+            x_rows = x[rows]
+            fresh = (x_rows != seen_x[rows]).any(axis=1)
+            if not fresh.all():
+                rows, x_rows = rows[fresh], x_rows[fresh]
+            if len(rows):
+                seen_x[rows] = x_rows
+                values, g[rows] = objective(x_rows, rows)
+                for r, value in zip(rows.tolist(), values.tolist()):
+                    f[r] = value
                     evaluations[r] += 1
-            for r, value in zip(wanted, seen_f[rows].tolist()):
-                f[r] = value
-            g[rows] = seen_g[rows]
 
         t_mat = objective.unpack(x)
         a_mat = t_mat @ t_mat.conj().transpose(0, 2, 1)
@@ -449,12 +444,17 @@ def mle_reconstruct(counts: CountsTable, tol: float = 1e-9,
 
 
 def _resample_stack(resamples, table: CountsTable) -> np.ndarray:
-    """``resamples`` as an (R, n) float array: R >= 2, one column per table row."""
+    """``resamples`` as an (R, n) float array of finite non-negative counts, R >= 2."""
     resamples = np.asarray(resamples, dtype=float)
     n = len(table.labels)
     if resamples.ndim != 2 or len(resamples) < 2 or resamples.shape[1] != n:
         raise ValueError(f"need an (R, {n}) array of resamples with R >= 2, "
                          f"got shape {resamples.shape}")
+    ok = np.isfinite(resamples) & (resamples >= 0)
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0].tolist()
+        raise ValueError(f"resample {r}, column {c} ({table.labels[c]}) is "
+                         f"{float(resamples[r, c])!r}, not a finite non-negative count")
     return resamples
 
 

@@ -23,6 +23,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis.database import DirectoryBasedExampleDatabase
 from hypothesis import strategies as st
@@ -325,14 +326,13 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, seed,
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
-@PROPERTY
-@given(m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
+def check_stacked_objective(m, seed, heralds, random_projectors, zero_share, empty_rows,
+                            pure, tiny, rows):
+    """Each evaluated row of an m-row stack against the one-row reference, bit for bit."""
     rng = np.random.default_rng(seed)
-    heralds = data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16))
     table = CountsTable(tomography_settings().labels, heralds, [0] * 16)
     projectors, _, exposures = tomo._aligned_projectors(table)
-    if data.draw(st.booleans()):
+    if random_projectors:
         # random rank-1 projectors: unlike the tomography settings' sparse,
         # symmetric ones, their traces round differently in any other sum order
         kets = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
@@ -341,23 +341,43 @@ def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
     x = rng.normal(size=(m, 16)) * 10.0 ** rng.uniform(-4, 3, size=(m, 1))
     # exact zeros of either sign: a fit from the maximally mixed state starts
     # with exact zero off-diagonals
-    zeros = rng.random(size=(m, 16)) < data.draw(st.sampled_from([0.0, 0.3, 0.8]))
+    zeros = rng.random(size=(m, 16)) < zero_share
     x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
     observed = rng.poisson(rng.uniform(0, 1000, size=(m, 1)), size=(m, 16)).astype(float)
-    observed[sorted(data.draw(st.sets(st.integers(0, m - 1))))] = 0.0
+    observed[empty_rows] = 0.0
     # T = |00><00| leaves the tomography settings dark to |00> at the Q_FLOOR
     # clip; a tiny T clips every trace and the normalization too
-    pure, tiny = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
     x[pure] = np.eye(1, 16)[0]
     x[tiny] *= 1e-9
-    rows = data.draw(st.permutations(range(m)).map(lambda p: p[:max(1, m // 2)])
-                     | st.just(list(range(m))))
     objective = tomo._NegLogLikelihoods(projectors, observed, exposures)
     values, grads = objective(x[rows], np.array(rows))
     for i, r in enumerate(rows):
         value, gradient = reference_objective(projectors, observed[r], exposures)
         assert values[i].tobytes() == np.float64(value(x[r])).tobytes()
         assert grads[i].tobytes() == gradient(x[r]).tobytes()
+
+
+@PROPERTY
+@given(m=st.integers(1, 128), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_stacked_objective_is_the_per_row_reference_bit_for_bit(m, seed, data):
+    rows = data.draw(st.permutations(range(m)).map(lambda p: p[:max(1, m // 2)])
+                     | st.just(list(range(m))))
+    check_stacked_objective(
+        m, seed, heralds=data.draw(st.lists(st.integers(1, 10**6), min_size=16, max_size=16)),
+        random_projectors=data.draw(st.booleans()),
+        zero_share=data.draw(st.sampled_from([0.0, 0.3, 0.8])),
+        empty_rows=sorted(data.draw(st.sets(st.integers(0, m - 1)))),
+        pure=data.draw(st.integers(0, m - 1)), tiny=data.draw(st.integers(0, m - 1)), rows=rows)
+
+
+@pytest.mark.parametrize("random_projectors", [False, True])
+@pytest.mark.parametrize("m", [102, tomo.MAX_STACK_ROWS])
+def test_a_bootstrap_size_stack_is_the_per_row_reference_bit_for_bit(m, random_projectors):
+    # a run fits its 100 resamples in one stack, and a block holds MAX_STACK_ROWS
+    rows = np.random.default_rng(m).permutation(m)[:m - 3].tolist()
+    check_stacked_objective(m, seed=m, heralds=[20_000] * 8 + [1] * 4 + [10**6] * 4,
+                            random_projectors=random_projectors, zero_share=0.3,
+                            empty_rows=[0, m // 2], pure=1, tiny=m - 1, rows=rows)
 
 
 @PROPERTY
@@ -459,9 +479,9 @@ def efficiency_maps():
 
 
 @st.composite
-def qudit_configs(draw, dimensions=st.integers(3, 6)):
+def qudit_configs(draw, dimensions=st.integers(3, 6), n_resamples=st.integers(2, 50)):
     """Whole config documents with d drawn from ``dimensions``: 3..6, so no run
-    fits an MLE, unless a caller asks for 2."""
+    fits an MLE, unless a caller asks for 2; ``n_resamples`` from its own."""
     d = draw(dimensions)
 
     def memory(grid, eit):
@@ -486,8 +506,12 @@ def qudit_configs(draw, dimensions=st.integers(3, 6)):
                       "dark_rate": draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, 1.0)),
                       "heralds_per_setting": draw(st.integers(1000, 5000)
                                                    | st.integers(1, 5000))},
-        "estimation": {"n_resamples": draw(st.integers(2, 50))},
+        "estimation": {"n_resamples": draw(n_resamples)},
     }
+
+
+# few resamples keep a qubit run, which fits 2 (n_resamples + 1) tables, short
+qubit_configs = qudit_configs(st.just(2), st.integers(2, 5))
 
 
 def is_field(doc, path: str) -> bool:
@@ -505,8 +529,9 @@ def is_field(doc, path: str) -> bool:
 
 
 @PROPERTY
-@given(doc=qudit_configs())
+@given(doc=st.one_of(qudit_configs(), qubit_configs))
 def test_a_whole_qudit_config_runs_twice_alike_or_names_a_field(doc):
+    # qubit configs run the MLE bootstrap through the CLI
     with tempfile.TemporaryDirectory() as workdir:
         code, report, err = run_once(doc, workdir)
         if code == 0:

@@ -593,6 +593,24 @@ class TestWPipeline:
             assert n_failed > 0 and notes
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+@pytest.mark.parametrize("estimator", ["qubit", "w"])
+def test_resamples_must_be_finite_non_negative_counts(estimator, bad):
+    # unchecked, a NaN row counted as a good qubit resample, a negative count
+    # moved sigma, and an infinite W count failed FidelityEstimate's own check
+    if estimator == "qubit":
+        table = bell_table()
+        estimate = lambda draws: one_table_fidelity(table, bell_target(), draws)
+    else:
+        table = w_table([10] * 16, 4)
+        estimate = lambda draws: monte_carlo_w_fidelity(table, 4, draws)
+    draws = np.full((3, 16), 5.0)
+    draws[2, 0] = draws[1, 6] = bad   # the first bad entry in row order is named
+    message = rf"resample 1, column 6 \({re.escape(table.labels[6])}\) is {bad!r}, not a finite"
+    with pytest.raises(ValueError, match=message):
+        estimate(draws)
+
+
 class TestTransmissionFidelity:
     def test_noiseless_stages_agree(self):
         cfg = make_config()
@@ -813,6 +831,21 @@ class TestMleObjective:
         assert len(calls) == max(spy.fg.values())
         assert min(spy.fg.values()) < max(spy.fg.values())   # rows finish apart
 
+    def test_setulb_never_writes_the_gradient(self, monkeypatch):
+        # the fit's memo answers a stale request with g[r] as it stands
+        unchanged = []
+
+        def keep_watch(row, m, x, low, up, nbd, f, g, *rest):
+            before = g.copy()
+            spy.real(m, x, low, up, nbd, f, g, *rest)
+            unchanged.append(g.tobytes() == before.tobytes())
+            return True
+
+        spy = SetulbSpy(monkeypatch, act=keep_watch)
+        projectors, stack, exposures = stacked_problem()
+        tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        assert len(unchanged) > 100 and all(unchanged)
+
     def test_bootstrap_base_fit_is_the_plain_fit(self):
         out = run_protocol(make_config())
         table = draw_counts(out, tomography_settings(), 2000, 1.0, 0.0, seed=9)
@@ -843,6 +876,25 @@ class TestAgainstScipyMinimize:
             assert got.iterations[r] == nit
             assert bool(got.converged[r]) == converged
             assert got.traces[r] == trace
+
+    def test_a_bootstrap_size_stack_fits_each_row_as_alone(self):
+        # the shipped qubit stage-2 table and 99 resamples, started as a
+        # bootstrap starts them; the stack property draws at most 4 rows
+        _, table, _ = reference_stage2_table()
+        projectors, observed, exposures = tomo._aligned_projectors(table)
+        base = tomo._fit_stack(projectors, observed[None], exposures, np.eye(4) / 4, 1e-9, 1000)
+        stack = np.vstack([observed[None], resamples(table, 7, 99)])
+        starts = np.array([np.eye(4) / 4] + [base.rho[0]] * 99)
+        fit = tomo._fit_stack(projectors, stack, exposures, starts, 1e-9, 1000)
+        assert max(fit.iterations) > 2 * min(fit.iterations)   # rows finish far apart
+        for r in range(len(stack)):
+            alone = tomo._fit_stack(projectors, stack[r:r + 1], exposures, starts[r], 1e-9, 1000)
+            assert fit.errors[r] is None and alone.errors[0] is None
+            assert fit.rho[r].tobytes() == alone.rho[0].tobytes()
+            assert fit.log_likelihood[r] == alone.log_likelihood[0]
+            assert fit.iterations[r] == alone.iterations[0]
+            assert fit.converged[r] == alone.converged[0]
+            assert fit.traces[r] == alone.traces[0]
 
     def test_exhausted_rows_match_too(self):
         projectors, stack, exposures = stacked_problem()
