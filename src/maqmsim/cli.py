@@ -3,11 +3,13 @@
 Reports are deterministic: all randomness flows from the config seed through
 named substreams (the stream tree is set out in ``detect``): ``derive_seed``
 gives each stage and sweep point its seed through numpy's ``SeedSequence``,
-and ``detect.stream_states`` hashes the rows' streams in one pass.  Floats
-are serialized at 6 significant digits, and the report embeds the config hash
-so every number is traceable to its inputs.  ``main`` keeps no state that
-can change an output: it builds its argument parser once per process, and
-keeps the last compiled schedule under its exact inputs (``_compile``).
+and ``detect.stream_states`` hashes the streams of a run, or of a bounded
+group of sweep points, in one pass.  Floats are serialized at 6 significant
+digits, and the report embeds the config hash so every number is traceable
+to its inputs.  ``main`` keeps no state that can change an output: it builds
+its argument parser once per process, and keeps the last compiled schedule
+under its exact inputs (``_compile``).  Sweep points share each memory entry
+off the swept path, and parsing never writes into it, so it is parsed once.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ MAX_HERALDS = 2**62
 MAX_DIMENSION = 100       # a qudit run builds d^2 settings of d-vectors
 MAX_RESAMPLES = 10**5     # a qubit run refits the table once per resample
 MAX_BOOTSTRAP_FLOATS = 10**8   # the W bootstrap holds an (R, d^2) stack of floats
+_PLAN_ROWS = 1 << 14      # the stream rows a sweep hashes in one pass, unless one point has more
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,10 @@ def _cells(doc, path: str, spec: MemorySpec):
     return tuple(out)
 
 
-def _memory_spec(memories: _Object, name: str) -> MemorySpec:
+def _memory_spec(memories: _Object, name: str, known: dict) -> MemorySpec:
     entry = memories.read(name, _Object)
+    if name in known and known[name][0] is entry.doc:
+        return known[name][1]
     n_x = entry.read("n_x", _integer, minimum=1, maximum=MAX_CELLS)
     n_y = entry.read("n_y", _integer, minimum=1, maximum=MAX_CELLS)
     eta_write = entry.read("eta_write", _efficiencies, cells=n_x * n_y)
@@ -197,13 +202,14 @@ def _memory_spec(memories: _Object, name: str) -> MemorySpec:
     grid.close()
     entry.close()
     try:
-        return MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read, tau_mem, t_larmor,
-                          RfGrid(*ramps), eta_eit)
+        known[name] = entry.doc, MemorySpec(MemoryId(name), n_x, n_y, eta_write, eta_read,
+                                            tau_mem, t_larmor, RfGrid(*ramps), eta_eit)
     except ValueError as err:
         # a message that opens with a key of the entry or its grid is about that field
         key, sep, rest = str(err).partition(": ")
         where = next((o.at(key) for o in (entry, grid) if sep and key in o.doc), None)
         raise ConfigError(f"{where}: {rest}" if where else f"{entry.path}: {err}") from err
+    return known[name][1]
 
 
 def _seed(top: _Object, seed_override) -> int:
@@ -215,12 +221,16 @@ def _seed(top: _Object, seed_override) -> int:
 def parse_experiment_config(doc: dict, seed_override: int | None = None,
                             sha256: str = "") -> ExperimentConfig:
     """Validate a config document; a field the reader never asks for is rejected by name."""
+    return _parse(doc, seed_override, sha256, {})
+
+
+def _parse(doc, seed_override, sha256: str, known: dict) -> ExperimentConfig:
+    """``parse_experiment_config``, with ``known[name]`` the (entry, spec) last read there."""
     top = _Object(doc, "")
     seed = _seed(top, seed_override)
 
     memories = top.read("memories", _Object)
-    spec1 = _memory_spec(memories, "MAQM1")
-    spec2 = _memory_spec(memories, "MAQM2")
+    spec1, spec2 = (_memory_spec(memories, name, known) for name in ("MAQM1", "MAQM2"))
     memories.close()
 
     proto = top.read("protocol", _Object)
@@ -336,18 +346,24 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
-def _stream_plan(cfg: ExperimentConfig, n_settings: int) -> list[np.ndarray]:
-    """The run's streams: stage 1's table and bootstrap streams, then stage 2's.
+def _stream_plans(runs) -> list[tuple[np.ndarray, ...]]:
+    """Each run's streams, from (cfg, n_settings) pairs: stage 1's table and
+    bootstrap streams, then stage 2's.
 
     Stage s's table seed is ``derive_seed(seed, s, 0)`` and its bootstrap
     seed ``derive_seed(seed, s, 1)``; row i of either draws from stream
-    (that seed, i), and all the rows' streams are hashed in one pass.
+    (that seed, i), and all the runs' rows are hashed in one pass.  A sweep
+    passes groups of at most ``_PLAN_ROWS`` rows (or one larger point).
     """
-    seeds = [derive_seed(cfg.seed, s, k) for s in (1, 2) for k in (0, 1)]
-    counts = [n_settings, cfg.n_resamples] * 2
+    seeds = [derive_seed(cfg.seed, s, k) for cfg, _ in runs for s in (1, 2) for k in (0, 1)]
+    counts = [count for cfg, n in runs for count in (n, cfg.n_resamples) * 2]
     states = stream_states(np.repeat(np.array(seeds, dtype=np.uint64), counts),
                            np.concatenate([np.arange(c) for c in counts]))
-    return np.split(states, np.cumsum(counts)[:-1])
+    return list(zip(*[iter(np.split(states, np.cumsum(counts)[:-1]))] * 4))
+
+
+def _settings(dimension: int):
+    return tomography_settings() if dimension == 2 else w_settings(dimension)
 
 
 def _qubit_blocks(outcomes, tables, resamples,
@@ -447,20 +463,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     The dark rate is checked against both stages before any count is
     drawn.  Then each stage, in order, draws its table and its resamples
-    from its blocks of ``_stream_plan``, but a W stage with nothing to project
+    from its blocks of its stream plan, but a W stage with nothing to project
     on draws nothing.  A W stage is estimated before the next stage draws, so
     one W resample stack is alive at a time; the qubit tables are fitted
     together once both are drawn.
     """
+    return _run(cfg, _stream_plans([(cfg, len(_settings(cfg.protocol.dimension).labels))])[0])
+
+
+def _run(cfg: ExperimentConfig, plan: tuple[np.ndarray, ...]) -> dict:
+    """``run_experiment`` on the run's ``_stream_plans`` entry."""
     schedule = _compile(cfg)
     stages = ("maqm1_stage", "maqm2_stage")
     outcomes = [run_protocol(cfg.protocol, transfer=transfer) for transfer in (False, True)]
     d = cfg.protocol.dimension
-    settings = tomography_settings() if d == 2 else w_settings(d)
+    settings = _settings(d)
     probabilities = [coincidence_probabilities(outcome, settings, cfg.eta_det)
                      for outcome in outcomes]
     _check_dark_rate(cfg, dict(zip(stages, probabilities)))
-    plan = _stream_plan(cfg, len(settings.labels))
 
     report = {
         "package_version": __version__,
@@ -595,32 +615,42 @@ def run_sweep(doc: dict, param: str, values, base_seed: int | None = None) -> li
         raise ConfigError(f"{param}: not a sweepable parameter "
                           f"(choose from {', '.join(sweepable_paths())})")
     base_seed = _seed(top, base_seed)
-    unswept = (parse_experiment_config(doc, seed_override=base_seed)
-               if param in _SWEEP_VIRTUAL else None)
-    rows = []
+    rows, group, size, known = [], [], 0, {}
+    unswept = _parse(doc, base_seed, "", known) if param in _SWEEP_VIRTUAL else None
+
+    def run(group):   # each (value, cfg, n_settings) in turn, on plans hashed in one pass
+        plans = _stream_plans([(cfg, n) for _, cfg, n in group]) if group else []
+        for (value, cfg, _), plan in zip(group, plans):
+            report = _run(cfg, plan)
+            row = {"param": param, "value": value, "seed": report["seed"],
+                   "dimension": report["dimension"], "schedule_valid": report["schedule"]["valid"],
+                   "herald_probability": report["herald_probability"]}
+            # a qubit block has "fidelity", a W block "w_fidelity"; both have "sigma"
+            w = "" if report["dimension"] == 2 else "w_"
+            for stage in ("maqm1", "maqm2"):
+                block = report[f"{stage}_stage"]
+                row[f"{stage}_{w}fidelity"] = block[f"{w}fidelity"]
+                row[f"{stage}_{w}sigma"] = block["sigma"]
+            if "transmission_fidelity" in report:
+                row["transmission_fidelity"] = report["transmission_fidelity"]
+            rows.append(row)
+
     for i, value in enumerate(values):
         # a whole value goes in as an int, so the field's own reader check decides
         varied = (_apply_ratio(doc, value, unswept) if unswept is not None
                   else _with_value(doc, param, int(value) if float(value).is_integer() else value))
-        cfg = parse_experiment_config(varied, seed_override=derive_seed(base_seed, i))
-        report = run_experiment(cfg)
-        row = {
-            "param": param,
-            "value": value,
-            "seed": report["seed"],
-            "dimension": report["dimension"],
-            "schedule_valid": report["schedule"]["valid"],
-            "herald_probability": report["herald_probability"],
-        }
-        # a qubit block has "fidelity", a W block "w_fidelity"; both have "sigma"
-        w = "" if report["dimension"] == 2 else "w_"
-        for stage in ("maqm1", "maqm2"):
-            block = report[f"{stage}_stage"]
-            row[f"{stage}_{w}fidelity"] = block[f"{w}fidelity"]
-            row[f"{stage}_{w}sigma"] = block["sigma"]
-        if "transmission_fidelity" in report:
-            row["transmission_fidelity"] = report["transmission_fidelity"]
-        rows.append(row)
+        try:
+            cfg = _parse(varied, derive_seed(base_seed, i), "", known)
+        except ConfigError:   # raised once the points parsed ahead of it have run
+            run(group)
+            raise
+        n_settings = len(_settings(cfg.protocol.dimension).labels)
+        if group and size + 2 * (n_settings + cfg.n_resamples) > _PLAN_ROWS:
+            run(group)
+            group, size = [], 0
+        group.append((value, cfg, n_settings))
+        size += 2 * (n_settings + cfg.n_resamples)
+    run(group)
     return rows
 
 

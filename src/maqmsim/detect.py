@@ -18,13 +18,13 @@ generator ``np.random.default_rng([seed, index])`` gives.  A run's streams
 form a tree: the config seed gives stage s a table seed and a bootstrap
 seed, ``cli.derive_seed(seed, s, 0)`` and ``(seed, s, 1)``, through numpy's
 ``SeedSequence``; table row i draws from stream (table seed, i) and
-resample r from (bootstrap seed, r), every row of a run hashed in one
-array pass.  Streams are keyed by index, so tables are reproducible and
-independent of evaluation order, and adding a consumer never shifts
-another's draws.  ``numpy.random`` loads on the first draw.  Nothing is
-cached between runs but the settings blocks and label tuples, which
-depend on the dimension alone, and the seed stand-in class; ``cli.main``
-keeps no run state between calls.
+resample r from (bootstrap seed, r), the rows of a run, or of a group of
+sweep points, hashed in one array pass.  Streams are keyed by index, so
+tables are reproducible and independent of evaluation order, and adding a
+consumer never shifts another's draws.  ``numpy.random`` loads on the
+first draw.  Nothing is cached between runs but the settings blocks and
+label tuples, which depend on the dimension alone, and the seed stand-in
+class; ``cli.main`` keeps no run state between calls.
 """
 
 from __future__ import annotations

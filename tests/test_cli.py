@@ -571,6 +571,8 @@ README_BOUNDS = {
                              r"`n_resamples × dimension²` is at most (\S+) "),
     "MAX_CELLS": (memory.MAX_CELLS, r"A memory grid has at most (\S+) cells"),
     "MAX_DIMENSION": (cli.MAX_DIMENSION, r"`protocol\.dimension` is at most (\S+) and"),
+    # not a config bound: the stream rows a sweep hashes in one pass
+    "_PLAN_ROWS": (cli._PLAN_ROWS, r"in groups of at most (\S+) stream rows"),
 }
 
 
@@ -612,7 +614,7 @@ def test_stages_draw_in_order_from_their_stream_blocks(monkeypatch, dimension):
     # one call once both are drawn
     cfg = parse_experiment_config(small_doc(dimension))
     settings = cli.tomography_settings() if dimension == 2 else cli.w_settings(dimension)
-    plan = cli._stream_plan(cfg, len(settings.labels))
+    plan = cli._stream_plans([(cfg, len(settings.labels))])[0]
     probabilities = [cli.coincidence_probabilities(cli.run_protocol(cfg.protocol, transfer=t),
                                                    settings, cfg.eta_det) for t in (False, True)]
     real = {name: getattr(cli, name) for name in (
@@ -1090,7 +1092,7 @@ def test_qudit_stage_without_amplitudes_reports_null(tmp_path, memory, field, va
 def test_a_w_stage_without_amplitudes_draws_nothing(monkeypatch, memory, field, value, dead):
     # a live stage s still draws from blocks 2s and 2s + 1 of the stream plan
     cfg = parse_experiment_config(dead_stage_doc(memory, field, value))
-    plan = cli._stream_plan(cfg, len(cli.w_settings(cfg.protocol.dimension).labels))
+    plan = cli._stream_plans([(cfg, len(cli.w_settings(cfg.protocol.dimension).labels))])[0]
     blocks = []
 
     def spy(real):
@@ -1306,6 +1308,88 @@ def test_a_drift_sweep_compiles_once(compiles):
 def test_a_t1_sweep_compiles_each_value(compiles):
     run_sweep(small_doc(4, n_resamples=4), "protocol.t1", [11.7, 15.6, 19.5])
     assert [p.t1 for p in compiles] == [11.7, 15.6, 19.5]
+
+
+def spy_on(monkeypatch, name):
+    """The argument tuples of each call of ``cli.<name>``, which still runs."""
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_a_drift_sweep_hashes_its_streams_once(monkeypatch):
+    hashes = spy_on(monkeypatch, "stream_states")
+    rows = run_sweep(small_doc(4, n_resamples=4), "protocol.drift", [0.1 * i for i in range(8)])
+    assert len(rows) == 8 and len(hashes) == 1
+    assert len(hashes[0][0]) == 8 * 2 * (16 + 4)   # every point's table and resample rows
+
+
+def test_a_drift_sweep_reads_each_memory_once(monkeypatch):
+    specs = spy_on(monkeypatch, "MemorySpec")
+    run_sweep(small_doc(4, n_resamples=4), "protocol.drift", [0.1 * i for i in range(8)])
+    assert [args[0] for args in specs] == [memory.MemoryId.MAQM1, memory.MemoryId.MAQM2]
+
+
+def test_a_ratio_sweep_reads_the_first_memory_at_each_point(monkeypatch):
+    # the unswept parse reads both entries; each point's MAQM1 entry is a new object
+    specs = spy_on(monkeypatch, "MemorySpec")
+    run_sweep(small_doc(4, n_resamples=4), "memories.MAQM1.eta_read_ratio", [1.0, 0.5, 0.25])
+    names = [args[0].value for args in specs]
+    assert names == ["MAQM1", "MAQM2", "MAQM1", "MAQM1", "MAQM1"]
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_a_sweep_raises_its_first_error_in_point_order(capsys, monkeypatch, bound):
+    # point 1's dark rate fails when it runs, point 2's when it is parsed;
+    # parsing ahead must not let point 2's error win
+    if bound is not None:
+        monkeypatch.setattr(cli, "_PLAN_ROWS", bound)
+    path = str(CONFIG_DIR / "qudit_default.json")
+    args = ["sweep", "--config", path, "--param", "detection.dark_rate"]
+    assert main(args + ["--values", "0,0.99,-1"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: detection\.dark_rate: 0\.99 plus the largest "
+                        r"maqm1_stage coincidence probability \S+ exceeds 1\n", err), err
+    monkeypatch.setattr(cli, "run_protocol", None)   # a run would raise TypeError
+    assert main(args + ["--values=-1,0"]) == 2
+    assert capsys.readouterr().err == "config error: detection.dark_rate: must be non-negative\n"
+
+
+def test_a_bounded_sweep_hashes_in_groups_with_the_same_rows(monkeypatch):
+    # 40 stream rows a point, at most 100 a pass: four passes of two points
+    doc, values = small_doc(4, n_resamples=4), [0.1 * i for i in range(8)]
+    whole = run_sweep(doc, "protocol.drift", values)
+    hashes = spy_on(monkeypatch, "stream_states")
+    monkeypatch.setattr(cli, "_PLAN_ROWS", 100)
+    rows = run_sweep(doc, "protocol.drift", values)
+    assert [len(args[0]) for args in hashes] == [80] * 4
+    assert sweep_to_csv(rows) == sweep_to_csv(whole)
+    assert report_to_json(rows) == report_to_json(whole)
+
+
+@pytest.mark.parametrize("bound", [None, 90])
+def test_a_bounded_sweep_of_resample_counts_is_a_run_per_point(monkeypatch, bound):
+    # 36, 46 and 38 stream rows: at most 90 a pass hashes [2, 7] and then [3]
+    if bound is not None:
+        monkeypatch.setattr(cli, "_PLAN_ROWS", bound)
+    hashes = spy_on(monkeypatch, "stream_states")
+    doc, values = small_doc(4, seed=5), [2, 7, 3]
+    rows = run_sweep(doc, "estimation.n_resamples", values)
+    assert [len(args[0]) for args in hashes] == ([82, 38] if bound else [120])
+    for i, (row, value) in enumerate(zip(rows, values)):
+        cfg = parse_experiment_config(set_point(doc, "estimation.n_resamples", value),
+                                      seed_override=derive_seed(5, i))
+        report = run_experiment(cfg)
+        assert row["seed"] == report["seed"]
+        for stage in ("maqm1", "maqm2"):
+            block = report[f"{stage}_stage"]
+            assert (row[f"{stage}_w_fidelity"], row[f"{stage}_w_sigma"]) == \
+                (block["w_fidelity"], block["sigma"]), (value, stage)
 
 
 def test_compile_after_run_reuses_the_schedule(tmp_path, compiles):

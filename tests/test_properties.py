@@ -276,7 +276,7 @@ def test_stream_plan_is_numpys_seed_sequence_tree(seed, n_settings, n_resamples)
     # a config seed of any length gives stage seeds (seed, s, k), each of
     # whose rows is the stream (stage seed, i)
     cfg = types.SimpleNamespace(seed=seed, n_resamples=n_resamples)
-    plan = cli._stream_plan(cfg, n_settings)
+    plan, = cli._stream_plans([(cfg, n_settings)])
     want = []
     for s in (1, 2):
         for k, count in enumerate((n_settings, n_resamples)):
@@ -284,6 +284,21 @@ def test_stream_plan_is_numpys_seed_sequence_tree(seed, n_settings, n_resamples)
             want.append([np.random.SeedSequence([stage_seed, i]).generate_state(4, np.uint64)
                          .tolist() for i in range(count)])
     assert [states.tolist() for states in plan] == want
+
+
+@PROPERTY
+@given(runs=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 20), st.integers(2, 20)),
+                     min_size=1, max_size=4))
+def test_a_plan_of_many_runs_is_each_runs_own_plan(runs):
+    # a sweep hashes a group of points in one pass; each point's blocks must
+    # be those it would hash alone
+    pairs = [(types.SimpleNamespace(seed=seed, n_resamples=n_resamples), n_settings)
+             for seed, n_settings, n_resamples in runs]
+    plans = cli._stream_plans(pairs)
+    assert len(plans) == len(pairs)
+    for plan, pair in zip(plans, pairs):
+        alone, = cli._stream_plans([pair])
+        assert [states.tolist() for states in plan] == [states.tolist() for states in alone]
 
 
 def tomography_rows(k):
