@@ -432,17 +432,17 @@ _last_compiled = [None, None]   # the key and schedule of the last compile
 def _compile(cfg: ExperimentConfig) -> Schedule:
     """The protocol's schedule, compiled again only when its key changes.
 
-    The key is what compilation reads: the dimension, the cells, the
-    retrieval order, each memory's id and grid size, and, as float64 bits
-    (so -0.0 and 0.0 differ), the times, write phases and each memory's
-    ``tau_mem``, ``t_larmor`` and RF grid.  The drifts and efficiency maps
-    never reach the schedule, so a sweep over them compiles once.
+    The key is what compilation reads: the cells (which fix the dimension
+    and memory ids), the retrieval order and, as float64 bits (so -0.0 and
+    0.0 differ), the times, write phases and each memory's ``tau_mem``,
+    ``t_larmor`` and RF grid.  Grid sizes (a parsed config's cells lie on
+    them), drifts and efficiency maps never move the schedule, so a sweep
+    over them compiles once.
     """
     p, specs = cfg.protocol, (cfg.protocol.spec1, cfg.protocol.spec2)
     floats = [p.t1, p.tau, p.t2, *p.write_phases,
               *(v for s in specs for v in (s.tau_mem, s.t_larmor, *vars(s.rf_grid).values()))]
-    key = (p.dimension, p.source_cells, p.target_cells, p.retrieval_order,
-           *((s.memory, s.n_x, s.n_y) for s in specs), np.array(floats).tobytes())
+    key = (p.source_cells, p.target_cells, p.retrieval_order, np.array(floats).tobytes())
     if _last_compiled[0] != key:
         try:
             _last_compiled[1] = compile_schedule(p)

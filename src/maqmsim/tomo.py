@@ -16,9 +16,9 @@ analytically, leaving
 maximized by L-BFGS-B with an analytic gradient.  ``_fit_stack`` fits k
 count vectors at once: each row runs its own workspace of scipy's
 reverse-communication kernel ``setulb`` under the rules of scipy's
-``minimize(..., method="L-BFGS-B")`` loop, and on each pass every row that
-asked for a value and gradient is evaluated in one stacked call.  A row
-therefore takes the iterates a fit of its table alone takes, bit for bit.
+``minimize(..., method="L-BFGS-B")`` loop: each value and gradient a row's
+setulb asks for, x0 first, is evaluated once, when it asks, in one stacked
+call per pass, so a row takes the iterates its table alone takes, bit for bit.
 Every step of the objective runs on the whole stack and keeps the one-row
 summation order: the traces q_s and Q add their terms in a fixed nested
 order, as plain adds of contiguous (setting, row) slabs, and the dot
@@ -324,8 +324,13 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
 
     ``init_rho`` is one start for every row, (d, d), or one per row, (k, d, d).
     The loop is scipy's ``_minimize_lbfgsb`` (one iteration per NEW_X, the
-    max_iter and maxfun stops, ``converged`` only on CONVERGENCE) with its
-    function memo, run for every row at once.  A row whose accepted step
+    max_iter and maxfun stops, ``converged`` only on CONVERGENCE), run for
+    every row at once; each FG request is evaluated once, when setulb asks,
+    x0's first, which opens the row's likelihood trace.  scipy's function
+    memo neither evaluates nor counts a request at the x it last evaluated,
+    so the maxfun count matches scipy's only while setulb never asks twice
+    in a row at the same x (a line-search step that rounds back onto the
+    iterate would); f and g match regardless.  A row whose accepted step
     lowers the likelihood stops with its error stored; the others go on.
     """
     kernel = _lbfgsb_kernel()
@@ -344,8 +349,8 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
     lsave, isave = np.zeros((k, 4), dtype=np.int32), np.zeros((k, 44), dtype=np.int32)
     dsave = np.zeros((k, 29))
     factr = tol / np.finfo(float).eps
-    iterations, evaluations = [0] * k, [1] * k
-    errors = [None] * k
+    iterations, evaluations = [0] * k, [0] * k
+    f, traces, errors = [0.0] * k, [[] for _ in range(k)], [None] * k
     # setulb's arguments per row, f at slot 5; the arrays are row views
     args = [[m, x[r], no_bounds, no_bounds, nbd, 0.0, g[r], factr, _LBFGS_PGTOL, wa[r],
              iwa[r], task[r], lsave[r], isave[r], dsave[r], _LBFGS_MAXLS, ln_task[r]]
@@ -353,13 +358,7 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
 
     with _warnings.catch_warnings(), _OneBlasThread(kernel):
         _warnings.simplefilter("ignore", RuntimeWarning)
-        # scipy's function memo: x0 is evaluated before the first setulb call, and a
-        # request at a row's last evaluated point reuses f[r] and g[r] (setulb never writes g)
-        seen_x = x.copy()
-        values, g[:] = objective(x, np.arange(k))
-        f = values.tolist()
-        traces = [[-v] for v in f]
-        active = list(range(k))
+        active = range(k)
         while active:
             wanted = []
             for r in active:
@@ -386,16 +385,13 @@ def _fit_stack(projectors, observed, exposures, init_rho, tol, max_iter) -> _Sta
                         row_task[:] = (_STOP, 504)
                     elif evaluations[r] > _LBFGS_MAXFUN:
                         row_task[:] = (_STOP, 502)
-            active, rows = wanted, np.array(wanted, dtype=int)
-            x_rows = x[rows]
-            fresh = (x_rows != seen_x[rows]).any(axis=1)
-            if not fresh.all():
-                rows, x_rows = rows[fresh], x_rows[fresh]
-            if len(rows):
-                seen_x[rows] = x_rows
-                values, g[rows] = objective(x_rows, rows)
-                for r, value in zip(rows.tolist(), values.tolist()):
+            active = wanted
+            if wanted:
+                values, g[wanted] = objective(x[wanted], wanted)
+                for r, value in zip(wanted, values.tolist()):
                     f[r] = value
+                    if not evaluations[r]:   # START's request, at x0, opens the trace
+                        traces[r].append(-value)
                     evaluations[r] += 1
 
         t_mat = objective.unpack(x)

@@ -1,6 +1,7 @@
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -703,7 +704,8 @@ def stacked_problem(n_rows=6, seed=5):
     return projectors, stack, exposures
 
 
-def scipy_reference_fit(projectors, observed, exposures, init_rho, tol, max_iter):
+def scipy_reference_fit(projectors, observed, exposures, init_rho, tol, max_iter,
+                        maxfun=15000):
     """The serial fit through scipy's public L-BFGS-B, with the reference objective."""
     from scipy.optimize import minimize
 
@@ -713,7 +715,8 @@ def scipy_reference_fit(projectors, observed, exposures, init_rho, tol, max_iter
     trace = [-value(x0)]
     res = minimize(lambda x: (value(x), gradient(x)), x0, jac=True, method="L-BFGS-B",
                    callback=lambda xk: trace.append(-value(xk)),
-                   options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12})
+                   options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12,
+                            "maxfun": maxfun})
     t_mat = loop_unpack(res.x, d)
     a_mat = t_mat @ t_mat.conj().T
     a_mat = (a_mat + a_mat.conj().T) / 2.0
@@ -811,9 +814,8 @@ class TestMleObjective:
             assert fit.log_likelihood[r] == trace[-1]
 
     def test_one_objective_evaluation_per_optimizer_call(self, monkeypatch):
-        # the first call evaluates every row at x0, which answers each row's
-        # first request; after that, one stacked call per pass serves every
-        # row that asked for f and g, each row once
+        # one stacked call per pass serves every row that asked for f and g,
+        # each row once; the first serves every row's request at x0
         calls = []
         real_call = tomo._NegLogLikelihoods.__call__
 
@@ -832,7 +834,8 @@ class TestMleObjective:
         assert min(spy.fg.values()) < max(spy.fg.values())   # rows finish apart
 
     def test_setulb_never_writes_the_gradient(self, monkeypatch):
-        # the fit's memo answers a stale request with g[r] as it stands
+        # the loop hands setulb g[r] unchanged between evaluations, as
+        # scipy's loop does
         unchanged = []
 
         def keep_watch(row, m, x, low, up, nbd, f, g, *rest):
@@ -907,6 +910,20 @@ class TestAgainstScipyMinimize:
                                                                converged, trace)
             assert nit == 3 and not converged
 
+    @pytest.mark.parametrize("maxfun", [3, 5, 8, 13])
+    def test_the_maxfun_stop_matches_too(self, monkeypatch, maxfun):
+        # scipy counts the evaluation at x0 as the first
+        monkeypatch.setattr(tomo, "_LBFGS_MAXFUN", maxfun)
+        projectors, stack, exposures = stacked_problem(n_rows=4)
+        fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-9, 1000)
+        for r in range(len(stack)):
+            rho, ll, nit, converged, trace = scipy_reference_fit(
+                projectors, stack[r], exposures, np.eye(4) / 4, 1e-9, 1000, maxfun)
+            assert (fit.rho[r].tobytes(), fit.log_likelihood[r], fit.iterations[r],
+                    bool(fit.converged[r]), fit.traces[r]) == (rho.tobytes(), ll, nit,
+                                                               converged, trace)
+            assert nit <= maxfun and not converged
+
     @pytest.mark.parametrize("task, converged", [(tomo._CONVERGENCE, True), (6, False),
                                                  (7, False), (8, False)])
     def test_converged_only_on_the_convergence_task(self, monkeypatch, task, converged):
@@ -922,46 +939,49 @@ class TestAgainstScipyMinimize:
         assert fit.errors == (None, None)
 
 
-def force_decrease(row, m, x, *args):
-    # stand-in setulb: "accepts" the pure state |00><00|, which a Bell-like
-    # table makes far less likely than the maximally mixed start
-    task = args[9]
-    if task[0] == 0:
-        x[:] = 0.0
-        x[0] = 1.0
-        task[0] = tomo._FG
-    else:
-        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
-    return True
+def moving_setulb(move):
+    """A stand-in setulb that keeps the real one's START contract: START asks
+    for f and g at x0 as it stands; the next call applies ``move`` to x and
+    asks again, the one after accepts that x, and then the row converges.
+    The stage rides in the task's second slot."""
+    @functools.wraps(move)
+    def stand_in(row, m, x, *args):
+        task = args[9]
+        if task[0] == 0:
+            task[:] = (tomo._FG, 1)
+        elif tuple(task) == (tomo._FG, 1):
+            move(x)
+            task[1] = 2
+        else:
+            task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
+        return True
+    return stand_in
 
 
-def force_nan(row, m, x, *args):
-    task = args[9]
-    if task[0] == 0:
-        x[:] = np.nan
-        task[0] = tomo._FG
-    else:
-        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
-    return True
+@moving_setulb
+def force_decrease(x):
+    # "accepts" the pure state |00><00|, which a Bell-like table makes far
+    # less likely than the maximally mixed start
+    x[:] = 0.0
+    x[0] = 1.0
 
 
-OPTIMIZED_GUARD_SCRIPT = """
+@moving_setulb
+def force_nan(x):
+    x[:] = np.nan
+
+
+OPTIMIZED_GUARD_SCRIPT = f"""
+import functools
 import sys
 import numpy as np
 from scipy.optimize import _lbfgsb
 from maqmsim import tomo
 from maqmsim.detect import CountsTable, tomography_settings
 
-def force_decrease(m, x, *args):
-    task = args[9]
-    if task[0] == 0:
-        x[:] = 0.0
-        x[0] = 1.0
-        task[0] = tomo._FG
-    else:
-        task[0] = tomo._NEW_X if task[0] == tomo._FG else tomo._CONVERGENCE
-
-_lbfgsb.setulb = force_decrease
+{inspect.getsource(moving_setulb)}
+{inspect.getsource(force_decrease)}
+_lbfgsb.setulb = functools.partial(force_decrease, 0)
 labels = tomography_settings().labels
 table = CountsTable(labels, [1000] * 16, [250 if label[0] == label[1] else 0 for label in labels])
 try:
