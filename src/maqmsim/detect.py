@@ -193,7 +193,7 @@ def coincidence_probabilities(outcome: TransferOutcome, settings: Settings,
     """Herald-conditioned signal/atom coincidence probability of each setting."""
     if not 0.0 < eta_det <= 1.0:
         raise ValueError("eta_det must be in (0, 1]")
-    d = outcome.config.dimension
+    d = outcome.branch_amplitudes.size
     if settings.signal.shape[1] != d:
         raise ValueError(f"setting vectors must have length {d}, "
                          f"got {settings.signal.shape[1]}")

@@ -134,11 +134,9 @@ class TransferOutcome:
     ``branch_amplitudes[k]`` is the amplitude of the pair (signal mode k,
     output mode k) and is not normalized: its squared norm is the
     herald-conditioned probability that the branch excitation survives to
-    verification.
+    verification.  There are d of them, one per branch.
     """
 
-    config: ProtocolConfig
-    transfer: bool
     branch_amplitudes: np.ndarray
     herald_probability: float
     predicted_fidelity: float
@@ -185,8 +183,6 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
     herald_p = float(np.mean([spec1.eta_write[c.y, c.x] for c in config.source_cells]))
 
     return TransferOutcome(
-        config=config,
-        transfer=transfer,
         branch_amplitudes=branch,
         herald_probability=herald_p,
         predicted_fidelity=predicted,
@@ -213,7 +209,7 @@ def project_w(outcome: TransferOutcome) -> float:
     The returned fidelity is the overlap with the uniform target, so branch
     loss shows up directly: one dead branch out of four gives 3/4.
     """
-    d = outcome.config.dimension
+    d = outcome.branch_amplitudes.size
     v, _ = _scale_free(outcome.branch_amplitudes)
     norm = np.linalg.norm(v)
     if norm == 0.0:

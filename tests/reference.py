@@ -1,4 +1,5 @@
-"""A slow, independent reference for what a run's predictions should be.
+"""A slow, independent reference for what a run's predictions should be, and
+for how far a fit can lie from the maximum-likelihood state.
 
 It builds the whole signal x memory state as a d^2 vector out of Kronecker
 products of basis kets, and every measurement as an explicit projector on
@@ -6,7 +7,8 @@ that space.  It takes nothing from the package's branch-diagonal arithmetic
 (``protocol.run_protocol``, ``protocol.project_w``,
 ``detect.coincidence_probabilities``): the per-branch transmission is
 recomputed here from the memory model's formulas, and the package supplies
-only the config it reads and the settings it measures.
+only the config it reads and the settings it measures.  The likelihood-gap
+bound takes a fit's state and its table's projectors as plain arrays.
 """
 
 import cmath
@@ -81,3 +83,24 @@ def coincidence_probabilities(psi: np.ndarray, settings, eta_det: float) -> np.n
         projector = np.kron(np.outer(s, s.conj()), np.outer(a, a.conj()))
         out.append(eta_det * np.vdot(psi, projector @ psi).real)
     return np.array(out)
+
+
+def likelihood_gap_bound(projectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray,
+                         rho: np.ndarray) -> float:
+    """An upper bound on how far ``rho``'s log-likelihood lies below the maximum.
+
+    With the scale fixed by tr(S rho) = 1, S = sum_s e_s P_s, the
+    log-likelihood sum_s c_s ln q_s is concave in rho, so the gap to the
+    optimum is at most Q lambda_max(S^{-1/2} R S^{-1/2}) - C, where
+    q_s = tr(P_s rho), Q = tr(S rho), R = sum_s (c_s / q_s) P_s and C =
+    sum_s c_s: the gradient stopping rule of Glancy, Knill and Girard,
+    New J. Phys. 14, 095017 (2012).  A setting without counts adds nothing to R.
+    """
+    q = np.einsum("sij,ji->s", projectors, rho).real
+    ratios = np.divide(counts, q, out=np.zeros(len(q)), where=counts > 0)
+    s_op = np.tensordot(exposures, projectors, axes=1)
+    r_op = np.tensordot(ratios, projectors, axes=1)
+    values, vectors = np.linalg.eigh(s_op)
+    s_inv_half = (vectors / np.sqrt(values)) @ vectors.conj().T
+    big_q = np.trace(s_op @ rho).real
+    return float(big_q * np.linalg.eigvalsh(s_inv_half @ r_op @ s_inv_half)[-1] - counts.sum())

@@ -237,6 +237,8 @@ def test_a_repeated_key_is_rejected_by_name(tmp_path, capsys, command, text, key
     ("retrieval_order", [0, 0], "retrieval_order: must be a permutation of the bins"),
     ("retrieval_order", [0, 1, 2], "retrieval_order: must be a permutation of the bins"),
     ("retrieval_order", [], "retrieval_order: must be a permutation of the bins"),
+    ("source_cells", [], "source_cells: must be a non-empty list of [x, y] pairs"),
+    ("retrieval_order", "x", "retrieval_order: must be a list of bin indices"),
 ])
 def test_a_protocol_error_names_its_field(tmp_path, capsys, field, value, message):
     doc = small_doc()

@@ -123,6 +123,11 @@ class TestSettings:
             with pytest.raises(TypeError):
                 build(dimension=4)
 
+    @pytest.mark.parametrize("dimension", [1, 0])
+    def test_fewer_than_two_branches_have_no_w_labels(self, dimension):
+        with pytest.raises(ValueError, match="need at least two branches"):
+            w_labels(dimension)
+
     def test_block_copies_its_input(self):
         signal = np.array([[1.0, 0.0]], dtype=complex)
         block = Settings(("UU",), signal, signal)
@@ -287,6 +292,17 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             draw_counts(out, uu, 100, eta_det=1.0, dark_rate=0.6, seed=1)
 
+    @pytest.mark.parametrize("heralds, dark_rate, probabilities, message", [
+        (0, 0.0, [0.5], "heralds_per_setting must be at least 1"),
+        (10, -1e-9, [0.5], "dark_rate must be non-negative"),
+        (10, 0.0, [0.5, 0.5], r"need one probability per setting, got \(2,\) for 1 settings"),
+        (10, 0.0, 0.5, r"need one probability per setting, got \(\) for 1 settings"),
+    ])
+    def test_bad_draw_arguments_rejected(self, heralds, dark_rate, probabilities, message):
+        uu = rows(tomography_settings(), "UU")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_counts(uu, probabilities, heralds, dark_rate, streams(1, 1))
+
     def test_binomial_moments(self):
         out = bell_outcome()
         uu = rows(tomography_settings(), "UU")
@@ -340,6 +356,7 @@ class TestSampleCounts:
         table = CountsTable(["UU", "UD"], [10, 10], [3, 0])
         assert table.labels == ("UU", "UD")
         assert table.rows == (("UU", 10, 3), ("UD", 10, 0))
+        assert table == CountsTable(("UU", "UD"), [10, 10], [3, 0]) and table != table.rows
         assert not table.heralds.flags.writeable and not table.coincidences.flags.writeable
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -108,6 +110,17 @@ class TestCellEfficiency:
             spec_with(eta_read=1.2)
         with pytest.raises(ValueError):
             spec_with(eta_read=[0.5] * 29)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"eta_read": "0.2"}, "eta_read must be a number, got '0.2'"),
+        ({"eta_write": [0.01] * 29 + [True]}, "eta_write[29] must be a number, got True"),
+        ({"n_x": 0}, "grid sizes must be >= 1"),
+        ({"n_y": -1}, "grid sizes must be >= 1"),
+    ])
+    def test_a_spec_a_library_caller_builds_is_checked(self, overrides, message):
+        # the config reader checks these first, so only a direct caller meets them
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            spec_with(**overrides)
 
 
 class TestSpecTimes:

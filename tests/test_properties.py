@@ -36,7 +36,7 @@ from maqmsim.protocol import (MAX_TIME_US, MIN_TAU_US, ProtocolConfig, bin_time,
                               run_protocol, storage_dwell)
 from maqmsim.schedule import compile_schedule, schedule_from_jsonl, schedule_to_jsonl
 import reference
-from test_tomo import reference_objective
+from test_tomo import reference_objective, shipped_stage_table, stacked_problem
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
 QUDIT = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
@@ -339,6 +339,22 @@ def test_mle_is_a_density_matrix_and_a_stack_row_fits_as_alone(k, heralds, seed,
         assert np.array_equal(rho, rho.conj().T)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), n_rows=st.integers(1, 4), shipped=st.booleans(),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]), max_iter=st.integers(1, 1000))
+def test_the_likelihood_gap_bound_is_never_below_the_gap(seed, n_rows, shipped, tol, max_iter):
+    # a tol=1e-16 fit from the same start lies no higher than the optimum, so
+    # its distance above a fit can only understate the true gap
+    table = shipped_stage_table("qubit_default", 2)[1] if shipped else None
+    projectors, stack, exposures = stacked_problem(n_rows, seed, table)
+    fit = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, tol, max_iter)
+    tight = tomo._fit_stack(projectors, stack, exposures, np.eye(4) / 4, 1e-16, 1000)
+    for r in range(n_rows):
+        gap = tight.log_likelihood[r] - fit.log_likelihood[r]
+        bound = reference.likelihood_gap_bound(projectors, stack[r], exposures, fit.rho[r])
+        assert bound >= gap - 1e-9
 
 
 def check_stacked_objective(m, seed, heralds, random_projectors, zero_share, empty_rows,

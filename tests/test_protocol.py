@@ -284,6 +284,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             qubit_config(retrieval_order=(0, 0))
 
+    @pytest.mark.parametrize("dimension", [1, 0, -2])
+    def test_fewer_than_two_branches_rejected(self, dimension):
+        with pytest.raises(ValueError, match="^dimension: must be at least 2$"):
+            qubit_config(dimension=dimension)
+
     @pytest.mark.parametrize("field, message", [
         ("write_phases", "one write phase per branch"),
         ("drifts", "one drift phase per bin"),

@@ -99,6 +99,16 @@ class TestPhasesAndOverlaps:
 
 
 class TestFidelities:
+    def test_an_overlap_past_the_hermiticity_slack_is_refused(self):
+        # rho passes the Hermiticity check (skew part 9.8e-11 <= HERM_ATOL), yet
+        # gives this target an imaginary overlap of 1.2e-10, past HERM_ATOL
+        skew = np.triu(np.ones((4, 4)), 1)
+        skew -= skew.T
+        rho = DensityMatrix(np.eye(4) / 4 + 4.9e-11 * skew)
+        target = np.linalg.eigh(1j * skew)[1][:, -1]
+        with pytest.raises(ValueError, match="fidelity came out complex"):
+            fidelity(rho, target)
+
     def test_pure_state_fidelity_matches_overlap(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

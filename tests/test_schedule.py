@@ -12,6 +12,7 @@ from maqmsim.schedule import (
     PulseEvent,
     Schedule,
     Tone,
+    Violation,
     cell_to_rf,
     compile_schedule,
     schedule_from_jsonl,
@@ -137,6 +138,15 @@ class TestSuperpositionRf:
         with pytest.raises(ValueError):
             superposition_rf(spec1(), diag, np.array([1.0, 1.0]) / np.sqrt(2))
 
+    @pytest.mark.parametrize("coords, weights, message", [
+        ([(1, 1), (1, 2)], [1.0], "need one weight per cell"),
+        ([], [], "need one weight per cell"),
+        ([(1, 1), (1, 1)], [0.6, 0.8], "cells must be distinct"),
+    ])
+    def test_cells_and_weights_must_pair_up(self, coords, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            superposition_rf(spec1(), cells(MemoryId.MAQM1, coords), weights)
+
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(ValueError):
             superposition_rf(spec1(), [CellAddress(MemoryId.MAQM1, 0, 0)], [0.5])
@@ -220,6 +230,11 @@ class TestCompileQudit:
 
 
 class TestValidation:
+    def test_a_severity_is_error_or_warning(self):
+        assert Violation("warning", "code", "message").severity == "warning"
+        with pytest.raises(ValueError, match="severity must be 'error' or 'warning'"):
+            Violation("fatal", "code", "message")
+
     def test_paper_timing_is_clean(self):
         sched = compile_schedule(qubit_config())
         assert sched.violations == ()
@@ -320,6 +335,15 @@ class TestSerialization:
             text = schedule_to_jsonl(sched)
             again = schedule_to_jsonl(schedule_from_jsonl(text))
             assert again == text
+            # blank lines carry nothing
+            spaced = "\n" + text.replace("\n", "\n \n")
+            assert schedule_to_jsonl(schedule_from_jsonl(spaced)) == text
+
+    def test_an_axis_without_tones_writes_no_line(self):
+        first = schedule_to_jsonl(compile_schedule(qubit_config())).splitlines()[0] + "\n"
+        event, = schedule_from_jsonl(first).events
+        assert (len(event.x_tones), event.y_tones) == (1, ())
+        assert schedule_to_jsonl(Schedule((event,))) == first
 
     def test_parsed_invalid_schedule_no_longer_claims_valid(self):
         cfg = qubit_config(t1=16.0)
@@ -382,9 +406,13 @@ _LINE = {"t_start_us": 0.0, "duration_us": 0.1, "channel": "write", "axis": "y",
     ({**_LINE, "tones": [{**_TONE, "amp": "1"}]}, r"tones\[0\]\.amp "),
     ({**_LINE, "tones": [{"f_mhz": 97.0, "phase_rad": 0.0}]},
      r"missing field 'tones\[0\]\.amp'"),
+    ({**_LINE, "tones": [{**_TONE, "amp": 2.0}]}, r"tone amplitude must be in \[0, 1\]"),
+    ({**_LINE, "duration_us": 0.0}, "duration_us must be positive"),
+    ({**_LINE, "axis": "x"}, "duplicate x axis for event at t=0.0 on channel 'write'"),
 ], ids=["not-an-object", "tones-number", "tones-list-of-lists", "tones-empty",
         "t_start-string", "t_start-negative", "duration-nan", "channel-list",
-        "channel-unknown", "channel-clean", "amp-string", "amp-missing"])
+        "channel-unknown", "channel-clean", "amp-string", "amp-missing", "amp-above-one",
+        "duration-zero", "axis-repeated"])
 def test_malformed_line_is_named_by_number_and_field(line, field):
     lines = schedule_to_jsonl(compile_schedule(qubit_config())).splitlines()
     assert json.loads(lines[1]).keys() == _LINE.keys()

@@ -1,7 +1,7 @@
+import ctypes.util
 import functools
 import importlib.machinery
 import importlib.util
-import inspect
 import json
 import os
 import re
@@ -38,6 +38,7 @@ from maqmsim.tomo import (
     monte_carlo_w_fidelity,
     w_fidelity,
 )
+import reference
 from test_detect import draw_counts, resamples
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -192,6 +193,18 @@ class TestMonteCarloFidelity:
         blocks = one_table_fidelity(table, bell_target(), resamples(table, 23, 10))
         assert (blocks.value, blocks.sigma, blocks.n_resamples) == \
             (whole.value, whole.sigma, whole.n_resamples) == (whole.value, whole.sigma, 10)
+
+    @pytest.mark.parametrize("value, sigma, message", [
+        (1.5, None, "fidelity value must lie in [0, 1]"),
+        (-1e-12, None, "fidelity value must lie in [0, 1]"),
+        (float("nan"), 0.1, "fidelity value must lie in [0, 1]"),
+        (0.5, -1e-3, "sigma must be finite and non-negative"),
+        (0.5, float("inf"), "sigma must be finite and non-negative"),
+        (0.5, float("nan"), "sigma must be finite and non-negative"),
+    ])
+    def test_an_estimate_out_of_range_is_refused(self, value, sigma, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tomo.FidelityEstimate(value, sigma, 1)
 
     @pytest.mark.parametrize("shape", [(1, 16), (0, 16), (4, 15), (16,), (2, 16, 1)])
     def test_a_resample_array_of_the_wrong_shape_is_rejected(self, shape):
@@ -686,19 +699,20 @@ def sampled_table(seed=5, heralds=1000):
                        heralds, 0.5, 1e-4, seed=seed)
 
 
-def reference_stage2_table():
-    # the transfer stage of the shipped qubit config at seed 821328062
-    cfg = load_experiment_config(str(CONFIG_DIR / "qubit_default.json"), 821328062)
-    table = draw_counts(run_protocol(cfg.protocol, transfer=True), tomography_settings(),
+def shipped_stage_table(name, stage):
+    # a stage's table of a shipped qubit config at seed 821328062, drawn as a run draws it
+    cfg = load_experiment_config(str(CONFIG_DIR / f"{name}.json"), 821328062)
+    table = draw_counts(run_protocol(cfg.protocol, transfer=stage == 2), tomography_settings(),
                         cfg.heralds_per_setting, cfg.eta_det, cfg.dark_rate,
-                        seed=derive_seed(cfg.seed, 2, 0))
+                        seed=derive_seed(cfg.seed, stage, 0))
     target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
     return cfg, table, target
 
 
-def stacked_problem(n_rows=6, seed=5):
-    # one sampled table plus Poisson resamples of it, as a bootstrap stacks them
-    table = sampled_table(seed)
+def stacked_problem(n_rows=6, seed=5, table=None):
+    # one table, sampled unless given, plus Poisson resamples of it, as a
+    # bootstrap stacks them
+    table = sampled_table(seed) if table is None else table
     projectors, observed, exposures = tomo._aligned_projectors(table)
     stack = np.vstack([observed[None], resamples(table, seed, n_rows - 1)])
     return projectors, stack, exposures
@@ -883,7 +897,7 @@ class TestAgainstScipyMinimize:
     def test_a_bootstrap_size_stack_fits_each_row_as_alone(self):
         # the shipped qubit stage-2 table and 99 resamples, started as a
         # bootstrap starts them; the stack property draws at most 4 rows
-        _, table, _ = reference_stage2_table()
+        _, table, _ = shipped_stage_table("qubit_default", 2)
         projectors, observed, exposures = tomo._aligned_projectors(table)
         base = tomo._fit_stack(projectors, observed[None], exposures, np.eye(4) / 4, 1e-9, 1000)
         stack = np.vstack([observed[None], resamples(table, 7, 99)])
@@ -971,26 +985,6 @@ def force_nan(x):
     x[:] = np.nan
 
 
-OPTIMIZED_GUARD_SCRIPT = f"""
-import functools
-import sys
-import numpy as np
-from scipy.optimize import _lbfgsb
-from maqmsim import tomo
-from maqmsim.detect import CountsTable, tomography_settings
-
-{inspect.getsource(moving_setulb)}
-{inspect.getsource(force_decrease)}
-_lbfgsb.setulb = functools.partial(force_decrease, 0)
-labels = tomography_settings().labels
-table = CountsTable(labels, [1000] * 16, [250 if label[0] == label[1] else 0 for label in labels])
-try:
-    tomo.mle_reconstruct(table)
-except tomo.LikelihoodDecreasedError:
-    print("raised", sys.flags.optimize)
-"""
-
-
 class TestLikelihoodGuard:
     @pytest.mark.parametrize("stand_in", [force_decrease, force_nan])
     def test_forced_decrease_raises_named_error(self, monkeypatch, stand_in):
@@ -1013,14 +1007,6 @@ class TestLikelihoodGuard:
                 assert fit.rho[r].tobytes() == plain.rho[r].tobytes()
                 assert fit.traces[r] == plain.traces[r]
 
-    def test_guard_survives_optimized_mode(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["raised", "1"]
-
     def test_bootstrap_counts_guard_failures(self, monkeypatch):
         # fit 1 is the base fit; in fit 2, the resample stack, rows 1, 3
         # and 5 are forced to fail
@@ -1041,29 +1027,6 @@ class TestLikelihoodGuard:
         assert est.warnings == (f"only {survivors} of 6 resamples succeeded",)
         assert est.rho.entries.tobytes() == plain.rho.entries.tobytes()
         assert plain.warnings == ()
-
-
-OPTIMIZED_STOPPING_SCRIPT = """
-import sys
-from maqmsim import tomo
-from maqmsim.detect import CountsTable, tomography_settings
-
-table = CountsTable(tomography_settings().labels, [1000] * 16, [10] * 16)
-for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}):
-    try:
-        tomo.mle_reconstruct(table, **kwargs)
-    except ValueError:
-        print("rejected", sys.flags.optimize)
-"""
-
-
-def test_stopping_checks_survive_optimized_mode():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_STOPPING_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["rejected", "1"] * 3
 
 
 IMPORT_ORDER_SCRIPT = r"""
@@ -1133,6 +1096,20 @@ class TestKernelLoader:
             mle_reconstruct(bell_table())
         assert tomo._KERNEL not in sys.modules
 
+    def test_a_kernel_that_fails_to_run_is_not_registered(self, monkeypatch):
+        class FailingLoader(importlib.machinery.ExtensionFileLoader):
+            def create_module(self, spec):
+                return None   # a plain module, so that exec_module runs
+
+            def exec_module(self, module):
+                raise ImportError("kernel init failed")
+
+        monkeypatch.delitem(sys.modules, tomo._KERNEL)
+        monkeypatch.setattr(tomo, "ExtensionFileLoader", FailingLoader)
+        with pytest.raises(ImportError, match="kernel init failed"):
+            mle_reconstruct(bell_table())
+        assert tomo._KERNEL not in sys.modules
+
 
 def scipy_blas_threads():
     """scipy's OpenBLAS (get, set) thread calls, or a skip where a pin cannot show."""
@@ -1178,6 +1155,14 @@ class TestOneBlasThread:
         yield get
         set_(before)
 
+    @pytest.mark.parametrize("library", ["none", "missing", "libc"])
+    def test_no_thread_count_to_pin_without_openblas_calls(self, tmp_path, library):
+        # a stand-in kernel has no file; a file that does not load, or a
+        # library without scipy_openblas calls, leaves the fit on its BLAS's threads
+        path = {"none": None, "missing": str(tmp_path / "missing.so"),
+                "libc": ctypes.util.find_library("c")}[library]
+        assert tomo._scipy_blas_threads(path) is None
+
     def test_a_fit_runs_on_one_thread_and_restores_the_count(self, monkeypatch, threads):
         seen = set()
         SetulbSpy(monkeypatch, act=lambda *args: seen.add(threads()))
@@ -1221,11 +1206,37 @@ class TestOneBlasThread:
                    "on this table the default fit sits 1.2e-3 nats low and its fidelity "
                    "is off by 8.1e-4")
 def test_default_tolerance_fit_reaches_the_optimum():
-    cfg, table, target = reference_stage2_table()
+    cfg, table, target = shipped_stage_table("qubit_default", 2)
     default = mle_reconstruct(table, tol=cfg.tol, max_iter=cfg.max_iter)
     tight = mle_reconstruct(table, tol=1e-16, max_iter=cfg.max_iter)
     assert default.converged
     assert abs(fidelity(default.rho, target) - fidelity(tight.rho, target)) <= 1e-5
+
+
+def fit_gap_bound(table, tol, max_iter):
+    """The likelihood-gap bound of the table's plain fit, in nats."""
+    projectors, observed, exposures = tomo._aligned_projectors(table)
+    rho = mle_reconstruct(table, tol=tol, max_iter=max_iter).rho.entries
+    return reference.likelihood_gap_bound(projectors, observed, exposures, rho)
+
+
+SHIPPED_QUBIT_STAGES = [("qubit_default", 1), ("qubit_default", 2),
+                        ("qubit_ideal", 1), ("qubit_ideal", 2)]
+
+
+@pytest.mark.parametrize("name, stage", SHIPPED_QUBIT_STAGES)
+def test_a_tight_fit_is_certified_near_the_optimum(name, stage):
+    # 3.3e-6, 3.9e-5, 8.7e-11 and -1.5e-11 (rounding) nats
+    cfg, table, _ = shipped_stage_table(name, stage)
+    assert fit_gap_bound(table, 1e-16, cfg.max_iter) <= 1e-4
+
+
+@pytest.mark.xfail(strict=True, reason="L-BFGS-B's relative stop at the shipped tol certifies "
+                   "only 1.4e-2, 2.1e-1, 1.5e-3 and 2.1e-3 nats on these tables")
+def test_a_shipped_fit_is_certified_near_the_optimum():
+    bounds = [fit_gap_bound(table, cfg.tol, cfg.max_iter)
+              for cfg, table, _ in (shipped_stage_table(*case) for case in SHIPPED_QUBIT_STAGES)]
+    assert max(bounds) <= 1e-4
 
 
 @functools.lru_cache(maxsize=None)
