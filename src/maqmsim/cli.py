@@ -8,8 +8,11 @@ group of sweep points, in one pass.  Floats are serialized at 6 significant
 digits, and the report embeds the config hash so every number is traceable
 to its inputs.  ``main`` keeps no state that can change an output: it builds
 its argument parser once per process, and keeps the last compiled schedule
-under its exact inputs (``_compile``).  Sweep points share each memory entry
-off the swept path, and parsing never writes into it, so it is parsed once.
+under its exact inputs (``_compile``), the last config under its exact bytes
+and whether ``--seed`` was given (``_load``), and both stages' outcomes and
+probabilities under their protocol object and ``eta_det`` (``_run``); none
+of these depends on the seed.  Sweep points share each memory entry off the
+swept path, and parsing never writes into it, so it is parsed once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -213,9 +216,10 @@ def _memory_spec(memories: _Object, name: str, known: dict) -> MemorySpec:
 
 
 def _seed(top: _Object, seed_override) -> int:
-    """The override, else the config's seed (never drawn at random): a non-negative integer."""
-    seed = top.read("seed", default=_REQUIRED if seed_override is None else None)
-    return _integer(seed if seed_override is None else seed_override, "seed", minimum=0)
+    """The override, else the config's seed, checked wherever given: a non-negative integer."""
+    if seed_override is None or "seed" in top.doc:
+        seed = top.read("seed", _integer, minimum=0)
+    return seed if seed_override is None else _integer(seed_override, "seed", minimum=0)
 
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None,
@@ -297,16 +301,17 @@ def _parse(doc, seed_override, sha256: str, known: dict) -> ExperimentConfig:
     )
 
 
-def _read_config(path: str) -> tuple[object, bytes]:
-    """The parsed JSON document and its raw bytes.
+def _read_config(path: str, raw: bytes | None = None) -> tuple[object, bytes]:
+    """The parsed JSON document and its raw bytes, read from ``path`` unless given.
 
     The bytes must be UTF-8 (a leading byte-order mark is skipped); syntax
     errors name path:line:col, and a key repeated in one object is named;
     nesting past the interpreter's recursion limit, or an integer past its
     digit limit, is rejected with the path.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
@@ -427,6 +432,10 @@ def _check_dark_rate(cfg: ExperimentConfig, probabilities: dict) -> None:
 
 
 _last_compiled = [None, None]   # the key and schedule of the last compile
+_last_loaded = [None, None]     # the key and config of the last load
+# the (protocol, eta_det) key of the last run, its protocol held and compared by
+# identity, and both stages' outcomes and probabilities, every array read-only
+_last_stages = [None, None]
 
 
 def _compile(cfg: ExperimentConfig) -> Schedule:
@@ -452,6 +461,24 @@ def _compile(cfg: ExperimentConfig) -> Schedule:
     return _last_compiled[1]
 
 
+def _load(path: str, seed_override: int | None) -> ExperimentConfig:
+    """``load_experiment_config``, parsed again only when its key changes.
+
+    The file is read on every call.  The key is its bytes and whether an override
+    is given (a seedless document is valid only with one); an error is never kept.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = (raw, seed_override is not None)
+    if _last_loaded[0] != key:
+        doc, _ = _read_config(path, raw)
+        _last_loaded[:] = key, parse_experiment_config(doc, seed_override,
+                                                       hashlib.sha256(raw).hexdigest())
+    cfg = _last_loaded[1]
+    return cfg if seed_override is None else replace(
+        cfg, seed=_integer(seed_override, "seed", minimum=0))
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline: compile, run both stages, measure, estimate.
 
@@ -475,11 +502,17 @@ def _run(cfg: ExperimentConfig, plan: tuple[np.ndarray, ...]) -> dict:
     """``run_experiment`` on the run's ``_stream_plans`` entry."""
     schedule = _compile(cfg)
     stages = ("maqm1_stage", "maqm2_stage")
-    outcomes = [run_protocol(cfg.protocol, transfer=transfer) for transfer in (False, True)]
     d = cfg.protocol.dimension
     settings = _settings(d)
-    probabilities = [coincidence_probabilities(outcome, settings, cfg.eta_det)
-                     for outcome in outcomes]
+    key = _last_stages[0]
+    if key is None or key[0] is not cfg.protocol or key[1] != cfg.eta_det:
+        outcomes = [run_protocol(cfg.protocol, transfer=transfer) for transfer in (False, True)]
+        probabilities = [coincidence_probabilities(outcome, settings, cfg.eta_det)
+                         for outcome in outcomes]
+        for p in probabilities:
+            p.setflags(write=False)
+        _last_stages[:] = (cfg.protocol, cfg.eta_det), (outcomes, probabilities)
+    outcomes, probabilities = _last_stages[1]
     _check_dark_rate(cfg, dict(zip(stages, probabilities)))
 
     report = {
@@ -668,7 +701,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_experiment_config(args.config, seed_override=args.seed)
+    cfg = _load(args.config, args.seed)
     report = run_experiment(cfg)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     _emit(text, args.out)
@@ -676,7 +709,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    cfg = load_experiment_config(args.config, seed_override=args.seed)
+    cfg = _load(args.config, args.seed)
     schedule = _compile(cfg)
     _emit(schedule_to_jsonl(schedule), args.out)
     for v in schedule.violations:

@@ -24,7 +24,7 @@ tables are reproducible and independent of evaluation order, and adding a
 consumer never shifts another's draws.  ``numpy.random`` loads on the
 first draw.  Nothing is cached between runs but the settings blocks and
 label tuples, which depend on the dimension alone, and the seed stand-in
-class; ``cli.main`` keeps no run state between calls.
+class; ``cli.main`` keeps no stream or draw between calls.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ class TransferOutcome:
     ``branch_amplitudes[k]`` is the amplitude of the pair (signal mode k,
     output mode k) and is not normalized: its squared norm is the
     herald-conditioned probability that the branch excitation survives to
-    verification.  There are d of them, one per branch.
+    verification.  There are d of them, one per branch, in a read-only array.
     """
 
     branch_amplitudes: np.ndarray
@@ -172,6 +172,7 @@ def run_protocol(config: ProtocolConfig, transfer: bool = True) -> TransferOutco
             w *= survival(spec2, storage_dwell(config, i))
             phase += config.drifts[i]
         branch[k] = np.sqrt(w) * np.exp(1j * phase) / np.sqrt(d)
+    branch.setflags(write=False)
 
     scaled, norm_sq = _scale_free(branch)
     if norm_sq > 0:

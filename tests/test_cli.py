@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -999,6 +1000,19 @@ def test_negative_seed_override_exits_two(tmp_path, capsys, command):
     assert capsys.readouterr().err == "config error: seed: must be at least 0\n"
 
 
+@pytest.mark.parametrize("command", ["run", "compile", "sweep"])
+@pytest.mark.parametrize("seed, message", [
+    ("abc", "must be an integer"), (-1, "must be at least 0"), (True, "must be an integer"),
+])
+def test_a_bad_config_seed_is_named_under_a_seed_override(tmp_path, capsys, command, seed,
+                                                          message):
+    # --seed stands in for the document's seed, but a seed it gives is still checked
+    path = write_config(tmp_path, small_doc(seed=seed))
+    extra = ["--param", "detection.eta_det", "--values", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", path, "--seed", "5", *extra]) == 2
+    assert capsys.readouterr().err == f"config error: seed: {message}\n"
+
+
 @pytest.mark.parametrize("where, value", [
     (("protocol", "source_cells", 1), [3]),
     (("protocol", "source_cells", 1), [-1, 1]),
@@ -1432,6 +1446,81 @@ def test_each_structural_field_keys_the_schedule(field, value):
         assert warm.violations == cold.violations
         texts += [schedule_to_jsonl(warm), schedule_to_jsonl(cold)]
     assert texts[0] == texts[1] != texts[2] == texts[3]
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Empty load, stage and schedule memos, as a fresh process starts with."""
+    for name in ("_last_loaded", "_last_stages", "_last_compiled"):
+        monkeypatch.setattr(cli, name, [None, None])
+
+
+def test_a_seed_scan_parses_once_and_runs_the_stages_once(tmp_path, capsys, monkeypatch,
+                                                         cold_memos):
+    path = write_config(tmp_path, small_doc(4, n_resamples=4))
+    parses = spy_on(monkeypatch, "parse_experiment_config")
+    stages = spy_on(monkeypatch, "run_protocol")
+    out = tmp_path / "report.json"
+    for seed in range(20):
+        assert main(["run", "--config", path, "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+    assert (len(parses), len(stages)) == (1, 2)
+    # a kept parse still checks the override
+    assert main(["run", "--config", path, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be at least 0\n"
+    assert main(["compile", "--config", path, "--seed", "3",
+                 "--out", str(tmp_path / "schedule.jsonl")]) == 0
+    assert len(parses) == 1
+    # without --seed the document's own seed is read: a parse of its own
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 3 and len(parses) == 2
+    with open(path, "a") as fh:   # one more byte, the same document
+        fh.write(" ")
+    assert main(["run", "--config", path, "--seed", "19", "--out", str(out)]) == 0
+    assert (len(parses), len(stages)) == (3, 6)
+    monkeypatch.setattr(cli, "_last_stages", [None, None])
+    cold = run_experiment(load_experiment_config(path, seed_override=19))
+    assert out.read_text() == report_to_json(cold)
+
+
+def test_a_config_error_is_never_kept(tmp_path, capsys, monkeypatch, cold_memos):
+    doc = small_doc(4, n_resamples=4)
+    path = write_config(tmp_path, {**doc, "detection": {"eta_det": 1.5}})
+    parses = spy_on(monkeypatch, "parse_experiment_config")
+    codes = [main(["run", "--config", path, "--seed", "1", "--out", str(tmp_path / "out")])
+             for _ in range(3)]
+    write_config(tmp_path, doc)
+    codes.append(main(["run", "--config", path, "--out", str(tmp_path / "out")]))
+    write_config(tmp_path, {**doc, "detection": {"eta_det": 1.5}})
+    codes.append(main(["run", "--config", path, "--out", str(tmp_path / "out")]))
+    assert codes == [2, 2, 2, 0, 2] and len(parses) == 5
+    assert capsys.readouterr().err == "config error: detection.eta_det: must be at most 1\n" * 4
+
+
+def test_a_seed_loop_reuses_the_stages_and_eta_det_keys_them(monkeypatch, cold_memos):
+    cfg = parse_experiment_config(small_doc(4, n_resamples=4))
+    stages = spy_on(monkeypatch, "run_protocol")
+    for seed in range(3):
+        run_experiment(dataclasses.replace(cfg, seed=seed))
+    assert len(stages) == 2
+    moved = dataclasses.replace(cfg, eta_det=0.5)
+    warm = run_experiment(moved)
+    assert len(stages) == 4
+    monkeypatch.setattr(cli, "_last_stages", [None, None])
+    assert report_to_json(warm) == report_to_json(run_experiment(moved))
+
+
+def test_every_array_the_memos_share_is_read_only(tmp_path, cold_memos):
+    path = write_config(tmp_path, small_doc(4, n_resamples=4))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "report.json")]) == 0
+    outcomes, probabilities = cli._last_stages[1]
+    specs = (cli._last_loaded[1].protocol.spec1, cli._last_loaded[1].protocol.spec2)
+    arrays = [*(o.branch_amplitudes for o in outcomes), *probabilities,
+              *(m for s in specs for m in (s.eta_write, s.eta_read, s.eta_eit) if m is not None)]
+    assert len(arrays) == 9
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
 
 
 @pytest.mark.parametrize("name", ["qubit_default", "qubit_ideal", "qudit_default"])

@@ -3,7 +3,8 @@
 
 Each manifest entry gives a ``maqmsim`` argv (paths relative to the repository
 root), the golden file it writes, and why that case is pinned.  The tests run
-every entry in process, hold the golden directory to the manifest, and rerun
+every entry in process, each ``run`` entry also right after a run of its
+config at another seed, hold the golden directory to the manifest, and rerun
 the whole manifest in fresh interpreters under two hash seeds and under
 ``python -O``.
 
@@ -14,8 +15,8 @@ As a script, from the repository root:
 
 The check runs the manifest forwards and then backwards in one process, so
 no output may depend on what the command before it left behind (the CLI
-keeps its last compiled schedule).  It exits 1 at the first output that
-differs from its golden.
+keeps its last config, both stages of its last run and its last compiled
+schedule).  It exits 1 at the first output that differs from its golden.
 ``--write`` rewrites every output from its argv and prints what changed,
 one line per JSON leaf or CSV cell: ``file: key old -> new``, where a
 missing leaf reads ``(absent)``.  A change that moves golden bytes on
@@ -34,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from maqmsim import cli
 from maqmsim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +55,30 @@ def produce(entry: dict, out: Path) -> bytes:
 def test_golden_bytes(entry, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     produced = produce(entry, tmp_path / entry["output"])
+    assert produced == (GOLDEN_DIR / entry["output"]).read_bytes()
+
+
+def with_seed(argv: list, seed: int) -> list:
+    """``argv`` with its ``--seed`` set to ``seed``."""
+    if "--seed" not in argv:
+        return [*argv, "--seed", str(seed)]
+    i = argv.index("--seed") + 1
+    return [*argv[:i], str(seed), *argv[i + 1:]]
+
+
+@pytest.mark.parametrize("entry", [e for e in MANIFEST if e["argv"][0] == "run"],
+                         ids=lambda e: e["output"])
+def test_golden_bytes_on_a_warm_memo(entry, tmp_path, monkeypatch):
+    # a run at another seed leaves its parse and both stages for the golden's
+    # command to reuse; a seedless command keys a parse of its own, so it
+    # reuses them with --seed at its config's seed, which gives the same bytes
+    monkeypatch.chdir(ROOT)
+    argv = entry["argv"]
+    seed = (int(argv[argv.index("--seed") + 1]) if "--seed" in argv
+            else json.loads(Path(argv[2]).read_text())["seed"])
+    assert main(with_seed(argv, seed + 1) + ["--out", str(tmp_path / "warm_up")]) == 0
+    monkeypatch.setattr(cli, "run_protocol", None)   # a cold run would raise TypeError
+    produced = produce({"argv": with_seed(argv, seed)}, tmp_path / entry["output"])
     assert produced == (GOLDEN_DIR / entry["output"]).read_bytes()
 
 

@@ -40,6 +40,7 @@ from test_tomo import reference_objective, shipped_stage_table, stacked_problem
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "maqmsim" / "configs"
 QUDIT = json.loads((CONFIG_DIR / "qudit_default.json").read_text())
+QUBIT = json.loads((CONFIG_DIR / "qubit_default.json").read_text())
 GRID1 = RfGrid(97.0, 1.5, 95.5, 1.5)
 GRID2 = RfGrid(101.1, 1.2, 99.0, 1.2)
 HALF_STEP = TIME_GRID_US / 2
@@ -459,13 +460,20 @@ SWEEP_BOUNDS = {
 }
 
 
-def run_once(doc, workdir):
-    config, out, err = Path(workdir, "config.json"), Path(workdir, "report.json"), io.StringIO()
-    config.write_text(json.dumps(doc))
+def run_cli(argv, out: Path):
+    """The exit code, output bytes (None if none was written) and stderr of one command."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = cli.main(["run", "--config", str(config), "--out", str(out)])
-    return code, out.read_bytes() if code == 0 else None, err.getvalue()
+        code = cli.main([*argv, "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+def run_once(doc, workdir):
+    config = Path(workdir, "config.json")
+    config.write_text(json.dumps(doc))
+    return run_cli(["run", "--config", str(config)], Path(workdir, "report.json"))
 
 
 @WIDE   # 15 fields, each inside and past its bound
@@ -572,6 +580,48 @@ def test_a_whole_qudit_config_runs_twice_alike_or_names_a_field(doc):
             assert code == 2 and err.startswith("config error: ") and err.count("\n") == 1, err
             path = err.removeprefix("config error: ").split(": ", 1)[0]
             assert is_field(doc, path), err
+
+
+@st.composite
+def shipped_configs(draw):
+    """A shipped qubit or qudit config at a drawn seed, drift, detection and few
+    resamples; a dark rate of 0.999 fails the run's dark-rate check."""
+    doc = copy.deepcopy(draw(st.sampled_from([QUBIT, QUDIT])))
+    doc["seed"] = draw(st.integers(0, 2**32))
+    doc["protocol"]["drift"] = draw(st.sampled_from([0.0, 0.3]))
+    doc["detection"].update(eta_det=draw(st.sampled_from([0.5, 1.0])),
+                            dark_rate=draw(st.sampled_from([1e-4, 0.0, 0.999])))
+    doc["estimation"]["n_resamples"] = draw(st.integers(2, 4))
+    return doc
+
+
+@settings(PROPERTY, max_examples=PROPERTY.max_examples // 3)   # 20 under ci
+@given(docs=st.lists(shipped_configs() | shipped_configs() | qudit_configs(st.integers(3, 4)),
+                     min_size=1, max_size=2), data=st.data())
+def test_a_warm_command_gives_the_cold_bytes(docs, data):
+    # a step may write one of the documents to the one path, seedless or not
+    # and in one of two layouts (the same document in other bytes), or keep
+    # the file; it then runs a command with or without --seed, and the memos
+    # the steps before it left must not change its exit code, output or message
+    layouts = st.tuples(st.integers(0, len(docs) - 1), st.booleans(), st.sampled_from([None, 1]))
+    steps = data.draw(st.lists(st.tuples(
+        st.integers(0, 2).flatmap(lambda k: layouts if k == 2 else st.none()),   # keep 2 in 3
+        st.sampled_from(["run", "run", "compile"]), st.none() | st.integers(0, 2**32),
+    ), min_size=2, max_size=6))
+    with tempfile.TemporaryDirectory() as workdir:
+        config, out = Path(workdir, "config.json"), Path(workdir, "out")
+        for i, (layout, command, seed) in enumerate(steps):
+            if layout is not None or i == 0:
+                index, seedless, indent = layout or (0, False, None)
+                doc = {k: v for k, v in docs[index].items() if not (seedless and k == "seed")}
+                config.write_text(json.dumps(doc, indent=indent))
+            argv = [command, "--config", str(config),
+                    *([] if seed is None else ["--seed", str(seed)])]
+            warm = run_cli(argv, out)
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("_last_loaded", "_last_stages", "_last_compiled"):
+                    mp.setattr(cli, name, [None, None])
+                assert warm == run_cli(argv, out), argv
 
 
 def check_predictions_match_the_reference(doc):
