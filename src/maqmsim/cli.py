@@ -8,10 +8,12 @@ group of sweep points, in one pass.  Floats are serialized at 6 significant
 digits, and the report embeds the config hash so every number is traceable
 to its inputs.  ``main`` keeps no state that can change an output: it builds
 its argument parser once per process, and keeps the last compiled schedule
-under its exact inputs (``_compile``), the last config under its exact bytes
-and whether ``--seed`` was given (``_load``), and both stages' outcomes and
-probabilities under their protocol object and ``eta_det`` (``_run``); none
-of these depends on the seed.  Sweep points share each memory entry off the
+under its exact inputs (``_compile``), and both stages' outcomes and
+probabilities under their protocol object and ``eta_det`` (``_run``).
+``load_experiment_config`` keeps the last config under its exact bytes and
+whether an override seed was given, so ``run``, ``compile`` and library
+callers share one immutable config while the bytes are unchanged; none of
+these depends on the seed.  Sweep points share each memory entry off the
 swept path, and parsing never writes into it, so it is parsed once.
 """
 
@@ -141,34 +143,27 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _within(values: np.ndarray, non_negative=False, maximum=None) -> bool:
-    """Whether every value passes ``_number``'s finiteness and bound checks."""
-    ok = np.isfinite(values)
-    if non_negative:
-        ok &= values >= 0
-    if maximum is not None:
-        ok &= values <= maximum
-    return bool(ok.all())
-
-
 def _numbers(value, path: str, count: int, **bounds) -> np.ndarray:
-    """A list of ``count`` numbers as a float array, checked all at once;
-    an error names the first entry that fails, as ``_number`` reads it."""
+    """A list of ``count`` numbers as a float array.  A list of plain ints and
+    floats is checked at its least and greatest value by ``_number`` (every bound
+    is one-sided, and NaN is both); any failure reads the entries one by one, so
+    the error names the first bad one as ``_number`` reads it."""
     if not isinstance(value, list) or len(value) != count:
         raise ConfigError(f"{path}: must be a list of {count} numbers")
     if {type(v) for v in value} <= {int, float}:
         try:
             array = np.array(value, dtype=float)
-        except OverflowError:   # an int past the float range
-            array = None
-        if array is not None and _within(array, **bounds):
+            for extreme in (array.min(), array.max()):
+                _number(extreme, path, **bounds)
             return array
+        except (OverflowError, ConfigError):   # an int past the float range, or a bad entry
+            pass
     return np.array([_number(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value)])
 
 
 def _efficiencies(value, path: str, cells: int):
     """A map in [0, 1]: one number for every cell, or a row-major list of one per cell."""
-    if isinstance(value, list):    # an array, so that MemorySpec does not check it again
+    if isinstance(value, list):    # an array spares MemorySpec its per-entry type check
         return _numbers(value, path, cells, non_negative=True, maximum=1.0)
     return _number(value, path, non_negative=True, maximum=1.0)
 
@@ -301,17 +296,14 @@ def _parse(doc, seed_override, sha256: str, known: dict) -> ExperimentConfig:
     )
 
 
-def _read_config(path: str, raw: bytes | None = None) -> tuple[object, bytes]:
-    """The parsed JSON document and its raw bytes, read from ``path`` unless given.
+def _read_config(path: str, raw: bytes) -> object:
+    """The JSON document in ``raw``, the bytes read from ``path``.
 
     The bytes must be UTF-8 (a leading byte-order mark is skipped); syntax
     errors name path:line:col, and a key repeated in one object is named;
     nesting past the interpreter's recursion limit, or an integer past its
     digit limit, is rejected with the path.
     """
-    if raw is None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
@@ -327,7 +319,7 @@ def _read_config(path: str, raw: bytes | None = None) -> tuple[object, bytes]:
         return doc
 
     try:
-        return json.loads(text, object_pairs_hook=unique_keys), raw
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     except RecursionError:
@@ -340,9 +332,20 @@ def _read_config(path: str, raw: bytes | None = None) -> tuple[object, bytes]:
 
 
 def load_experiment_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
-    doc, raw = _read_config(path)
-    sha = hashlib.sha256(raw).hexdigest()
-    return parse_experiment_config(doc, seed_override=seed_override, sha256=sha)
+    """The config at ``path``, read on every call and parsed again only when its
+    bytes change or whether an override is given does (a seedless document is
+    valid only with one).  An error is never kept; the override is checked on
+    every call.  Unchanged bytes give every caller the same immutable config."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = raw, seed_override is not None
+    kept, cfg = _last_loaded
+    if kept != key:
+        cfg = parse_experiment_config(_read_config(path, raw), seed_override,
+                                      hashlib.sha256(raw).hexdigest())
+        _last_loaded[:] = key, cfg
+    return cfg if seed_override is None else replace(
+        cfg, seed=_integer(seed_override, "seed", minimum=0))
 
 
 def derive_seed(*parts: int) -> int:
@@ -459,24 +462,6 @@ def _compile(cfg: ExperimentConfig) -> Schedule:
             raise ConfigError(f"protocol.{err}") from err
         _last_compiled[0] = key
     return _last_compiled[1]
-
-
-def _load(path: str, seed_override: int | None) -> ExperimentConfig:
-    """``load_experiment_config``, parsed again only when its key changes.
-
-    The file is read on every call.  The key is its bytes and whether an override
-    is given (a seedless document is valid only with one); an error is never kept.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    key = (raw, seed_override is not None)
-    if _last_loaded[0] != key:
-        doc, _ = _read_config(path, raw)
-        _last_loaded[:] = key, parse_experiment_config(doc, seed_override,
-                                                       hashlib.sha256(raw).hexdigest())
-    cfg = _last_loaded[1]
-    return cfg if seed_override is None else replace(
-        cfg, seed=_integer(seed_override, "seed", minimum=0))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -701,7 +686,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = load_experiment_config(args.config, args.seed)
     report = run_experiment(cfg)
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     _emit(text, args.out)
@@ -709,7 +694,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    cfg = _load(args.config, args.seed)
+    cfg = load_experiment_config(args.config, args.seed)
     schedule = _compile(cfg)
     _emit(schedule_to_jsonl(schedule), args.out)
     for v in schedule.violations:
@@ -718,7 +703,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc, _ = _read_config(args.config)
+    with open(args.config, "rb") as fh:
+        doc = _read_config(args.config, fh.read())
     try:
         values = [float(v) for v in args.values.split(",")] if args.values else []
     except ValueError:

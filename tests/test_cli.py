@@ -1497,6 +1497,28 @@ def test_a_config_error_is_never_kept(tmp_path, capsys, monkeypatch, cold_memos)
     assert capsys.readouterr().err == "config error: detection.eta_det: must be at most 1\n" * 4
 
 
+def test_the_public_loader_parses_unchanged_bytes_once(tmp_path, monkeypatch, cold_memos):
+    path = write_config(tmp_path, small_doc(4, n_resamples=4))
+    parses = spy_on(monkeypatch, "parse_experiment_config")
+    configs = [load_experiment_config(path, seed_override=seed) for seed in range(5)]
+    assert len(parses) == 1 and [cfg.seed for cfg in configs] == list(range(5))
+    raw = Path(path).read_bytes()
+    cold = parse_experiment_config(json.loads(raw), seed_override=4,
+                                   sha256=hashlib.sha256(raw).hexdigest())
+    assert report_to_json(run_experiment(configs[-1])) == report_to_json(run_experiment(cold))
+    with open(path, "a") as fh:   # one more byte, the same document
+        fh.write(" ")
+    assert load_experiment_config(path, seed_override=4).sha256 != cold.sha256
+    assert len(parses) == 2
+    bad = write_config(tmp_path, {**small_doc(4), "detection": {"eta_det": 1.5}}, "bad.json")
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=r"^detection\.eta_det: must be at most 1$"):
+            load_experiment_config(bad, seed_override=1)
+    # the last good config is still the one kept
+    assert load_experiment_config(path, seed_override=7).seed == 7 and len(parses) == 5
+    assert load_experiment_config(path) is load_experiment_config(path) and len(parses) == 6
+
+
 def test_a_seed_loop_reuses_the_stages_and_eta_det_keys_them(monkeypatch, cold_memos):
     cfg = parse_experiment_config(small_doc(4, n_resamples=4))
     stages = spy_on(monkeypatch, "run_protocol")
@@ -1526,8 +1548,8 @@ def test_every_array_the_memos_share_is_read_only(tmp_path, cold_memos):
 @pytest.mark.parametrize("name", ["qubit_default", "qubit_ideal", "qudit_default"])
 def test_two_parses_of_a_config_compare_without_raising(name):
     # specs and outcomes hold arrays, so they compare by identity, and configs hash
-    path = CONFIG_DIR / f"{name}.json"
-    first, second = load_experiment_config(path), load_experiment_config(path)
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    first, second = parse_experiment_config(doc), parse_experiment_config(doc)
     assert first == first and first != second
     assert hash(first) == hash(first) and hash(first.protocol) == hash(first.protocol)
     outcome = protocol.run_protocol(first.protocol)
