@@ -43,7 +43,7 @@ from .detect import (
 from .memory import MAX_CELLS, CellAddress, MemoryId, MemorySpec, RfGrid
 from .protocol import PostSelectionError, ProtocolConfig, project_w, run_protocol
 from .schedule import PatternError, Schedule, compile_schedule, schedule_to_jsonl
-from .tomo import bell_target, monte_carlo_fidelities, monte_carlo_w_fidelity
+from .tomo import FidelityEstimate, bell_target, monte_carlo_fidelities, monte_carlo_w_fidelity
 from .qstate import state_fidelity
 
 __all__ = [
@@ -374,55 +374,32 @@ def _settings(dimension: int):
     return tomography_settings() if dimension == 2 else w_settings(dimension)
 
 
-def _qubit_blocks(outcomes, tables, resamples,
-                  cfg: ExperimentConfig) -> tuple[dict, dict, float | None]:
-    """Both stages' blocks and the transmission fidelity, from one fit of both tables.
-
-    A stage without a spread keeps its fidelity, sets sigma None and adds
-    the reason as the block's ``warnings``; a stage without a base fit has
-    no fidelity, and then the run has no transmission fidelity.
-    """
-    target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
-    estimates = monte_carlo_fidelities(tables, target, resamples, tol=cfg.tol,
-                                       max_iter=cfg.max_iter)
-    blocks = []
-    for outcome, est in zip(outcomes, estimates):
-        block = {
-            "predicted_fidelity": outcome.predicted_fidelity,
-            "survival_probability": outcome.survival_probability,
-            "fidelity": est.value,
-            "sigma": est.sigma,
-            "n_resamples": est.n_resamples,
-        }
-        if est.warnings:
-            block["warnings"] = list(est.warnings)
-        blocks.append(block)
-    rho1, rho2 = (est.rho for est in estimates)
-    transmission = None if rho1 is None or rho2 is None else state_fidelity(rho1, rho2)
-    return *blocks, transmission
+def _stage_block(outcome, predicted, est: FidelityEstimate, w: str) -> dict:
+    """A stage's block; ``w`` is "w_" for a W stage, whose block always lists its
+    warnings, and "" for a qubit stage, whose block lists them only if it has some."""
+    block = {
+        f"predicted_{w}fidelity": predicted,
+        "survival_probability": outcome.survival_probability,
+        f"{w}fidelity": est.value,
+        "sigma": est.sigma,
+        "n_resamples": est.n_resamples,
+    }
+    if w or est.warnings:
+        block["warnings"] = list(est.warnings)
+    return block
 
 
 def _w_block(outcome, draw, dimension: int) -> dict:
     """The stage's W block, whose table and resamples ``draw()`` gives if it has amplitudes
-    to project on; what cannot be computed is None, with the reason in warnings."""
-    block = {
-        "predicted_w_fidelity": None,
-        "survival_probability": outcome.survival_probability,
-        "w_fidelity": None,
-        "sigma": None,
-        "n_resamples": 0,
-        "warnings": [],
-    }
+    to project on; if it has none, its values are None and the reason is its one warning."""
     try:
-        block["predicted_w_fidelity"] = project_w(outcome)
+        predicted = project_w(outcome)
     except PostSelectionError as err:
-        block["warnings"].append(str(err))
-        return block
+        est = FidelityEstimate(None, None, 0, warnings=(str(err),))
+        return _stage_block(outcome, None, est, "w_")
     table, resamples = draw()
     est = monte_carlo_w_fidelity(table, dimension, resamples)
-    block.update(w_fidelity=est.value, sigma=est.sigma, n_resamples=est.n_resamples,
-                 warnings=list(est.warnings))
-    return block
+    return _stage_block(outcome, predicted, est, "w_")
 
 
 def _check_dark_rate(cfg: ExperimentConfig, probabilities: dict) -> None:
@@ -478,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     from its blocks of its stream plan, but a W stage with nothing to project
     on draws nothing.  A W stage is estimated before the next stage draws, so
     one W resample stack is alive at a time; the qubit tables are fitted
-    together once both are drawn.
+    together in ``_run`` once both are drawn.  ``_stage_block`` builds each block.
     """
     return _run(cfg, _stream_plans([(cfg, len(_settings(cfg.protocol.dimension).labels))])[0])
 
@@ -519,9 +496,16 @@ def _run(cfg: ExperimentConfig, plan: tuple[np.ndarray, ...]) -> dict:
             report[name] = _w_block(outcome, draw, d)
         else:
             drawn.append(draw())
-    if d == 2:
-        *blocks, transmission = _qubit_blocks(outcomes, *zip(*drawn), cfg)
-        report.update(zip(stages, blocks), transmission_fidelity=transmission)
+    if d == 2:   # both tables in one fit; a stage without a base fit has no rho
+        target = bell_target(cfg.protocol.write_phases[1] - cfg.protocol.write_phases[0])
+        tables, resamples = zip(*drawn)
+        estimates = monte_carlo_fidelities(tables, target, resamples, tol=cfg.tol,
+                                           max_iter=cfg.max_iter)
+        for name, outcome, est in zip(stages, outcomes, estimates):
+            report[name] = _stage_block(outcome, outcome.predicted_fidelity, est, "")
+        rho1, rho2 = (est.rho for est in estimates)
+        report["transmission_fidelity"] = (None if rho1 is None or rho2 is None
+                                           else state_fidelity(rho1, rho2))
     return report
 
 

@@ -35,7 +35,7 @@ def test_package_exports_the_module_lists():
                                   "herald_loop", "CountRow", "_CountRows",
                                   "_poisson_resamples", "_resample_count",
                                   "_tomography_settings", "_w_labels", "_w_settings",
-                                  "monte_carlo_fidelity"])
+                                  "monte_carlo_fidelity", "_qubit_blocks"])
 def test_second_copies_are_gone(name):
     assert not any(hasattr(m, name) for m in (maqmsim, *MODULES))
 

@@ -111,8 +111,10 @@ def test_goldens_hold_in_a_fresh_interpreter(flags, hash_seed):
 def leaves(name: str, data: bytes) -> dict:
     """The file's leaves by key, each as JSON text: a JSON leaf by its dotted
     path, a JSON Lines leaf under ``line N``, and a CSV cell, as a string,
-    under ``row N.column``."""
+    under ``row N.column``.  No bytes (a new golden) have no leaves."""
     text = data.decode()
+    if not text:
+        return {}
     if name.endswith(".csv"):
         header, *rows = csv.reader(io.StringIO(text))
         return {f"row {i}.{column}": json.dumps(cell) for i, row in enumerate(rows, 1)
@@ -120,7 +122,7 @@ def leaves(name: str, data: bytes) -> dict:
     if name.endswith(".jsonl"):
         doc = {f"line {i}": json.loads(line) for i, line in enumerate(text.splitlines(), 1)}
     else:
-        doc = json.loads(text) if text else {}
+        doc = json.loads(text)
     out = {}
 
     def walk(node, key):
@@ -153,6 +155,13 @@ def test_leaf_diff_names_each_changed_leaf():
                      b"x,sigma\r\n0,0.1\r\n0.3,\r\n") == ['s.csv: row 2.sigma "0.2" -> ""']
     assert leaf_diff("e.jsonl", b'{"t": 1}\n{"t": 2}\n', b'{"t": 1}\n{"t": 3}\n') == [
         "e.jsonl: line 2.t 2 -> 3"]
+
+
+def test_leaf_diff_reads_a_new_golden_as_empty():
+    # --write on a new manifest entry diffs its output against no bytes
+    assert leaf_diff("s.csv", b"", b"key,value\r\nseed,1\r\n") == [
+        's.csv: row 1.key (absent) -> "seed"', 's.csv: row 1.value (absent) -> "1"']
+    assert leaf_diff("r.json", b"", b'{"seed": 1}') == ["r.json: seed (absent) -> 1"]
 
 
 def sync(write: bool) -> int:
